@@ -11,9 +11,12 @@ Global flags: ``--config``, ``--out`` (output directory), ``--seed``
 (overrides the config's master seed), ``--tol`` (solver tolerance),
 ``--quiet``.
 
-Exit codes: 0 success; 1 failed bench check; 2 config error; 3 generation
-error; 4 window coverage error; 5 solver non-convergence (estimate rows are
-still written, with their achieved gaps); 6 certificate bound violation.
+Exit codes: 0 success; 1 failed bench check; 2 config error, or an
+unreadable observations file; 3 generation error; 4 window coverage error, or
+a non-finite observation in an anchor's window; 5 solver non-convergence
+(``denoise``/``predict`` still write every estimate row, with its achieved
+gap; ``bench`` stops at the first trial that misses its budget); 6
+certificate bound violation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -29,8 +31,17 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, ConvergenceError, DomainError, ParamError
-from .estimators import DenoiseSetup, denoise_point, predict_point
-from .fields import Box, Field, convolve, read_zdf, write_zdf
+from .estimators import DenoiseSetup, denoise_point
+from .fields import (
+    FILTERING,
+    PREDICTION,
+    Box,
+    Field,
+    Filter,
+    convolve,
+    read_zdf,
+    write_zdf,
+)
 from .harness import (
     NoiseSpec,
     check_gaussian_max,
@@ -208,12 +219,11 @@ def _build_certificate(node, context: str) -> Certificate:
         eps = _number(node.get("epsilon", 1e-3), context)
         return exp_poly_certificate(poly, epsilon=eps)
     if kind == "modulate":
-        _check_keys(node, {"kind", "base", "omega", "phase"},
-                    {"kind", "base", "omega"}, context)
+        _check_keys(node, {"kind", "base", "omega"}, {"kind", "base", "omega"},
+                    context)
         base = _build_certificate(node["base"], context + ".base")
         omega = [_number(v, context + ".omega") for v in node["omega"]]
-        return modulate_certificate(base, omega,
-                                    _number(node.get("phase", 0.0), context))
+        return modulate_certificate(base, omega)
     if kind == "lift":
         _check_keys(node, {"kind", "base", "d_plus"}, {"kind", "base", "d_plus"},
                     context)
@@ -297,9 +307,9 @@ def cmd_generate(args) -> int:
 
 def _parse_setup(node, mode: str, context: str) -> DenoiseSetup:
     node = _require_mapping(node, context)
-    keys = {"rho", "T"} | ({"kappa"} if mode == "prediction" else set())
+    keys = {"rho", "T"} | ({"kappa"} if mode == PREDICTION else set())
     _check_keys(node, keys, keys, context)
-    kappa = _integer(node["kappa"], context) if mode == "prediction" else None
+    kappa = _integer(node["kappa"], context) if mode == PREDICTION else None
     try:
         return DenoiseSetup(rho=_number(node["rho"], context),
                             T=_integer(node["T"], context),
@@ -324,20 +334,19 @@ def _run_estimates(args, mode: str) -> int:
     obs_path = cfg["observations"]
     if not os.path.isabs(obs_path):
         obs_path = os.path.join(os.path.dirname(args.config) or ".", obs_path)
-    y = read_zdf(obs_path)
+    try:
+        y = read_zdf(obs_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read observations: {exc}") from exc
     rows = []
     any_unconverged = False
-    runner = predict_point if mode == "prediction" else denoise_point
+    reach = -setup.kappa if mode == PREDICTION else 4 * setup.T
     for t in anchors:
-        if mode == "prediction":
-            lo = tuple(tj - 4 * setup.T for tj in t)
-            hi = tuple(tj - (setup.kappa or 0) for tj in t)
-            _info(args, f"anchor {t}: reading observations on [{lo}, {hi}]")
-        else:
-            _info(args, f"anchor {t}: reading observations on "
-                        f"{Box.cube(y.d, 4 * setup.T, t)}")
+        lo = tuple(tj - 4 * setup.T for tj in t)
+        hi = tuple(tj + reach for tj in t)
+        _info(args, f"anchor {t}: reading observations on [{lo}, {hi}]")
         try:
-            est = runner(y, t, setup, tol=tol)
+            est = denoise_point(y, t, setup, tol=tol)
             value, sol = est.value, est.solve
         except ConvergenceError as exc:
             if exc.result is None:
@@ -368,11 +377,11 @@ def _run_estimates(args, mode: str) -> int:
 
 
 def cmd_denoise(args) -> int:
-    return _run_estimates(args, "filtering")
+    return _run_estimates(args, FILTERING)
 
 
 def cmd_predict(args) -> int:
-    return _run_estimates(args, "prediction")
+    return _run_estimates(args, PREDICTION)
 
 
 def cmd_bench(args) -> int:
@@ -410,9 +419,9 @@ def cmd_bench(args) -> int:
         T = _integer(exp["T"], ctx + ".T")
         sigma = _number(exp["sigma"], ctx + ".sigma")
         anchor = tuple(_int_list(exp["anchor"], ctx + ".anchor"))
-        if cert.kind == "prediction":
+        if cert.kind == PREDICTION:
             kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
-            setup = DenoiseSetup(rho=cert.rho, T=T, mode="prediction", kappa=kappa)
+            setup = DenoiseSetup(rho=cert.rho, T=T, mode=PREDICTION, kappa=kappa)
         else:
             setup = DenoiseSetup(rho=cert.rho, T=T)
         label = str(exp["label"])
@@ -482,6 +491,26 @@ def cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
+def _check_residual(cfg: dict, box: Box, signal: Field, q: Filter, entry: dict,
+                    slack: float, rel_tol: float, enforce: bool = True) -> bool:
+    """Record ``q``'s reproduction residual on the evaluation cube in ``entry``.
+
+    The residual violates the certificate when ``enforce`` is set and it
+    exceeds ``slack + rel_tol * max(scale, 1)``, where ``scale`` is the
+    signal's largest modulus; a violation is flagged in ``entry`` and
+    returned.
+    """
+    radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
+    anchor = tuple(_int_list(cfg.get("anchor", [0] * box.d), "config.anchor"))
+    res = reproduction_residual(q, signal, Box.cube(box.d, radius, anchor))
+    entry["residual"] = res
+    scale = float(np.abs(signal.data).max())
+    if enforce and res > slack + rel_tol * max(scale, 1.0):
+        entry["residual_violation"] = True
+        return True
+    return False
+
+
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"certificate", "harmonic", "T", "signal", "box", "anchor",
@@ -516,17 +545,8 @@ def cmd_certify(args) -> int:
                 entry["l2_violation"] = True
                 violated = True
             if signal is not None:
-                radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
-                anchor = tuple(_int_list(cfg.get("anchor", [0] * box.d),
-                                         "config.anchor"))
-                res = reproduction_residual(q, signal,
-                                            Box.cube(box.d, radius, anchor))
-                entry["residual"] = res
-                scale = float(np.abs(signal.data).max())
-                tol_resid = entry["theta_scaled"] + 1e-9 * max(scale, 1.0)
-                if cert.exact and res > tol_resid:
-                    entry["residual_violation"] = True
-                    violated = True
+                violated |= _check_residual(cfg, box, signal, q, entry,
+                                            entry["theta_scaled"], 1e-9, cert.exact)
             entries.append(entry)
     else:
         node = _require_mapping(cfg["harmonic"], "config.harmonic")
@@ -541,15 +561,7 @@ def cmd_certify(args) -> int:
                  "l2_scaled": q.l2() * (2 * q.order + 1) ** (op.d / 2)}
         if "signal" in cfg:
             signal = _build_signal(cfg["signal"], box, "config.signal")
-            radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
-            anchor = tuple(_int_list(cfg.get("anchor", [0] * box.d),
-                                     "config.anchor"))
-            res = reproduction_residual(q, signal, Box.cube(box.d, radius, anchor))
-            entry["residual"] = res
-            scale = float(np.abs(signal.data).max())
-            if res > 1e-10 * max(scale, 1.0):
-                entry["residual_violation"] = True
-                violated = True
+            violated |= _check_residual(cfg, box, signal, q, entry, 0.0, 1e-10)
         entries.append(entry)
 
     write_zdf(last_filter.field, _out_path(args, out["filter"]))

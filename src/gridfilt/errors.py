@@ -2,7 +2,8 @@
 
 
 class DomainError(ValueError):
-    """A field does not cover the points an operation needs to read."""
+    """A field does not cover the points an operation needs to read, or holds
+    a non-finite value there."""
 
 
 class ParamError(ValueError):

@@ -1,9 +1,11 @@
 """Pointwise adaptive denoising and prediction, plus the theoretical risk formulas.
 
-The estimators are fully data driven: given a setup ``(rho, T)`` (plus a lag
-``kappa`` for prediction) they fit the min-max filter on a window around the
-anchor and apply it at the anchor. The noise level never enters the fit; it
-only appears in :func:`risk_bound`, which evaluates the theoretical guarantee
+The estimator is fully data driven: given a setup ``(rho, T)`` (plus a lag
+``kappa`` for prediction) it fits the min-max filter on a window around the
+anchor and applies it at the anchor. :func:`denoise_point` covers both modes,
+read from ``setup.mode``: prediction is the same fit with a one-sided support.
+The noise level never enters the fit; it only appears in :func:`risk_bound`,
+which evaluates the theoretical guarantee
 
     rmse <= c(d) rho^3 (theta + sigma rho sqrt(ln(2T+1) + 1)) (2T+1)^{-d/2},
     c(d) = 3 (2^d + 2^{3d-1}),
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParamError
-from .fields import Box, Field, convolve, dft_window
+from .fields import FILTERING, PREDICTION, Box, Field, convolve, dft_window
 from .solver import (
     SolveResult,
     build_filtering_instance,
@@ -36,14 +38,10 @@ __all__ = [
     "DenoiseSetup",
     "Estimate",
     "denoise_point",
-    "predict_point",
     "risk_bound",
     "theta_stat",
     "risk_constant",
 ]
-
-FILTERING = "filtering"
-PREDICTION = "prediction"
 
 
 @dataclass(frozen=True)
@@ -83,37 +81,21 @@ class Estimate:
 
 def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
                   tol: float = 1e-6, max_iter: int = 20000) -> Estimate:
-    """Adaptive estimate of the signal at ``t`` from ``y`` on ``{|tau-t| <= 4T}``.
+    """Adaptive estimate of the signal at ``t``, filtering or prediction.
 
-    T = 0 returns the observation itself; otherwise the fitted filter is
-    applied at the anchor.
+    Filtering reads ``y`` on ``{|tau - t| <= 4T}``. Prediction reads only
+    ``{kappa <= t_j - tau_j <= 4T}``, so the fitted filter and hence the
+    estimate depend only on observations preceding the anchor by at least
+    ``kappa`` in every coordinate. T = 0 returns the observation itself;
+    otherwise the fitted filter is applied at the anchor.
     """
     t = tuple(int(x) for x in t)
-    if setup.mode != FILTERING:
-        raise ParamError("denoise_point requires a filtering setup")
     if setup.T == 0:
         return Estimate(y.value(t), t, None)
-    inst = build_filtering_instance(y, t, setup.T, setup.rho)
-    res = solve(inst, tol=tol, max_iter=max_iter)
-    value = convolve(res.phi, inst.y_win, Box(t, t)).value(t)
-    return Estimate(value, t, res)
-
-
-def predict_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
-                  tol: float = 1e-6, max_iter: int = 20000) -> Estimate:
-    """Causal estimate of the signal at ``t`` from ``{kappa <= t_j - tau_j <= 4T}``.
-
-    The fitted filter and hence the estimate depend only on observations
-    preceding the anchor by at least ``kappa`` in every coordinate.
-    """
-    t = tuple(int(x) for x in t)
-    if setup.mode != PREDICTION:
-        raise ParamError("predict_point requires a prediction setup")
-    if setup.T == 0:
-        if setup.kappa != 0:
-            raise ParamError("T = 0 prediction is only defined for kappa = 0")
-        return Estimate(y.value(t), t, None)
-    inst = build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
+    if setup.mode == FILTERING:
+        inst = build_filtering_instance(y, t, setup.T, setup.rho)
+    else:
+        inst = build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
     res = solve(inst, tol=tol, max_iter=max_iter)
     value = convolve(res.phi, inst.y_win, Box(t, t)).value(t)
     return Estimate(value, t, res)

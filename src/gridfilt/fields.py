@@ -163,11 +163,6 @@ class Field:
     def zeros(cls, box: Box) -> "Field":
         return cls(box, np.zeros(box.shape, dtype=np.complex128))
 
-    @classmethod
-    def impulse(cls, d: int, at: Sequence[int] | None = None) -> "Field":
-        at = _as_int_tuple(at, d) if at is not None else (0,) * d
-        return cls(Box(at, at), np.ones((1,) * d, dtype=np.complex128))
-
     @property
     def d(self) -> int:
         return self.box.d
@@ -214,6 +209,10 @@ class Field:
 
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
+
+# estimation modes: two-sided filtering (denoising) and one-sided prediction
+FILTERING = "filtering"
+PREDICTION = "prediction"
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,13 +262,6 @@ class Filter:
     @property
     def d(self) -> int:
         return self.field.d
-
-    def coeff(self, tau: Sequence[int]) -> complex:
-        """Coefficient at ``tau`` (zero off the support box)."""
-        tau = _as_int_tuple(tau, self.d)
-        if not self.field.box.contains_point(tau):
-            return 0.0 + 0.0j
-        return self.field.value(tau)
 
     def pad_to_cube(self, T: int) -> Field:
         """Zero-extend the coefficients to the centered cube of order T."""
@@ -331,9 +323,6 @@ class Spectrum:
         if any(abs(nj) > self.T for nj in n):
             raise DomainError(f"exponent {n} outside {{-T..T}}^d with T={self.T}")
         return complex(self.values[tuple(nj + self.T for nj in n)])
-
-    def lp(self, p) -> float:
-        return _lp(self.values, p)
 
     def __repr__(self):
         return f"Spectrum(T={self.T}, d={self.d})"
@@ -548,17 +537,26 @@ def rebox_filter(q: Filter, kind: str, order: int, kappa: int | None = None) -> 
     """
     d = q.d
     target = Box.cube(d, order) if kind == TWO_SIDED else Box.one_sided_cube(d, kappa, order)
+    tau = _nonzero_outside(q.field, target)
+    if tau is not None:
+        raise ParamError(f"nonzero coefficient at {tau} outside target box {target}")
+    nz = np.nonzero(q.field.data)
+    at = tuple(i + sl - tl for i, sl, tl in zip(nz, q.field.box.lo, target.lo))
     out = np.zeros(target.shape, dtype=np.complex128)
-    src = q.field.box
-    for idx in np.ndindex(*src.shape):
-        c = q.field.data[idx]
-        if c == 0:
-            continue
-        tau = tuple(l + i for l, i in zip(src.lo, idx))
-        if not target.contains_point(tau):
-            raise ParamError(f"nonzero coefficient at {tau} outside target box {target}")
-        out[tuple(t - l for t, l in zip(tau, target.lo))] = c
+    out[at] = q.field.data[nz]
     return Filter(Field(target, out), order, kind, kappa if kind == ONE_SIDED else None)
+
+
+def _nonzero_outside(x: Field, box: Box) -> tuple[int, ...] | None:
+    """First nonzero point of ``x`` outside ``box``, in row-major order, or None."""
+    points = np.argwhere(x.data != 0) + np.array(x.box.lo)
+    if len(points) == 0:
+        return None
+    _as_int_tuple(points[0], box.d)  # dimension mismatch: ParamError, as Box.contains_point
+    outside = ~np.all((points >= box.lo) & (points <= box.hi), axis=1)
+    if not outside.any():
+        return None
+    return tuple(int(v) for v in points[outside.argmax()])
 
 
 def write_zdf(x: Field, path) -> None:
@@ -577,20 +575,17 @@ def write_zdf(x: Field, path) -> None:
 
 
 def read_zdf(path) -> Field:
-    """Read a field written by :func:`write_zdf`."""
+    """Read a field written by :func:`write_zdf`; ``ValueError`` if malformed."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ZDF_MAGIC:
-            raise ValueError(f"not a ZDF1 file: magic {magic!r}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        lo, hi = [], []
-        for _ in range(d):
-            l, h = struct.unpack("<qq", fh.read(16))
-            lo.append(l)
-            hi.append(h)
-        box = Box(tuple(lo), tuple(hi))
-        raw = fh.read(16 * box.size)
-        if len(raw) != 16 * box.size:
-            raise ValueError("truncated ZDF1 payload")
-        data = np.frombuffer(raw, dtype="<c16").reshape(box.shape)
-    return Field(box, data)
+        raw = fh.read()
+    if raw[:4] != ZDF_MAGIC:
+        raise ValueError(f"not a ZDF1 file: magic {raw[:4]!r}")
+    d = struct.unpack_from("<I", raw, 4)[0] if len(raw) >= 8 else None
+    if d is None or len(raw) < 8 + 16 * d:
+        raise ValueError("truncated ZDF1 header")
+    lohi = struct.unpack_from(f"<{2 * d}q", raw, 8)
+    box = Box(lohi[0::2], lohi[1::2])
+    if len(raw) < 8 + 16 * d + 16 * box.size:
+        raise ValueError("truncated ZDF1 payload")
+    data = np.frombuffer(raw, dtype="<c16", count=box.size, offset=8 + 16 * d)
+    return Field(box, data.reshape(box.shape))

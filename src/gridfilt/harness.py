@@ -24,11 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import ConvergenceError, ParamError
 from .estimators import (
     DenoiseSetup,
     denoise_point,
-    predict_point,
     risk_bound,
     risk_constant,
     theta_stat,
@@ -118,10 +117,7 @@ def run_trial(s: Field, cert: Certificate | None, t: Sequence[int],
     t = tuple(int(x) for x in t)
     e = sample_noise(s.box, noise)
     y = s + e
-    if setup.mode == "filtering":
-        est = denoise_point(y, t, setup, tol=tol, max_iter=max_iter)
-    else:
-        est = predict_point(y, t, setup, tol=tol, max_iter=max_iter)
+    est = denoise_point(y, t, setup, tol=tol, max_iter=max_iter)
     truth = s.value(t)
     if cert is not None:
         q = cert.filter(setup.T)
@@ -199,8 +195,10 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
     """Independent-seed trials of one configuration, aggregated.
 
     Seeds are ``derive_seed(master_seed, i)``; a failing trial aborts the
-    experiment with its seed named. The reported bound evaluates
-    :func:`risk_bound` at the certificate's ``(theta, rho)``.
+    experiment with its index and seed named. A trial whose solve misses the
+    iteration budget raises ``ConvergenceError`` carrying that solve's
+    result; any other failure raises ``RuntimeError``. The reported bound
+    evaluates :func:`risk_bound` at the certificate's ``(theta, rho)``.
     """
     if trials < 1:
         raise ParamError("need at least one trial")
@@ -211,9 +209,11 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
             records.append(run_trial(s, cert, t, setup,
                                      NoiseSpec(sigma, seed), tol, max_iter))
         except Exception as exc:
-            raise RuntimeError(
-                f"trial {i} (seed {seed}) of {label or 'experiment'} failed: {exc}"
-            ) from exc
+            message = (f"trial {i} (seed {seed}) of {label or 'experiment'} "
+                       f"failed: {exc}")
+            if isinstance(exc, ConvergenceError):
+                raise ConvergenceError(message, result=exc.result) from exc
+            raise RuntimeError(message) from exc
     sq_a = np.array([r.sq_err_adaptive for r in records])
     sq_o = np.array([r.sq_err_oracle for r in records])
     rmse_a, hw_a = _rmse_with_halfwidth(sq_a)

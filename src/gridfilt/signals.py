@@ -28,13 +28,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParamError, RegularityError
+from .errors import ConvergenceError, ParamError, RegularityError
 from .fields import (
+    FILTERING,
+    ONE_SIDED,
+    PREDICTION,
+    TWO_SIDED,
     Box,
     Field,
     Filter,
-    ONE_SIDED,
-    TWO_SIDED,
     convolve,
     filter_product,
     filter_tensor,
@@ -64,9 +66,6 @@ __all__ = [
     "random_discrete_harmonic",
     "reproduction_residual",
 ]
-
-FILTERING = "filtering"
-PREDICTION = "prediction"
 
 
 # --------------------------------------------------------------------------
@@ -457,15 +456,13 @@ def combine_certificates(certs: Sequence[Certificate],
                        label="combine[" + ", ".join(c.label for c in certs) + "]")
 
 
-def modulate_certificate(cert: Certificate, omega: Sequence[float],
-                         phase: float = 0.0) -> Certificate:
+def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certificate:
     """Certificate for the modulated class ``exp(i(omega.tau + phase)) s_tau``.
 
     The filters are modulated coefficient-wise; all parameters are unchanged
-    (the l2 norm is modulation invariant). ``phase`` only rotates the signal,
-    not the filter; it is accepted for symmetry with the signal operation.
+    (the l2 norm is modulation invariant). A constant ``phase`` only rotates
+    the signal, so one certificate serves every phase.
     """
-    del phase
     omega = tuple(float(w) for w in omega)
     if len(omega) != cert.d:
         raise ParamError("frequency vector dimension mismatch")
@@ -554,9 +551,6 @@ class RegularOperator:
         for off, w in zip(self.offsets, self.weights):
             data[tuple(o + reach for o in off)] += w
         return Filter.two_sided(self.d, reach, data)
-
-    def apply(self, x: Field, eval_box: Box) -> Field:
-        return convolve(self.to_filter(), x, eval_box)
 
 
 def make_regular_operator(offsets: Sequence[Sequence[int]],
@@ -689,8 +683,9 @@ def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
             data[idx] = boundary.value(tau)
     f = Field(box, data)
     sl = interior.slices_in(box)
+    stencil = D.to_filter()
     for it in range(max_iter):
-        Df = convolve(D.to_filter(), f, interior)
+        Df = convolve(stencil, f, interior)
         new = f.data.copy()
         new[sl] = (1 - damping) * f.data[sl] + damping * Df.data
         resid = np.abs(Df.data - f.data[sl]).max()

@@ -25,19 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParamError
 from .fields import (
+    FILTERING,
+    PREDICTION,
     Box,
     Field,
     Filter,
-    ONE_SIDED,
     Spectrum,
-    TWO_SIDED,
     _dft_matrix,
+    _nonzero_outside,
     convolve,
     dft_window,
 )
@@ -52,9 +53,6 @@ __all__ = [
     "dual_lower_bound",
     "project_l1_ball",
 ]
-
-FILTERING = "filtering"
-PREDICTION = "prediction"
 
 
 @dataclass(frozen=True)
@@ -110,23 +108,10 @@ def build_filtering_instance(y: Field, t: Sequence[int], T_alg: int,
                              rho: float) -> Instance:
     """Instance of the two-sided program at anchor ``t``.
 
-    Requires ``rho >= 1``, ``T_alg >= 1`` and observations on
+    Requires ``rho >= 1``, ``T_alg >= 1`` and finite observations on
     ``{|tau - t| <= 4 T_alg}``.
     """
-    t = tuple(int(x) for x in t)
-    if rho < 1:
-        raise ParamError(f"rho must be >= 1, got {rho}")
-    if T_alg < 1:
-        raise ParamError(f"T_alg must be >= 1, got {T_alg}")
-    d = y.d
-    if len(t) != d:
-        raise ParamError("anchor dimension mismatch")
-    need = Box.cube(d, 4 * T_alg, t)
-    if not y.box.contains_box(need):
-        raise DomainError(f"observations must cover {need}, got {y.box}")
-    bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(FILTERING, d, t, T_alg, float(rho), None,
-                    y.restrict(need), bound)
+    return _build_instance(FILTERING, y, t, T_alg, rho, None)
 
 
 def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
@@ -134,24 +119,38 @@ def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
     """Instance of the one-sided (causal) program at anchor ``t``.
 
     The admissible supports are ``{kappa <= nu_j <= 2 T_alg}`` and the
-    program reads only ``{kappa <= t_j - tau_j <= 4 T_alg}``.
+    program reads only ``{kappa <= t_j - tau_j <= 4 T_alg}``, where the
+    observations must be finite.
     """
+    return _build_instance(PREDICTION, y, t, T_alg, rho, kappa)
+
+
+def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
+                    rho: float, kappa: int | None) -> Instance:
+    """Check the parameters, the coverage and the finiteness of the read set."""
     t = tuple(int(x) for x in t)
     if rho < 1:
         raise ParamError(f"rho must be >= 1, got {rho}")
     if T_alg < 1:
         raise ParamError(f"T_alg must be >= 1, got {T_alg}")
-    if not 0 <= kappa <= 2 * T_alg:
-        raise ParamError(f"need 0 <= kappa <= 2*T_alg, got kappa={kappa}")
+    if mode == PREDICTION:
+        if not 0 <= kappa <= 2 * T_alg:
+            raise ParamError(f"need 0 <= kappa <= 2*T_alg, got kappa={kappa}")
+        kappa = int(kappa)
     d = y.d
     if len(t) != d:
         raise ParamError("anchor dimension mismatch")
-    need = Box(tuple(tj - 4 * T_alg for tj in t), tuple(tj - kappa for tj in t))
+    reach = -kappa if mode == PREDICTION else 4 * T_alg
+    need = Box(tuple(tj - 4 * T_alg for tj in t), tuple(tj + reach for tj in t))
     if not y.box.contains_box(need):
         raise DomainError(f"observations must cover {need}, got {y.box}")
+    y_win = y.restrict(need)
+    finite = np.isfinite(y_win.data)
+    if not finite.all():
+        tau = tuple(int(i) + l for i, l in zip(np.argwhere(~finite)[0], need.lo))
+        raise DomainError(f"observation at {tau} is not finite: {y_win.value(tau)}")
     bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(PREDICTION, d, t, T_alg, float(rho), int(kappa),
-                    y.restrict(need), bound)
+    return Instance(mode, d, t, T_alg, float(rho), kappa, y_win, bound)
 
 
 # --------------------------------------------------------------------------
@@ -161,14 +160,11 @@ def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
 
 def _check_support(inst: Instance, phi: Filter) -> None:
     supp = inst.support_box
-    box = phi.field.box
-    for idx in np.ndindex(*box.shape):
-        if phi.field.data[idx] != 0:
-            tau = tuple(l + i for l, i in zip(box.lo, idx))
-            if not supp.contains_point(tau):
-                raise DomainError(
-                    f"filter has a nonzero coefficient at {tau}, outside the "
-                    f"admissible support {supp}")
+    tau = _nonzero_outside(phi.field, supp)
+    if tau is not None:
+        raise DomainError(
+            f"filter has a nonzero coefficient at {tau}, outside the "
+            f"admissible support {supp}")
 
 
 def _residual_window(inst: Instance, phi: Filter | None) -> np.ndarray:

@@ -4,15 +4,32 @@ Everything here is built from the field layer's definitions only: the
 objective matrix comes from shifting/windowing observation fields and
 transforming them with `dft`, the l1-ball projection uses bisection on the
 soft threshold (not the solver's sort construction), and the minimization is
-plain projected subgradient descent from many random starts.
+plain projected subgradient descent from many random starts. ``coeff`` reads
+a filter coefficient by its grid point, zero off the support, and
+``nonzero_outside_loop`` is the point-by-point form of the support check.
 """
 
 import math
 
 import numpy as np
 
-from gridfilt.fields import Box, dft, Field
+from gridfilt.fields import Box, dft, Field, Filter
 from gridfilt.solver import Instance
+
+
+def coeff(q: Filter, tau) -> complex:
+    """Coefficient of ``q`` at ``tau`` (zero off the support box)."""
+    if not q.field.box.contains_point(tau):
+        return 0.0 + 0.0j
+    return q.field.value(tau)
+
+
+def nonzero_outside_loop(x: Field, box: Box):
+    """Point-by-point reference: first nonzero point of ``x`` outside ``box``."""
+    for tau in x.box.points():
+        if x.value(tau) != 0 and not box.contains_point(tau):
+            return tau
+    return None
 
 
 def project_l1_bisect(z: np.ndarray, radius: float, iters: int = 80) -> np.ndarray:

@@ -181,6 +181,40 @@ def test_denoise_requires_rho(tmp_path):
     assert main(["denoise", "--config", cfg, "--quiet"]) == 2
 
 
+def denoise_config(tmp_path, obs):
+    return write_config(tmp_path / "den.yaml", {
+        "observations": str(obs),
+        "setup": {"rho": 1.0, "T": 1},
+        "anchors": [[0]],
+        "out": {"estimates": "est.csv"},
+    })
+
+
+def test_denoise_unreadable_observations_exit_code(tmp_path, capsys):
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-8], "hi": [8]})
+    raw = obs.read_bytes()
+    bad_magic = tmp_path / "magic.zdf"
+    bad_magic.write_bytes(b"NOPE" + raw[4:])
+    truncated = tmp_path / "short.zdf"
+    truncated.write_bytes(raw[:10])
+    for path in (tmp_path / "missing.zdf", bad_magic, truncated):
+        cfg = denoise_config(tmp_path, path)
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "cannot read observations" in capsys.readouterr().err
+
+
+def test_denoise_non_finite_observation_exit_code(tmp_path, capsys):
+    from gridfilt import Box, Field, write_zdf
+
+    data = np.ones(17, dtype=complex)
+    data[8 + 3] = np.nan
+    obs = tmp_path / "obs.zdf"
+    write_zdf(Field(Box((-8,), (8,)), data), obs)
+    assert main(["denoise", "--config", denoise_config(tmp_path, obs),
+                 "--out", str(tmp_path)]) == 4
+    assert "(3,) is not finite" in capsys.readouterr().err
+
+
 def test_predict_nonconvergence_still_writes_rows(tmp_path):
     # near-noiseless prediction instances have a tiny positive optimum; the
     # default iteration budget cannot certify a 1e-9 absolute gap there
@@ -290,6 +324,20 @@ def test_bench_zero_trials_config_error(tmp_path):
     doc = bench_doc(trials=0)
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--quiet"]) == 2
+
+
+def test_bench_budget_miss_exit_code(tmp_path, monkeypatch, capsys):
+    # a trial that misses the iteration budget is a solver failure (5), not a
+    # failed bench check (1)
+    import functools
+
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo",
+                        functools.partial(cli.monte_carlo, max_iter=50))
+    cfg = write_config(tmp_path / "bench.yaml", bench_doc())
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 5
+    assert "trial 0 (seed" in capsys.readouterr().err
 
 
 def test_bench_seed_flag_overrides(tmp_path):

@@ -9,7 +9,6 @@ from gridfilt import Box, DomainError, Field, Filter, ParamError, shift
 from gridfilt.estimators import (
     DenoiseSetup,
     denoise_point,
-    predict_point,
     risk_bound,
     risk_constant,
     theta_stat,
@@ -111,7 +110,7 @@ def test_predict_constant_kappa_sweep():
         cert = predictor_exp_certificate(0.0, kappa)
         setup = DenoiseSetup(rho=cert.rho, T=max(kappa, 2), mode="prediction",
                              kappa=kappa)
-        est = predict_point(y, (0,), setup, tol=1e-9)
+        est = denoise_point(y, (0,), setup, tol=1e-9)
         assert abs(est.value - (2.0 - 1.0j)) < 1e-6
 
 
@@ -121,7 +120,7 @@ def test_predict_quasi_stable_exponential():
     y = Field(Box((-40,), (0,)), np.exp(omega * t_axis))
     cert = predictor_exp_certificate(omega, 1)
     setup = DenoiseSetup(rho=cert.rho, T=4, mode="prediction", kappa=1)
-    est = predict_point(y, (0,), setup, tol=1e-9)
+    est = denoise_point(y, (0,), setup, tol=1e-9)
     assert abs(est.value - 1.0) < 1e-6
 
 
@@ -137,17 +136,34 @@ def test_predict_causal_read_set():
     y2 = Field(Box((-33,), (2,)), pert)
     cert = predictor_exp_certificate(omega, 1)
     setup = DenoiseSetup(rho=cert.rho, T=4, mode="prediction", kappa=1)
-    e1 = predict_point(y1, (0,), setup)
-    e2 = predict_point(y2, (0,), setup)
+    e1 = denoise_point(y1, (0,), setup)
+    e2 = denoise_point(y2, (0,), setup)
     assert e1.value == e2.value
 
 
-def test_predict_requires_prediction_setup():
-    y = const_field(Box((-8,), (8,)), 1.0)
-    with pytest.raises(ParamError):
-        predict_point(y, (0,), DenoiseSetup(rho=1.0, T=2))
-    with pytest.raises(ParamError):
-        denoise_point(y, (0,), DenoiseSetup(rho=1.0, T=2, mode="prediction", kappa=1))
+def test_denoise_rejects_non_finite_window():
+    # T = 4, d = 1: the program reads {|tau| <= 16}, and a NaN at tau = 4 used
+    # to reach the l1 projection and fail there with an IndexError
+    data = np.ones(33, dtype=complex)
+    data[16 + 4] = np.nan
+    y = Field(Box((-16,), (16,)), data)
+    with pytest.raises(DomainError, match=r"\(4,\)"):
+        denoise_point(y, (0,), DenoiseSetup(rho=math.sqrt(2), T=4))
+
+
+def test_predict_ignores_non_finite_outside_read_set():
+    # with kappa = 1 prediction at t = 0 reads only tau <= -1; an infinite
+    # value at the anchor itself is never read
+    data = np.full(34, 2.0 - 1.0j)
+    data[-1] = np.inf
+    y = Field(Box((-33,), (0,)), data)
+    setup = DenoiseSetup(rho=predictor_exp_certificate(0.0, 1).rho, T=2,
+                         mode="prediction", kappa=1)
+    est = denoise_point(y, (0,), setup, tol=1e-9)
+    assert abs(est.value - (2.0 - 1.0j)) < 1e-6
+    # one step later the anchor's value is in the read set
+    with pytest.raises(DomainError, match=r"\(0,\)"):
+        denoise_point(y, (1,), setup)
 
 
 # ---------------------------------------------------------------- risk formulas

@@ -24,7 +24,9 @@ from gridfilt import (
     star_norm,
     write_zdf,
 )
-from gridfilt.fields import dft_window, dft_window_fft, rebox_filter
+from gridfilt.fields import _nonzero_outside, dft_window, dft_window_fft, rebox_filter
+
+from oracles import coeff, nonzero_outside_loop
 
 RNG = np.random.default_rng(20240811)
 
@@ -112,7 +114,7 @@ def test_convolve_matches_direct_sum_2d():
     ev = Box((-2, -1), (1, 3))
     out = convolve(q, x, ev)
     for t in ev.points():
-        ref = sum(q.coeff(tau) * x.value((t[0] - tau[0], t[1] - tau[1]))
+        ref = sum(coeff(q, tau) * x.value((t[0] - tau[0], t[1] - tau[1]))
                   for tau in Box.cube(2, 1).points())
         assert abs(out.value(t) - ref) < 1e-12
 
@@ -166,7 +168,6 @@ def test_fft_path_matches_direct():
 
 
 def test_impulse_norms():
-    x = Field.impulse(1)
     padded = Filter.impulse(1).pad_to_cube(3)
     for p in (1, 2, math.inf):
         assert norm(padded, 3, p) == 1.0
@@ -261,7 +262,7 @@ def test_one_sided_product_lags_add():
     b = Filter.one_sided(1, 2, 3, [3.0, 1.0])
     ab = filter_product(a, b)
     assert ab.kind == "one-sided" and ab.kappa == 3 and ab.order == 5
-    assert ab.coeff((3,)) == 3.0 and ab.coeff((5,)) == 2.0
+    assert coeff(ab, (3,)) == 3.0 and coeff(ab, (5,)) == 2.0
 
 
 def test_rebox_filter_checks_support():
@@ -272,10 +273,27 @@ def test_rebox_filter_checks_support():
         rebox_filter(q, "one-sided", 3, kappa=3)
 
 
+def test_support_check_matches_loop_reference():
+    for _ in range(40):
+        d = int(RNG.integers(1, 3))
+        box = Box(tuple(RNG.integers(-3, 1, d)), tuple(RNG.integers(0, 4, d)))
+        x = Field(box, RNG.standard_normal(box.shape) * (RNG.random(box.shape) < 0.3))
+        target = Box.one_sided_cube(d, int(RNG.integers(0, 2)), int(RNG.integers(2, 4)))
+        assert _nonzero_outside(x, target) == nonzero_outside_loop(x, target)
+        # a lag-0 one-sided filter whose coefficients vanish below lag kappa
+        kappa = int(RNG.integers(0, 3))
+        q = Filter.one_sided(d, 0, 3, RNG.standard_normal((4,) * d))
+        q = Filter.one_sided(d, 0, 3, q.field.data * np.all(
+            np.indices((4,) * d) >= kappa, axis=0))
+        tight = rebox_filter(q, "one-sided", 3, kappa=kappa)
+        for tau in tight.field.box.points():
+            assert tight.field.value(tau) == q.field.value(tau)
+
+
 def test_tensor_impulses():
     t = filter_tensor(Filter.impulse(1), Filter.impulse(2))
     assert t.d == 3 and t.order == 0
-    assert t.coeff((0, 0, 0)) == 1.0
+    assert coeff(t, (0, 0, 0)) == 1.0
 
 
 def test_tensor_averaging():
@@ -326,6 +344,17 @@ def test_zdf_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         read_zdf(path)
+
+
+def test_zdf_rejects_truncated_header(tmp_path):
+    path = tmp_path / "x.zdf"
+    write_zdf(random_field(Box((-1, 0), (0, 1))), path)
+    raw = path.read_bytes()
+    # cut inside the dimension field, and inside the second axis' bounds
+    for cut in (6, 4 + 4 + 16 + 3):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated ZDF1 header"):
+            read_zdf(path)
 
 
 # ---------------------------------------------------------------- immutability

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfilt import Box, Field, ParamError
+from gridfilt import Box, ConvergenceError, Field, ParamError
 from gridfilt.estimators import DenoiseSetup, theta_stat
 from gridfilt.harness import (
     NoiseSpec,
@@ -117,6 +117,21 @@ def test_monte_carlo_names_failing_seed():
     with pytest.raises(RuntimeError, match="seed"):
         monte_carlo(s, exp_certificate_1d(0.0), (4,),
                     DenoiseSetup(rho=math.sqrt(2), T=2), 0.1, 2, 1)
+
+
+def test_monte_carlo_budget_miss_raises_convergence_error():
+    # 50 iterations cannot certify a 1e-5 gap on noisy data: the first trial
+    # fails, and the error names it and keeps its solve's result
+    box = Box((-8,), (8,))
+    s = Field(box, np.ones(17, dtype=complex))
+    cert = exp_certificate_1d(0.0)
+    with pytest.raises(ConvergenceError) as info:
+        monte_carlo(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2), 0.1, 3, 15,
+                    label="const", max_iter=50)
+    assert f"trial 0 (seed {derive_seed(15, 0)}) of const" in str(info.value)
+    result = info.value.result
+    assert result.iterations == 50
+    assert not result.converged and result.gap > 1e-5
 
 
 def test_monte_carlo_reproducible():
