@@ -4,8 +4,10 @@ The estimator is fully data driven: given a setup ``(rho, T)`` (plus a lag
 ``kappa`` for prediction) it fits the min-max filter on a window around the
 anchor and applies it at the anchor. :func:`denoise_point` covers both modes,
 read from ``setup.mode``: prediction is the same fit with a one-sided support.
-The noise level never enters the fit; it only appears in :func:`risk_bound`,
-which evaluates the theoretical guarantee
+:func:`denoise_batch` makes the same fits at one anchor of several
+observation fields, solved as one batch. The noise level never enters the
+fit; it only appears in :func:`risk_bound`, which evaluates the theoretical
+guarantee
 
     rmse <= c(d) rho^3 (theta + sigma rho sqrt(ln(2T+1) + 1)) (2T+1)^{-d/2},
     c(d) = 3 (2^d + 2^{3d-1}),
@@ -26,18 +28,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParamError
-from .fields import FILTERING, PREDICTION, Box, Field, convolve, dft_window
+from .fields import FILTERING, PREDICTION, Box, Field, _dft_matrix, convolve
 from .solver import (
+    Instance,
     SolveResult,
     build_filtering_instance,
     build_prediction_instance,
     solve,
+    solve_batch,
 )
 
 __all__ = [
     "DenoiseSetup",
     "Estimate",
     "denoise_point",
+    "denoise_batch",
     "risk_bound",
     "theta_stat",
     "risk_constant",
@@ -86,19 +91,53 @@ def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
     Filtering reads ``y`` on ``{|tau - t| <= 4T}``. Prediction reads only
     ``{kappa <= t_j - tau_j <= 4T}``, so the fitted filter and hence the
     estimate depend only on observations preceding the anchor by at least
-    ``kappa`` in every coordinate. T = 0 returns the observation itself;
-    otherwise the fitted filter is applied at the anchor.
+    ``kappa`` in every coordinate. T = 0 returns the observation itself,
+    which must be finite; otherwise the fitted filter is applied at the
+    anchor. A fit that misses its budget raises ``ConvergenceError``.
     """
     t = tuple(int(x) for x in t)
     if setup.T == 0:
-        return Estimate(y.value(t), t, None)
+        return _observation(y, t)
+    inst = _instance(y, t, setup)
+    return _estimate(inst, solve(inst, tol=tol, max_iter=max_iter))
+
+
+def denoise_batch(ys: Sequence[Field], t: Sequence[int], setup: DenoiseSetup,
+                  tol: float = 1e-6, max_iter: int = 20000) -> list[Estimate]:
+    """:func:`denoise_point` at one anchor of several observation fields.
+
+    The fits share a geometry and are solved as one batch. Estimate ``k``
+    is bit-identical to ``denoise_point(ys[k], t, setup)``, except that a
+    fit that misses its budget is returned, with ``solve.converged`` false,
+    instead of raised. The fields are checked in order, so an error is the
+    first failing field's.
+    """
+    t = tuple(int(x) for x in t)
+    if setup.T == 0:
+        return [_observation(y, t) for y in ys]
+    insts = [_instance(y, t, setup) for y in ys]
+    results = solve_batch(insts, tol=tol, max_iter=max_iter)
+    return [_estimate(inst, res) for inst, res in zip(insts, results)]
+
+
+def _observation(y: Field, t: tuple[int, ...]) -> Estimate:
+    """The T = 0 estimate: the observation at the anchor, checked finite."""
+    value = y.value(t)
+    if not np.isfinite(value):
+        raise DomainError(f"observation at {t} is not finite: {value}")
+    return Estimate(value, t, None)
+
+
+def _instance(y: Field, t: tuple[int, ...], setup: DenoiseSetup) -> Instance:
     if setup.mode == FILTERING:
-        inst = build_filtering_instance(y, t, setup.T, setup.rho)
-    else:
-        inst = build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
-    res = solve(inst, tol=tol, max_iter=max_iter)
-    value = convolve(res.phi, inst.y_win, Box(t, t)).value(t)
-    return Estimate(value, t, res)
+        return build_filtering_instance(y, t, setup.T, setup.rho)
+    return build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
+
+
+def _estimate(inst: Instance, res: SolveResult) -> Estimate:
+    """Apply the fitted filter at the anchor."""
+    t = inst.t
+    return Estimate(convolve(res.phi, inst.y_win, Box(t, t)).value(t), t, res)
 
 
 def risk_constant(d: int) -> float:
@@ -132,9 +171,15 @@ def theta_stat(e: Field, t: Sequence[int], T: int) -> float:
     need = Box.cube(d, 4 * T, t)
     if not e.box.contains_box(need):
         raise DomainError(f"noise field must cover {need}, got {e.box}")
-    best = 0.0
-    for tau in Box.cube(d, W).points():
-        center = tuple(tj + vj for tj, vj in zip(t, tau))
-        window = e.window(W, center)
-        best = max(best, float(np.abs(dft_window(window, W)).max()))
-    return best
+    # every shifted window at once: the shift axes first, then the window
+    # axes, each transformed by one broadcast matmul. Memory is (4T+1)^{2d},
+    # as for the solver's dense operator at the same order.
+    N = 2 * W + 1
+    data = e.data[need.slices_in(e.box)]
+    out = np.lib.stride_tricks.as_strided(data, (N,) * (2 * d), data.strides * 2,
+                                          writeable=False)
+    M = _dft_matrix(W)
+    for axis in range(d, 2 * d):
+        col = out.swapaxes(axis, -1)[..., None]
+        out = np.matmul(M, col)[..., 0].swapaxes(axis, -1)
+    return float(np.abs(out * N ** (-d / 2)).max())

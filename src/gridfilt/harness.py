@@ -12,6 +12,11 @@ A trial compares the adaptive estimate against the certificate ("oracle")
 filter applied to the same noisy data, records both squared errors, the
 solver gap and the realized noise statistic; aggregation reports RMSEs with
 normal-approximation confidence half-widths and the theoretical risk bound.
+
+The trials of one experiment share a window geometry, so their filter fits
+are solved as one batch (:func:`gridfilt.solver.solve_batch`). Batching does
+not change a bit of any trial: :func:`run_trial` replays one trial on its own
+and records exactly what :func:`monte_carlo` recorded for it.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ import numpy as np
 from .errors import ConvergenceError, ParamError
 from .estimators import (
     DenoiseSetup,
-    denoise_point,
+    denoise_batch,
     risk_bound,
     risk_constant,
     theta_stat,
 )
 from .fields import Box, Field, convolve
 from .signals import Certificate
+from .solver import SolveResult
 
 __all__ = [
     "NoiseSpec",
@@ -112,30 +118,50 @@ def run_trial(s: Field, cert: Certificate | None, t: Sequence[int],
 
     The oracle estimate applies the certificate's order-T filter to the same
     noisy observations; with ``cert=None`` it is skipped (recorded as the
-    truth with zero error).
+    truth with zero error). This is the batch of one of :func:`monte_carlo`,
+    so it replays any of its trials bit for bit. A fit that misses its
+    budget raises ``ConvergenceError`` carrying the solve's result.
+    """
+    (record,), (res,) = _run_trials(s, cert, t, setup, [noise], tol, max_iter)
+    if res is not None and not res.converged:
+        raise ConvergenceError(f"seed {noise.seed}: {_gap_miss(res, tol)}", result=res)
+    return record
+
+
+def _run_trials(s: Field, cert: Certificate | None, t: Sequence[int],
+                setup: DenoiseSetup, noises: Sequence[NoiseSpec], tol: float,
+                max_iter: int) -> tuple[list[TrialRecord], list[SolveResult | None]]:
+    """Trials on ``s``, one per noise spec, with their fits solved as one batch.
+
+    Returns the records and each fit's solve (None for T = 0); a fit that
+    missed its budget is recorded with its certified gap, not raised.
     """
     t = tuple(int(x) for x in t)
-    e = sample_noise(s.box, noise)
-    y = s + e
-    est = denoise_point(y, t, setup, tol=tol, max_iter=max_iter)
+    noise_fields = [sample_noise(s.box, noise) for noise in noises]
+    ys = [s + e for e in noise_fields]
+    estimates = denoise_batch(ys, t, setup, tol=tol, max_iter=max_iter)
     truth = s.value(t)
-    if cert is not None:
-        q = cert.filter(setup.T)
-        oracle_val = convolve(q, y, Box(t, t)).value(t)
-    else:
-        oracle_val = truth
-    theta = theta_stat(e, t, setup.T)
-    return TrialRecord(
-        anchor=t,
-        seed=noise.seed,
-        truth=truth,
-        estimate=est.value,
-        oracle_estimate=oracle_val,
-        sq_err_adaptive=abs(est.value - truth) ** 2,
-        sq_err_oracle=abs(oracle_val - truth) ** 2,
-        solver_gap=0.0 if est.solve is None else est.solve.gap,
-        theta_stat=theta,
-    )
+    q = cert.filter(setup.T) if cert is not None else None
+    records = []
+    for noise, e, y, est in zip(noises, noise_fields, ys, estimates):
+        oracle_val = truth if q is None else convolve(q, y, Box(t, t)).value(t)
+        records.append(TrialRecord(
+            anchor=t,
+            seed=noise.seed,
+            truth=truth,
+            estimate=est.value,
+            oracle_estimate=oracle_val,
+            sq_err_adaptive=abs(est.value - truth) ** 2,
+            sq_err_oracle=abs(oracle_val - truth) ** 2,
+            solver_gap=0.0 if est.solve is None else est.solve.gap,
+            theta_stat=theta_stat(e, t, setup.T),
+        ))
+    return records, [est.solve for est in estimates]
+
+
+def _gap_miss(res: SolveResult, tol: float) -> str:
+    return (f"duality gap {res.gap:.3e} above tolerance {tol:.3e} "
+            f"after {res.iterations} iterations")
 
 
 @dataclass(frozen=True)
@@ -194,26 +220,35 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
                 ) -> tuple[ExperimentStats, list[TrialRecord]]:
     """Independent-seed trials of one configuration, aggregated.
 
-    Seeds are ``derive_seed(master_seed, i)``; a failing trial aborts the
-    experiment with its index and seed named. A trial whose solve misses the
-    iteration budget raises ``ConvergenceError`` carrying that solve's
-    result; any other failure raises ``RuntimeError``. The reported bound
-    evaluates :func:`risk_bound` at the certificate's ``(theta, rho)``.
+    Seeds are ``derive_seed(master_seed, i)``, and all trials' fits are
+    solved as one batch. If the trials cannot be run, the experiment fails
+    with ``RuntimeError`` naming trial 0 and its seed. If fits miss the
+    iteration budget, ``ConvergenceError`` names every such trial with its
+    index, seed and gap, and carries the lowest-index one's result. The
+    reported bound evaluates :func:`risk_bound` at the certificate's
+    ``(theta, rho)``.
     """
     if trials < 1:
         raise ParamError("need at least one trial")
-    records: list[TrialRecord] = []
-    for i in range(trials):
-        seed = derive_seed(master_seed, i)
-        try:
-            records.append(run_trial(s, cert, t, setup,
-                                     NoiseSpec(sigma, seed), tol, max_iter))
-        except Exception as exc:
-            message = (f"trial {i} (seed {seed}) of {label or 'experiment'} "
-                       f"failed: {exc}")
-            if isinstance(exc, ConvergenceError):
-                raise ConvergenceError(message, result=exc.result) from exc
-            raise RuntimeError(message) from exc
+    name = label or "experiment"
+    seeds = [derive_seed(master_seed, i) for i in range(trials)]
+    try:
+        records, solves = _run_trials(s, cert, t, setup,
+                                      [NoiseSpec(sigma, seed) for seed in seeds],
+                                      tol, max_iter)
+    except Exception as exc:
+        # every trial reads the same box of the same signal, so what stops
+        # one trial stops the first
+        raise RuntimeError(
+            f"trial 0 (seed {seeds[0]}) of {name} failed: {exc}") from exc
+    missed = [i for i, res in enumerate(solves)
+              if res is not None and not res.converged]
+    if missed:
+        raise ConvergenceError(
+            f"{len(missed)} of {trials} trials missed the budget: " + "; ".join(
+                f"trial {i} (seed {seeds[i]}) of {name}: {_gap_miss(solves[i], tol)}"
+                for i in missed),
+            result=solves[missed[0]])
     sq_a = np.array([r.sq_err_adaptive for r in records])
     sq_o = np.array([r.sq_err_oracle for r in records])
     rmse_a, hw_a = _rmse_with_halfwidth(sq_a)

@@ -19,6 +19,16 @@ closed-form projections, plus ergodic restarts. Every iterate yields a
 feasible filter and a certified dual lower bound, so the reported optimality
 gap is unconditional. The solve is deterministic: identical instances produce
 bit-identical results.
+
+Instances that share a window geometry (mode, dimension, order and lag) and
+an l1 budget are solved as one batch (:func:`solve_batch`): one iteration
+loop over the stacked ``(B, n)`` iterates, with one matrix-vector product per
+instance and row-wise l1 projections. Each instance keeps its own step size,
+restart state, best iterate and stopping check, and leaves the batch at the
+check that certifies it. Every matrix-vector product is a ``np.matmul`` of a
+matrix with a column, the same BLAS call a lone solve makes, so each result
+is bit-identical to solving its instance alone; :func:`solve` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ __all__ = [
     "build_prediction_instance",
     "objective",
     "solve",
+    "solve_batch",
     "dual_lower_bound",
     "project_l1_ball",
 ]
@@ -261,54 +272,76 @@ class _Operator:
             v = w / lam
         return math.sqrt(lam) * 1.05
 
-    def feasible_filter(self, Phi: np.ndarray) -> tuple[Filter, np.ndarray]:
-        """Project an iterate to an exactly feasible filter (support + l1)."""
-        inst = self.inst
-        n_side = 2 * inst.W + 1
-        phi_sp = self.Finv @ Phi
+    def feasible_filters(self, Phi: np.ndarray,
+                         radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Project iterates (rows) to exactly feasible filters: support, then l1.
+
+        Returns the spatial coefficients on the window and their spectra.
+        Only the geometry of this operator is used, so it serves a batch.
+        """
+        phi_sp = _matvec(self.Finv, Phi)
         phi_sp = np.where(self.supp_mask, phi_sp, 0.0)
-        PhiF = self.F @ phi_sp
-        l1 = np.abs(PhiF).sum()
-        if l1 > inst.l1_bound and l1 > 0:
-            scale = inst.l1_bound / l1
-            phi_sp = phi_sp * scale
-            PhiF = PhiF * scale
-        grid = phi_sp.reshape((n_side,) * inst.d)
-        if inst.mode == FILTERING:
-            filt = Filter.two_sided(inst.d, inst.W, grid)
-        else:
-            supp = inst.support_box
-            window_box = Box.cube(inst.d, inst.W)
-            coeffs = grid[supp.slices_in(window_box)]
-            filt = Filter.one_sided(inst.d, inst.kappa, inst.W, coeffs)
-        return filt, PhiF
+        PhiF = _matvec(self.F, phi_sp)
+        l1 = np.abs(PhiF).sum(axis=1)
+        over = (l1 > radius) & (l1 > 0)
+        if over.any():
+            scale = (radius / l1[over])[:, None]
+            phi_sp[over] = phi_sp[over] * scale
+            PhiF[over] = PhiF[over] * scale
+        return phi_sp, PhiF
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M[k] @ x[k]`` for each row ``k`` (``M`` one matrix or a stack).
+
+    ``np.matmul`` against a column makes the BLAS matrix-vector call of
+    ``M @ v``; ``x @ M.T`` or ``einsum`` would sum in another order.
+    """
+    return np.matmul(M, x[..., None])[..., 0]
+
+
+def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
+    """The instance's filter from spatial coefficients on the window."""
+    grid = phi_sp.reshape((2 * inst.W + 1,) * inst.d)
+    if inst.mode == FILTERING:
+        return Filter.two_sided(inst.d, inst.W, grid)
+    coeffs = grid[inst.support_box.slices_in(Box.cube(inst.d, inst.W))]
+    return Filter.one_sided(inst.d, inst.kappa, inst.W, coeffs)
 
 
 def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of a complex vector onto ``{x : ||x||_1 <= radius}``.
+    """Euclidean projection of complex vectors onto ``{x : ||x||_1 <= radius}``.
 
-    Moduli are soft-thresholded against the exact simplex threshold (sort
-    based); phases are preserved. Deterministic.
+    ``z`` is one vector or a stack of them (rows of a 2-d array), each
+    projected on its own. Moduli are soft-thresholded against the exact
+    simplex threshold (sort based); phases are preserved. A row comes out
+    bit for bit as it would alone. Deterministic.
     """
     if radius < 0:
         raise ParamError("radius must be nonnegative")
-    a = np.abs(z)
-    total = a.sum()
-    if total <= radius:
+    rows = z.reshape(-1, z.shape[-1])
+    a = np.abs(rows)
+    inside = a.sum(axis=1) <= radius
+    n_inside = np.count_nonzero(inside)
+    if n_inside == len(inside):
         return z.copy()
+    B, n = a.shape
+    srt = np.sort(a, axis=1)[:, ::-1]
+    thresh = (srt.cumsum(axis=1) - radius) / np.arange(1, n + 1)
+    # last index where the sorted modulus exceeds its threshold
+    last = (n - 1) - (srt > thresh)[:, ::-1].argmax(axis=1)
+    shrunk = np.maximum(a - thresh[np.arange(B), last][:, None], 0.0)
     if radius == 0:
-        return np.zeros_like(z)
-    srt = np.sort(a)[::-1]
-    cum = np.cumsum(srt)
-    k = np.arange(1, len(srt) + 1)
-    thresh = (cum - radius) / k
-    last = np.nonzero(srt > thresh)[0][-1]
-    lam = thresh[last]
-    shrunk = np.maximum(a - lam, 0.0)
-    out = np.zeros_like(z)
-    nz = a > 0
-    out[nz] = z[nz] * (shrunk[nz] / a[nz])
-    return out
+        out = np.zeros_like(rows)
+    elif np.count_nonzero(a) == a.size:
+        out = rows * (shrunk / a)
+    else:
+        out = np.zeros_like(rows)
+        nz = a > 0
+        out[nz] = rows[nz] * (shrunk[nz] / a[nz])
+    if n_inside:
+        out[inside] = rows[inside]
+    return out.reshape(z.shape)
 
 
 def dual_lower_bound(inst: Instance, u: Spectrum) -> float:
@@ -328,51 +361,66 @@ def dual_lower_bound(inst: Instance, u: Spectrum) -> float:
                  - inst.l1_bound * np.abs(op.A.conj().T @ uv).max())
 
 
-def _pdhg(op: _Operator, tol: float, max_iter: int, check_every: int,
-          restart_len: int) -> tuple[Filter, float, float, int, np.ndarray]:
-    inst = op.inst
-    c = inst.l1_bound
-    A, b, off = op.A, op.b, op.off_rows
-    n = op.n
-    if np.abs(b).max() == 0:
-        # zero residual window at phi = 0: the optimum is 0
-        filt, _ = op.feasible_filter(np.zeros(n, dtype=np.complex128))
-        return filt, 0.0, 0.0, 0, np.zeros(n, dtype=np.complex128)
-    LK = math.sqrt(op.op_norm() ** 2 + (0.0 if off is None else 1.0))
-    step = 0.99 / LK
-    AH = A.conj().T
-    offH = off.conj().T if off is not None else None
+def _pdhg(ops: list[_Operator], tol: float, max_iter: int, check_every: int,
+          restart_len: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
+    """PDHG on the stacked instances of ``ops``, which share one geometry and
+    l1 budget.
 
-    Phi = np.zeros(n, dtype=np.complex128)
+    Returns, per operator: the spatial coefficients of the best feasible
+    filter, its objective, the best dual value, the iteration count and the
+    dual vector attaining that value.
+    """
+    geo = ops[0]
+    n, off, c = geo.n, geo.off_rows, geo.inst.l1_bound
+    offH = off.conj().T if off is not None else None
+    out = [None] * len(ops)
+    live = []
+    for k, op in enumerate(ops):
+        if np.abs(op.b).max() == 0:
+            # zero residual window at phi = 0: the optimum is 0
+            phi0, _ = geo.feasible_filters(np.zeros((1, n), dtype=np.complex128), c)
+            out[k] = (phi0[0], 0.0, 0.0, 0, np.zeros(n, dtype=np.complex128))
+        else:
+            live.append(k)
+    rows = np.array(live, dtype=int)   # input position of each stacked row
+    if not live:
+        return out
+
+    step = np.array([0.99 / math.sqrt(ops[k].op_norm() ** 2
+                                      + (0.0 if off is None else 1.0))
+                     for k in live])[:, None]
+    A = np.stack([ops[k].A for k in live])
+    # A^H of each row is a transposed view, the layout a lone solve multiplies
+    # with; a C-ordered copy would make BLAS sum in another order
+    A_conj = A.conj()
+    AH = A_conj.transpose(0, 2, 1)
+    b = np.stack([ops[k].b for k in live])
+
+    B = len(live)
+    Phi = np.zeros((B, n), dtype=np.complex128)
     Phib = Phi.copy()
-    u = np.zeros(n, dtype=np.complex128)
-    w = np.zeros(off.shape[0], dtype=np.complex128) if off is not None else None
+    u = np.zeros((B, n), dtype=np.complex128)
+    w = np.zeros((B, off.shape[0]), dtype=np.complex128) if off is not None else None
     u_sum = np.zeros_like(u)
     w_sum = np.zeros_like(w) if w is not None else None
     Phi_sum = np.zeros_like(Phi)
-    n_avg = 0
-    last_restart_gap = math.inf
+    restart_it = np.zeros(B, dtype=np.int64)   # iterates averaged: it - restart_it
+    last_restart_gap = np.full(B, math.inf)
 
-    best_J = math.inf
-    best_filter = None
-    best_D = -math.inf
-    best_u = u.copy()
-
-    def dual_value(uu, ww):
-        grad = AH @ uu
-        if ww is not None and offH is not None:
-            grad = grad + offH @ ww
-        return float(-np.real(np.vdot(uu, b)) - c * np.abs(grad).max())
+    best_J = np.full(B, math.inf)
+    best_phi = np.zeros((B, n), dtype=np.complex128)
+    best_D = np.full(B, -math.inf)
+    best_u = np.zeros((B, n), dtype=np.complex128)
 
     it = 0
-    while it < max_iter:
+    while rows.size:
         it += 1
-        u = project_l1_ball(u + step * (A @ Phib - b), 1.0)
+        u = project_l1_ball(u + step * (_matvec(A, Phib) - b), 1.0)
         if w is not None:
-            w = w + step * (off @ Phib)
-        grad = AH @ u
+            w = w + step * _matvec(off, Phib)
+        grad = _matvec(AH, u)
         if w is not None:
-            grad = grad + offH @ w
+            grad = grad + _matvec(offH, w)
         Phi_new = project_l1_ball(Phi - step * grad, c)
         Phib = 2 * Phi_new - Phi
         Phi = Phi_new
@@ -380,41 +428,98 @@ def _pdhg(op: _Operator, tol: float, max_iter: int, check_every: int,
         Phi_sum += Phi
         if w is not None:
             w_sum += w
-        n_avg += 1
 
         if it % check_every == 0 or it == max_iter:
-            filt, PhiF = op.feasible_filter(Phi)
-            J = float(np.abs(b - A @ PhiF).max())
-            if J < best_J:
-                best_J = J
-                best_filter = filt
-            for uu, ww in ((u, w),
-                           (u_sum / n_avg, w_sum / n_avg if w is not None else None)):
-                dd = dual_value(uu, ww)
-                if dd > best_D:
-                    best_D = dd
-                    best_u = np.array(uu, copy=True)
+            n_avg = it - restart_it
+            phi_sp, PhiF = geo.feasible_filters(Phi, c)
+            J = np.abs(b - _matvec(A, PhiF)).max(axis=1)
+            better = J < best_J
+            best_J[better] = J[better]
+            best_phi[better] = phi_sp[better]
+            avg = n_avg[:, None]
+            w_avg = w_sum / avg if w is not None else None
+            for uu, ww in ((u, w), (u_sum / avg, w_avg)):
+                grad = _matvec(AH, uu)
+                if ww is not None:
+                    grad = grad + _matvec(offH, ww)
+                dots = np.array([np.vdot(x, y) for x, y in zip(uu, b)])
+                dd = -np.real(dots) - c * np.abs(grad).max(axis=1)
+                better = dd > best_D
+                best_D[better] = dd[better]
+                best_u[better] = uu[better]
             gap = best_J - best_D
-            if gap <= tol:
-                break
-            if n_avg >= restart_len and gap <= 0.5 * last_restart_gap:
+            converged = gap <= tol
+            restart = (~converged & (n_avg >= restart_len)
+                       & (gap <= 0.5 * last_restart_gap))
+            if restart.any():
                 # ergodic restart: continue from the averaged primal-dual pair
-                Phi = project_l1_ball(Phi_sum / n_avg, c)
-                Phib = Phi.copy()
-                u = project_l1_ball(u_sum / n_avg, 1.0)
+                avg = n_avg[restart, None]
+                Phi[restart] = project_l1_ball(Phi_sum[restart] / avg, c)
+                Phib[restart] = Phi[restart]
+                u[restart] = project_l1_ball(u_sum[restart] / avg, 1.0)
                 if w is not None:
-                    w = w_sum / n_avg
-                    w_sum[:] = 0
-                u_sum[:] = 0
-                Phi_sum[:] = 0
-                n_avg = 0
-                last_restart_gap = gap
+                    w[restart] = w_sum[restart] / avg
+                    w_sum[restart] = 0
+                u_sum[restart] = 0
+                Phi_sum[restart] = 0
+                restart_it[restart] = it
+                last_restart_gap[restart] = gap[restart]
 
-    if best_filter is None:
-        best_filter, PhiF = op.feasible_filter(Phi)
-        best_J = float(np.abs(b - A @ PhiF).max())
-        best_D = min(best_D, best_J)
-    return best_filter, best_J, best_D, it, best_u
+            done = converged | (it == max_iter)
+            if done.any():
+                for j in np.flatnonzero(done):
+                    out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
+                                    float(best_D[j]), it, best_u[j].copy())
+                # compact only now: indexing the stacks every iteration costs
+                # more than the products on large windows
+                keep = ~done
+                (rows, A, A_conj, b, step, Phi, Phib, u, u_sum, Phi_sum,
+                 restart_it, last_restart_gap, best_J, best_phi, best_D, best_u) = (
+                    x[keep] for x in (
+                        rows, A, A_conj, b, step, Phi, Phib, u, u_sum, Phi_sum,
+                        restart_it, last_restart_gap, best_J, best_phi, best_D,
+                        best_u))
+                AH = A_conj.transpose(0, 2, 1)
+                if w is not None:
+                    w, w_sum = w[keep], w_sum[keep]
+    return out
+
+
+def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
+                max_iter: int = 20000, check_every: int = 25,
+                restart_len: int = 100) -> list[SolveResult]:
+    """Solve instances that share geometry and l1 budget, each to a gap of ``tol``.
+
+    Returns one result per instance, in order, each bit-identical to what
+    solving that instance alone gives. An instance that misses the budget is
+    returned with ``converged`` false rather than raised. Raises
+    ``ParamError`` for an empty batch or for instances that differ in mode,
+    dimension, order, lag or l1 budget. Deterministic.
+    """
+    if tol <= 0:
+        raise ParamError("tol must be positive")
+    if max_iter < 1:
+        raise ParamError("max_iter must be positive")
+    if not instances:
+        raise ParamError("a batch needs at least one instance")
+    kinds = {(inst.mode, inst.d, inst.T_alg, inst.kappa, inst.l1_bound)
+             for inst in instances}
+    if len(kinds) > 1:
+        raise ParamError("instances of a batch must share one geometry and l1 "
+                         f"budget (mode, d, T_alg, kappa, l1_bound), got "
+                         f"{sorted(kinds, key=str)}")
+    ops = [_Operator(inst) for inst in instances]
+    results = []
+    for inst, (phi_sp, J, D, iters, u_best) in zip(
+            instances, _pdhg(ops, tol, max_iter, check_every, restart_len)):
+        D = min(D, J)  # weak duality holds; guard roundoff in reported gap
+        gap = J - D
+        W = inst.W
+        results.append(SolveResult(
+            phi=_filter(inst, phi_sp), objective=J, dual_bound=D, gap=gap,
+            iterations=iters, converged=bool(gap <= tol),
+            dual_u=Spectrum(W, inst.d, (-u_best).reshape((2 * W + 1,) * inst.d))))
+    return results
 
 
 def solve(inst: Instance, tol: float = 1e-6, max_iter: int = 20000,
@@ -423,21 +528,12 @@ def solve(inst: Instance, tol: float = 1e-6, max_iter: int = 20000,
 
     Returns a feasible filter together with the certified gap. Raises
     ``ConvergenceError`` (carrying the best result found) if the gap still
-    exceeds ``tol`` after ``max_iter`` iterations. Deterministic.
+    exceeds ``tol`` after ``max_iter`` iterations. Deterministic; the batch
+    of one of :func:`solve_batch`.
     """
-    if tol <= 0:
-        raise ParamError("tol must be positive")
-    op = _Operator(inst)
-    filt, J, D, iters, u_best = _pdhg(op, tol, max_iter, check_every, restart_len)
-    D = min(D, J)  # weak duality holds; guard roundoff in reported gap
-    gap = J - D
-    W = inst.W
-    result = SolveResult(
-        phi=filt, objective=J, dual_bound=D, gap=gap, iterations=iters,
-        converged=bool(gap <= tol),
-        dual_u=Spectrum(W, inst.d, (-u_best).reshape((2 * W + 1,) * inst.d)))
+    (result,) = solve_batch([inst], tol, max_iter, check_every, restart_len)
     if not result.converged:
         raise ConvergenceError(
-            f"duality gap {gap:.3e} above tolerance {tol:.3e} "
-            f"after {iters} iterations", result=result)
+            f"duality gap {result.gap:.3e} above tolerance {tol:.3e} "
+            f"after {result.iterations} iterations", result=result)
     return result

@@ -5,15 +5,17 @@ objective matrix comes from shifting/windowing observation fields and
 transforming them with `dft`, the l1-ball projection uses bisection on the
 soft threshold (not the solver's sort construction), and the minimization is
 plain projected subgradient descent from many random starts. ``coeff`` reads
-a filter coefficient by its grid point, zero off the support, and
-``nonzero_outside_loop`` is the point-by-point form of the support check.
+a filter coefficient by its grid point, zero off the support,
+``nonzero_outside_loop`` is the point-by-point form of the support check,
+``theta_stat_loop`` computes the noise statistic one shifted window at a time,
+and ``project_l1_sort`` is the sort-based l1 projection of a single vector.
 """
 
 import math
 
 import numpy as np
 
-from gridfilt.fields import Box, dft, Field, Filter
+from gridfilt.fields import Box, dft, dft_window, Field, Filter
 from gridfilt.solver import Instance
 
 
@@ -30,6 +32,37 @@ def nonzero_outside_loop(x: Field, box: Box):
         if x.value(tau) != 0 and not box.contains_point(tau):
             return tau
     return None
+
+
+def theta_stat_loop(e: Field, t, T: int) -> float:
+    """Reference ``theta_stat``: one window transform per shift ``|tau| <= 2T``."""
+    W = 2 * T
+    best = 0.0
+    for tau in Box.cube(e.d, W).points():
+        window = e.window(W, tuple(tj + vj for tj, vj in zip(t, tau)))
+        best = max(best, float(np.abs(dft_window(window, W)).max()))
+    return best
+
+
+def project_l1_sort(z: np.ndarray, radius: float) -> np.ndarray:
+    """Sort-based l1-ball projection of one complex vector, one step at a time.
+
+    The reference for the solver's row-wise projection, which must give each
+    row bit for bit what this gives it alone.
+    """
+    a = np.abs(z)
+    if a.sum() <= radius:
+        return z.copy()
+    if radius == 0:
+        return np.zeros_like(z)
+    srt = np.sort(a)[::-1]
+    thresh = (np.cumsum(srt) - radius) / np.arange(1, len(srt) + 1)
+    lam = thresh[np.nonzero(srt > thresh)[0][-1]]
+    shrunk = np.maximum(a - lam, 0.0)
+    out = np.zeros_like(z)
+    nz = a > 0
+    out[nz] = z[nz] * (shrunk[nz] / a[nz])
+    return out
 
 
 def project_l1_bisect(z: np.ndarray, radius: float, iters: int = 80) -> np.ndarray:

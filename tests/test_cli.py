@@ -215,6 +215,24 @@ def test_denoise_non_finite_observation_exit_code(tmp_path, capsys):
     assert "(3,) is not finite" in capsys.readouterr().err
 
 
+def test_denoise_T0_non_finite_observation_exit_code(tmp_path, capsys):
+    from gridfilt import Box, Field, write_zdf
+
+    data = np.ones(17, dtype=complex)
+    data[8] = np.nan
+    obs = tmp_path / "obs.zdf"
+    write_zdf(Field(Box((-8,), (8,)), data), obs)
+    cfg = write_config(tmp_path / "den.yaml", {
+        "observations": str(obs),
+        "setup": {"rho": 1.0, "T": 0},
+        "anchors": [[0]],
+        "out": {"estimates": "est.csv"},
+    })
+    assert main(["denoise", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "(0,) is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 def test_predict_nonconvergence_still_writes_rows(tmp_path):
     # near-noiseless prediction instances have a tiny positive optimum; the
     # default iteration budget cannot certify a 1e-9 absolute gap there

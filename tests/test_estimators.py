@@ -8,6 +8,7 @@ import pytest
 from gridfilt import Box, DomainError, Field, Filter, ParamError, shift
 from gridfilt.estimators import (
     DenoiseSetup,
+    denoise_batch,
     denoise_point,
     risk_bound,
     risk_constant,
@@ -15,6 +16,8 @@ from gridfilt.estimators import (
 )
 from gridfilt.signals import predictor_exp_certificate
 from gridfilt.solver import build_filtering_instance, objective
+
+from oracles import theta_stat_loop
 
 RNG = np.random.default_rng(5150)
 
@@ -37,6 +40,18 @@ def test_setup_validation():
 
 
 # ---------------------------------------------------------------- denoise
+
+
+def test_denoise_T0_rejects_non_finite_observation():
+    data = np.ones(9, dtype=complex)
+    data[4 + 2] = np.nan
+    y = Field(Box((-4,), (4,)), data)
+    setup = DenoiseSetup(rho=1.0, T=0)
+    with pytest.raises(DomainError, match=r"\(2,\) is not finite"):
+        denoise_point(y, (2,), setup)
+    with pytest.raises(DomainError, match=r"\(2,\) is not finite"):
+        denoise_batch([y], (2,), setup)
+    assert denoise_point(y, (1,), setup).value == 1.0
 
 
 def test_denoise_T0_returns_observation():
@@ -198,6 +213,22 @@ def test_theta_stat_impulse():
     # every shifted window containing the impulse has a flat spectrum of
     # modulus (4T+1)^{-1/2}
     assert theta_stat(e, (0,), T) == pytest.approx((4 * T + 1) ** -0.5)
+
+
+def test_theta_stat_matches_loop_oracle():
+    rng = np.random.default_rng(8)
+    for T in (0, 1, 2, 4, 8):
+        box = Box((-4 * T - 2,), (4 * T + 3,))
+        for _ in range(5):
+            e = Field(box, rng.standard_normal(box.shape)
+                      + 1j * rng.standard_normal(box.shape))
+            assert theta_stat(e, (1,), T) == theta_stat_loop(e, (1,), T)
+    for T in (1, 2):
+        box = Box.cube(2, 4 * T + 1)
+        e = Field(box, rng.standard_normal(box.shape)
+                  + 1j * rng.standard_normal(box.shape))
+        assert theta_stat(e, (1, -1), T) == pytest.approx(
+            theta_stat_loop(e, (1, -1), T), rel=1e-12)
 
 
 def test_theta_stat_coverage():

@@ -134,6 +134,38 @@ def test_monte_carlo_budget_miss_raises_convergence_error():
     assert not result.converged and result.gap > 1e-5
 
 
+def test_monte_carlo_names_every_unconverged_trial():
+    box = Box((-8,), (8,))
+    s = Field(box, np.ones(17, dtype=complex))
+    cert = exp_certificate_1d(0.0)
+    setup = DenoiseSetup(rho=cert.rho, T=2)
+    with pytest.raises(ConvergenceError) as info:
+        monte_carlo(s, cert, (0,), setup, 0.1, 3, 15, label="const", max_iter=50)
+    message = str(info.value)
+    gaps = []
+    for i in range(3):
+        seed = derive_seed(15, i)
+        with pytest.raises(ConvergenceError) as alone:
+            run_trial(s, cert, (0,), setup, NoiseSpec(0.1, seed), max_iter=50)
+        gaps.append(alone.value.result.gap)
+        assert f"trial {i} (seed {seed}) of const: duality gap {gaps[i]:.3e}" in message
+    assert message.startswith("3 of 3 trials")
+    assert info.value.result.gap == gaps[0]
+
+
+def test_monte_carlo_records_equal_run_trial():
+    box = Box((-16,), (16,))
+    tt = np.arange(-16, 17)
+    s = Field(box, np.exp(0.9j * tt))
+    cert = exp_certificate_1d(0.9j)
+    setup = DenoiseSetup(rho=cert.rho, T=4)
+    _, records = monte_carlo(s, cert, (0,), setup, 0.1, 6, 2024, tol=1e-4)
+    for i, rec in enumerate(records):
+        alone = run_trial(s, cert, (0,), setup, NoiseSpec(0.1, derive_seed(2024, i)),
+                          tol=1e-4)
+        assert rec == alone
+
+
 def test_monte_carlo_reproducible():
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 1.0j))

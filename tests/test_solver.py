@@ -25,9 +25,10 @@ from gridfilt.solver import (
     objective,
     project_l1_ball,
     solve,
+    solve_batch,
 )
 
-from oracles import subgradient_minimize
+from oracles import project_l1_sort, subgradient_minimize
 
 RNG = np.random.default_rng(90210)
 
@@ -69,6 +70,22 @@ def test_project_l1_phases_preserved():
     out = project_l1_ball(z, 1.0)
     nz = np.abs(out) > 0
     assert np.allclose(np.angle(out[nz]), np.angle(z[nz]))
+
+
+def test_project_l1_rowwise_matches_single_vector():
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    z[1] *= 0.01          # inside the ball
+    z[2] = 0              # zero row
+    z[3, :4] = 0          # zero entries
+    for radius in (0.7, 0.0):
+        out = project_l1_ball(z, radius)
+        for k in range(len(z)):
+            assert np.array_equal(out[k], project_l1_sort(z[k], radius))
+            assert np.array_equal(out[k], project_l1_ball(z[k], radius))
+    assert np.array_equal(project_l1_ball(z[1:3], 0.7), z[1:3])
+    with pytest.raises(ParamError):
+        project_l1_ball(z, -1.0)
 
 
 # ---------------------------------------------------------------- instances
@@ -304,3 +321,67 @@ def test_prediction_one_sided_result_support():
     res = solve(inst, tol=1e-6)
     assert res.phi.kind == "one-sided" and res.phi.kappa == 1
     assert res.phi.field.box == Box((1,), (4,))
+
+
+# ---------------------------------------------------------------- batches
+
+
+def _solve_alone(inst, **kwargs):
+    try:
+        return solve(inst, **kwargs)
+    except ConvergenceError as exc:
+        return exc.result
+
+
+def _field(rng, box, sigma, mean):
+    return Field(box, mean + sigma * (rng.standard_normal(box.shape)
+                                      + 1j * rng.standard_normal(box.shape)))
+
+
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+def test_solve_batch_matches_solve_bit_for_bit(mode):
+    # a batch whose instances stop at different checks: early, after a
+    # restart, at zero residual (no iteration), and at the budget with and
+    # without convergence; prediction exercises the off_rows dual block
+    rng = np.random.default_rng(5)
+    if mode == "filtering":
+        box = Box((-8,), (8,))
+        ys = [Field(box, np.full(17, 2.0 - 1j)), _field(rng, box, 0.3, 1.0),
+              Field(box, np.zeros(17)), _field(rng, box, 1.0, 0.0),
+              _field(rng, box, 0.05, 1.0), _field(rng, box, 1.0, 0.5)]
+        insts = [build_filtering_instance(y, (0,), 2, math.sqrt(2)) for y in ys]
+    else:
+        box = Box((-8,), (0,))
+        ys = [Field(box, np.full(9, 3.0 + 1j)), _field(rng, box, 0.2, 1.0),
+              Field(box, np.zeros(9)), _field(rng, box, 1.0, 0.0),
+              _field(rng, box, 0.05, 1.0)]
+        insts = [build_prediction_instance(y, (0,), 2, 1, 2.0) for y in ys]
+    kwargs = dict(tol=1e-6, max_iter=1000)
+    batch = solve_batch(insts, **kwargs)
+    iterations = {r.iterations for r in batch}
+    assert 0 in iterations and 25 in iterations and len(iterations) >= 4
+    assert any(r.converged and r.iterations > 100 for r in batch)  # restarted
+    assert any(not r.converged and r.iterations == 1000 for r in batch)
+    for inst, r in zip(insts, batch):
+        alone = _solve_alone(inst, **kwargs)
+        assert (r.objective, r.dual_bound, r.gap, r.iterations, r.converged) == \
+            (alone.objective, alone.dual_bound, alone.gap, alone.iterations,
+             alone.converged)
+        assert r.phi.field.box == alone.phi.field.box
+        assert np.array_equal(r.phi.field.data, alone.phi.field.data)
+        assert np.array_equal(r.dual_u.values, alone.dual_u.values)
+
+
+def test_solve_batch_rejects_empty_and_mixed_batches():
+    y = noisy_field(Box((-16,), (16,)))
+    with pytest.raises(ParamError):
+        solve_batch([])
+    with pytest.raises(ParamError, match="geometry"):
+        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
+                     build_filtering_instance(y, (0,), 3, 1.0)])
+    with pytest.raises(ParamError, match="geometry"):
+        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
+                     build_prediction_instance(y, (0,), 2, 1, 1.0)])
+    with pytest.raises(ParamError, match="l1 budget"):
+        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
+                     build_filtering_instance(y, (0,), 2, 2.0)])
