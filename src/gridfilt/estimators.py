@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParamError
-from .fields import FILTERING, PREDICTION, Box, Field, _dft_matrix, convolve
+from .fields import FILTERING, PREDICTION, Box, Field, convolve, dft_windows
 from .solver import (
     Instance,
     SolveResult,
@@ -171,15 +171,8 @@ def theta_stat(e: Field, t: Sequence[int], T: int) -> float:
     need = Box.cube(d, 4 * T, t)
     if not e.box.contains_box(need):
         raise DomainError(f"noise field must cover {need}, got {e.box}")
-    # every shifted window at once: the shift axes first, then the window
-    # axes, each transformed by one broadcast matmul. Memory is (4T+1)^{2d},
-    # as for the solver's dense operator at the same order.
-    N = 2 * W + 1
+    # every shifted window at once, as a stack of windows indexed by the
+    # shift; memory is (4T+1)^{2d}, as for the solver's dense operator
     data = e.data[need.slices_in(e.box)]
-    out = np.lib.stride_tricks.as_strided(data, (N,) * (2 * d), data.strides * 2,
-                                          writeable=False)
-    M = _dft_matrix(W)
-    for axis in range(d, 2 * d):
-        col = out.swapaxes(axis, -1)[..., None]
-        out = np.matmul(M, col)[..., 0].swapaxes(axis, -1)
-    return float(np.abs(out * N ** (-d / 2)).max())
+    windows = np.lib.stride_tricks.sliding_window_view(data, (2 * W + 1,) * d)
+    return float(np.abs(dft_windows(windows, W, d)).max())

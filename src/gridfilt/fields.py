@@ -385,26 +385,38 @@ def _dft_matrix(T: int) -> np.ndarray:
     return M
 
 
-def _apply_axes(arr: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _apply_axes(arr: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
+    """``M`` applied along each of the trailing ``d`` axes of ``arr``, whose
+    leading axes index a stack of windows. Per axis, one ``np.matmul`` makes
+    for each window the product ``tensordot`` makes for it alone."""
+    lead = arr.ndim - d
     out = arr
-    for axis in range(arr.ndim):
-        out = np.tensordot(M, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
+    for axis in range(lead, arr.ndim):
+        moved = np.moveaxis(out, axis, lead)
+        shape = moved.shape
+        out = np.matmul(M, moved.reshape(shape[:lead + 1] + (-1,))).reshape(shape)
+        out = np.moveaxis(out, lead, axis)
+    return out
+
+
+def dft_windows(windows: np.ndarray, T: int, d: int) -> np.ndarray:
+    """:func:`dft_window` of each window of a stack: the trailing ``d`` axes
+    hold a window, the leading axes index the stack."""
+    out = _apply_axes(np.asarray(windows, dtype=np.complex128), _dft_matrix(T), d)
+    out *= (2 * T + 1) ** (-d / 2)
     return out
 
 
 def dft_window(window: np.ndarray, T: int) -> np.ndarray:
     """Transform of a (2T+1)^d window array (direct per-axis summation)."""
-    d = window.ndim
-    return _apply_axes(np.asarray(window, dtype=np.complex128),
-                       _dft_matrix(T)) * (2 * T + 1) ** (-d / 2)
+    return dft_windows(window, T, window.ndim)
 
 
 def idft_window(values: np.ndarray, T: int) -> np.ndarray:
     """Inverse transform of a (2T+1)^d spectrum array."""
     d = values.ndim
     return _apply_axes(np.asarray(values, dtype=np.complex128),
-                       np.conj(_dft_matrix(T))) * (2 * T + 1) ** (-d / 2)
+                       np.conj(_dft_matrix(T)), d) * (2 * T + 1) ** (-d / 2)
 
 
 def dft(x: Field, T: int) -> Spectrum:
@@ -419,28 +431,6 @@ def dft(x: Field, T: int) -> Spectrum:
 def idft(S: Spectrum) -> Field:
     """Inverse transform; ``idft(dft(x, T))`` equals ``x`` on the window."""
     return Field(Box.cube(S.d, S.T), idft_window(S.values, S.T))
-
-
-def dft_window_fft(window: np.ndarray, T: int) -> np.ndarray:
-    """FFT-path equivalent of :func:`dft_window` (same grid, same values).
-
-    Kept as an optional fast path; agrees with the direct summation to
-    floating precision and is exercised against it in the tests.
-    """
-    d = window.ndim
-    N = 2 * T + 1
-    arr = np.asarray(window, dtype=np.complex128)
-    # ifft computes (1/N) sum_m a_m e^{+2 pi i k m / N}; reindex m = tau + T,
-    # k = n mod N, and strip the resulting phases.
-    out = arr
-    n = np.arange(-T, T + 1)
-    twiddle = np.exp(-2j * np.pi * T * n / N)
-    for axis in range(d):
-        out = np.fft.ifft(out, axis=axis) * N
-        out = np.roll(out, T, axis=axis)
-        shape = (1,) * axis + (N,) + (1,) * (d - 1 - axis)
-        out = out * twiddle.reshape(shape)
-    return out * N ** (-d / 2)
 
 
 def norm(x: Field, T: int, p) -> float:

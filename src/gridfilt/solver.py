@@ -21,14 +21,14 @@ gap is unconditional. The solve is deterministic: identical instances produce
 bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
-an l1 budget are solved as one batch (:func:`solve_batch`): one iteration
-loop over the stacked ``(B, n)`` iterates, with one matrix-vector product per
-instance and row-wise l1 projections. Each instance keeps its own step size,
-restart state, best iterate and stopping check, and leaves the batch at the
-check that certifies it. Every matrix-vector product is a ``np.matmul`` of a
-matrix with a column, the same BLAS call a lone solve makes, so each result
-is bit-identical to solving its instance alone; :func:`solve` is the batch
-of one.
+an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
+stacked transform of all shifted observation windows for the operators, one
+iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
+projections. Each instance keeps its own step size, restart state, best
+iterate and stopping check, and leaves the batch at the check that certifies
+it. Every transform and product is the BLAS call a lone solve makes, so each
+result is bit-identical to solving its instance alone; :func:`solve` is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .fields import (
     _nonzero_outside,
     convolve,
     dft_window,
+    dft_windows,
 )
 
 __all__ = [
@@ -165,7 +166,7 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
 
 
 # --------------------------------------------------------------------------
-# residual evaluation (reference path, used by `objective` and the tests)
+# residual evaluation (reference path, used by `objective`)
 # --------------------------------------------------------------------------
 
 
@@ -178,17 +179,13 @@ def _check_support(inst: Instance, phi: Filter) -> None:
             f"admissible support {supp}")
 
 
-def _residual_window(inst: Instance, phi: Filter | None) -> np.ndarray:
+def _residual_window(inst: Instance, phi: Filter) -> np.ndarray:
     """Recentred residual values on the transform window, truncation applied."""
     W, d, t = inst.W, inst.d, inst.t
     offsets = inst.residual_offsets()
     eval_box = offsets.translate(t)
-    y_vals = inst.y_win.restrict(eval_box).data
-    if phi is not None:
-        filtered = convolve(phi, inst.y_win, eval_box)
-        resid = y_vals - filtered.data
-    else:
-        resid = y_vals
+    resid = (inst.y_win.restrict(eval_box).data
+             - convolve(phi, inst.y_win, eval_box).data)
     window = np.zeros((2 * W + 1,) * d, dtype=np.complex128)
     sl = tuple(slice(lo + W, hi + W + 1) for lo, hi in zip(offsets.lo, offsets.hi))
     window[sl] = resid
@@ -209,75 +206,68 @@ def objective(inst: Instance, phi: Filter) -> float:
 # --------------------------------------------------------------------------
 
 
-class _Operator:
-    """Materialized maps of the saddle problem for one instance.
+class _Geometry:
+    """The maps every instance of a batch shares, built from one instance.
 
-    ``A`` maps the spectrum vector ``Phi = F_W phi`` to the spectrum of the
-    (truncated) window of ``phi(D) y`` recentered at the anchor; ``b`` is the
-    spectrum of the recentered observation window. ``off_rows`` holds the rows
-    of the inverse transform at spatial slots outside the admissible support
-    (empty for filtering); they enforce the support constraint through an
-    extra dual block.
+    ``F`` maps spatial coefficients on the window to their spectrum
+    (unitary), ``Finv = F^H`` maps back. ``supp_mask`` marks the window slots
+    of the admissible support; ``off_rows``, the rows of ``Finv`` at the
+    other slots (None for filtering), enforce the support constraint through
+    an extra dual block.
     """
 
     def __init__(self, inst: Instance):
-        W, d, t = inst.W, inst.d, inst.t
-        n_side = 2 * W + 1
-        n = n_side ** d
-        self.n = n
-        self.inst = inst
-
-        self.b = dft_window(_residual_window(inst, None), W).ravel()
-
-        offsets = inst.residual_offsets()
-        supp = inst.support_box
-        g = inst.y_win
-        window_sl = tuple(slice(lo + W, hi + W + 1)
-                          for lo, hi in zip(offsets.lo, offsets.hi))
-        A_spatial = np.zeros((n, n), dtype=np.complex128)
-        supp_mask = np.zeros((n_side,) * d, dtype=bool)
-        for idx in np.ndindex(*supp.shape):
-            nu = tuple(l + i for l, i in zip(supp.lo, idx))
-            supp_mask[tuple(v + W for v in nu)] = True
-            src = Box(tuple(el + tj - vj for el, tj, vj in zip(offsets.lo, t, nu)),
-                      tuple(eh + tj - vj for eh, tj, vj in zip(offsets.hi, t, nu)))
-            col_window = np.zeros((n_side,) * d, dtype=np.complex128)
-            col_window[window_sl] = g.data[src.slices_in(g.box)]
-            col = dft_window(col_window, W).ravel()
-            A_spatial[:, np.ravel_multi_index(tuple(v + W for v in nu),
-                                              (n_side,) * d)] = col
+        W, d = inst.W, inst.d
+        self.W, self.d = W, d
+        self.window = Box.cube(d, W)
+        self.supp, self.resid = inst.support_box, inst.residual_offsets()
+        supp_mask = np.zeros(self.window.shape, dtype=bool)
+        supp_mask[self.supp.slices_in(self.window)] = True
         self.supp_mask = supp_mask.ravel()
+        self.n = supp_mask.size
 
-        F1 = _dft_matrix(W) / math.sqrt(n_side)
+        F1 = _dft_matrix(W) / math.sqrt(2 * W + 1)
         F = F1
         for _ in range(d - 1):
             F = np.kron(F, F1)
         self.F = F                      # spatial -> spectrum (unitary)
         self.Finv = F.conj().T          # spectrum -> spatial
-        self.A = A_spatial @ self.Finv  # spectrum -> spectrum
         off = ~self.supp_mask
         self.off_rows = self.Finv[off, :] if off.any() else None
 
-    def op_norm(self, iters: int = 150) -> float:
-        """Deterministic power-iteration estimate of ||A|| (with margin)."""
-        v = np.full(self.n, 1.0 + 0.5j) + np.linspace(0, 1, self.n)
-        v /= np.linalg.norm(v)
-        AH = self.A.conj().T
-        lam = 0.0
-        for _ in range(iters):
-            w = AH @ (self.A @ v)
-            lam = np.linalg.norm(w)
-            if lam == 0:
-                return 0.0
-            v = w / lam
-        return math.sqrt(lam) * 1.05
+    def operators(self, insts: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``A`` ``(B, n, n)`` and ``b`` ``(B, n)`` of the instances.
+
+        ``A`` maps the spectrum ``Phi = F_W phi`` to the spectrum of the
+        (truncated) window of ``phi(D) y`` recentered at the anchor. Column
+        ``nu`` of ``A F`` is the transform of the residual window of the
+        observations shifted by ``nu``, and ``b`` the one at shift 0.
+        """
+        W, d, B, window = self.W, self.d, len(insts), self.window
+        # window slot tau + W at shift nu reads y_win at (W - nu) + (tau + W):
+        # the sliding window of y_win that starts at W - nu
+        views = np.lib.stride_tricks.sliding_window_view(
+            np.stack([inst.y_win.data for inst in insts]), self.resid.shape,
+            axis=tuple(range(1, d + 1)))
+        windows = np.zeros(views.shape[:d + 1] + window.shape, dtype=np.complex128)
+        windows[(Ellipsis,) + self.resid.slices_in(window)] = views
+        spectra = dft_windows(windows, W, d)
+        del windows
+        b = spectra[(slice(None),) + (W,) * d].reshape(B, -1).copy()
+        # the support ends at nu = W, whose window starts at 0
+        cols = spectra[(slice(None),) + tuple(slice(W - lo, None, -1)
+                                              for lo in self.supp.lo)]
+        A_spatial = np.zeros((B,) + window.shape * 2, dtype=np.complex128)
+        A_spatial[(slice(None),) * (d + 1) + self.supp.slices_in(window)] = (
+            np.moveaxis(cols, range(-d, 0), range(1, d + 1)))
+        del spectra, cols
+        return np.matmul(A_spatial.reshape(B, self.n, self.n), self.Finv), b
 
     def feasible_filters(self, Phi: np.ndarray,
                          radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Project iterates (rows) to exactly feasible filters: support, then l1.
 
         Returns the spatial coefficients on the window and their spectra.
-        Only the geometry of this operator is used, so it serves a batch.
         """
         phi_sp = _matvec(self.Finv, Phi)
         phi_sp = np.where(self.supp_mask, phi_sp, 0.0)
@@ -289,6 +279,26 @@ class _Operator:
             phi_sp[over] = phi_sp[over] * scale
             PhiF[over] = PhiF[over] * scale
         return phi_sp, PhiF
+
+
+def _op_norms(A: np.ndarray, AH: np.ndarray, iters: int = 150) -> np.ndarray:
+    """Deterministic power-iteration estimates of each ``||A[k]||`` (with margin).
+
+    A row's norm is the dot of its real part plus that of its imaginary
+    part, the value ``np.linalg.norm`` gives the row alone, so each estimate
+    is bit-identical to a lone power iteration's. A row whose iterate hits
+    zero stays zero and estimates 0.
+    """
+    B, n = A.shape[:2]
+    v = np.full(n, 1.0 + 0.5j) + np.linspace(0, 1, n)
+    v /= np.linalg.norm(v)
+    v = np.tile(v, (B, 1))
+    lam = np.zeros(B)
+    for _ in range(iters):
+        w = _matvec(AH, _matvec(A, v))
+        lam = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+        v = w / np.where(lam == 0, 1.0, lam)[:, None]
+    return np.sqrt(lam) * 1.05
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -356,47 +366,37 @@ def dual_lower_bound(inst: Instance, u: Spectrum) -> float:
     uv = u.values.ravel()
     if np.abs(uv).sum() > 1 + 1e-12:
         raise ParamError("dual vector must have l1 norm <= 1")
-    op = _Operator(inst)
-    return float(np.real(np.vdot(uv, op.b))
-                 - inst.l1_bound * np.abs(op.A.conj().T @ uv).max())
+    (A,), (b,) = _Geometry(inst).operators([inst])
+    return float(np.real(np.vdot(uv, b))
+                 - inst.l1_bound * np.abs(A.conj().T @ uv).max())
 
 
-def _pdhg(ops: list[_Operator], tol: float, max_iter: int, check_every: int,
+def _pdhg(geo: _Geometry, A: np.ndarray, b: np.ndarray, c: float, tol: float,
+          max_iter: int, check_every: int,
           restart_len: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
-    """PDHG on the stacked instances of ``ops``, which share one geometry and
-    l1 budget.
+    """PDHG on the stacked operators ``A``, ``b`` of one geometry and l1 budget ``c``.
 
-    Returns, per operator: the spatial coefficients of the best feasible
+    Returns, per instance: the spatial coefficients of the best feasible
     filter, its objective, the best dual value, the iteration count and the
     dual vector attaining that value.
     """
-    geo = ops[0]
-    n, off, c = geo.n, geo.off_rows, geo.inst.l1_bound
+    n, off = geo.n, geo.off_rows
     offH = off.conj().T if off is not None else None
-    out = [None] * len(ops)
-    live = []
-    for k, op in enumerate(ops):
-        if np.abs(op.b).max() == 0:
-            # zero residual window at phi = 0: the optimum is 0
-            phi0, _ = geo.feasible_filters(np.zeros((1, n), dtype=np.complex128), c)
-            out[k] = (phi0[0], 0.0, 0.0, 0, np.zeros(n, dtype=np.complex128))
-        else:
-            live.append(k)
-    rows = np.array(live, dtype=int)   # input position of each stacked row
-    if not live:
-        return out
-
-    step = np.array([0.99 / math.sqrt(ops[k].op_norm() ** 2
-                                      + (0.0 if off is None else 1.0))
-                     for k in live])[:, None]
-    A = np.stack([ops[k].A for k in live])
+    zero = np.abs(b).max(axis=1) == 0
+    # a zero residual window at phi = 0: the optimum is 0
+    out = [(np.zeros(n, dtype=np.complex128), 0.0, 0.0, 0,
+            np.zeros(n, dtype=np.complex128)) if z else None for z in zero]
+    rows = np.flatnonzero(~zero)   # input position of each stacked row
+    A, b = A[rows], b[rows]
     # A^H of each row is a transposed view, the layout a lone solve multiplies
     # with; a C-ordered copy would make BLAS sum in another order
     A_conj = A.conj()
     AH = A_conj.transpose(0, 2, 1)
-    b = np.stack([ops[k].b for k in live])
+    extra = 0.0 if off is None else 1.0
+    step = np.array([0.99 / math.sqrt(float(s) ** 2 + extra)
+                     for s in _op_norms(A, AH)])[:, None]
 
-    B = len(live)
+    B = len(rows)
     Phi = np.zeros((B, n), dtype=np.complex128)
     Phib = Phi.copy()
     u = np.zeros((B, n), dtype=np.complex128)
@@ -500,6 +500,8 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
         raise ParamError("tol must be positive")
     if max_iter < 1:
         raise ParamError("max_iter must be positive")
+    if check_every < 1:
+        raise ParamError("check_every must be positive")
     if not instances:
         raise ParamError("a batch needs at least one instance")
     kinds = {(inst.mode, inst.d, inst.T_alg, inst.kappa, inst.l1_bound)
@@ -508,10 +510,13 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
         raise ParamError("instances of a batch must share one geometry and l1 "
                          f"budget (mode, d, T_alg, kappa, l1_bound), got "
                          f"{sorted(kinds, key=str)}")
-    ops = [_Operator(inst) for inst in instances]
+    geo = _Geometry(instances[0])
+    # the operators are passed on, not held here, so that _pdhg's compaction
+    # frees the rows of solved instances
+    fits = _pdhg(geo, *geo.operators(instances), instances[0].l1_bound, tol,
+                 max_iter, check_every, restart_len)
     results = []
-    for inst, (phi_sp, J, D, iters, u_best) in zip(
-            instances, _pdhg(ops, tol, max_iter, check_every, restart_len)):
+    for inst, (phi_sp, J, D, iters, u_best) in zip(instances, fits):
         D = min(D, J)  # weak duality holds; guard roundoff in reported gap
         gap = J - D
         W = inst.W

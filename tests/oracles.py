@@ -8,7 +8,9 @@ plain projected subgradient descent from many random starts. ``coeff`` reads
 a filter coefficient by its grid point, zero off the support,
 ``nonzero_outside_loop`` is the point-by-point form of the support check,
 ``theta_stat_loop`` computes the noise statistic one shifted window at a time,
-and ``project_l1_sort`` is the sort-based l1 projection of a single vector.
+``project_l1_sort`` is the sort-based l1 projection of a single vector,
+``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
+and ``power_norm`` is the power-iteration norm estimate of one matrix.
 """
 
 import math
@@ -42,6 +44,33 @@ def theta_stat_loop(e: Field, t, T: int) -> float:
         window = e.window(W, tuple(tj + vj for tj, vj in zip(t, tau)))
         best = max(best, float(np.abs(dft_window(window, W)).max()))
     return best
+
+
+def dft_window_tensordot(window: np.ndarray, T: int, M: np.ndarray) -> np.ndarray:
+    """Reference window transform: ``M`` applied along each axis of one window
+    by ``tensordot``, then the unitary scale (``M`` the per-axis matrix of the
+    transform or of its inverse)."""
+    out = np.asarray(window, dtype=complex)
+    for axis in range(out.ndim):
+        out = np.moveaxis(np.tensordot(M, out, axes=([1], [axis])), 0, axis)
+    return out * (2 * T + 1) ** (-out.ndim / 2)
+
+
+def power_norm(A: np.ndarray, iters: int = 150) -> float:
+    """Power-iteration estimate of ``||A||`` with a 5% margin, one matrix at a
+    time, the row norm taken by ``np.linalg.norm``."""
+    n = A.shape[1]
+    v = np.full(n, 1.0 + 0.5j) + np.linspace(0, 1, n)
+    v /= np.linalg.norm(v)
+    AH = A.conj().T
+    lam = 0.0
+    for _ in range(iters):
+        w = AH @ (A @ v)
+        lam = np.linalg.norm(w)
+        if lam == 0:
+            return 0.0
+        v = w / lam
+    return math.sqrt(lam) * 1.05
 
 
 def project_l1_sort(z: np.ndarray, radius: float) -> np.ndarray:

@@ -227,8 +227,7 @@ def test_theta_stat_matches_loop_oracle():
         box = Box.cube(2, 4 * T + 1)
         e = Field(box, rng.standard_normal(box.shape)
                   + 1j * rng.standard_normal(box.shape))
-        assert theta_stat(e, (1, -1), T) == pytest.approx(
-            theta_stat_loop(e, (1, -1), T), rel=1e-12)
+        assert theta_stat(e, (1, -1), T) == theta_stat_loop(e, (1, -1), T)
 
 
 def test_theta_stat_coverage():

@@ -24,9 +24,16 @@ from gridfilt import (
     star_norm,
     write_zdf,
 )
-from gridfilt.fields import _nonzero_outside, dft_window, dft_window_fft, rebox_filter
+from gridfilt.fields import (
+    _dft_matrix,
+    _nonzero_outside,
+    dft_window,
+    dft_windows,
+    idft_window,
+    rebox_filter,
+)
 
-from oracles import coeff, nonzero_outside_loop
+from oracles import coeff, dft_window_tensordot, nonzero_outside_loop
 
 RNG = np.random.default_rng(20240811)
 
@@ -156,12 +163,27 @@ def test_dft_coverage_error():
         dft(x, 2)
 
 
-def test_fft_path_matches_direct():
-    for d, T in ((1, 1), (1, 7), (2, 3), (3, 2)):
-        w = RNG.standard_normal((2 * T + 1,) * d) + 1j * RNG.standard_normal((2 * T + 1,) * d)
-        direct = dft_window(w, T)
-        fast = dft_window_fft(w, T)
-        assert np.abs(direct - fast).max() / np.abs(direct).max() < 1e-10
+def test_stacked_transform_matches_tensordot_per_window():
+    # each window of a stack, contiguous or a strided view, transforms bit for
+    # bit as the per-axis tensordot transforms it alone
+    for d, T in ((1, 1), (1, 8), (2, 1), (2, 4), (3, 1), (3, 2)):
+        N = 2 * T + 1
+        for lead in ((), (3,), (2, 3)):
+            shape = lead + (N,) * d
+            w = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+            stack = dft_windows(w, T, d)
+            for idx in np.ndindex(*lead):
+                ref = dft_window_tensordot(w[idx], T, _dft_matrix(T))
+                assert np.array_equal(stack[idx], ref)
+                assert np.array_equal(dft_window(w[idx], T), ref)
+                inv = dft_window_tensordot(w[idx], T, np.conj(_dft_matrix(T)))
+                assert np.array_equal(idft_window(w[idx], T), inv)
+        data = RNG.standard_normal((2 * N - 1,) * d) + 0j
+        views = np.lib.stride_tricks.sliding_window_view(data, (N,) * d)
+        stack = dft_windows(views, T, d)
+        for idx in np.ndindex(*(N,) * d):
+            assert np.array_equal(stack[idx],
+                                  dft_window_tensordot(views[idx], T, _dft_matrix(T)))
 
 
 # ---------------------------------------------------------------- norms

@@ -19,6 +19,8 @@ from gridfilt import (
 )
 from gridfilt.signals import exp_certificate_1d, predictor_exp_certificate
 from gridfilt.solver import (
+    _Geometry,
+    _op_norms,
     build_filtering_instance,
     build_prediction_instance,
     dual_lower_bound,
@@ -28,7 +30,7 @@ from gridfilt.solver import (
     solve_batch,
 )
 
-from oracles import project_l1_sort, subgradient_minimize
+from oracles import design_matrix, power_norm, project_l1_sort, subgradient_minimize
 
 RNG = np.random.default_rng(90210)
 
@@ -385,3 +387,65 @@ def test_solve_batch_rejects_empty_and_mixed_batches():
     with pytest.raises(ParamError, match="l1 budget"):
         solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
                      build_filtering_instance(y, (0,), 2, 2.0)])
+
+
+def test_solve_rejects_check_every_below_one():
+    inst = build_filtering_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
+    for check_every in (0, -3):
+        with pytest.raises(ParamError, match="check_every"):
+            solve(inst, check_every=check_every)
+        with pytest.raises(ParamError, match="check_every"):
+            solve_batch([inst], check_every=check_every)
+
+
+# ---------------------------------------------------------------- operator build
+
+
+def _operator_batch(mode, d, T, kappa):
+    """Three instances of one geometry whose observation boxes are exactly
+    their read sets, so the windows reach the edges of the box."""
+    rng = np.random.default_rng(12 + d)
+    t = (1,) * d
+    if mode == "filtering":
+        box = Box.cube(d, 4 * T, t)
+        return [build_filtering_instance(_field(rng, box, 1.0, 0.3), t, T, 1.5)
+                for _ in range(3)]
+    box = Box(tuple(tj - 4 * T for tj in t), tuple(tj - kappa for tj in t))
+    return [build_prediction_instance(_field(rng, box, 1.0, 0.3), t, T, kappa, 1.5)
+            for _ in range(3)]
+
+
+# prediction at both ends of the lag range, kappa = 0 and kappa = 2T
+OPERATOR_CASES = [("filtering", 1, 2, None), ("prediction", 1, 2, 0),
+                  ("prediction", 1, 2, 4), ("filtering", 2, 1, None),
+                  ("prediction", 2, 1, 0), ("prediction", 2, 1, 2)]
+
+
+@pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
+def test_batch_operators_match_each_instance_alone(mode, d, T, kappa):
+    insts = _operator_batch(mode, d, T, kappa)
+    A, b = _Geometry(insts[0]).operators(insts)
+    norms = _op_norms(A, A.conj().transpose(0, 2, 1))
+    for k, inst in enumerate(insts):
+        A1, b1 = _Geometry(inst).operators([inst])
+        assert np.array_equal(A[k], A1[0]) and np.array_equal(b[k], b1[0])
+        assert norms[k] == _op_norms(A1, A1.conj().transpose(0, 2, 1))[0]
+        assert norms[k] == power_norm(A1[0])
+
+
+@pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
+def test_operator_columns_match_design_matrix(mode, d, T, kappa):
+    insts = _operator_batch(mode, d, T, kappa)
+    geo = _Geometry(insts[0])
+    A, b = geo.operators(insts)
+    W = insts[0].W
+    for k, inst in enumerate(insts):
+        G, b_ref, support = design_matrix(inst)
+        A_spatial = A[k] @ geo.F
+        cols = [np.ravel_multi_index(tuple(v + W for v in nu), (2 * W + 1,) * d)
+                for nu in support]
+        scale = np.abs(G).max()
+        assert np.abs(A_spatial[:, cols] - G).max() <= 1e-12 * scale
+        A_spatial[:, cols] = 0
+        assert np.abs(A_spatial).max() <= 1e-12 * scale
+        assert np.abs(b[k] - b_ref).max() <= 1e-12 * scale
