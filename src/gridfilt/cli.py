@@ -15,7 +15,8 @@ Exit codes: 0 success; 1 failed bench check; 2 config error, or an
 unreadable observations file; 3 generation error; 4 window coverage error, or
 a non-finite observation in an anchor's window; 5 solver non-convergence
 (``denoise``/``predict`` still write every estimate row, with its achieved
-gap; ``bench`` stops at the first trial that misses its budget); 6
+gap; ``bench`` finishes the batch of the experiment where a trial misses its
+budget, names every unconverged trial of it and writes no output); 6
 certificate bound violation.
 """
 
@@ -71,6 +72,7 @@ from .signals import (
     simple_exp_certificate,
     tensor_certificate,
 )
+from .solver import program_boxes
 
 ESTIMATE_COLUMNS = ["anchor", "re_estimate", "im_estimate", "objective",
                     "dual_bound", "gap"]
@@ -340,11 +342,9 @@ def _run_estimates(args, mode: str) -> int:
         raise ConfigError(f"cannot read observations: {exc}") from exc
     rows = []
     any_unconverged = False
-    reach = -setup.kappa if mode == PREDICTION else 4 * setup.T
     for t in anchors:
-        lo = tuple(tj - 4 * setup.T for tj in t)
-        hi = tuple(tj + reach for tj in t)
-        _info(args, f"anchor {t}: reading observations on [{lo}, {hi}]")
+        read = program_boxes(mode, t, setup.T, setup.kappa)[0]
+        _info(args, f"anchor {t}: reading observations on [{read.lo}, {read.hi}]")
         try:
             est = denoise_point(y, t, setup, tol=tol)
             value, sol = est.value, est.solve

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ParamError
+from .errors import ConvergenceError, DomainError, ParamError
 from .estimators import (
     DenoiseSetup,
     denoise_batch,
@@ -221,11 +221,11 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
     """Independent-seed trials of one configuration, aggregated.
 
     Seeds are ``derive_seed(master_seed, i)``, and all trials' fits are
-    solved as one batch. If the trials cannot be run, the experiment fails
-    with ``RuntimeError`` naming trial 0 and its seed. If fits miss the
-    iteration budget, ``ConvergenceError`` names every such trial with its
-    index, seed and gap, and carries the lowest-index one's result. The
-    reported bound evaluates :func:`risk_bound` at the certificate's
+    solved as one batch. A set-up failure (``DomainError``, ``ParamError``)
+    is raised again as its own type, naming trial 0 and its seed. If fits
+    miss the iteration budget, ``ConvergenceError`` names every such trial
+    with its index, seed and gap, and carries the lowest-index one's result.
+    The reported bound evaluates :func:`risk_bound` at the certificate's
     ``(theta, rho)``.
     """
     if trials < 1:
@@ -236,11 +236,10 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
         records, solves = _run_trials(s, cert, t, setup,
                                       [NoiseSpec(sigma, seed) for seed in seeds],
                                       tol, max_iter)
-    except Exception as exc:
+    except (DomainError, ParamError) as exc:
         # every trial reads the same box of the same signal, so what stops
         # one trial stops the first
-        raise RuntimeError(
-            f"trial 0 (seed {seeds[0]}) of {name} failed: {exc}") from exc
+        raise type(exc)(f"trial 0 (seed {seeds[0]}) of {name} failed: {exc}") from exc
     missed = [i for i, res in enumerate(solves)
               if res is not None and not res.converged]
     if missed:

@@ -13,11 +13,13 @@ residual is evaluated on the causal offsets ``{-W <= tau_j <= -kappa}`` only
 observations ``{kappa <= t_j - tau_j <= 4T}`` preceding the anchor.
 
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
-a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``; it is
-solved by a primal-dual (saddle point) first-order iteration with exact
-closed-form projections, plus ergodic restarts. Every iterate yields a
-feasible filter and a certified dual lower bound, so the reported optimality
-gap is unconditional. The solve is deterministic: identical instances produce
+a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
+support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
+(none for filtering). Both modes are one saddle point problem, solved by a
+primal-dual first-order iteration with exact closed-form projections, plus
+ergodic restarts. Every iterate yields a feasible filter and a certified dual
+lower bound of the true program, so the reported optimality gap is
+unconditional. The solve is deterministic: identical instances produce
 bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
@@ -59,6 +61,7 @@ __all__ = [
     "SolveResult",
     "build_filtering_instance",
     "build_prediction_instance",
+    "program_boxes",
     "objective",
     "solve",
     "solve_batch",
@@ -73,8 +76,9 @@ class Instance:
 
     ``T_alg`` is the setup order; the residual transform window is
     ``W = 2 T_alg``. ``y_win`` holds exactly the observations the program may
-    read. ``l1_bound`` is the spectral l1 budget ``2^{d/2} rho^2
-    (2 T_alg + 1)^{-d/2}``.
+    read; ``support_box`` and ``residual_box`` are the admissible support and
+    the residual offsets (:func:`program_boxes`). ``l1_bound`` is the spectral
+    l1 budget ``2^{d/2} rho^2 (2 T_alg + 1)^{-d/2}``.
     """
 
     mode: str
@@ -85,27 +89,18 @@ class Instance:
     kappa: int | None
     y_win: Field
     l1_bound: float
+    support_box: Box
+    residual_box: Box
 
     @property
     def W(self) -> int:
         return 2 * self.T_alg
 
-    @property
-    def support_box(self) -> Box:
-        if self.mode == FILTERING:
-            return Box.cube(self.d, self.W)
-        return Box.one_sided_cube(self.d, self.kappa, self.W)
-
-    def residual_offsets(self) -> Box:
-        """Offsets tau (relative to t) where the residual is evaluated."""
-        if self.mode == FILTERING:
-            return Box.cube(self.d, self.W)
-        return Box((-self.W,) * self.d, (-self.kappa,) * self.d)
-
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Feasible filter with certified objective value and dual lower bound."""
+    """Feasible filter with certified objective value and dual lower bound,
+    which ``(dual_u, dual_w)`` attains in :func:`dual_lower_bound`."""
 
     phi: Filter
     objective: float
@@ -114,6 +109,7 @@ class SolveResult:
     iterations: int
     converged: bool
     dual_u: Spectrum
+    dual_w: Field
 
 
 def build_filtering_instance(y: Field, t: Sequence[int], T_alg: int,
@@ -137,6 +133,20 @@ def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
     return _build_instance(PREDICTION, y, t, T_alg, rho, kappa)
 
 
+def program_boxes(mode: str, t: Sequence[int], T_alg: int,
+                  kappa: int | None) -> tuple[Box, Box, Box]:
+    """The read set, the admissible support and the residual offsets at ``t``
+    (see the module docstring); the instance builders check the parameters."""
+    d, W = len(t), 2 * T_alg
+    if mode == FILTERING:
+        reach, support, resid = 2 * W, Box.cube(d, W), Box.cube(d, W)
+    else:
+        reach, support = -kappa, Box.one_sided_cube(d, kappa, W)
+        resid = Box((-W,) * d, (-kappa,) * d)
+    read = Box(tuple(tj - 2 * W for tj in t), tuple(tj + reach for tj in t))
+    return read, support, resid
+
+
 def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
                     rho: float, kappa: int | None) -> Instance:
     """Check the parameters, the coverage and the finiteness of the read set."""
@@ -152,8 +162,7 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
     d = y.d
     if len(t) != d:
         raise ParamError("anchor dimension mismatch")
-    reach = -kappa if mode == PREDICTION else 4 * T_alg
-    need = Box(tuple(tj - 4 * T_alg for tj in t), tuple(tj + reach for tj in t))
+    need, support, resid = program_boxes(mode, t, T_alg, kappa)
     if not y.box.contains_box(need):
         raise DomainError(f"observations must cover {need}, got {y.box}")
     y_win = y.restrict(need)
@@ -162,7 +171,8 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
         tau = tuple(int(i) + l for i, l in zip(np.argwhere(~finite)[0], need.lo))
         raise DomainError(f"observation at {tau} is not finite: {y_win.value(tau)}")
     bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(mode, d, t, T_alg, float(rho), kappa, y_win, bound)
+    return Instance(mode, d, t, T_alg, float(rho), kappa, y_win, bound,
+                    support, resid)
 
 
 # --------------------------------------------------------------------------
@@ -170,35 +180,22 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
 # --------------------------------------------------------------------------
 
 
-def _check_support(inst: Instance, phi: Filter) -> None:
-    supp = inst.support_box
-    tau = _nonzero_outside(phi.field, supp)
-    if tau is not None:
-        raise DomainError(
-            f"filter has a nonzero coefficient at {tau}, outside the "
-            f"admissible support {supp}")
-
-
-def _residual_window(inst: Instance, phi: Filter) -> np.ndarray:
-    """Recentred residual values on the transform window, truncation applied."""
-    W, d, t = inst.W, inst.d, inst.t
-    offsets = inst.residual_offsets()
-    eval_box = offsets.translate(t)
-    resid = (inst.y_win.restrict(eval_box).data
-             - convolve(phi, inst.y_win, eval_box).data)
-    window = np.zeros((2 * W + 1,) * d, dtype=np.complex128)
-    sl = tuple(slice(lo + W, hi + W + 1) for lo, hi in zip(offsets.lo, offsets.hi))
-    window[sl] = resid
-    return window
-
-
 def objective(inst: Instance, phi: Filter) -> float:
     """Exact objective ``J(phi)``: sup of the residual window transform moduli.
 
     ``phi`` must vanish outside the instance's admissible support.
     """
-    _check_support(inst, phi)
-    return float(np.abs(dft_window(_residual_window(inst, phi), inst.W)).max())
+    supp, offsets, W = inst.support_box, inst.residual_box, inst.W
+    tau = _nonzero_outside(phi.field, supp)
+    if tau is not None:
+        raise DomainError(f"filter has a nonzero coefficient at {tau}, outside "
+                          f"the admissible support {supp}")
+    # the recentred residual on the transform window, truncation applied
+    eval_box = offsets.translate(inst.t)
+    window = np.zeros((2 * W + 1,) * inst.d, dtype=np.complex128)
+    window[offsets.slices_in(Box.cube(inst.d, W))] = (
+        inst.y_win.restrict(eval_box).data - convolve(phi, inst.y_win, eval_box).data)
+    return float(np.abs(dft_window(window, W)).max())
 
 
 # --------------------------------------------------------------------------
@@ -210,20 +207,18 @@ class _Geometry:
     """The maps every instance of a batch shares, built from one instance.
 
     ``F`` maps spatial coefficients on the window to their spectrum
-    (unitary), ``Finv = F^H`` maps back. ``supp_mask`` marks the window slots
-    of the admissible support; ``off_rows``, the rows of ``Finv`` at the
-    other slots (None for filtering), enforce the support constraint through
-    an extra dual block.
+    (unitary), ``Finv = F^H`` maps back. ``off`` lists the window slots off
+    the admissible support (none for filtering).
     """
 
     def __init__(self, inst: Instance):
         W, d = inst.W, inst.d
         self.W, self.d = W, d
         self.window = Box.cube(d, W)
-        self.supp, self.resid = inst.support_box, inst.residual_offsets()
+        self.supp, self.resid = inst.support_box, inst.residual_box
         supp_mask = np.zeros(self.window.shape, dtype=bool)
         supp_mask[self.supp.slices_in(self.window)] = True
-        self.supp_mask = supp_mask.ravel()
+        self.off = np.flatnonzero(~supp_mask)
         self.n = supp_mask.size
 
         F1 = _dft_matrix(W) / math.sqrt(2 * W + 1)
@@ -232,18 +227,18 @@ class _Geometry:
             F = np.kron(F, F1)
         self.F = F                      # spatial -> spectrum (unitary)
         self.Finv = F.conj().T          # spectrum -> spatial
-        off = ~self.supp_mask
-        self.off_rows = self.Finv[off, :] if off.any() else None
 
     def operators(self, insts: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``A`` ``(B, n, n)`` and ``b`` ``(B, n)`` of the instances.
+        """Stacked ``K`` ``(B, n + m, n)`` and ``b`` ``(B, n + m)`` of the instances.
 
-        ``A`` maps the spectrum ``Phi = F_W phi`` to the spectrum of the
-        (truncated) window of ``phi(D) y`` recentered at the anchor. Column
-        ``nu`` of ``A F`` is the transform of the residual window of the
-        observations shifted by ``nu``, and ``b`` the one at shift 0.
+        ``K = [A; Finv off the support]``. ``A`` maps the spectrum ``Phi =
+        F_W phi`` to the spectrum of the (truncated) window of ``phi(D) y``
+        recentered at the anchor. Column ``nu`` of ``A F`` is the transform of
+        the residual window of the observations shifted by ``nu``, and ``b``
+        the one at shift 0, padded with zeros.
         """
         W, d, B, window = self.W, self.d, len(insts), self.window
+        n, m = self.n, len(self.off)
         # window slot tau + W at shift nu reads y_win at (W - nu) + (tau + W):
         # the sliding window of y_win that starts at W - nu
         views = np.lib.stride_tricks.sliding_window_view(
@@ -253,15 +248,18 @@ class _Geometry:
         windows[(Ellipsis,) + self.resid.slices_in(window)] = views
         spectra = dft_windows(windows, W, d)
         del windows
-        b = spectra[(slice(None),) + (W,) * d].reshape(B, -1).copy()
+        b = np.pad(spectra[(slice(None),) + (W,) * d].reshape(B, n), ((0, 0), (0, m)))
         # the support ends at nu = W, whose window starts at 0
         cols = spectra[(slice(None),) + tuple(slice(W - lo, None, -1)
                                               for lo in self.supp.lo)]
-        A_spatial = np.zeros((B,) + window.shape * 2, dtype=np.complex128)
-        A_spatial[(slice(None),) * (d + 1) + self.supp.slices_in(window)] = (
-            np.moveaxis(cols, range(-d, 0), range(1, d + 1)))
+        K_spatial = np.zeros((B, n + m) + window.shape, dtype=np.complex128)
+        K_spatial[(slice(None), slice(n)) + self.supp.slices_in(window)] = (
+            np.moveaxis(cols, range(-d, 0), range(1, d + 1)).reshape(
+                (B, n) + self.supp.shape))
         del spectra, cols
-        return np.matmul(A_spatial.reshape(B, self.n, self.n), self.Finv), b
+        K_spatial = K_spatial.reshape(B, n + m, n)
+        K_spatial[:, n + np.arange(m), self.off] = 1.0
+        return np.matmul(K_spatial, self.Finv), b
 
     def feasible_filters(self, Phi: np.ndarray,
                          radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +268,7 @@ class _Geometry:
         Returns the spatial coefficients on the window and their spectra.
         """
         phi_sp = _matvec(self.Finv, Phi)
-        phi_sp = np.where(self.supp_mask, phi_sp, 0.0)
+        phi_sp[:, self.off] = 0.0
         PhiF = _matvec(self.F, phi_sp)
         l1 = np.abs(PhiF).sum(axis=1)
         over = (l1 > radius) & (l1 > 0)
@@ -281,21 +279,21 @@ class _Geometry:
         return phi_sp, PhiF
 
 
-def _op_norms(A: np.ndarray, AH: np.ndarray, iters: int = 150) -> np.ndarray:
-    """Deterministic power-iteration estimates of each ``||A[k]||`` (with margin).
+def _op_norms(K: np.ndarray, KH: np.ndarray, iters: int = 150) -> np.ndarray:
+    """Deterministic power-iteration estimates of each ``||K[k]||`` (with margin).
 
     A row's norm is the dot of its real part plus that of its imaginary
     part, the value ``np.linalg.norm`` gives the row alone, so each estimate
     is bit-identical to a lone power iteration's. A row whose iterate hits
     zero stays zero and estimates 0.
     """
-    B, n = A.shape[:2]
+    B, _, n = K.shape
     v = np.full(n, 1.0 + 0.5j) + np.linspace(0, 1, n)
     v /= np.linalg.norm(v)
     v = np.tile(v, (B, 1))
     lam = np.zeros(B)
     for _ in range(iters):
-        w = _matvec(AH, _matvec(A, v))
+        w = _matvec(KH, _matvec(K, v))
         lam = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
         v = w / np.where(lam == 0, 1.0, lam)[:, None]
     return np.sqrt(lam) * 1.05
@@ -354,55 +352,67 @@ def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def dual_lower_bound(inst: Instance, u: Spectrum) -> float:
-    """Certified lower bound on the optimum from an admissible dual vector.
+def _dual_values(KH: np.ndarray, b: np.ndarray, y: np.ndarray,
+                 c: float) -> np.ndarray:
+    """``-Re<y, b> - c ||K^H y||_inf`` of each row of ``y``: a lower bound on
+    the optimum when the row's first ``n`` entries lie in the unit l1 ball."""
+    dots = np.array([np.vdot(yk, bk) for yk, bk in zip(y, b)])
+    return -np.real(dots) - c * np.abs(_matvec(KH, y)).max(axis=1)
 
-    For any ``u`` with ``|u|_1 <= 1`` the value ``Re<u, b> - l1_bound *
-    ||A^H u||_inf`` is a valid lower bound (weak duality; for prediction
-    instances it bounds the support-relaxed program, hence also the optimum).
+
+def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> float:
+    """Certified lower bound on the optimum from an admissible dual pair.
+
+    ``u``, on the residual window's spectrum, needs ``|u|_1 <= 1``; ``w``,
+    the support multiplier, is a field on the window ``{|nu| <= W}`` that
+    vanishes on the admissible support (zero if omitted). Then
+    ``Re<u, b> - l1_bound ||A^H u + F_W w||_inf`` is a lower bound (weak
+    duality); a solve's ``(dual_u, dual_w)`` attains its ``dual_bound``.
     """
     if u.T != inst.W or u.d != inst.d:
         raise ParamError("dual vector must live on the instance's window grid")
     uv = u.values.ravel()
     if np.abs(uv).sum() > 1 + 1e-12:
         raise ParamError("dual vector must have l1 norm <= 1")
-    (A,), (b,) = _Geometry(inst).operators([inst])
-    return float(np.real(np.vdot(uv, b))
-                 - inst.l1_bound * np.abs(A.conj().T @ uv).max())
+    geo = _Geometry(inst)
+    if w is None:
+        w = Field(geo.window, np.zeros(geo.window.shape))
+    if w.box != geo.window or np.any(w.restrict(geo.supp).data != 0):
+        raise ParamError(f"support multiplier must be a field on {geo.window} "
+                         f"vanishing on the admissible support {geo.supp}")
+    (K,), (b,) = geo.operators([inst])
+    y = -np.concatenate([uv, w.data.ravel()[geo.off]])
+    return float(_dual_values(K.conj().T[None], b[None], y[None], inst.l1_bound)[0])
 
 
-def _pdhg(geo: _Geometry, A: np.ndarray, b: np.ndarray, c: float, tol: float,
+def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
           max_iter: int, check_every: int,
           restart_len: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
-    """PDHG on the stacked operators ``A``, ``b`` of one geometry and l1 budget ``c``.
+    """PDHG on the stacked operators ``K``, ``b`` of one geometry and l1 budget ``c``.
 
-    Returns, per instance: the spatial coefficients of the best feasible
-    filter, its objective, the best dual value, the iteration count and the
-    dual vector attaining that value.
+    The dual ``y = (u, w)`` has an entry per row of ``K``; its prox projects
+    ``u``, the first ``n``, onto the unit l1 ball. Returns, per instance: the
+    spatial coefficients of the best feasible filter, its objective, the best
+    dual value, the iteration count and the dual vector attaining that value.
     """
-    n, off = geo.n, geo.off_rows
-    offH = off.conj().T if off is not None else None
+    n = geo.n
     zero = np.abs(b).max(axis=1) == 0
     # a zero residual window at phi = 0: the optimum is 0
     out = [(np.zeros(n, dtype=np.complex128), 0.0, 0.0, 0,
-            np.zeros(n, dtype=np.complex128)) if z else None for z in zero]
+            np.zeros(b.shape[1], dtype=np.complex128)) if z else None for z in zero]
     rows = np.flatnonzero(~zero)   # input position of each stacked row
-    A, b = A[rows], b[rows]
-    # A^H of each row is a transposed view, the layout a lone solve multiplies
+    K, b = K[rows], b[rows]
+    # K^H of each row is a transposed view, the layout a lone solve multiplies
     # with; a C-ordered copy would make BLAS sum in another order
-    A_conj = A.conj()
-    AH = A_conj.transpose(0, 2, 1)
-    extra = 0.0 if off is None else 1.0
-    step = np.array([0.99 / math.sqrt(float(s) ** 2 + extra)
-                     for s in _op_norms(A, AH)])[:, None]
+    K_conj = K.conj()
+    KH = K_conj.transpose(0, 2, 1)
+    step = (0.99 / _op_norms(K, KH))[:, None]
 
     B = len(rows)
     Phi = np.zeros((B, n), dtype=np.complex128)
     Phib = Phi.copy()
-    u = np.zeros((B, n), dtype=np.complex128)
-    w = np.zeros((B, off.shape[0]), dtype=np.complex128) if off is not None else None
-    u_sum = np.zeros_like(u)
-    w_sum = np.zeros_like(w) if w is not None else None
+    y = np.zeros_like(b)
+    y_sum = np.zeros_like(y)
     Phi_sum = np.zeros_like(Phi)
     restart_it = np.zeros(B, dtype=np.int64)   # iterates averaged: it - restart_it
     last_restart_gap = np.full(B, math.inf)
@@ -410,43 +420,31 @@ def _pdhg(geo: _Geometry, A: np.ndarray, b: np.ndarray, c: float, tol: float,
     best_J = np.full(B, math.inf)
     best_phi = np.zeros((B, n), dtype=np.complex128)
     best_D = np.full(B, -math.inf)
-    best_u = np.zeros((B, n), dtype=np.complex128)
+    best_y = np.zeros_like(y)
 
     it = 0
     while rows.size:
         it += 1
-        u = project_l1_ball(u + step * (_matvec(A, Phib) - b), 1.0)
-        if w is not None:
-            w = w + step * _matvec(off, Phib)
-        grad = _matvec(AH, u)
-        if w is not None:
-            grad = grad + _matvec(offH, w)
-        Phi_new = project_l1_ball(Phi - step * grad, c)
+        y = y + step * (_matvec(K, Phib) - b)
+        y[:, :n] = project_l1_ball(y[:, :n], 1.0)
+        Phi_new = project_l1_ball(Phi - step * _matvec(KH, y), c)
         Phib = 2 * Phi_new - Phi
         Phi = Phi_new
-        u_sum += u
+        y_sum += y
         Phi_sum += Phi
-        if w is not None:
-            w_sum += w
 
         if it % check_every == 0 or it == max_iter:
             n_avg = it - restart_it
             phi_sp, PhiF = geo.feasible_filters(Phi, c)
-            J = np.abs(b - _matvec(A, PhiF)).max(axis=1)
+            J = np.abs(b[:, :n] - _matvec(K[:, :n], PhiF)).max(axis=1)
             better = J < best_J
             best_J[better] = J[better]
             best_phi[better] = phi_sp[better]
-            avg = n_avg[:, None]
-            w_avg = w_sum / avg if w is not None else None
-            for uu, ww in ((u, w), (u_sum / avg, w_avg)):
-                grad = _matvec(AH, uu)
-                if ww is not None:
-                    grad = grad + _matvec(offH, ww)
-                dots = np.array([np.vdot(x, y) for x, y in zip(uu, b)])
-                dd = -np.real(dots) - c * np.abs(grad).max(axis=1)
+            for yy in (y, y_sum / n_avg[:, None]):
+                dd = _dual_values(KH, b, yy, c)
                 better = dd > best_D
                 best_D[better] = dd[better]
-                best_u[better] = uu[better]
+                best_y[better] = yy[better]
             gap = best_J - best_D
             converged = gap <= tol
             restart = (~converged & (n_avg >= restart_len)
@@ -456,11 +454,9 @@ def _pdhg(geo: _Geometry, A: np.ndarray, b: np.ndarray, c: float, tol: float,
                 avg = n_avg[restart, None]
                 Phi[restart] = project_l1_ball(Phi_sum[restart] / avg, c)
                 Phib[restart] = Phi[restart]
-                u[restart] = project_l1_ball(u_sum[restart] / avg, 1.0)
-                if w is not None:
-                    w[restart] = w_sum[restart] / avg
-                    w_sum[restart] = 0
-                u_sum[restart] = 0
+                y[restart] = y_sum[restart] / avg
+                y[restart, :n] = project_l1_ball(y[restart, :n], 1.0)
+                y_sum[restart] = 0
                 Phi_sum[restart] = 0
                 restart_it[restart] = it
                 last_restart_gap[restart] = gap[restart]
@@ -469,19 +465,17 @@ def _pdhg(geo: _Geometry, A: np.ndarray, b: np.ndarray, c: float, tol: float,
             if done.any():
                 for j in np.flatnonzero(done):
                     out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
-                                    float(best_D[j]), it, best_u[j].copy())
+                                    float(best_D[j]), it, best_y[j].copy())
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, A, A_conj, b, step, Phi, Phib, u, u_sum, Phi_sum,
-                 restart_it, last_restart_gap, best_J, best_phi, best_D, best_u) = (
+                (rows, K, K_conj, b, step, Phi, Phib, y, y_sum, Phi_sum,
+                 restart_it, last_restart_gap, best_J, best_phi, best_D, best_y) = (
                     x[keep] for x in (
-                        rows, A, A_conj, b, step, Phi, Phib, u, u_sum, Phi_sum,
+                        rows, K, K_conj, b, step, Phi, Phib, y, y_sum, Phi_sum,
                         restart_it, last_restart_gap, best_J, best_phi, best_D,
-                        best_u))
-                AH = A_conj.transpose(0, 2, 1)
-                if w is not None:
-                    w, w_sum = w[keep], w_sum[keep]
+                        best_y))
+                KH = K_conj.transpose(0, 2, 1)
     return out
 
 
@@ -493,11 +487,12 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     Returns one result per instance, in order, each bit-identical to what
     solving that instance alone gives. An instance that misses the budget is
     returned with ``converged`` false rather than raised. Raises
-    ``ParamError`` for an empty batch or for instances that differ in mode,
-    dimension, order, lag or l1 budget. Deterministic.
+    ``ParamError`` for a tolerance that is not positive (NaN included), an
+    empty batch, or instances that differ in mode, dimension, order, lag or
+    l1 budget. Deterministic.
     """
-    if tol <= 0:
-        raise ParamError("tol must be positive")
+    if not tol > 0:
+        raise ParamError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ParamError("max_iter must be positive")
     if check_every < 1:
@@ -515,15 +510,18 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     # frees the rows of solved instances
     fits = _pdhg(geo, *geo.operators(instances), instances[0].l1_bound, tol,
                  max_iter, check_every, restart_len)
+    n, shape = geo.n, geo.window.shape
     results = []
-    for inst, (phi_sp, J, D, iters, u_best) in zip(instances, fits):
+    for inst, (phi_sp, J, D, iters, y_best) in zip(instances, fits):
         D = min(D, J)  # weak duality holds; guard roundoff in reported gap
         gap = J - D
-        W = inst.W
+        w = np.zeros(n, dtype=np.complex128)
+        w[geo.off] = -y_best[n:]
         results.append(SolveResult(
             phi=_filter(inst, phi_sp), objective=J, dual_bound=D, gap=gap,
             iterations=iters, converged=bool(gap <= tol),
-            dual_u=Spectrum(W, inst.d, (-u_best).reshape((2 * W + 1,) * inst.d))))
+            dual_u=Spectrum(inst.W, inst.d, (-y_best[:n]).reshape(shape)),
+            dual_w=Field(geo.window, w.reshape(shape))))
     return results
 
 

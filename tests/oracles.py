@@ -124,7 +124,7 @@ def design_matrix(inst: Instance) -> tuple[np.ndarray, np.ndarray, list]:
     on the support, in the iteration order of ``support points``.
     """
     W, d, t = inst.W, inst.d, inst.t
-    offsets = inst.residual_offsets()
+    offsets = inst.residual_box
     n = (2 * W + 1) ** d
 
     def window_spectrum(values_box: Box, values: np.ndarray) -> np.ndarray:
@@ -150,15 +150,17 @@ def subgradient_minimize(inst: Instance, starts: int = 50, iters: int = 8000,
                          seed: int = 0, halve_every: int = 400) -> float:
     """Long-run projected subgradient descent from many random starts.
 
-    Filter coefficients are parametrized spatially on the (full) window and
-    projected onto the spectral l1 ball through the unitary window transform.
+    Filter coefficients are parametrized spatially on the admissible support
+    and projected onto the spectral l1 ball through the window transform:
+    exactly on the full window (filtering); on a one-sided support
+    (prediction) approximately, then scaled into the ball, so every iterate
+    is feasible and the result is an upper bound on the optimum.
     Steps follow the Polyak rule against a slack level below the running best
     (the slack halves on a fixed schedule), which is what makes the plain
     subgradient iteration reach ~1e-5 accuracy in a few thousand steps. All
     starts are advanced together as one batch. Returns the best objective
     value seen.
     """
-    assert inst.mode == "filtering", "oracle projection is exact on full windows only"
     G, b, support = design_matrix(inst)
     c = inst.l1_bound
     nsup = len(support)
@@ -174,7 +176,13 @@ def subgradient_minimize(inst: Instance, starts: int = 50, iters: int = 8000,
         emb[:, j] = dft(Field(Box.cube(d, W), window), W).values.ravel()
 
     def project(X: np.ndarray) -> np.ndarray:
-        return project_l1_bisect(X @ emb.T, c) @ np.conj(emb)
+        P = project_l1_bisect(X @ emb.T, c) @ np.conj(emb)
+        if nsup == n_side ** d:
+            return P   # emb is unitary: the projection is exact
+        # on a proper support the map back can leave the ball; scaling into
+        # it keeps every iterate feasible, so the result stays an upper bound
+        l1 = np.abs(P @ emb.T).sum(axis=1)
+        return P * np.minimum(1.0, c / np.maximum(l1, 1e-300))[:, None]
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((starts, nsup)) + 1j * rng.standard_normal((starts, nsup))

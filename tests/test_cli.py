@@ -358,6 +358,23 @@ def test_bench_budget_miss_exit_code(tmp_path, monkeypatch, capsys):
     assert "trial 0 (seed" in capsys.readouterr().err
 
 
+def test_bench_uncovered_anchor_exit_code(tmp_path, capsys):
+    # T = 2 reads [-4, 12] around anchor 4: outside the box [-8, 8]
+    doc = bench_doc()
+    doc["experiments"][0]["anchor"] = [4]
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "trial 0 (seed" in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+def test_bench_nan_tol_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bench.yaml", bench_doc())
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path),
+                 "--tol", "nan"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_bench_seed_flag_overrides(tmp_path):
     cfg = write_config(tmp_path / "bench.yaml", bench_doc())
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "r1"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfilt import Box, ConvergenceError, Field, ParamError
+from gridfilt import Box, ConvergenceError, DomainError, Field, ParamError
 from gridfilt.estimators import DenoiseSetup, theta_stat
 from gridfilt.harness import (
     NoiseSpec,
@@ -114,7 +114,7 @@ def test_monte_carlo_names_failing_seed():
     # anchor outside the coverage makes every trial fail
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
-    with pytest.raises(RuntimeError, match="seed"):
+    with pytest.raises(DomainError, match="seed"):
         monte_carlo(s, exp_certificate_1d(0.0), (4,),
                     DenoiseSetup(rho=math.sqrt(2), T=2), 0.1, 2, 1)
 

@@ -117,7 +117,8 @@ def test_prediction_kappa0_support():
     y = noisy_field(Box((-8,), (0,)))
     inst = build_prediction_instance(y, (0,), 2, 0, 1.0)
     assert inst.support_box == Box((0,), (4,))
-    assert inst.residual_offsets() == Box((-4,), (0,))
+    assert inst.residual_box == Box((-4,), (0,))
+    assert inst.y_win.box == Box((-8,), (0,))
 
 
 # ---------------------------------------------------------------- objective
@@ -277,6 +278,75 @@ def test_dual_bound_at_solver_iterate_is_tight():
     inst = build_filtering_instance(y, (0,), 2, math.sqrt(2))
     res = solve(inst, tol=1e-7)
     assert dual_lower_bound(inst, res.dual_u) >= res.objective - 1e-6
+    assert np.all(res.dual_w.data == 0)
+    assert dual_lower_bound(inst, res.dual_u, res.dual_w) == \
+        pytest.approx(res.dual_bound, rel=1e-12)
+
+
+def _prediction_instance(d, T, kappa, seed, rho=2.0):
+    rng = np.random.default_rng(seed)
+    box = Box((-4 * T,) * d, (-kappa,) * d)
+    return build_prediction_instance(_field(rng, box, 0.5, 1.0), (0,) * d, T,
+                                     kappa, rho)
+
+
+@pytest.mark.parametrize("d,T,kappa", [(1, 2, 0), (1, 2, 1), (1, 4, 1),
+                                       (2, 1, 0), (2, 1, 1)])
+def test_prediction_dual_pair_reproduces_reported_bound(d, T, kappa):
+    # converged or not, the returned (u, w) certifies the reported bound of
+    # the true program, not of the support relaxation
+    inst = _prediction_instance(d, T, kappa, 31 + 10 * d + kappa)
+    for max_iter in (50, 20000):
+        res = solve_batch([inst], tol=1e-7, max_iter=max_iter)[0]
+        assert res.dual_w.box == Box.cube(d, inst.W)
+        assert np.all(res.dual_w.restrict(inst.support_box).data == 0)
+        assert dual_lower_bound(inst, res.dual_u, res.dual_w) == \
+            pytest.approx(res.dual_bound, rel=1e-12)
+        assert dual_lower_bound(inst, res.dual_u) <= res.dual_bound + 1e-12
+    assert res.converged
+
+
+def test_prediction_weak_duality_against_oracle():
+    inst = _prediction_instance(1, 1, 1, 8, rho=1.0)
+    res = solve(inst, tol=1e-8)
+    # the multiplier matters here: the relaxed bound is far below the optimum
+    assert dual_lower_bound(inst, res.dual_u) < res.dual_bound - 0.01
+    # the oracle minimises over feasible filters only: an upper bound on the
+    # optimum, whatever its accuracy
+    upper = subgradient_minimize(inst, starts=20, iters=3000)
+    assert res.dual_bound <= upper + 1e-12
+    assert upper <= res.objective + 1e-4
+    assert dual_lower_bound(inst, res.dual_u, res.dual_w) <= upper + 1e-12
+    rng = np.random.default_rng(9)
+    n = 2 * inst.W + 1
+    off = np.ones(n, dtype=bool)
+    off[inst.support_box.slices_in(res.dual_w.box)] = False
+    for scale in (0.01, 0.1, 1.0):
+        for _ in range(10):
+            u = Spectrum(inst.W, 1, project_l1_ball(
+                res.dual_u.values + scale * (rng.standard_normal(n)
+                                             + 1j * rng.standard_normal(n)), 1.0))
+            w = res.dual_w.data + scale * off * (rng.standard_normal(n)
+                                                 + 1j * rng.standard_normal(n))
+            assert dual_lower_bound(inst, u, Field(res.dual_w.box, w)) <= upper + 1e-12
+    for s in np.linspace(0.0, 2.0, 9):
+        w = Field(res.dual_w.box, s * res.dual_w.data)
+        assert dual_lower_bound(inst, res.dual_u, w) <= upper + 1e-12
+
+
+def test_dual_bound_rejects_multiplier_on_support():
+    inst = _prediction_instance(1, 2, 1, 5)
+    u = Spectrum(inst.W, 1, np.zeros(2 * inst.W + 1))
+    window = Box.cube(1, inst.W)
+    w = np.zeros(2 * inst.W + 1, dtype=complex)
+    w[0] = 1.0                   # nu = -W, off the support
+    assert dual_lower_bound(inst, u, Field(window, w)) <= 0.0
+    w[inst.W + inst.kappa] = 1e-3   # nu = kappa, on the support
+    with pytest.raises(ParamError, match="vanish"):
+        dual_lower_bound(inst, u, Field(window, w))
+    small = Box.cube(1, inst.W - 1)   # not the window
+    with pytest.raises(ParamError):
+        dual_lower_bound(inst, u, Field(small, np.zeros(small.shape)))
 
 
 def test_dual_bound_nonpositive_when_optimum_zero():
@@ -344,7 +414,7 @@ def _field(rng, box, sigma, mean):
 def test_solve_batch_matches_solve_bit_for_bit(mode):
     # a batch whose instances stop at different checks: early, after a
     # restart, at zero residual (no iteration), and at the budget with and
-    # without convergence; prediction exercises the off_rows dual block
+    # without convergence; prediction exercises the support rows of the operator
     rng = np.random.default_rng(5)
     if mode == "filtering":
         box = Box((-8,), (8,))
@@ -372,6 +442,7 @@ def test_solve_batch_matches_solve_bit_for_bit(mode):
         assert r.phi.field.box == alone.phi.field.box
         assert np.array_equal(r.phi.field.data, alone.phi.field.data)
         assert np.array_equal(r.dual_u.values, alone.dual_u.values)
+        assert np.array_equal(r.dual_w.data, alone.dual_w.data)
 
 
 def test_solve_batch_rejects_empty_and_mixed_batches():
@@ -387,6 +458,15 @@ def test_solve_batch_rejects_empty_and_mixed_batches():
     with pytest.raises(ParamError, match="l1 budget"):
         solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
                      build_filtering_instance(y, (0,), 2, 2.0)])
+
+
+def test_solve_rejects_non_positive_or_nan_tol():
+    inst = build_filtering_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ParamError, match="tol"):
+            solve(inst, tol=tol)
+        with pytest.raises(ParamError, match="tol"):
+            solve_batch([inst], tol=tol, max_iter=200)
 
 
 def test_solve_rejects_check_every_below_one():
@@ -424,28 +504,37 @@ OPERATOR_CASES = [("filtering", 1, 2, None), ("prediction", 1, 2, 0),
 @pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
 def test_batch_operators_match_each_instance_alone(mode, d, T, kappa):
     insts = _operator_batch(mode, d, T, kappa)
-    A, b = _Geometry(insts[0]).operators(insts)
-    norms = _op_norms(A, A.conj().transpose(0, 2, 1))
+    K, b = _Geometry(insts[0]).operators(insts)
+    norms = _op_norms(K, K.conj().transpose(0, 2, 1))
     for k, inst in enumerate(insts):
-        A1, b1 = _Geometry(inst).operators([inst])
-        assert np.array_equal(A[k], A1[0]) and np.array_equal(b[k], b1[0])
-        assert norms[k] == _op_norms(A1, A1.conj().transpose(0, 2, 1))[0]
-        assert norms[k] == power_norm(A1[0])
+        K1, b1 = _Geometry(inst).operators([inst])
+        assert np.array_equal(K[k], K1[0]) and np.array_equal(b[k], b1[0])
+        assert norms[k] == _op_norms(K1, K1.conj().transpose(0, 2, 1))[0]
+        assert norms[k] == power_norm(K1[0])
 
 
 @pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
 def test_operator_columns_match_design_matrix(mode, d, T, kappa):
     insts = _operator_batch(mode, d, T, kappa)
     geo = _Geometry(insts[0])
-    A, b = geo.operators(insts)
+    K, b = geo.operators(insts)
     W = insts[0].W
+    n = (2 * W + 1) ** d
+    off = [np.ravel_multi_index(tuple(v + W for v in nu), (2 * W + 1,) * d)
+           for nu in Box.cube(d, W).points()
+           if not insts[0].support_box.contains_point(nu)]
+    # K is A over the rows of F^H at the window slots off the support, b
+    # padded with zeros
+    assert K.shape == (3, n + len(off), n) and b.shape == (3, n + len(off))
     for k, inst in enumerate(insts):
+        assert np.array_equal(K[k, n:], geo.Finv[off])
+        assert np.all(b[k, n:] == 0)
         G, b_ref, support = design_matrix(inst)
-        A_spatial = A[k] @ geo.F
+        A_spatial = K[k, :n] @ geo.F
         cols = [np.ravel_multi_index(tuple(v + W for v in nu), (2 * W + 1,) * d)
                 for nu in support]
         scale = np.abs(G).max()
         assert np.abs(A_spatial[:, cols] - G).max() <= 1e-12 * scale
         A_spatial[:, cols] = 0
         assert np.abs(A_spatial).max() <= 1e-12 * scale
-        assert np.abs(b[k] - b_ref).max() <= 1e-12 * scale
+        assert np.abs(b[k, :n] - b_ref).max() <= 1e-12 * scale
