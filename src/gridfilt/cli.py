@@ -256,6 +256,18 @@ def _load_config(path) -> dict:
     return _require_mapping(doc, "config")
 
 
+def _tolerance(args, cfg: dict, default: float) -> float:
+    """The solver tolerance, from ``--tol`` or else ``config.tol``; a value
+    that is not positive (NaN included) is an error naming its source."""
+    if args.tol is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        tol, source = _number(cfg.get("tol", default), "config.tol"), "config.tol"
+    if not tol > 0:
+        raise ConfigError(f"{source}: tol must be positive, got {tol}")
+    return tol
+
+
 def _out_path(args, name: str) -> str:
     if os.path.isabs(name):
         return name
@@ -331,8 +343,7 @@ def _run_estimates(args, mode: str) -> int:
     if not isinstance(anchors, list) or not anchors:
         raise ConfigError("config.anchors: expected a nonempty list of points")
     anchors = [tuple(_int_list(a, "config.anchors")) for a in anchors]
-    tol = args.tol if args.tol is not None else _number(
-        cfg.get("tol", 1e-6), "config.tol")
+    tol = _tolerance(args, cfg, 1e-6)
     obs_path = cfg["observations"]
     if not os.path.isabs(obs_path):
         obs_path = os.path.join(os.path.dirname(args.config) or ".", obs_path)
@@ -394,8 +405,7 @@ def cmd_bench(args) -> int:
     trials = _integer(cfg["trials"], "config.trials")
     if trials < 1:
         raise ConfigError("config.trials: need at least one trial")
-    tol = args.tol if args.tol is not None else _number(
-        cfg.get("tol", 1e-5), "config.tol")
+    tol = _tolerance(args, cfg, 1e-5)
     out = _require_mapping(cfg["out"], "config.out")
     _check_keys(out, {"stats_csv", "stats_json", "trials_csv"}, {"stats_csv"},
                 "config.out")

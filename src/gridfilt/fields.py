@@ -363,17 +363,13 @@ def convolve(q: Filter, x: Field, eval_box: Box) -> Field:
         raise DomainError(
             f"convolution on {eval_box} with support {qbox} reads {need}, "
             f"but the field only covers {x.box}")
-    out = np.zeros(eval_box.shape, dtype=np.complex128)
-    qdata = q.field.data
-    for idx in np.ndindex(*qbox.shape):
-        c = qdata[idx]
-        if c == 0:
-            continue
-        tau = tuple(l + i for l, i in zip(qbox.lo, idx))
-        src = Box(tuple(el - tj for el, tj in zip(eval_box.lo, tau)),
-                  tuple(eh - tj for eh, tj in zip(eval_box.hi, tau)))
-        out += c * x.data[src.slices_in(x.box)]
-    return Field(eval_box, out)
+    # window i of the reads holds x at need.lo + i + j; the tap at tau reads
+    # it at j = qbox.hi - tau, so the filter enters flipped on every axis
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x.data[need.slices_in(x.box)], qbox.shape)
+    flipped = q.field.data[(slice(None, None, -1),) * q.d]
+    out = windows.reshape(eval_box.shape + (-1,)) @ flipped.reshape(-1)
+    return Field(eval_box, out.astype(np.complex128, copy=False))
 
 
 @functools.lru_cache(maxsize=128)

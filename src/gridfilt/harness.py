@@ -299,6 +299,10 @@ class GaussianMaxReport:
                    zip(self.tail_freq, self.tail_bound, self.tail_se))
 
 
+# trials of the Gaussian-maximum check drawn and reduced at a time
+GAUSSIAN_MAX_CHUNK = 1000
+
+
 def check_gaussian_max(N: int, trials: int, seed: int = 0,
                        tail_u: Sequence[float] = (1.0, 2.0, 3.0)) -> GaussianMaxReport:
     """Empirical check of the Gaussian maximum bounds.
@@ -309,9 +313,13 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0,
     if N < 1 or trials < 1:
         raise ParamError("need N >= 1 and trials >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.standard_normal((trials, 2, N))
-    mags = np.abs(draws[:, 0, :] + 1j * draws[:, 1, :])
-    max_mag = mags.max(axis=1)
+    # Philox fills the stream in order, so drawing the trials chunk by chunk
+    # gives every trial the values of one (trials, 2, N) draw
+    max_mag = np.empty(trials)
+    for lo in range(0, trials, GAUSSIAN_MAX_CHUNK):
+        draws = rng.standard_normal((min(GAUSSIAN_MAX_CHUNK, trials - lo), 2, N))
+        max_mag[lo:lo + len(draws)] = np.abs(
+            draws[:, 0, :] + 1j * draws[:, 1, :]).max(axis=1)
     max_sq = max_mag ** 2
     shift = math.sqrt(2 * math.log(N))
     freqs, ses = [], []

@@ -15,22 +15,26 @@ observations ``{kappa <= t_j - tau_j <= 4T}`` preceding the anchor.
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
-(none for filtering). Both modes are one saddle point problem, solved by a
-primal-dual first-order iteration with exact closed-form projections, plus
-ergodic restarts. Every iterate yields a feasible filter and a certified dual
-lower bound of the true program, so the reported optimality gap is
-unconditional. The solve is deterministic: identical instances produce
-bit-identical results.
+(none for filtering). Both modes are one saddle point problem, solved by
+reflected restarted Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for
+linear programming", 2024). With ``P`` one primal-dual step with exact
+closed-form projections, the iterate ``z = (Phi, y)`` moves to ``z0 +
+(k+1)/(k+2) (2 P(z) - z - z0)`` at the k-th iteration after a restart, and
+restarts at ``P(z)``, its new anchor ``z0``, when its fixed-point residual
+``||z - P(z)||`` has fallen enough since the last restart. Every check turns
+``P(z)`` into a feasible filter and a certified dual lower bound of the true
+program, so the reported optimality gap is unconditional. The solve is
+deterministic: identical instances produce bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
 an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
-stacked transform of all shifted observation windows for the operators, one
+stacked transform of the shifted observation windows for the operators, one
 iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
-projections. Each instance keeps its own step size, restart state, best
-iterate and stopping check, and leaves the batch at the check that certifies
-it. Every transform and product is the BLAS call a lone solve makes, so each
-result is bit-identical to solving its instance alone; :func:`solve` is the
-batch of one.
+projections. Each instance keeps its own step size, Halpern anchor, restart
+state, best iterate and stopping check, and leaves the batch at the check
+that certifies it. Every transform and product is the BLAS call a lone solve
+makes, so each result is bit-identical to solving its instance alone;
+:func:`solve` is the batch of one.
 """
 
 from __future__ import annotations
@@ -244,22 +248,30 @@ class _Geometry:
         views = np.lib.stride_tricks.sliding_window_view(
             np.stack([inst.y_win.data for inst in insts]), self.resid.shape,
             axis=tuple(range(1, d + 1)))
-        windows = np.zeros(views.shape[:d + 1] + window.shape, dtype=np.complex128)
-        windows[(Ellipsis,) + self.resid.slices_in(window)] = views
-        spectra = dft_windows(windows, W, d)
-        del windows
-        b = np.pad(spectra[(slice(None),) + (W,) * d].reshape(B, n), ((0, 0), (0, m)))
-        # the support ends at nu = W, whose window starts at 0
-        cols = spectra[(slice(None),) + tuple(slice(W - lo, None, -1)
-                                              for lo in self.supp.lo)]
+        # only the support shifts, in nu order, and shift 0 are transformed
+        cols = self._spectra(views[(slice(None),) + tuple(
+            slice(W - lo, None, -1) for lo in self.supp.lo)])
+        if self.supp.contains_point((0,) * d):
+            b = cols[(slice(None),) + tuple(-lo for lo in self.supp.lo)]
+        else:
+            b = self._spectra(views[(slice(None),) + (W,) * d])
+        b = np.pad(b.reshape(B, n), ((0, 0), (0, m)))
         K_spatial = np.zeros((B, n + m) + window.shape, dtype=np.complex128)
         K_spatial[(slice(None), slice(n)) + self.supp.slices_in(window)] = (
             np.moveaxis(cols, range(-d, 0), range(1, d + 1)).reshape(
                 (B, n) + self.supp.shape))
-        del spectra, cols
+        del cols
         K_spatial = K_spatial.reshape(B, n + m, n)
         K_spatial[:, n + np.arange(m), self.off] = 1.0
         return np.matmul(K_spatial, self.Finv), b
+
+    def _spectra(self, views: np.ndarray) -> np.ndarray:
+        """Transforms of observation windows (the trailing ``d`` axes of
+        ``views``), zero-padded from the residual offsets to the window."""
+        windows = np.zeros(views.shape[:-self.d] + self.window.shape,
+                           dtype=np.complex128)
+        windows[(Ellipsis,) + self.resid.slices_in(self.window)] = views
+        return dft_windows(windows, self.W, self.d)
 
     def feasible_filters(self, Phi: np.ndarray,
                          radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -294,9 +306,15 @@ def _op_norms(K: np.ndarray, KH: np.ndarray, iters: int = 150) -> np.ndarray:
     lam = np.zeros(B)
     for _ in range(iters):
         w = _matvec(KH, _matvec(K, v))
-        lam = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+        lam = np.sqrt(_sq_norms(w))
         v = w / np.where(lam == 0, 1.0, lam)[:, None]
     return np.sqrt(lam) * 1.05
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of complex ``x``, each one as it
+    comes out for that row alone."""
+    return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -385,10 +403,19 @@ def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> flo
     return float(_dual_values(K.conj().T[None], b[None], y[None], inst.l1_bound)[0])
 
 
+# Restart rule of the Halpern iteration. Each instance compares its
+# fixed-point residual r = ||z - P(z)|| at a check with r at its last restart,
+# and restarts when r has fallen to SUFFICIENT of it, or to NECESSARY of it
+# and is rising, or when its current epoch is longer than ARTIFICIAL of all
+# iterations so far (so the first check always restarts).
+SUFFICIENT, NECESSARY, ARTIFICIAL = 0.2, 0.8, 0.36
+
+
 def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
-          max_iter: int, check_every: int,
-          restart_len: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
-    """PDHG on the stacked operators ``K``, ``b`` of one geometry and l1 budget ``c``.
+          max_iter: int,
+          check_every: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
+    """Reflected restarted Halpern PDHG on the stacked operators ``K``, ``b``
+    of one geometry and l1 budget ``c``.
 
     The dual ``y = (u, w)`` has an entry per row of ``K``; its prox projects
     ``u``, the first ``n``, onto the unit l1 ball. Returns, per instance: the
@@ -410,12 +437,11 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
 
     B = len(rows)
     Phi = np.zeros((B, n), dtype=np.complex128)
-    Phib = Phi.copy()
     y = np.zeros_like(b)
-    y_sum = np.zeros_like(y)
-    Phi_sum = np.zeros_like(Phi)
-    restart_it = np.zeros(B, dtype=np.int64)   # iterates averaged: it - restart_it
-    last_restart_gap = np.full(B, math.inf)
+    Phi0, y0 = Phi.copy(), y.copy()            # the anchor z0 of the epoch
+    restart_it = np.zeros(B, dtype=np.int64)   # the epoch began after it
+    r_restart = np.full(B, math.inf)
+    r_last = np.full(B, math.inf)
 
     best_J = np.full(B, math.inf)
     best_phi = np.zeros((B, n), dtype=np.complex128)
@@ -425,42 +451,56 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     it = 0
     while rows.size:
         it += 1
-        y = y + step * (_matvec(K, Phib) - b)
-        y[:, :n] = project_l1_ball(y[:, :n], 1.0)
-        Phi_new = project_l1_ball(Phi - step * _matvec(KH, y), c)
-        Phib = 2 * Phi_new - Phi
-        Phi = Phi_new
-        y_sum += y
-        Phi_sum += Phi
+        # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
+        # is both its extrapolated point and the reflection of Phi
+        Phi_plus = project_l1_ball(Phi - step * _matvec(KH, y), c)
+        R = 2 * Phi_plus
+        R -= Phi
+        y_plus = _matvec(K, R)
+        y_plus -= b
+        y_plus *= step
+        y_plus += y
+        y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0)
 
-        if it % check_every == 0 or it == max_iter:
-            n_avg = it - restart_it
-            phi_sp, PhiF = geo.feasible_filters(Phi, c)
+        check = it % check_every == 0 or it == max_iter
+        if check:
+            phi_sp, PhiF = geo.feasible_filters(Phi_plus, c)
             J = np.abs(b[:, :n] - _matvec(K[:, :n], PhiF)).max(axis=1)
             better = J < best_J
             best_J[better] = J[better]
             best_phi[better] = phi_sp[better]
-            for yy in (y, y_sum / n_avg[:, None]):
-                dd = _dual_values(KH, b, yy, c)
-                better = dd > best_D
-                best_D[better] = dd[better]
-                best_y[better] = yy[better]
-            gap = best_J - best_D
-            converged = gap <= tol
-            restart = (~converged & (n_avg >= restart_len)
-                       & (gap <= 0.5 * last_restart_gap))
-            if restart.any():
-                # ergodic restart: continue from the averaged primal-dual pair
-                avg = n_avg[restart, None]
-                Phi[restart] = project_l1_ball(Phi_sum[restart] / avg, c)
-                Phib[restart] = Phi[restart]
-                y[restart] = y_sum[restart] / avg
-                y[restart, :n] = project_l1_ball(y[restart, :n], 1.0)
-                y_sum[restart] = 0
-                Phi_sum[restart] = 0
-                restart_it[restart] = it
-                last_restart_gap[restart] = gap[restart]
+            D = _dual_values(KH, b, y_plus, c)
+            better = D > best_D
+            best_D[better] = D[better]
+            best_y[better] = y_plus[better]
+            converged = best_J - best_D <= tol
+            r = np.sqrt(_sq_norms(Phi - Phi_plus) + _sq_norms(y - y_plus))
+            restart = ((r <= SUFFICIENT * r_restart)
+                       | ((r <= NECESSARY * r_restart) & (r > r_last))
+                       | (it - restart_it > ARTIFICIAL * it))
+            r_last = r
 
+        # z <- z0 + w (2 P(z) - z - z0), written over R and y, where the k-th
+        # iteration of an epoch has w = (k + 1)/(k + 2); computed here, as a
+        # table of max_iter weights would raise the solve's peak memory
+        e = it - restart_it
+        w = (e / (e + 1.0))[:, None]
+        R -= Phi0
+        R *= w
+        R += Phi0
+        Phi = R
+        y -= y_plus
+        y -= y_plus
+        y += y0
+        y *= -w
+        y += y0
+
+        if check:
+            # a new epoch, anchored at P(z)
+            Phi[restart] = Phi0[restart] = Phi_plus[restart]
+            y[restart] = y0[restart] = y_plus[restart]
+            r_restart[restart] = r[restart]
+            restart_it[restart] = it
             done = converged | (it == max_iter)
             if done.any():
                 for j in np.flatnonzero(done):
@@ -469,24 +509,26 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, K, K_conj, b, step, Phi, Phib, y, y_sum, Phi_sum,
-                 restart_it, last_restart_gap, best_J, best_phi, best_D, best_y) = (
+                (rows, K, K_conj, b, step, Phi, y, Phi0, y0, restart_it,
+                 r_restart, r_last, best_J, best_phi, best_D, best_y) = (
                     x[keep] for x in (
-                        rows, K, K_conj, b, step, Phi, Phib, y, y_sum, Phi_sum,
-                        restart_it, last_restart_gap, best_J, best_phi, best_D,
-                        best_y))
+                        rows, K, K_conj, b, step, Phi, y, Phi0, y0, restart_it,
+                        r_restart, r_last, best_J, best_phi, best_D, best_y))
                 KH = K_conj.transpose(0, 2, 1)
     return out
 
 
 def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
-                max_iter: int = 20000, check_every: int = 25,
-                restart_len: int = 100) -> list[SolveResult]:
+                max_iter: int = 20000,
+                check_every: int = 25) -> list[SolveResult]:
     """Solve instances that share geometry and l1 budget, each to a gap of ``tol``.
 
-    Returns one result per instance, in order, each bit-identical to what
-    solving that instance alone gives. An instance that misses the budget is
-    returned with ``converged`` false rather than raised. Raises
+    Runs reflected restarted Halpern PDHG (see the module docstring) for at
+    most ``max_iter`` iterations, and certifies the gap and decides restarts
+    every ``check_every`` iterations and at the last. Returns one result per
+    instance, in order, each bit-identical to what solving that instance
+    alone gives. An instance that misses the budget is returned with
+    ``converged`` false rather than raised. Raises
     ``ParamError`` for a tolerance that is not positive (NaN included), an
     empty batch, or instances that differ in mode, dimension, order, lag or
     l1 budget. Deterministic.
@@ -509,7 +551,7 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     # the operators are passed on, not held here, so that _pdhg's compaction
     # frees the rows of solved instances
     fits = _pdhg(geo, *geo.operators(instances), instances[0].l1_bound, tol,
-                 max_iter, check_every, restart_len)
+                 max_iter, check_every)
     n, shape = geo.n, geo.window.shape
     results = []
     for inst, (phi_sp, J, D, iters, y_best) in zip(instances, fits):
@@ -526,15 +568,16 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
 
 
 def solve(inst: Instance, tol: float = 1e-6, max_iter: int = 20000,
-          check_every: int = 25, restart_len: int = 100) -> SolveResult:
+          check_every: int = 25) -> SolveResult:
     """Solve the instance to an absolute duality gap of ``tol``.
 
-    Returns a feasible filter together with the certified gap. Raises
+    Returns a feasible filter together with the certified gap; the
+    iteration is :func:`solve_batch`'s. Raises
     ``ConvergenceError`` (carrying the best result found) if the gap still
     exceeds ``tol`` after ``max_iter`` iterations. Deterministic; the batch
     of one of :func:`solve_batch`.
     """
-    (result,) = solve_batch([inst], tol, max_iter, check_every, restart_len)
+    (result,) = solve_batch([inst], tol, max_iter, check_every)
     if not result.converged:
         raise ConvergenceError(
             f"duality gap {result.gap:.3e} above tolerance {tol:.3e} "

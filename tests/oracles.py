@@ -8,6 +8,8 @@ plain projected subgradient descent from many random starts. ``coeff`` reads
 a filter coefficient by its grid point, zero off the support,
 ``nonzero_outside_loop`` is the point-by-point form of the support check,
 ``theta_stat_loop`` computes the noise statistic one shifted window at a time,
+``convolve_loop`` applies a filter one coefficient at a time,
+``gaussian_max_one_shot`` draws all trials of the Gaussian-maximum check at once,
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
 and ``power_norm`` is the power-iteration norm estimate of one matrix.
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from gridfilt.fields import Box, dft, dft_window, Field, Filter
+from gridfilt.harness import GaussianMaxReport
 from gridfilt.solver import Instance
 
 
@@ -44,6 +47,44 @@ def theta_stat_loop(e: Field, t, T: int) -> float:
         window = e.window(W, tuple(tj + vj for tj, vj in zip(t, tau)))
         best = max(best, float(np.abs(dft_window(window, W)).max()))
     return best
+
+
+def convolve_loop(q: Filter, x: Field, eval_box: Box) -> Field:
+    """Reference ``convolve``: one shifted slice of ``x`` per nonzero tap,
+    accumulated in the filter's row-major order (reads must be covered)."""
+    qbox = q.field.box
+    out = np.zeros(eval_box.shape, dtype=np.complex128)
+    for idx in np.ndindex(*qbox.shape):
+        c = q.field.data[idx]
+        if c == 0:
+            continue
+        tau = tuple(l + i for l, i in zip(qbox.lo, idx))
+        src = Box(tuple(el - tj for el, tj in zip(eval_box.lo, tau)),
+                  tuple(eh - tj for eh, tj in zip(eval_box.hi, tau)))
+        out += c * x.data[src.slices_in(x.box)]
+    return Field(eval_box, out)
+
+
+def gaussian_max_one_shot(N: int, trials: int, seed: int = 0,
+                          tail_u=(1.0, 2.0, 3.0)) -> GaussianMaxReport:
+    """Reference ``check_gaussian_max``: every trial drawn in one array."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.standard_normal((trials, 2, N))
+    max_mag = np.abs(draws[:, 0, :] + 1j * draws[:, 1, :]).max(axis=1)
+    max_sq = max_mag ** 2
+    shift = math.sqrt(2 * math.log(N))
+    freqs, ses = [], []
+    for u in tail_u:
+        p = float((max_mag > u + shift).astype(float).mean())
+        freqs.append(p)
+        ses.append(math.sqrt(max(p * (1 - p), 1e-12) / trials))
+    return GaussianMaxReport(
+        N=N, trials=trials, mean_max_sq=float(max_sq.mean()),
+        se_max_sq=float(max_sq.std(ddof=1)) / math.sqrt(trials),
+        bound_mean=2 * math.log(N) + 2, tail_u=tuple(tail_u),
+        tail_freq=tuple(freqs),
+        tail_bound=tuple(math.exp(-u * u / 2) for u in tail_u),
+        tail_se=tuple(ses))
 
 
 def dft_window_tensordot(window: np.ndarray, T: int, M: np.ndarray) -> np.ndarray:

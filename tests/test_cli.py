@@ -375,6 +375,52 @@ def test_bench_nan_tol_exit_code(tmp_path, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+# (--tol value, config.tol value, the source the message must name)
+BAD_TOLS = [("nan", None, "--tol"), ("0", 1e-5, "--tol"), ("-1e-6", None, "--tol"),
+            (None, float("nan"), "config.tol"), (None, -1e-5, "config.tol"),
+            (None, 0.0, "config.tol")]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before the tolerance was checked")
+
+
+@pytest.mark.parametrize("flag,value,source", BAD_TOLS)
+def test_bench_rejects_bad_tol_before_sampling(tmp_path, monkeypatch, capsys,
+                                               flag, value, source):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc()
+    doc.pop("tol")
+    if value is not None:
+        doc["tol"] = value
+    argv = ["bench", "--config", write_config(tmp_path / "bench.yaml", doc),
+            "--out", str(tmp_path)]
+    assert main(argv + ([f"--tol={flag}"] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert f"{source}: tol must be positive" in err and "trial" not in err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,source", BAD_TOLS)
+def test_denoise_rejects_bad_tol_before_solving(tmp_path, monkeypatch, capsys,
+                                                flag, value, source):
+    from gridfilt import cli
+
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-16], "hi": [16]})
+    monkeypatch.setattr(cli, "denoise_point", _refuse)
+    doc = {"observations": str(obs), "setup": {"rho": 1.0, "T": 2},
+           "anchors": [[0]], "out": {"estimates": "est.csv"}}
+    if value is not None:
+        doc["tol"] = value
+    argv = ["denoise", "--config", write_config(tmp_path / "den.yaml", doc),
+            "--out", str(tmp_path)]
+    assert main(argv + ([f"--tol={flag}"] if flag else [])) == 2
+    assert f"{source}: tol must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 def test_bench_seed_flag_overrides(tmp_path):
     cfg = write_config(tmp_path / "bench.yaml", bench_doc())
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "r1"),

@@ -33,7 +33,7 @@ from gridfilt.fields import (
     rebox_filter,
 )
 
-from oracles import coeff, dft_window_tensordot, nonzero_outside_loop
+from oracles import coeff, convolve_loop, dft_window_tensordot, nonzero_outside_loop
 
 RNG = np.random.default_rng(20240811)
 
@@ -124,6 +124,25 @@ def test_convolve_matches_direct_sum_2d():
         ref = sum(coeff(q, tau) * x.value((t[0] - tau[0], t[1] - tau[1]))
                   for tau in Box.cube(2, 1).points())
         assert abs(out.value(t) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("d,T,kind", [(1, 4, "two-sided"), (1, 16, "two-sided"),
+                                       (1, 4, "one-sided"), (2, 2, "two-sided"),
+                                       (2, 2, "one-sided")])
+def test_convolve_matches_coefficient_loop(d, T, kind):
+    # real and complex fields, an eval box larger than a point, zero taps
+    rng = np.random.default_rng(7 + d * T)
+    shape = (2 * T + 1 if kind == "two-sided" else T,) * d
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[(0,) * d] = 0
+    q = (Filter.two_sided(d, T, coeffs) if kind == "two-sided"
+         else Filter.one_sided(d, 1, T, coeffs))
+    ev = Box((-2,) * d, (1,) * d)
+    box = Box.cube(d, T + 3)
+    for x in (random_field(box), Field(box, rng.standard_normal(box.shape))):
+        out, ref = convolve(q, x, ev), convolve_loop(q, x, ev)
+        assert out.box == ev and out.data.dtype == np.complex128
+        assert np.abs(out.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
 
 
 # ---------------------------------------------------------------- dft / idft

@@ -8,6 +8,7 @@ import pytest
 from gridfilt import Box, ConvergenceError, DomainError, Field, ParamError
 from gridfilt.estimators import DenoiseSetup, theta_stat
 from gridfilt.harness import (
+    GAUSSIAN_MAX_CHUNK,
     NoiseSpec,
     check_gaussian_max,
     check_theta_moment,
@@ -18,6 +19,8 @@ from gridfilt.harness import (
     write_trials_csv,
 )
 from gridfilt.signals import exp_certificate_1d
+
+from oracles import gaussian_max_one_shot
 
 
 def test_noise_zero_sigma():
@@ -189,6 +192,16 @@ def test_gaussian_max_n16():
     rep = check_gaussian_max(16, 20000, seed=4)
     assert rep.bound_mean == pytest.approx(2 * math.log(16) + 2)
     assert rep.mean_ok and rep.tails_ok
+
+
+@pytest.mark.parametrize("N", [1, 16, 256])
+def test_gaussian_max_chunks_match_one_shot_draw(N):
+    # the trials are drawn chunk by chunk; a last, partial chunk included,
+    # the report is the one-shot draw's bit for bit
+    trials = 2 * GAUSSIAN_MAX_CHUNK + 37
+    assert check_gaussian_max(N, trials, seed=N) == \
+        gaussian_max_one_shot(N, trials, seed=N)
+    assert check_gaussian_max(N, 5, seed=2) == gaussian_max_one_shot(N, 5, seed=2)
 
 
 def test_theta_moment_check():

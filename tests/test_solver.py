@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfilt import (
     Box,
@@ -358,6 +360,48 @@ def test_dual_bound_nonpositive_when_optimum_zero():
         assert dual_lower_bound(inst, u) <= 1e-12
 
 
+# ---------------------------------------------------------------- covariance
+
+
+def _covariance_instance(mode, seed, factor=1.0):
+    """A small instance of either mode on seeded data times ``factor``."""
+    rng = np.random.default_rng(seed)
+    box = Box((-8,), (8 if mode == "filtering" else 0,))
+    y = _field(rng, box, 0.5, 1.0) * factor
+    if mode == "filtering":
+        return build_filtering_instance(y, (0,), 2, math.sqrt(2))
+    return build_prediction_instance(y, (0,), 2, 1, 2.0)
+
+
+def _certified_intervals_overlap(lo_a, hi_a, lo_b, hi_b, scale):
+    # [lo, hi] of each solve holds the optimum; they hold the same value
+    assert max(lo_a, lo_b) <= min(hi_a, hi_b) + 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+@given(seed=st.integers(0, 2 ** 16),
+       c=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_solve_scale_covariance(mode, seed, c):
+    # J*(c y) = |c| J*(y): the certified intervals [D, J] of the two solves,
+    # the first scaled by |c|, overlap
+    r0 = solve(_covariance_instance(mode, seed), tol=1e-7)
+    r1 = solve(_covariance_instance(mode, seed, c), tol=1e-7)
+    _certified_intervals_overlap(r1.dual_bound, r1.objective, abs(c) * r0.dual_bound,
+                                 abs(c) * r0.objective, abs(c))
+
+
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+@given(seed=st.integers(0, 2 ** 16), alpha=st.floats(0.0, 2 * math.pi))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_solve_phase_covariance(mode, seed, alpha):
+    # J*(e^{i alpha} y) = J*(y)
+    r0 = solve(_covariance_instance(mode, seed), tol=1e-7)
+    r1 = solve(_covariance_instance(mode, seed, np.exp(1j * alpha)), tol=1e-7)
+    _certified_intervals_overlap(r1.dual_bound, r1.objective, r0.dual_bound,
+                                 r0.objective, 1.0)
+
+
 # ---------------------------------------------------------------- prediction
 
 
@@ -412,21 +456,23 @@ def _field(rng, box, sigma, mean):
 
 @pytest.mark.parametrize("mode", ["filtering", "prediction"])
 def test_solve_batch_matches_solve_bit_for_bit(mode):
-    # a batch whose instances stop at different checks: early, after a
-    # restart, at zero residual (no iteration), and at the budget with and
-    # without convergence; prediction exercises the support rows of the operator
+    # a batch whose instances stop at different checks: at the first check
+    # (data of size 1e-7, whose gap there is below the absolute tolerance),
+    # after restarts, at zero residual (no iteration), and at the budget;
+    # prediction exercises the support rows of the operator
     rng = np.random.default_rng(5)
     if mode == "filtering":
         box = Box((-8,), (8,))
         ys = [Field(box, np.full(17, 2.0 - 1j)), _field(rng, box, 0.3, 1.0),
               Field(box, np.zeros(17)), _field(rng, box, 1.0, 0.0),
-              _field(rng, box, 0.05, 1.0), _field(rng, box, 1.0, 0.5)]
+              _field(rng, box, 0.05, 1.0), _field(rng, box, 1.0, 0.5),
+              _field(rng, box, 1e-7, 1e-7)]
         insts = [build_filtering_instance(y, (0,), 2, math.sqrt(2)) for y in ys]
     else:
         box = Box((-8,), (0,))
         ys = [Field(box, np.full(9, 3.0 + 1j)), _field(rng, box, 0.2, 1.0),
               Field(box, np.zeros(9)), _field(rng, box, 1.0, 0.0),
-              _field(rng, box, 0.05, 1.0)]
+              _field(rng, box, 0.05, 1.0), _field(rng, box, 1e-7, 1e-7)]
         insts = [build_prediction_instance(y, (0,), 2, 1, 2.0) for y in ys]
     kwargs = dict(tol=1e-6, max_iter=1000)
     batch = solve_batch(insts, **kwargs)
