@@ -13,10 +13,11 @@ Global flags: ``--config``, ``--out`` (output directory), ``--seed``
 
 Exit codes: 0 success; 1 failed bench check; 2 config error, or an
 unreadable observations file; 3 generation error; 4 window coverage error, or
-a non-finite observation in an anchor's window; 5 solver non-convergence
-(``denoise``/``predict`` still write every estimate row, with its achieved
-gap; ``bench`` finishes the batch of the experiment where a trial misses its
-budget, names every unconverged trial of it and writes no output); 6
+a non-finite observation in an anchor's window; 5 solver non-convergence,
+which takes precedence over 1 (every output is still written:
+``denoise``/``predict`` write every estimate row with its certified gap, and
+``bench`` runs every experiment and check, records each trial with its
+certified gap, and names every trial whose gap exceeds the tolerance); 6
 certificate bound violation.
 """
 
@@ -39,7 +40,6 @@ from .fields import (
     Box,
     Field,
     Filter,
-    convolve,
     read_zdf,
     write_zdf,
 )
@@ -356,18 +356,12 @@ def _run_estimates(args, mode: str) -> int:
     for t in anchors:
         read = program_boxes(mode, t, setup.T, setup.kappa)[0]
         _info(args, f"anchor {t}: reading observations on [{read.lo}, {read.hi}]")
-        try:
-            est = denoise_point(y, t, setup, tol=tol)
-            value, sol = est.value, est.solve
-        except ConvergenceError as exc:
-            if exc.result is None:
-                raise
+        est = denoise_point(y, t, setup, tol=tol)
+        if est.solve is not None and not est.solve.converged:
             any_unconverged = True
-            sol = exc.result
-            value = convolve(sol.phi, y, Box(t, t)).value(t)
-            _info(args, f"anchor {t}: gap {sol.gap:.3e} above tolerance, "
+            _info(args, f"anchor {t}: gap {est.solve.gap:.3e} above tolerance, "
                         "row flagged")
-        rows.append((t, value, sol))
+        rows.append((t, est.value, est.solve))
     path = _out_path(args, out["estimates"])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -411,6 +405,7 @@ def cmd_bench(args) -> int:
                 "config.out")
 
     failures: list[str] = []
+    missed: list[str] = []
     all_stats = []
     all_records = []
     experiments = cfg["experiments"]
@@ -432,6 +427,8 @@ def cmd_bench(args) -> int:
         if cert.kind == PREDICTION:
             kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
             setup = DenoiseSetup(rho=cert.rho, T=T, mode=PREDICTION, kappa=kappa)
+        elif "kappa" in exp:
+            raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
         else:
             setup = DenoiseSetup(rho=cert.rho, T=T)
         label = str(exp["label"])
@@ -441,6 +438,10 @@ def cmd_bench(args) -> int:
                                      master_seed, label=label, tol=tol)
         all_stats.append(stats)
         all_records.extend(records)
+        missed.extend(
+            f"trial {k} (seed {r.seed}) of {label}: duality gap "
+            f"{r.solver_gap:.3e} above tolerance {tol:.3e}"
+            for k, r in enumerate(records) if r.solver_gap > tol)
         if stats.rmse_adaptive > stats.bound:
             failures.append(f"{label}: rmse {stats.rmse_adaptive:.6g} exceeds "
                             f"bound {stats.bound:.6g}")
@@ -457,13 +458,12 @@ def cmd_bench(args) -> int:
         _check_keys(checks_cfg, {"gaussian_max", "theta_moment"}, set(),
                     "config.checks")
         if "gaussian_max" in checks_cfg:
-            gm = _require_mapping(checks_cfg["gaussian_max"],
-                                  "config.checks.gaussian_max")
-            _check_keys(gm, {"Ns", "trials"}, {"Ns", "trials"},
-                        "config.checks.gaussian_max")
+            ctx = "config.checks.gaussian_max"
+            gm = _require_mapping(checks_cfg["gaussian_max"], ctx)
+            _check_keys(gm, {"Ns", "trials"}, {"Ns", "trials"}, ctx)
             reports = []
-            for N in _int_list(gm["Ns"], "config.checks.gaussian_max.Ns"):
-                rep = check_gaussian_max(N, _integer(gm["trials"], "trials"),
+            for N in _int_list(gm["Ns"], ctx + ".Ns"):
+                rep = check_gaussian_max(N, _integer(gm["trials"], ctx + ".trials"),
                                          seed=master_seed)
                 reports.append(rep)
                 if not (rep.mean_ok and rep.tails_ok):
@@ -472,19 +472,19 @@ def cmd_bench(args) -> int:
                             f"<= {rep.bound_mean:.4f}")
             check_reports["gaussian_max"] = [rep.__dict__ for rep in reports]
         if "theta_moment" in checks_cfg:
-            tm = _require_mapping(checks_cfg["theta_moment"],
-                                  "config.checks.theta_moment")
-            _check_keys(tm, {"T", "sigma", "trials"}, {"T", "sigma", "trials"},
-                        "config.checks.theta_moment")
-            rep = check_theta_moment(_integer(tm["T"], "T"),
-                                     _number(tm["sigma"], "sigma"),
-                                     _integer(tm["trials"], "trials"),
+            ctx = "config.checks.theta_moment"
+            tm = _require_mapping(checks_cfg["theta_moment"], ctx)
+            _check_keys(tm, {"T", "sigma", "trials"}, {"T", "sigma", "trials"}, ctx)
+            rep = check_theta_moment(_integer(tm["T"], ctx + ".T"),
+                                     _number(tm["sigma"], ctx + ".sigma"),
+                                     _integer(tm["trials"], ctx + ".trials"),
                                      seed=master_seed)
             if not rep.ok:
                 failures.append("theta_moment: bound violated")
             check_reports["theta_moment"] = rep.__dict__
             _info(args, f"  theta moment: {rep.mean_sq:.4f} <= {rep.bound:.4f}")
 
+    failures += missed
     header = f"master_seed={master_seed}"
     write_stats_csv(_out_path(args, out["stats_csv"]), all_stats, header)
     if "trials_csv" in out:
@@ -497,7 +497,9 @@ def cmd_bench(args) -> int:
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     _info(args, "all checks passed" if not failures else
-          f"{len(failures)} checks failed")
+          f"{len(failures)} failures")
+    if missed:
+        return 5
     return 1 if failures else 0
 
 

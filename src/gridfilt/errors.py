@@ -24,13 +24,9 @@ class RegularityError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative routine did not reach its tolerance within budget.
 
-    For the min-max solver, ``result`` carries the best feasible solution
-    found so far together with its certified gap.
+    The min-max solver never raises it: a fit that misses its budget is
+    returned with its certified gap and ``converged`` false.
     """
-
-    def __init__(self, message: str, result=None):
-        self.result = result
-        super().__init__(message)
 
 
 class ConfigError(ValueError):

@@ -93,7 +93,8 @@ def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
     estimate depend only on observations preceding the anchor by at least
     ``kappa`` in every coordinate. T = 0 returns the observation itself,
     which must be finite; otherwise the fitted filter is applied at the
-    anchor. A fit that misses its budget raises ``ConvergenceError``.
+    anchor. A fit that misses its budget is returned too, with its certified
+    gap and ``solve.converged`` false.
     """
     t = tuple(int(x) for x in t)
     if setup.T == 0:
@@ -107,10 +108,9 @@ def denoise_batch(ys: Sequence[Field], t: Sequence[int], setup: DenoiseSetup,
     """:func:`denoise_point` at one anchor of several observation fields.
 
     The fits share a geometry and are solved as one batch. Estimate ``k``
-    is bit-identical to ``denoise_point(ys[k], t, setup)``, except that a
-    fit that misses its budget is returned, with ``solve.converged`` false,
-    instead of raised. The fields are checked in order, so an error is the
-    first failing field's.
+    is bit-identical to ``denoise_point(ys[k], t, setup)``, converged or
+    not. The fields are checked in order, so an error is the first failing
+    field's.
     """
     t = tuple(int(x) for x in t)
     if setup.T == 0:

@@ -22,7 +22,7 @@ lifting to higher dimension, and tensor products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -395,17 +395,10 @@ def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3,
             raise ParamError("epsilon splitting collides with an existing frequency")
         ext_sets.append(tuple(ext))
     sizes = p.partial_sizes()
-    d = p.d
-    need = max(len(s) for s in ext_sets)
-
-    def make(T: int) -> Filter:
-        if T < need:
-            return Filter.impulse(d)
-        return simple_exp_filter(ext_sets, T)
-
-    return Certificate(FILTERING, d, 0.0, _rho_simple(sizes), math.inf, make,
-                       exact=all(m == 0 for m in degs),
-                       label=label or f"exp-poly(N={list(sizes)})")
+    # the split sets have the sizes N_j, so rho and the filters are the
+    # simple-exponential certificate's on them
+    return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs),
+                   label=label or f"exp-poly(N={list(sizes)})")
 
 
 def combine_certificates(certs: Sequence[Certificate],
@@ -677,10 +670,9 @@ def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
     data = np.zeros(box.shape, dtype=np.complex128)
     mask = np.zeros(box.shape, dtype=bool)
     mask[interior.slices_in(box)] = True
-    for tau in box.points():
-        idx = tuple(t - l for t, l in zip(tau, box.lo))
-        if not mask[idx]:
-            data[idx] = boundary.value(tau)
+    # the boundary frame holds the box's corners, so it is covered exactly
+    # when the whole box is
+    data[~mask] = boundary.restrict(box).data[~mask]
     f = Field(box, data)
     sl = interior.slices_in(box)
     stencil = D.to_filter()

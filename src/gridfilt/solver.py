@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParamError
+from .errors import DomainError, ParamError
 from .fields import (
     FILTERING,
     PREDICTION,
@@ -409,11 +409,12 @@ def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> flo
 # and is rising, or when its current epoch is longer than ARTIFICIAL of all
 # iterations so far (so the first check always restarts).
 SUFFICIENT, NECESSARY, ARTIFICIAL = 0.2, 0.8, 0.36
+# Iterations between checks, which certify the gap and decide restarts.
+CHECK_EVERY = 25
 
 
 def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
-          max_iter: int,
-          check_every: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
+          max_iter: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
     """Reflected restarted Halpern PDHG on the stacked operators ``K``, ``b``
     of one geometry and l1 budget ``c``.
 
@@ -462,7 +463,7 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         y_plus += y
         y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0)
 
-        check = it % check_every == 0 or it == max_iter
+        check = it % CHECK_EVERY == 0 or it == max_iter
         if check:
             phi_sp, PhiF = geo.feasible_filters(Phi_plus, c)
             J = np.abs(b[:, :n] - _matvec(K[:, :n], PhiF)).max(axis=1)
@@ -519,26 +520,23 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
 
 
 def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
-                max_iter: int = 20000,
-                check_every: int = 25) -> list[SolveResult]:
+                max_iter: int = 20000) -> list[SolveResult]:
     """Solve instances that share geometry and l1 budget, each to a gap of ``tol``.
 
     Runs reflected restarted Halpern PDHG (see the module docstring) for at
     most ``max_iter`` iterations, and certifies the gap and decides restarts
-    every ``check_every`` iterations and at the last. Returns one result per
+    every ``CHECK_EVERY`` iterations and at the last. Returns one result per
     instance, in order, each bit-identical to what solving that instance
-    alone gives. An instance that misses the budget is returned with
-    ``converged`` false rather than raised. Raises
-    ``ParamError`` for a tolerance that is not positive (NaN included), an
-    empty batch, or instances that differ in mode, dimension, order, lag or
-    l1 budget. Deterministic.
+    alone gives. An instance that misses the budget is returned with its
+    certified gap and ``converged`` false. Raises ``ParamError`` for a
+    tolerance that is not positive (NaN included), an empty batch, or
+    instances that differ in mode, dimension, order, lag or l1 budget.
+    Deterministic.
     """
     if not tol > 0:
         raise ParamError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ParamError("max_iter must be positive")
-    if check_every < 1:
-        raise ParamError("check_every must be positive")
     if not instances:
         raise ParamError("a batch needs at least one instance")
     kinds = {(inst.mode, inst.d, inst.T_alg, inst.kappa, inst.l1_bound)
@@ -551,7 +549,7 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     # the operators are passed on, not held here, so that _pdhg's compaction
     # frees the rows of solved instances
     fits = _pdhg(geo, *geo.operators(instances), instances[0].l1_bound, tol,
-                 max_iter, check_every)
+                 max_iter)
     n, shape = geo.n, geo.window.shape
     results = []
     for inst, (phi_sp, J, D, iters, y_best) in zip(instances, fits):
@@ -567,19 +565,12 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     return results
 
 
-def solve(inst: Instance, tol: float = 1e-6, max_iter: int = 20000,
-          check_every: int = 25) -> SolveResult:
-    """Solve the instance to an absolute duality gap of ``tol``.
+def solve(inst: Instance, tol: float = 1e-6, max_iter: int = 20000) -> SolveResult:
+    """Solve the instance to an absolute duality gap of ``tol``: the batch of
+    one of :func:`solve_batch`.
 
-    Returns a feasible filter together with the certified gap; the
-    iteration is :func:`solve_batch`'s. Raises
-    ``ConvergenceError`` (carrying the best result found) if the gap still
-    exceeds ``tol`` after ``max_iter`` iterations. Deterministic; the batch
-    of one of :func:`solve_batch`.
+    Returns a feasible filter with its certified gap whether or not the gap
+    reached ``tol`` within ``max_iter`` iterations; ``converged`` tells
+    which. Deterministic.
     """
-    (result,) = solve_batch([inst], tol, max_iter, check_every)
-    if not result.converged:
-        raise ConvergenceError(
-            f"duality gap {result.gap:.3e} above tolerance {tol:.3e} "
-            f"after {result.iterations} iterations", result=result)
-    return result
+    return solve_batch([inst], tol, max_iter)[0]

@@ -346,16 +346,60 @@ def test_bench_zero_trials_config_error(tmp_path):
 
 def test_bench_budget_miss_exit_code(tmp_path, monkeypatch, capsys):
     # a trial that misses the iteration budget is a solver failure (5), not a
-    # failed bench check (1)
+    # failed bench check (1); every output is still written, with the trial's
+    # certified gap in its row
     import functools
 
     from gridfilt import cli
 
     monkeypatch.setattr(cli, "monte_carlo",
                         functools.partial(cli.monte_carlo, max_iter=50))
-    cfg = write_config(tmp_path / "bench.yaml", bench_doc())
+    cfg = write_config(tmp_path / "bench.yaml", bench_doc(trials=3))
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 5
-    assert "trial 0 (seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    payload = json.loads((tmp_path / "stats.json").read_text())
+    assert payload["checks"]["gaussian_max"]
+    rows = (tmp_path / "trials.csv").read_text().splitlines()[2:]
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        cols = row.split(",")
+        assert int(cols[0]) == i and float(cols[11]) > 1e-5  # solver_gap
+        named = (f"trial {i} (seed {cols[1]}) of const: "
+                 f"duality gap {float(cols[11]):.3e}")
+        assert named in err
+        assert any(f.startswith(named) for f in payload["failures"])
+    stats = (tmp_path / "stats.csv").read_text().splitlines()
+    assert len(stats) == 3 and stats[2].startswith("const,")
+
+
+@pytest.mark.parametrize("check,trials", [("gaussian_max", 1),
+                                          ("theta_moment", 1),
+                                          ("theta_moment", 0)])
+def test_bench_check_with_too_few_trials_exit_code(tmp_path, capsys, check, trials):
+    doc = bench_doc(trials=3)
+    doc["checks"] = {"gaussian_max": {"Ns": [16], "trials": 2000},
+                     "theta_moment": {"T": 2, "sigma": 0.7, "trials": 300}}
+    doc["checks"][check]["trials"] = trials
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "trials >= 2" in capsys.readouterr().err
+
+
+def test_bench_check_trials_key_named(tmp_path, capsys):
+    doc = bench_doc(trials=3)
+    doc["checks"] = {"theta_moment": {"T": 2, "sigma": 0.7, "trials": "many"}}
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.checks.theta_moment.trials: expected an integer" in \
+        capsys.readouterr().err
+
+
+def test_bench_filtering_kappa_config_error(tmp_path, capsys):
+    doc = bench_doc(trials=3)
+    doc["experiments"][0]["kappa"] = 7
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.experiments[0].kappa" in capsys.readouterr().err
 
 
 def test_bench_uncovered_anchor_exit_code(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_denoise_T0_returns_observation():
     assert est.solve is None
 
 
+def test_denoise_point_budget_miss_equals_batch_of_one():
+    # a fit that misses its budget is returned flagged, as the batch returns it
+    y = Field(Box((-16,), (16,)), 1.0 + 0.1 * (RNG.standard_normal(33)
+                                             + 1j * RNG.standard_normal(33)))
+    setup = DenoiseSetup(rho=math.sqrt(2), T=4)
+    est = denoise_point(y, (0,), setup, tol=1e-12, max_iter=50)
+    (ref,) = denoise_batch([y], (0,), setup, tol=1e-12, max_iter=50)
+    assert not est.solve.converged and est.solve.iterations == 50
+    assert est.value == ref.value and est.anchor == ref.anchor
+    assert (est.solve.objective, est.solve.dual_bound, est.solve.gap) == \
+        (ref.solve.objective, ref.solve.dual_bound, ref.solve.gap)
+    assert np.array_equal(est.solve.phi.field.data, ref.solve.phi.field.data)
+
+
 def test_denoise_noiseless_constant():
     c = 0.8 - 0.3j
     y = const_field(Box((-4,), (4,)), c)

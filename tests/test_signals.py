@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfilt import Box, Field, ParamError, RegularityError, filter_tensor
+from gridfilt import Box, DomainError, Field, ParamError, RegularityError, filter_tensor
 from gridfilt.signals import (
     Certificate,
     ExpPolynomial,
@@ -430,6 +430,14 @@ def test_dirichlet_linearity():
     s1 = random_discrete_harmonic(D, box, g1, tol=1e-13)
     s2 = random_discrete_harmonic(D, box, g2, tol=1e-13)
     assert np.abs(s12.data - (a * s1.data + b * s2.data)).max() < 1e-9
+
+
+def test_dirichlet_boundary_must_cover_box():
+    D = four_neighbor_averaging(2)
+    box = Box.cube(2, 4)
+    short = Box((-4, -4), (4, 3))
+    with pytest.raises(DomainError):
+        random_discrete_harmonic(D, box, Field(short, np.ones(short.shape)))
 
 
 def test_harmonic_interior():
