@@ -45,6 +45,8 @@ from .fields import (
 )
 from .harness import (
     NoiseSpec,
+    _gaussian_max_args,
+    _theta_moment_args,
     check_gaussian_max,
     check_theta_moment,
     monte_carlo,
@@ -404,36 +406,21 @@ def cmd_bench(args) -> int:
     _check_keys(out, {"stats_csv", "stats_json", "trials_csv"}, {"stats_csv"},
                 "config.out")
 
+    # the whole config is checked before any sampling
+    experiments = cfg["experiments"]
+    if not isinstance(experiments, list):
+        raise ConfigError("config.experiments: expected a list")
+    experiments = [_parse_experiment(exp, f"config.experiments[{i}]")
+                   for i, exp in enumerate(experiments)]
+    checks = _parse_checks(cfg.get("checks"))
+
     failures: list[str] = []
     missed: list[str] = []
     all_stats = []
     all_records = []
-    experiments = cfg["experiments"]
-    if not isinstance(experiments, list):
-        raise ConfigError("config.experiments: expected a list")
-    for i, exp in enumerate(experiments):
-        ctx = f"config.experiments[{i}]"
-        exp = _require_mapping(exp, ctx)
-        _check_keys(exp, {"label", "signal", "box", "certificate", "T", "sigma",
-                          "anchor", "kappa"},
-                    {"label", "signal", "box", "certificate", "T", "sigma",
-                     "anchor"}, ctx)
-        box = _parse_box(exp["box"], ctx + ".box")
-        signal = _build_signal(exp["signal"], box, ctx + ".signal")
-        cert = _build_certificate(exp["certificate"], ctx + ".certificate")
-        T = _integer(exp["T"], ctx + ".T")
-        sigma = _number(exp["sigma"], ctx + ".sigma")
-        anchor = tuple(_int_list(exp["anchor"], ctx + ".anchor"))
-        if cert.kind == PREDICTION:
-            kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
-            setup = DenoiseSetup(rho=cert.rho, T=T, mode=PREDICTION, kappa=kappa)
-        elif "kappa" in exp:
-            raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
-        else:
-            setup = DenoiseSetup(rho=cert.rho, T=T)
-        label = str(exp["label"])
-        _info(args, f"running experiment {label!r}: {trials} trials, T={T}, "
-                    f"sigma={sigma}")
+    for label, signal, cert, anchor, setup, sigma in experiments:
+        _info(args, f"running experiment {label!r}: {trials} trials, "
+                    f"T={setup.T}, sigma={sigma}")
         stats, records = monte_carlo(signal, cert, anchor, setup, sigma, trials,
                                      master_seed, label=label, tol=tol)
         all_stats.append(stats)
@@ -451,38 +438,25 @@ def cmd_bench(args) -> int:
         _info(args, f"  rmse_adaptive={stats.rmse_adaptive:.6g} "
                     f"bound={stats.bound:.6g} ratio={stats.ratio:.4f}")
 
-    checks_cfg = cfg.get("checks")
     check_reports = {}
-    if checks_cfg is not None:
-        checks_cfg = _require_mapping(checks_cfg, "config.checks")
-        _check_keys(checks_cfg, {"gaussian_max", "theta_moment"}, set(),
-                    "config.checks")
-        if "gaussian_max" in checks_cfg:
-            ctx = "config.checks.gaussian_max"
-            gm = _require_mapping(checks_cfg["gaussian_max"], ctx)
-            _check_keys(gm, {"Ns", "trials"}, {"Ns", "trials"}, ctx)
-            reports = []
-            for N in _int_list(gm["Ns"], ctx + ".Ns"):
-                rep = check_gaussian_max(N, _integer(gm["trials"], ctx + ".trials"),
-                                         seed=master_seed)
-                reports.append(rep)
-                if not (rep.mean_ok and rep.tails_ok):
-                    failures.append(f"gaussian_max N={N}: bound violated")
-                _info(args, f"  gaussian max N={N}: mean {rep.mean_max_sq:.4f} "
-                            f"<= {rep.bound_mean:.4f}")
-            check_reports["gaussian_max"] = [rep.__dict__ for rep in reports]
-        if "theta_moment" in checks_cfg:
-            ctx = "config.checks.theta_moment"
-            tm = _require_mapping(checks_cfg["theta_moment"], ctx)
-            _check_keys(tm, {"T", "sigma", "trials"}, {"T", "sigma", "trials"}, ctx)
-            rep = check_theta_moment(_integer(tm["T"], ctx + ".T"),
-                                     _number(tm["sigma"], ctx + ".sigma"),
-                                     _integer(tm["trials"], ctx + ".trials"),
-                                     seed=master_seed)
-            if not rep.ok:
-                failures.append("theta_moment: bound violated")
-            check_reports["theta_moment"] = rep.__dict__
-            _info(args, f"  theta moment: {rep.mean_sq:.4f} <= {rep.bound:.4f}")
+    if "gaussian_max" in checks:
+        Ns, gm_trials = checks["gaussian_max"]
+        reports = []
+        for N in Ns:
+            rep = check_gaussian_max(N, gm_trials, seed=master_seed)
+            reports.append(rep)
+            if not (rep.mean_ok and rep.tails_ok):
+                failures.append(f"gaussian_max N={N}: bound violated")
+            _info(args, f"  gaussian max N={N}: mean {rep.mean_max_sq:.4f} "
+                        f"<= {rep.bound_mean:.4f}")
+        check_reports["gaussian_max"] = [rep.__dict__ for rep in reports]
+    if "theta_moment" in checks:
+        tm_T, tm_sigma, tm_trials = checks["theta_moment"]
+        rep = check_theta_moment(tm_T, tm_sigma, tm_trials, seed=master_seed)
+        if not rep.ok:
+            failures.append("theta_moment: bound violated")
+        check_reports["theta_moment"] = rep.__dict__
+        _info(args, f"  theta moment: {rep.mean_sq:.4f} <= {rep.bound:.4f}")
 
     failures += missed
     header = f"master_seed={master_seed}"
@@ -501,6 +475,58 @@ def cmd_bench(args) -> int:
     if missed:
         return 5
     return 1 if failures else 0
+
+
+def _parse_experiment(exp, ctx: str) -> tuple:
+    """``(label, signal, certificate, anchor, setup, sigma)`` of one bench
+    experiment."""
+    exp = _require_mapping(exp, ctx)
+    _check_keys(exp, {"label", "signal", "box", "certificate", "T", "sigma",
+                      "anchor", "kappa"},
+                {"label", "signal", "box", "certificate", "T", "sigma",
+                 "anchor"}, ctx)
+    box = _parse_box(exp["box"], ctx + ".box")
+    signal = _build_signal(exp["signal"], box, ctx + ".signal")
+    cert = _build_certificate(exp["certificate"], ctx + ".certificate")
+    T = _integer(exp["T"], ctx + ".T")
+    sigma = _number(exp["sigma"], ctx + ".sigma")
+    anchor = tuple(_int_list(exp["anchor"], ctx + ".anchor"))
+    if cert.kind == PREDICTION:
+        kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
+        setup = DenoiseSetup(rho=cert.rho, T=T, mode=PREDICTION, kappa=kappa)
+    elif "kappa" in exp:
+        raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
+    else:
+        setup = DenoiseSetup(rho=cert.rho, T=T)
+    return str(exp["label"]), signal, cert, anchor, setup, sigma
+
+
+def _parse_checks(node) -> dict:
+    """The bench's checks by name: ``gaussian_max`` to ``(Ns, trials)`` and
+    ``theta_moment`` to ``(T, sigma, trials)``, each validated."""
+    if node is None:
+        return {}
+    node = _require_mapping(node, "config.checks")
+    _check_keys(node, {"gaussian_max", "theta_moment"}, set(), "config.checks")
+    checks = {}
+    if "gaussian_max" in node:
+        ctx = "config.checks.gaussian_max"
+        gm = _require_mapping(node["gaussian_max"], ctx)
+        _check_keys(gm, {"Ns", "trials"}, {"Ns", "trials"}, ctx)
+        Ns = _int_list(gm["Ns"], ctx + ".Ns")
+        trials = _integer(gm["trials"], ctx + ".trials")
+        for N in Ns:
+            _gaussian_max_args(N, trials)
+        checks["gaussian_max"] = (Ns, trials)
+    if "theta_moment" in node:
+        ctx = "config.checks.theta_moment"
+        tm = _require_mapping(node["theta_moment"], ctx)
+        _check_keys(tm, {"T", "sigma", "trials"}, {"T", "sigma", "trials"}, ctx)
+        checks["theta_moment"] = (_integer(tm["T"], ctx + ".T"),
+                                  _number(tm["sigma"], ctx + ".sigma"),
+                                  _integer(tm["trials"], ctx + ".trials"))
+        _theta_moment_args(checks["theta_moment"][2])
+    return checks
 
 
 def _check_residual(cfg: dict, box: Box, signal: Field, q: Filter, entry: dict,

@@ -282,6 +282,12 @@ class GaussianMaxReport:
 GAUSSIAN_MAX_CHUNK = 1000
 
 
+def _gaussian_max_args(N: int, trials: int) -> None:
+    if N < 1 or trials < 2:
+        raise ParamError(f"the Gaussian-maximum check needs N >= 1 and trials >= 2, "
+                         f"got N={N}, trials={trials}")
+
+
 def check_gaussian_max(N: int, trials: int, seed: int = 0,
                        tail_u: Sequence[float] = (1.0, 2.0, 3.0)) -> GaussianMaxReport:
     """Empirical check of the Gaussian maximum bounds.
@@ -290,9 +296,7 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0,
     ``P{max |f_j| > u + sqrt(2 ln N)} <= exp(-u^2/2)``. The standard
     errors need at least two trials.
     """
-    if N < 1 or trials < 2:
-        raise ParamError(f"the Gaussian-maximum check needs N >= 1 and trials >= 2, "
-                         f"got N={N}, trials={trials}")
+    _gaussian_max_args(N, trials)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # Philox fills the stream in order, so drawing the trials chunk by chunk
     # gives every trial the values of one (trials, 2, N) draw
@@ -339,14 +343,18 @@ class ThetaMomentReport:
         return self.mean_sq <= self.bound + 3 * self.se
 
 
+def _theta_moment_args(trials: int) -> None:
+    if trials < 2:
+        raise ParamError(f"the theta-moment check needs trials >= 2, got {trials}")
+
+
 def check_theta_moment(T: int, sigma: float, trials: int, seed: int = 0,
                        d: int = 1) -> ThetaMomentReport:
     """Monte Carlo check of ``E[Theta_T^2] <= sigma^2 (4 d ln(4T+1) + 2)``.
 
     The standard error needs at least two trials.
     """
-    if trials < 2:
-        raise ParamError(f"the theta-moment check needs trials >= 2, got {trials}")
+    _theta_moment_args(trials)
     vals = np.empty(trials)
     box = Box.cube(d, 4 * T)
     for i in range(trials):

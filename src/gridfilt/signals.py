@@ -667,23 +667,28 @@ def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
     ``ConvergenceError`` if the interior residual does not reach ``tol``.
     """
     interior = harmonic_interior(D, box)
-    data = np.zeros(box.shape, dtype=np.complex128)
+    stencil = D.to_filter()
+    # the stencil is padded to a cube of its largest reach; on an axis of
+    # shorter reach its extra taps are zero and read zeros around the box
+    r = stencil.order
+    grid = Box(tuple(min(b, i - r) for b, i in zip(box.lo, interior.lo)),
+               tuple(max(b, i + r) for b, i in zip(box.hi, interior.hi)))
+    data = np.zeros(grid.shape, dtype=np.complex128)
     mask = np.zeros(box.shape, dtype=bool)
     mask[interior.slices_in(box)] = True
     # the boundary frame holds the box's corners, so it is covered exactly
     # when the whole box is
-    data[~mask] = boundary.restrict(box).data[~mask]
-    f = Field(box, data)
-    sl = interior.slices_in(box)
-    stencil = D.to_filter()
+    data[box.slices_in(grid)][~mask] = boundary.restrict(box).data[~mask]
+    f = Field(grid, data)
+    sl = interior.slices_in(grid)
     for it in range(max_iter):
         Df = convolve(stencil, f, interior)
         new = f.data.copy()
         new[sl] = (1 - damping) * f.data[sl] + damping * Df.data
         resid = np.abs(Df.data - f.data[sl]).max()
-        f = Field(box, new)
+        f = Field(grid, new)
         if resid <= tol:
-            return f
+            return f.restrict(box)
     raise ConvergenceError(
         f"Jacobi iteration did not reach residual {tol} in {max_iter} steps")
 

@@ -15,26 +15,36 @@ observations ``{kappa <= t_j - tau_j <= 4T}`` preceding the anchor.
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
-(none for filtering). Both modes are one saddle point problem, solved by
-reflected restarted Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for
-linear programming", 2024). With ``P`` one primal-dual step with exact
-closed-form projections, the iterate ``z = (Phi, y)`` moves to ``z0 +
-(k+1)/(k+2) (2 P(z) - z - z0)`` at the k-th iteration after a restart, and
-restarts at ``P(z)``, its new anchor ``z0``, when its fixed-point residual
-``||z - P(z)||`` has fallen enough since the last restart. Every check turns
-``P(z)`` into a feasible filter and a certified dual lower bound of the true
-program, so the reported optimality gap is unconditional. The solve is
-deterministic: identical instances produce bit-identical results.
+(none for filtering), scaled by ``||A||`` so that ``K`` scales with the data.
+Both modes are one saddle point problem, solved by reflected restarted
+Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for linear programming",
+2024). With ``P`` one primal-dual step with exact closed-form projections,
+the iterate ``z = (Phi, y)`` moves to ``z0 + (k+1)/(k+2) (2 P(z) - z - z0)``
+at the k-th iteration after a restart, and restarts at ``P(z)``, its new
+anchor ``z0``, when its fixed-point residual ``||z - P(z)||`` has fallen
+enough since the last restart. The primal and dual steps are ``eta / omega``
+and ``eta omega`` with ``eta = 0.99 / ||K||``; the primal weight ``omega``
+starts at 1 and is set at every restart to how far the dual moved over how
+far the primal moved since the last anchor (the adaptive primal weight of
+PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
+norm it weights. The iteration is thus exactly equivariant under
+power-of-two scaling of the data. Every check turns ``P(z)`` into a
+feasible filter and a certified dual lower bound of the true program, the
+better of the one of ``(u, w)`` and the one of ``(u, 0)`` (the bound of the
+relaxation without the support rows, which bounds the true program too), so
+the reported optimality gap is unconditional. The solve is deterministic:
+identical instances produce bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
 an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
 stacked transform of the shifted observation windows for the operators, one
 iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
-projections. Each instance keeps its own step size, Halpern anchor, restart
-state, best iterate and stopping check, and leaves the batch at the check
-that certifies it. Every transform and product is the BLAS call a lone solve
-makes, so each result is bit-identical to solving its instance alone;
-:func:`solve` is the batch of one.
+projections. Each instance keeps its own support row scale, step sizes,
+primal weight, Halpern anchor, restart state, best iterate and stopping
+check, and leaves the batch at the check that certifies it. Every transform
+and product is the BLAS call a lone solve makes, so each result is
+bit-identical to solving its instance alone; :func:`solve` is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -411,6 +421,10 @@ def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> flo
 SUFFICIENT, NECESSARY, ARTIFICIAL = 0.2, 0.8, 0.36
 # Iterations between checks, which certify the gap and decide restarts.
 CHECK_EVERY = 25
+# A restart keeps the primal weight when the primal or the dual moved at most
+# this far since the last anchor. The iterates do not scale with the data, so
+# neither does this floor.
+OMEGA_FLOOR = 1e-10
 
 
 def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
@@ -430,13 +444,26 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
             np.zeros(b.shape[1], dtype=np.complex128)) if z else None for z in zero]
     rows = np.flatnonzero(~zero)   # input position of each stacked row
     K, b = K[rows], b[rows]
+    B = len(rows)
+    # the support rows scaled by alpha = ||A|| (1 for an A of zero), so that K,
+    # and with it the iteration, scales with the data; the multiplier of the
+    # unscaled rows is alpha times that of the scaled ones
+    m = K.shape[1] - n
+    alpha = np.ones(B)
+    if m:
+        A = K[:, :n]
+        alpha = _op_norms(A, A.conj().transpose(0, 2, 1))
+        alpha[alpha == 0] = 1.0
+        K[:, n:] *= alpha[:, None, None]
     # K^H of each row is a transposed view, the layout a lone solve multiplies
     # with; a C-ordered copy would make BLAS sum in another order
     K_conj = K.conj()
     KH = K_conj.transpose(0, 2, 1)
     step = (0.99 / _op_norms(K, KH))[:, None]
+    # the primal weight omega: primal step step / omega, dual step step * omega
+    omega = np.ones(B)
+    tau, sigma = step, step
 
-    B = len(rows)
     Phi = np.zeros((B, n), dtype=np.complex128)
     y = np.zeros_like(b)
     Phi0, y0 = Phi.copy(), y.copy()            # the anchor z0 of the epoch
@@ -454,12 +481,12 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         it += 1
         # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
         # is both its extrapolated point and the reflection of Phi
-        Phi_plus = project_l1_ball(Phi - step * _matvec(KH, y), c)
+        Phi_plus = project_l1_ball(Phi - tau * _matvec(KH, y), c)
         R = 2 * Phi_plus
         R -= Phi
         y_plus = _matvec(K, R)
         y_plus -= b
-        y_plus *= step
+        y_plus *= sigma
         y_plus += y
         y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0)
 
@@ -471,11 +498,21 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
             best_J[better] = J[better]
             best_phi[better] = phi_sp[better]
             D = _dual_values(KH, b, y_plus, c)
+            if m:
+                # D(u, 0), the bound of the support relaxation, bounds the
+                # true program too; keep the larger
+                D_relaxed = _dual_values(KH[:, :, :n], b[:, :n], y_plus[:, :n], c)
+                relaxed = D_relaxed > D
+                D[relaxed] = D_relaxed[relaxed]
             better = D > best_D
             best_D[better] = D[better]
             best_y[better] = y_plus[better]
+            if m:
+                best_y[better & relaxed, n:] = 0.0
             converged = best_J - best_D <= tol
-            r = np.sqrt(_sq_norms(Phi - Phi_plus) + _sq_norms(y - y_plus))
+            # the fixed-point residual in the norm the primal weight sets
+            r = np.sqrt(omega * _sq_norms(Phi - Phi_plus)
+                        + _sq_norms(y - y_plus) / omega)
             restart = ((r <= SUFFICIENT * r_restart)
                        | ((r <= NECESSARY * r_restart) & (r > r_last))
                        | (it - restart_it > ARTIFICIAL * it))
@@ -497,6 +534,14 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         y += y0
 
         if check:
+            # the primal weight of the new epoch: how far the dual moved over
+            # how far the primal moved since the last anchor
+            dPhi = np.sqrt(_sq_norms(Phi_plus - Phi0))
+            dy = np.sqrt(_sq_norms(y_plus - y0))
+            move = restart & (dPhi > OMEGA_FLOOR) & (dy > OMEGA_FLOOR)
+            if move.any():
+                omega[move] = dy[move] / dPhi[move]
+                tau, sigma = step / omega[:, None], step * omega[:, None]
             # a new epoch, anchored at P(z)
             Phi[restart] = Phi0[restart] = Phi_plus[restart]
             y[restart] = y0[restart] = y_plus[restart]
@@ -505,16 +550,20 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
             done = converged | (it == max_iter)
             if done.any():
                 for j in np.flatnonzero(done):
+                    y_best = best_y[j].copy()
+                    y_best[n:] *= alpha[j]
                     out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
-                                    float(best_D[j]), it, best_y[j].copy())
+                                    float(best_D[j]), it, y_best)
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, K, K_conj, b, step, Phi, y, Phi0, y0, restart_it,
-                 r_restart, r_last, best_J, best_phi, best_D, best_y) = (
+                (rows, K, K_conj, b, alpha, step, omega, tau, sigma, Phi, y,
+                 Phi0, y0, restart_it, r_restart, r_last, best_J, best_phi,
+                 best_D, best_y) = (
                     x[keep] for x in (
-                        rows, K, K_conj, b, step, Phi, y, Phi0, y0, restart_it,
-                        r_restart, r_last, best_J, best_phi, best_D, best_y))
+                        rows, K, K_conj, b, alpha, step, omega, tau, sigma, Phi,
+                        y, Phi0, y0, restart_it, r_restart, r_last, best_J,
+                        best_phi, best_D, best_y))
                 KH = K_conj.transpose(0, 2, 1)
     return out
 
@@ -525,13 +574,16 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
 
     Runs reflected restarted Halpern PDHG (see the module docstring) for at
     most ``max_iter`` iterations, and certifies the gap and decides restarts
-    every ``CHECK_EVERY`` iterations and at the last. Returns one result per
-    instance, in order, each bit-identical to what solving that instance
-    alone gives. An instance that misses the budget is returned with its
-    certified gap and ``converged`` false. Raises ``ParamError`` for a
-    tolerance that is not positive (NaN included), an empty batch, or
-    instances that differ in mode, dimension, order, lag or l1 budget.
-    Deterministic.
+    every ``CHECK_EVERY`` iterations and at the last. Each instance has its
+    own primal weight, adapted at its restarts, and in prediction its own
+    scale ``||A||`` of the support rows; ``dual_w`` is the multiplier of the
+    unscaled rows, and zero when the support relaxation certifies the better
+    bound. Returns one result per instance, in order, each bit-identical to
+    what solving that instance alone gives. An instance that misses the
+    budget is returned with its certified gap and ``converged`` false.
+    Raises ``ParamError`` for a tolerance that is not positive (NaN
+    included), an empty batch, or instances that differ in mode, dimension,
+    order, lag or l1 budget. Deterministic.
     """
     if not tol > 0:
         raise ParamError(f"tol must be positive, got {tol}")

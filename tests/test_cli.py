@@ -375,7 +375,12 @@ def test_bench_budget_miss_exit_code(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("check,trials", [("gaussian_max", 1),
                                           ("theta_moment", 1),
                                           ("theta_moment", 0)])
-def test_bench_check_with_too_few_trials_exit_code(tmp_path, capsys, check, trials):
+def test_bench_check_with_too_few_trials_exit_code(tmp_path, monkeypatch, capsys,
+                                                 check, trials):
+    # rejected before any trial is sampled
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
     doc = bench_doc(trials=3)
     doc["checks"] = {"gaussian_max": {"Ns": [16], "trials": 2000},
                      "theta_moment": {"T": 2, "sigma": 0.7, "trials": 300}}
@@ -383,6 +388,22 @@ def test_bench_check_with_too_few_trials_exit_code(tmp_path, capsys, check, tria
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "trials >= 2" in capsys.readouterr().err
+
+
+def test_bench_rejects_bad_later_experiment_before_sampling(tmp_path, monkeypatch,
+                                                          capsys):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    second = dict(doc["experiments"][0], label="second")
+    del second["sigma"]
+    doc["experiments"].append(second)
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.experiments[1]: missing required keys ['sigma']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
 
 
 def test_bench_check_trials_key_named(tmp_path, capsys):

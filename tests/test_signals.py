@@ -440,6 +440,20 @@ def test_dirichlet_boundary_must_cover_box():
         random_discrete_harmonic(D, box, Field(short, np.ones(short.shape)))
 
 
+def test_dirichlet_stencil_of_unequal_reach():
+    # reach 2 on the first axis and 1 on the second: the cube-padded stencil
+    # reads past the box on the second axis, where its taps are zero
+    D = make_regular_operator([(2, 0), (-2, 0), (0, 1), (0, -1)], [0.25] * 4)
+    box = Box.cube(2, 5)
+    sol = random_discrete_harmonic(D, box, Field(box, RNG.standard_normal(box.shape)),
+                                   tol=1e-10)
+    assert sol.box == box
+    inner = harmonic_interior(D, box)
+    Df = sum(w * sol.restrict(inner.translate(tuple(-a for a in off))).data
+             for off, w in zip(D.offsets, D.weights))
+    assert np.abs(Df - sol.restrict(inner).data).max() <= 1e-10
+
+
 def test_harmonic_interior():
     D = four_neighbor_averaging(2)
     inner = harmonic_interior(D, Box.cube(2, 3))

@@ -18,8 +18,16 @@ from gridfilt import (
     filter_product,
     shift,
 )
-from gridfilt.signals import exp_certificate_1d, predictor_exp_certificate
+from gridfilt.harness import NoiseSpec, sample_noise
+from gridfilt.signals import (
+    ExpPolynomial,
+    eval_exp_poly,
+    exp_certificate_1d,
+    exp_poly_certificate,
+    predictor_exp_certificate,
+)
 from gridfilt.solver import (
+    CHECK_EVERY,
     _Geometry,
     _op_norms,
     build_filtering_instance,
@@ -399,6 +407,59 @@ def test_solve_phase_covariance(mode, seed, alpha):
                                  r0.objective, 1.0)
 
 
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+def test_solve_power_of_two_equivariance(mode):
+    # scaling the data and the tolerance by a power of two scales K, b and
+    # every step exactly: the same iterates, J and D scaled exactly
+    rng = np.random.default_rng(7)
+    if mode == "filtering":
+        y = _field(rng, Box((-8,), (8,)), 0.5, 1.0)
+        make = lambda y: build_filtering_instance(y, (0,), 2, math.sqrt(2))
+    else:
+        y = _field(rng, Box((-8,), (0,)), 0.5, 1.0)
+        make = lambda y: build_prediction_instance(y, (0,), 2, 1, 2.0)
+    k = 2.0 ** -20
+    r0 = solve(make(y), tol=1e-7)
+    r1 = solve(make(Field(y.box, k * y.data)), tol=k * 1e-7)
+    assert r0.converged and r0.iterations > 2 * CHECK_EVERY
+    assert r1.iterations == r0.iterations
+    assert np.array_equal(r1.phi.field.data, r0.phi.field.data)
+    assert (r1.objective, r1.dual_bound) == (k * r0.objective, k * r0.dual_bound)
+    assert np.array_equal(r1.dual_u.values, r0.dual_u.values)
+    assert np.array_equal(r1.dual_w.data, k * r0.dual_w.data)
+
+
+def test_prediction_iterations_do_not_depend_on_data_scale():
+    # the support rows of the operator scale with the data, so small data
+    # converges as fast as data of size 1
+    iterations = []
+    for s in (1.0, 1e-3, 1e-6):
+        y = _field(np.random.default_rng(5), Box((-8,), (0,)), s, s)
+        res = solve(build_prediction_instance(y, (0,), 2, 1, 2.0), tol=1e-6 * s)
+        assert res.converged
+        iterations.append(res.iterations)
+    assert len(set(iterations)) == 1
+
+
+def test_two_dimensional_instances_converge_within_default_budget():
+    # a plane wave with noise 0.1, denoised with T = 4 (n = 289), and a
+    # noisy plane wave predicted with T = 3 and lag 1
+    poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
+    box = Box((-16, -16), (17, 17))
+    y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 1))
+    inst = build_filtering_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)
+    assert solve(inst, tol=1e-5).converged
+    rng = np.random.default_rng(0)
+    box = Box((-12, -12), (0, 0))
+    theta = rng.uniform(-1, 1, 2)
+    tau = np.stack(np.meshgrid(*(np.arange(-12, 1),) * 2, indexing="ij"))
+    wave = np.exp(1j * np.tensordot(theta, tau, axes=1))
+    y = Field(box, wave + 0.1 * (rng.standard_normal(box.shape)
+                                 + 1j * rng.standard_normal(box.shape)))
+    inst = build_prediction_instance(y, (0, 0), 3, 1, 2.0)
+    assert solve(inst, tol=1e-5).converged
+
+
 # ---------------------------------------------------------------- prediction
 
 
@@ -410,6 +471,17 @@ def test_prediction_constant_exact():
     assert res.objective <= 1e-9
     est = estimate_at(res.phi, y, (0,))
     assert abs(est - (3.0 + 1j)) < 1e-7
+
+
+def test_prediction_data_only_shift_zero_reads():
+    # y is nonzero only at tau = -1, which shift 0 reads and no support shift
+    # does: A = 0, the optimum is J(0) with phi = 0
+    data = np.zeros(9, dtype=complex)
+    data[7] = 1.0 - 2.0j
+    inst = build_prediction_instance(Field(Box((-8,), (0,)), data), (0,), 2, 1, 2.0)
+    res = solve(inst, tol=1e-9)
+    assert res.converged and np.all(res.phi.field.data == 0)
+    assert res.objective == pytest.approx(objective(inst, res.phi), rel=1e-12)
 
 
 def test_prediction_reads_only_causal_slab():
