@@ -46,6 +46,7 @@ from .fields import (
 from .harness import (
     NoiseSpec,
     _gaussian_max_args,
+    _seed_arg,
     _theta_moment_args,
     check_gaussian_max,
     check_theta_moment,
@@ -186,7 +187,7 @@ def _build_signal(node, box: Box, context: str) -> Field:
             y = np.arange(box.lo[1], box.hi[1] + 1)
             bnd = Field(box, (x[:, None] ** 2 - y[None, :] ** 2).astype(complex))
         elif boundary == "random":
-            seed = _integer(node.get("seed", 0), context + ".seed")
+            seed = _seed(None, node.get("seed", 0), context + ".seed")
             bnd = sample_noise(box, NoiseSpec(1.0, seed))
         else:
             raise ConfigError(f"{context}.boundary: expected 'saddle' or 'random'")
@@ -270,6 +271,20 @@ def _tolerance(args, cfg: dict, default: float) -> float:
     return tol
 
 
+def _seed(override: int | None, node, context: str) -> int:
+    """The seed from ``--seed`` (``override``) or else ``node`` at ``context``;
+    one that Philox cannot take is an error naming its source."""
+    if override is not None:
+        seed, source = override, "--seed"
+    else:
+        seed, source = _integer(node, context), context
+    try:
+        _seed_arg(seed)
+    except ParamError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    return seed
+
+
 def _out_path(args, name: str) -> str:
     if os.path.isabs(name):
         return name
@@ -296,11 +311,14 @@ def cmd_generate(args) -> int:
     out = _require_mapping(cfg["out"], "config.out")
     _check_keys(out, {"signal", "observations"}, {"signal"}, "config.out")
     noise_cfg = cfg.get("noise")
+    spec = None
     if noise_cfg is not None:
         noise_cfg = _require_mapping(noise_cfg, "config.noise")
         _check_keys(noise_cfg, {"sigma", "seed"}, {"sigma", "seed"}, "config.noise")
         if "observations" not in out:
             raise ConfigError("config.out: noise given but no observations path")
+        spec = NoiseSpec(_number(noise_cfg["sigma"], "config.noise.sigma"),
+                         _seed(args.seed, noise_cfg["seed"], "config.noise.seed"))
     try:
         signal = _build_signal(cfg["signal"], box, "config.signal")
     except (ConfigError, ParamError):
@@ -310,13 +328,10 @@ def cmd_generate(args) -> int:
         return 3
     write_zdf(signal, _out_path(args, out["signal"]))
     _info(args, f"wrote signal field on {box} to {out['signal']}")
-    if noise_cfg is not None:
-        seed = args.seed if args.seed is not None else _integer(
-            noise_cfg["seed"], "config.noise.seed")
-        spec = NoiseSpec(_number(noise_cfg["sigma"], "config.noise.sigma"), seed)
+    if spec is not None:
         y = signal + sample_noise(box, spec)
         write_zdf(y, _out_path(args, out["observations"]))
-        _info(args, f"wrote observations (sigma={spec.sigma}, seed={seed}) "
+        _info(args, f"wrote observations (sigma={spec.sigma}, seed={spec.seed}) "
                     f"to {out['observations']}")
     return 0
 
@@ -396,8 +411,7 @@ def cmd_bench(args) -> int:
     _check_keys(cfg, {"master_seed", "trials", "tol", "experiments", "checks",
                       "out"},
                 {"master_seed", "trials", "experiments", "out"}, "config")
-    master_seed = args.seed if args.seed is not None else _integer(
-        cfg["master_seed"], "config.master_seed")
+    master_seed = _seed(args.seed, cfg["master_seed"], "config.master_seed")
     trials = _integer(cfg["trials"], "config.trials")
     if trials < 1:
         raise ConfigError("config.trials: need at least one trial")
@@ -490,14 +504,23 @@ def _parse_experiment(exp, ctx: str) -> tuple:
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
     T = _integer(exp["T"], ctx + ".T")
     sigma = _number(exp["sigma"], ctx + ".sigma")
+    if not sigma >= 0:
+        raise ConfigError(f"{ctx}.sigma: sigma must be nonnegative, got {sigma}")
     anchor = tuple(_int_list(exp["anchor"], ctx + ".anchor"))
+    kappa = None
     if cert.kind == PREDICTION:
         kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
-        setup = DenoiseSetup(rho=cert.rho, T=T, mode=PREDICTION, kappa=kappa)
     elif "kappa" in exp:
         raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
-    else:
-        setup = DenoiseSetup(rho=cert.rho, T=T)
+    try:
+        setup = DenoiseSetup(rho=cert.rho, T=T, mode=cert.kind, kappa=kappa)
+        # a trial's noise statistic reads this cube, and its other reads too
+        reads = Box.cube(box.d, 4 * T, anchor)
+    except ParamError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+    if not box.contains_box(reads):
+        raise DomainError(f"{ctx} ({exp['label']}): a trial at anchor {anchor} "
+                          f"reads {reads}, but the box is {box}")
     return str(exp["label"]), signal, cert, anchor, setup, sigma
 
 
@@ -559,8 +582,8 @@ def cmd_certify(args) -> int:
     out = _require_mapping(cfg["out"], "config.out")
     _check_keys(out, {"filter", "report"}, {"filter", "report"}, "config.out")
     box = _parse_box(cfg["box"], "config.box")
-    Ts = cfg["T"] if isinstance(cfg["T"], list) else [cfg["T"]]
-    Ts = [_integer(T, "config.T") for T in Ts]
+    Ts = (_int_list(cfg["T"], "config.T") if isinstance(cfg["T"], list)
+          else [_integer(cfg["T"], "config.T")])
 
     entries = []
     violated = False

@@ -456,37 +456,31 @@ def _product_kind(a: Filter, b: Filter):
 def filter_product(a: Filter, b: Filter) -> Filter:
     """Coefficient-wise Laurent multiplication; orders add.
 
-    Satisfies ``|ab|_p <= |a|_1 |b|_p``.
+    The larger factor, zero-extended by the reach of the smaller one, is
+    filtered by the smaller one with :func:`convolve`. The product is
+    one-sided when both factors are (lags add), or when one is and the other
+    is a two-sided filter of order 0; otherwise it is two-sided. Satisfies
+    ``|ab|_p <= |a|_1 |b|_p``.
     """
     if a.d != b.d:
         raise ParamError("filter product requires equal dimensions")
-    d = a.d
-    abox, bbox = a.field.box, b.field.box
-    lo = tuple(al + bl for al, bl in zip(abox.lo, bbox.lo))
-    hi = tuple(ah + bh for ah, bh in zip(abox.hi, bbox.hi))
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=np.complex128)
-    # accumulate shifted copies of the larger factor, driven by the smaller
-    if abox.size <= bbox.size:
-        small, big = a, b
-    else:
-        small, big = b, a
+    small, big = (a, b) if a.field.box.size <= b.field.box.size else (b, a)
     sbox, gbox = small.field.box, big.field.box
-    for idx in np.ndindex(*sbox.shape):
-        c = small.field.data[idx]
-        if c == 0:
-            continue
-        off = tuple(sl + i + gl - l for sl, i, gl, l
-                    in zip(sbox.lo, idx, gbox.lo, lo))
-        sl = tuple(slice(o, o + n) for o, n in zip(off, gbox.shape))
-        out[sl] += c * big.field.data
+    box = Box(tuple(sl + gl for sl, gl in zip(sbox.lo, gbox.lo)),
+              tuple(sh + gh for sh, gh in zip(sbox.hi, gbox.hi)))
+    reads = Box(tuple(l - sh for l, sh in zip(box.lo, sbox.hi)),
+                tuple(h - sl for h, sl in zip(box.hi, sbox.lo)))
+    padded = np.zeros(reads.shape, dtype=np.complex128)
+    padded[gbox.slices_in(reads)] = big.field.data
+    out = convolve(small, Field(reads, padded), box)
     order = a.order + b.order
     kind, kappa = _product_kind(a, b)
     if kind == ONE_SIDED:
-        target = Box.one_sided_cube(d, kappa, order)
+        target = Box.one_sided_cube(a.d, kappa, order)
     else:
-        target = Box.cube(d, order)
+        target = Box.cube(a.d, order)
     full = np.zeros(target.shape, dtype=np.complex128)
-    full[Box(lo, hi).slices_in(target)] = out
+    full[box.slices_in(target)] = out.data
     return Filter(Field(target, full), order, kind, kappa if kind == ONE_SIDED else None)
 
 

@@ -62,9 +62,15 @@ _MASK = (1 << 64) - 1
 Z_95 = 1.96  # normal-approximation 95% quantile used in all half-widths
 
 
+def _seed_arg(seed: int) -> None:
+    if not 0 <= seed < 2 ** 128:  # the keys Philox takes
+        raise ParamError(f"seed must be in [0, 2**128), got {seed}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level and generator seed; equal seeds give identical fields."""
+    """Noise level and generator seed, a Philox key in ``[0, 2**128)``; equal
+    seeds give identical fields."""
 
     sigma: float
     seed: int
@@ -72,6 +78,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma < 0:
             raise ParamError("sigma must be nonnegative")
+        _seed_arg(self.seed)
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -280,6 +287,8 @@ class GaussianMaxReport:
 
 # trials of the Gaussian-maximum check drawn and reduced at a time
 GAUSSIAN_MAX_CHUNK = 1000
+# the offsets u of the Gaussian-maximum check's tail probabilities
+GAUSSIAN_MAX_TAIL_U = (1.0, 2.0, 3.0)
 
 
 def _gaussian_max_args(N: int, trials: int) -> None:
@@ -288,15 +297,16 @@ def _gaussian_max_args(N: int, trials: int) -> None:
                          f"got N={N}, trials={trials}")
 
 
-def check_gaussian_max(N: int, trials: int, seed: int = 0,
-                       tail_u: Sequence[float] = (1.0, 2.0, 3.0)) -> GaussianMaxReport:
+def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
     """Empirical check of the Gaussian maximum bounds.
 
     For N standard complex Gaussians: ``E max |f_j|^2 <= 2 ln N + 2`` and
-    ``P{max |f_j| > u + sqrt(2 ln N)} <= exp(-u^2/2)``. The standard
-    errors need at least two trials.
+    ``P{max |f_j| > u + sqrt(2 ln N)} <= exp(-u^2/2)`` for each ``u`` of
+    ``GAUSSIAN_MAX_TAIL_U``. The standard errors need at least two trials;
+    the seed is a Philox key, in ``[0, 2**128)``.
     """
     _gaussian_max_args(N, trials)
+    _seed_arg(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # Philox fills the stream in order, so drawing the trials chunk by chunk
     # gives every trial the values of one (trials, 2, N) draw
@@ -308,7 +318,7 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0,
     max_sq = max_mag ** 2
     shift = math.sqrt(2 * math.log(N))
     freqs, ses = [], []
-    for u in tail_u:
+    for u in GAUSSIAN_MAX_TAIL_U:
         hits = (max_mag > u + shift).astype(float)
         p = float(hits.mean())
         freqs.append(p)
@@ -319,9 +329,9 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0,
         mean_max_sq=float(max_sq.mean()),
         se_max_sq=float(max_sq.std(ddof=1)) / math.sqrt(trials),
         bound_mean=2 * math.log(N) + 2,
-        tail_u=tuple(tail_u),
+        tail_u=GAUSSIAN_MAX_TAIL_U,
         tail_freq=tuple(freqs),
-        tail_bound=tuple(math.exp(-u * u / 2) for u in tail_u),
+        tail_bound=tuple(math.exp(-u * u / 2) for u in GAUSSIAN_MAX_TAIL_U),
         tail_se=tuple(ses),
     )
 
@@ -348,13 +358,16 @@ def _theta_moment_args(trials: int) -> None:
         raise ParamError(f"the theta-moment check needs trials >= 2, got {trials}")
 
 
-def check_theta_moment(T: int, sigma: float, trials: int, seed: int = 0,
-                       d: int = 1) -> ThetaMomentReport:
-    """Monte Carlo check of ``E[Theta_T^2] <= sigma^2 (4 d ln(4T+1) + 2)``.
+# the dimension of the theta-moment check's noise fields
+THETA_MOMENT_D = 1
 
-    The standard error needs at least two trials.
-    """
+
+def check_theta_moment(T: int, sigma: float, trials: int,
+                       seed: int = 0) -> ThetaMomentReport:
+    """Monte Carlo check of ``E[Theta_T^2] <= sigma^2 (4 d ln(4T+1) + 2)``,
+    ``d = THETA_MOMENT_D``. The standard error needs at least two trials."""
     _theta_moment_args(trials)
+    d = THETA_MOMENT_D
     vals = np.empty(trials)
     box = Box.cube(d, 4 * T)
     for i in range(trials):

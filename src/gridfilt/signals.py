@@ -584,29 +584,6 @@ def four_neighbor_averaging(d: int = 2) -> RegularOperator:
     return make_regular_operator(offsets, weights)
 
 
-def _chebyshev_coeffs(n: int) -> list[int]:
-    """Monomial coefficients of the degree-n Chebyshev polynomial (ascending)."""
-    t0, t1 = [1], [0, 1]
-    if n == 0:
-        return t0
-    for _ in range(n - 1):
-        t2 = [0] + [2 * c for c in t1]
-        t2 = [a - b for a, b in zip(t2, t0 + [0] * (len(t2) - len(t0)))]
-        t0, t1 = t1, t2
-    return t1
-
-
-def _divide_by_one_minus_z(coeffs: Sequence[float]) -> list[float]:
-    """Exact synthetic division of c(z) by (1 - z); c(1) must vanish."""
-    b, acc = [], 0
-    for c in coeffs[:-1]:
-        acc = c + acc
-        b.append(acc)
-    if abs(acc + coeffs[-1]) > 1e-9 * max(abs(c) for c in coeffs):
-        raise ParamError("polynomial is not divisible by (1 - z)")
-    return b
-
-
 def _filter_add(a: Filter, b: Filter) -> Filter:
     order = max(a.order, b.order)
     return Filter.two_sided(
@@ -627,11 +604,13 @@ def harmonic_filter(D: RegularOperator, n: int, c24: int = 1) -> Filter:
         raise ParamError("degree parameter n must be >= 1")
     if c24 < 1:
         raise ParamError("c24 must be a positive integer")
-    cheb = _chebyshev_coeffs(n)
-    one_minus_t = [-c for c in cheb]
+    # imported here, as it adds about 6 ms to every start of the program
+    from numpy.polynomial import chebyshev, polynomial
+
+    one_minus_t = -chebyshev.cheb2poly([0] * n + [1])
     one_minus_t[0] += 1
-    p_n = [c / float(n * n) for c in _divide_by_one_minus_z(one_minus_t)]
-    s_n = np.array(p_n, dtype=float)
+    # T_n(1) = 1, so 1 - z divides 1 - T_n exactly
+    s_n = polynomial.polydiv(one_minus_t, [1, -1])[0] / float(n * n)
     q_pow = np.array([0.5, 0.5])
     for _ in range(c24 * n):
         s_n = np.convolve(s_n, q_pow)
@@ -657,14 +636,18 @@ def harmonic_interior(D: RegularOperator, box: Box) -> Box:
     return Box(lo, hi)
 
 
+# step budget and damping of the Jacobi iteration of random_discrete_harmonic
+JACOBI_MAX_ITER, JACOBI_DAMPING = 200_000, 0.9
+
+
 def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
-                             tol: float = 1e-10, max_iter: int = 200_000,
-                             damping: float = 0.9) -> Field:
+                             tol: float = 1e-10) -> Field:
     """Solve the discrete Dirichlet problem ``f = D f`` on the interior of ``box``.
 
     Boundary values (all points of ``box`` outside the stencil interior) are
     read from ``boundary``. Damped Jacobi iteration, matrix-free; raises
-    ``ConvergenceError`` if the interior residual does not reach ``tol``.
+    ``ConvergenceError`` if the interior residual does not reach ``tol``
+    within ``JACOBI_MAX_ITER`` steps.
     """
     interior = harmonic_interior(D, box)
     stencil = D.to_filter()
@@ -681,16 +664,16 @@ def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
     data[box.slices_in(grid)][~mask] = boundary.restrict(box).data[~mask]
     f = Field(grid, data)
     sl = interior.slices_in(grid)
-    for it in range(max_iter):
+    for _ in range(JACOBI_MAX_ITER):
         Df = convolve(stencil, f, interior)
         new = f.data.copy()
-        new[sl] = (1 - damping) * f.data[sl] + damping * Df.data
+        new[sl] = (1 - JACOBI_DAMPING) * f.data[sl] + JACOBI_DAMPING * Df.data
         resid = np.abs(Df.data - f.data[sl]).max()
         f = Field(grid, new)
         if resid <= tol:
             return f.restrict(box)
     raise ConvergenceError(
-        f"Jacobi iteration did not reach residual {tol} in {max_iter} steps")
+        f"Jacobi iteration did not reach residual {tol} in {JACOBI_MAX_ITER} steps")
 
 
 def reproduction_residual(q: Filter, s: Field, eval_box: Box) -> float:

@@ -23,7 +23,9 @@ the iterate ``z = (Phi, y)`` moves to ``z0 + (k+1)/(k+2) (2 P(z) - z - z0)``
 at the k-th iteration after a restart, and restarts at ``P(z)``, its new
 anchor ``z0``, when its fixed-point residual ``||z - P(z)||`` has fallen
 enough since the last restart. The primal and dual steps are ``eta / omega``
-and ``eta omega`` with ``eta = 0.99 / ||K||``; the primal weight ``omega``
+and ``eta omega`` with ``eta = 0.99 / ||K||``, ``||K||`` the exact spectral
+norm (largest singular value), so that their product times ``||K||^2`` is
+``0.99^2 < 1``, as PDHG's convergence needs; the primal weight ``omega``
 starts at 1 and is set at every restart to how far the dual moved over how
 far the primal moved since the last anchor (the adaptive primal weight of
 PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
@@ -285,7 +287,9 @@ class _Geometry:
 
     def feasible_filters(self, Phi: np.ndarray,
                          radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Project iterates (rows) to exactly feasible filters: support, then l1.
+        """Map iterates (rows) to exactly feasible filters: zero the spatial
+        coefficients off the support, then scale each row by ``radius /
+        max(l1, radius)``, which is exactly 1 for a row inside the l1 ball.
 
         Returns the spatial coefficients on the window and their spectra.
         """
@@ -293,38 +297,13 @@ class _Geometry:
         phi_sp[:, self.off] = 0.0
         PhiF = _matvec(self.F, phi_sp)
         l1 = np.abs(PhiF).sum(axis=1)
-        over = (l1 > radius) & (l1 > 0)
-        if over.any():
-            scale = (radius / l1[over])[:, None]
-            phi_sp[over] = phi_sp[over] * scale
-            PhiF[over] = PhiF[over] * scale
-        return phi_sp, PhiF
-
-
-def _op_norms(K: np.ndarray, KH: np.ndarray, iters: int = 150) -> np.ndarray:
-    """Deterministic power-iteration estimates of each ``||K[k]||`` (with margin).
-
-    A row's norm is the dot of its real part plus that of its imaginary
-    part, the value ``np.linalg.norm`` gives the row alone, so each estimate
-    is bit-identical to a lone power iteration's. A row whose iterate hits
-    zero stays zero and estimates 0.
-    """
-    B, _, n = K.shape
-    v = np.full(n, 1.0 + 0.5j) + np.linspace(0, 1, n)
-    v /= np.linalg.norm(v)
-    v = np.tile(v, (B, 1))
-    lam = np.zeros(B)
-    for _ in range(iters):
-        w = _matvec(KH, _matvec(K, v))
-        lam = np.sqrt(_sq_norms(w))
-        v = w / np.where(lam == 0, 1.0, lam)[:, None]
-    return np.sqrt(lam) * 1.05
+        scale = (radius / np.maximum(l1, radius))[:, None]
+        return phi_sp * scale, PhiF * scale
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of complex ``x``, each one as it
-    comes out for that row alone."""
-    return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+    """Squared Euclidean norm of each row of complex ``x``."""
+    return np.vecdot(x, x).real
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -384,8 +363,7 @@ def _dual_values(KH: np.ndarray, b: np.ndarray, y: np.ndarray,
                  c: float) -> np.ndarray:
     """``-Re<y, b> - c ||K^H y||_inf`` of each row of ``y``: a lower bound on
     the optimum when the row's first ``n`` entries lie in the unit l1 ball."""
-    dots = np.array([np.vdot(yk, bk) for yk, bk in zip(y, b)])
-    return -np.real(dots) - c * np.abs(_matvec(KH, y)).max(axis=1)
+    return -np.vecdot(y, b).real - c * np.abs(_matvec(KH, y)).max(axis=1)
 
 
 def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> float:
@@ -451,15 +429,14 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     m = K.shape[1] - n
     alpha = np.ones(B)
     if m:
-        A = K[:, :n]
-        alpha = _op_norms(A, A.conj().transpose(0, 2, 1))
+        alpha = np.linalg.norm(K[:, :n], 2, axis=(1, 2))
         alpha[alpha == 0] = 1.0
         K[:, n:] *= alpha[:, None, None]
     # K^H of each row is a transposed view, the layout a lone solve multiplies
     # with; a C-ordered copy would make BLAS sum in another order
     K_conj = K.conj()
     KH = K_conj.transpose(0, 2, 1)
-    step = (0.99 / _op_norms(K, KH))[:, None]
+    step = (0.99 / np.linalg.norm(K, 2, axis=(1, 2)))[:, None]
     # the primal weight omega: primal step step / omega, dual step step * omega
     omega = np.ones(B)
     tau, sigma = step, step

@@ -12,7 +12,7 @@ a filter coefficient by its grid point, zero off the support,
 ``gaussian_max_one_shot`` draws all trials of the Gaussian-maximum check at once,
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
-and ``power_norm`` is the power-iteration norm estimate of one matrix.
+and ``laurent_product_loop`` multiplies two filters one pair of taps at a time.
 """
 
 import math
@@ -97,21 +97,18 @@ def dft_window_tensordot(window: np.ndarray, T: int, M: np.ndarray) -> np.ndarra
     return out * (2 * T + 1) ** (-out.ndim / 2)
 
 
-def power_norm(A: np.ndarray, iters: int = 150) -> float:
-    """Power-iteration estimate of ``||A||`` with a 5% margin, one matrix at a
-    time, the row norm taken by ``np.linalg.norm``."""
-    n = A.shape[1]
-    v = np.full(n, 1.0 + 0.5j) + np.linspace(0, 1, n)
-    v /= np.linalg.norm(v)
-    AH = A.conj().T
-    lam = 0.0
-    for _ in range(iters):
-        w = AH @ (A @ v)
-        lam = np.linalg.norm(w)
-        if lam == 0:
-            return 0.0
-        v = w / lam
-    return math.sqrt(lam) * 1.05
+def laurent_product_loop(a: Filter, b: Filter) -> Field:
+    """Reference ``filter_product``: the Laurent product ``sum a_s b_t z^(s+t)``,
+    accumulated one pair of taps at a time on the sum of the support boxes."""
+    abox, bbox = a.field.box, b.field.box
+    box = Box(tuple(x + y for x, y in zip(abox.lo, bbox.lo)),
+              tuple(x + y for x, y in zip(abox.hi, bbox.hi)))
+    out = np.zeros(box.shape, dtype=np.complex128)
+    for s in abox.points():
+        for t in bbox.points():
+            idx = tuple(si + ti - l for si, ti, l in zip(s, t, box.lo))
+            out[idx] += a.field.value(s) * b.field.value(t)
+    return Field(box, out)
 
 
 def project_l1_sort(z: np.ndarray, radius: float) -> np.ndarray:

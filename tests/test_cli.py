@@ -423,13 +423,41 @@ def test_bench_filtering_kappa_config_error(tmp_path, capsys):
     assert "config.experiments[0].kappa" in capsys.readouterr().err
 
 
-def test_bench_uncovered_anchor_exit_code(tmp_path, capsys):
-    # T = 2 reads [-4, 12] around anchor 4: outside the box [-8, 8]
+def test_bench_uncovered_anchor_exit_code(tmp_path, monkeypatch, capsys):
+    # T = 2 reads [-4, 12] around anchor 4: outside the box [-8, 8]; found
+    # before any trial is sampled
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
     doc = bench_doc()
     doc["experiments"][0]["anchor"] = [4]
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "trial 0 (seed" in capsys.readouterr().err
+    assert "config.experiments[0] (const)" in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+# (key of experiment 1, its bad value, exit code, what the message must say)
+BAD_EXPERIMENT_FIELDS = [
+    ("sigma", -0.1, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
+    ("T", -1, 2, "config.experiments[1]: T must be nonnegative"),
+    ("anchor", [4], 4, "config.experiments[1] (second): a trial at anchor (4,)"),
+]
+
+
+@pytest.mark.parametrize("key,value,code,message", BAD_EXPERIMENT_FIELDS)
+def test_bench_rejects_bad_experiment_field_before_sampling(
+        tmp_path, monkeypatch, capsys, key, value, code, message):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"].append(dict(doc["experiments"][0], label="second",
+                                   **{key: value}))
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "trial 0" not in err
     assert not (tmp_path / "stats.csv").exists()
 
 
@@ -447,7 +475,7 @@ BAD_TOLS = [("nan", None, "--tol"), ("0", 1e-5, "--tol"), ("-1e-6", None, "--tol
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("ran before the tolerance was checked")
+    raise AssertionError("ran before the whole config was checked")
 
 
 @pytest.mark.parametrize("flag,value,source", BAD_TOLS)
@@ -484,6 +512,43 @@ def test_denoise_rejects_bad_tol_before_solving(tmp_path, monkeypatch, capsys,
     assert main(argv + ([f"--tol={flag}"] if flag else [])) == 2
     assert f"{source}: tol must be positive" in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
+
+
+# (--seed value, config seed value, the source the message must name)
+BAD_SEEDS = [("-1", None, "--seed"), (str(2 ** 128), None, "--seed"),
+             (None, -1, "config"), (None, 2 ** 128, "config")]
+
+
+@pytest.mark.parametrize("flag,value,source", BAD_SEEDS)
+def test_bench_rejects_bad_seed_before_sampling(tmp_path, monkeypatch, capsys,
+                                                flag, value, source):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    monkeypatch.setattr(cli, "check_gaussian_max", _refuse)
+    doc = bench_doc()
+    if value is not None:
+        doc["master_seed"] = value
+    argv = ["bench", "--config", write_config(tmp_path / "bench.yaml", doc),
+            "--out", str(tmp_path)]
+    assert main(argv + ([f"--seed={flag}"] if flag else [])) == 2
+    source = "config.master_seed" if source == "config" else source
+    assert f"{source}: seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,source", BAD_SEEDS)
+def test_generate_rejects_bad_noise_seed_before_writing(tmp_path, capsys,
+                                                       flag, value, source):
+    doc = {"signal": constant_signal(), "box": {"lo": [-4], "hi": [4]},
+           "noise": {"sigma": 0.1, "seed": 1 if value is None else value},
+           "out": {"signal": "s.zdf", "observations": "y.zdf"}}
+    argv = ["generate", "--config", write_config(tmp_path / "gen.yaml", doc),
+            "--out", str(tmp_path)]
+    assert main(argv + ([f"--seed={flag}"] if flag else [])) == 2
+    source = "config.noise.seed" if source == "config" else source
+    assert f"{source}: seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
 
 
 def test_bench_seed_flag_overrides(tmp_path):
@@ -551,6 +616,18 @@ def test_certify_harmonic_saddle(tmp_path):
     assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["entries"][0]["residual"] <= 1e-10 * 400  # scale of x^2-y^2
+
+
+def test_certify_empty_T_list_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "poly", "degree": 1},
+        "T": [],
+        "box": {"lo": [-10], "hi": [10]},
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.T: expected a nonempty list" in capsys.readouterr().err
+    assert not (tmp_path / "q.zdf").exists()
 
 
 def test_certify_detects_violation(tmp_path):

@@ -33,7 +33,13 @@ from gridfilt.fields import (
     rebox_filter,
 )
 
-from oracles import coeff, convolve_loop, dft_window_tensordot, nonzero_outside_loop
+from oracles import (
+    coeff,
+    convolve_loop,
+    dft_window_tensordot,
+    laurent_product_loop,
+    nonzero_outside_loop,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -304,6 +310,39 @@ def test_one_sided_product_lags_add():
     ab = filter_product(a, b)
     assert ab.kind == "one-sided" and ab.kappa == 3 and ab.order == 5
     assert coeff(ab, (3,)) == 3.0 and coeff(ab, (5,)) == 2.0
+
+
+def _random_filter(d, kind, order, kappa=None):
+    box = Box.cube(d, order) if kind == "two-sided" else \
+        Box.one_sided_cube(d, kappa, order)
+    coeffs = RNG.standard_normal(box.shape) + 1j * RNG.standard_normal(box.shape)
+    if kind == "two-sided":
+        return Filter.two_sided(d, order, coeffs)
+    return Filter.one_sided(d, kappa, order, coeffs)
+
+
+# factors (kind, order, kappa) and the product's (kind, kappa)
+PRODUCT_CASES = [
+    (("two-sided", 2, None), ("two-sided", 3, None), ("two-sided", None)),
+    (("one-sided", 2, 1), ("one-sided", 3, 0), ("one-sided", 1)),
+    (("one-sided", 4, 2), ("two-sided", 1, None), ("two-sided", None)),
+    (("two-sided", 3, None), ("one-sided", 1, 1), ("two-sided", None)),
+    (("two-sided", 0, None), ("one-sided", 3, 2), ("one-sided", 2)),
+    (("one-sided", 2, 0), ("two-sided", 0, None), ("one-sided", 0)),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fa,fb,expected", PRODUCT_CASES)
+def test_filter_product_matches_laurent_loop(d, fa, fb, expected):
+    a, b = _random_filter(d, *fa), _random_filter(d, *fb)
+    ab = filter_product(a, b)
+    assert (ab.kind, ab.kappa, ab.order) == expected + (a.order + b.order,)
+    ref = laurent_product_loop(a, b)
+    scale = np.abs(ref.data).max()
+    for tau in ab.field.box.points():
+        assert abs(coeff(ab, tau) - (ref.value(tau) if ref.box.contains_point(tau)
+                                     else 0)) <= 1e-15 * scale
 
 
 def test_rebox_filter_checks_support():

@@ -219,6 +219,20 @@ def test_checks_need_two_trials(trials):
         check_theta_moment(T=2, sigma=0.7, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_philox_keys_rejected(seed):
+    with pytest.raises(ParamError, match=r"seed must be in \[0, 2\*\*128\)"):
+        NoiseSpec(0.1, seed)
+    with pytest.raises(ParamError, match=r"seed must be in \[0, 2\*\*128\)"):
+        check_gaussian_max(16, 10, seed=seed)
+
+
+def test_largest_philox_key_accepted():
+    f = sample_noise(Box((0,), (3,)), NoiseSpec(1.0, 2 ** 128 - 1))
+    assert np.all(np.isfinite(f.data))
+    assert check_gaussian_max(16, 10, seed=2 ** 128 - 1).trials == 10
+
+
 def test_trials_csv_layout(tmp_path):
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 0j))
