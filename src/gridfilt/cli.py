@@ -12,13 +12,14 @@ Global flags: ``--config``, ``--out`` (output directory), ``--seed``
 ``--quiet``.
 
 Exit codes: 0 success; 1 failed bench check; 2 config error, or an
-unreadable observations file; 3 generation error; 4 window coverage error, or
-a non-finite observation in an anchor's window; 5 solver non-convergence,
-which takes precedence over 1 (every output is still written:
-``denoise``/``predict`` write every estimate row with its certified gap, and
-``bench`` runs every experiment and check, records each trial with its
-certified gap, and names every trial whose gap exceeds the tolerance); 6
-certificate bound violation.
+unreadable observations file; 3 generation error (an overflow, or a harmonic
+signal whose Jacobi iteration misses its budget), in any subcommand that
+builds a signal; 4 window coverage error, or a non-finite observation in an
+anchor's window; 5 solver non-convergence, which takes precedence over 1
+(every output is still written: ``denoise``/``predict`` write every estimate
+row with its certified gap, and ``bench`` runs every experiment and check,
+records each trial with its certified gap, and names every trial whose gap
+exceeds the tolerance); 6 certificate bound violation.
 """
 
 from __future__ import annotations
@@ -500,8 +501,11 @@ def _parse_experiment(exp, ctx: str) -> tuple:
                 {"label", "signal", "box", "certificate", "T", "sigma",
                  "anchor"}, ctx)
     box = _parse_box(exp["box"], ctx + ".box")
-    signal = _build_signal(exp["signal"], box, ctx + ".signal")
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
+    if cert.d != box.d:
+        raise ConfigError(f"{ctx}.certificate: a {cert.d}-d certificate for a "
+                          f"{box.d}-d box")
+    signal = _build_signal(exp["signal"], box, ctx + ".signal")
     T = _integer(exp["T"], ctx + ".T")
     sigma = _number(exp["sigma"], ctx + ".sigma")
     if not sigma >= 0:
@@ -673,13 +677,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"coverage error: {exc}", file=sys.stderr)
         return 4
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 5
     except ParamError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (ConvergenceError, OverflowError) as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return 3
 

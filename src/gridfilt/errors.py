@@ -22,7 +22,8 @@ class RegularityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine did not reach its tolerance within budget.
+    """The Jacobi iteration of ``signals.random_discrete_harmonic``, its one
+    raiser, did not reach its tolerance within ``JACOBI_MAX_ITER`` steps.
 
     The min-max solver never raises it: a fit that misses its budget is
     returned with its certified gap and ``converged`` false.

@@ -403,16 +403,18 @@ def dft_windows(windows: np.ndarray, T: int, d: int) -> np.ndarray:
     return out
 
 
+def idft_windows(values: np.ndarray, T: int, d: int) -> np.ndarray:
+    """Inverse transform of each spectrum of a stack, laid out as in
+    :func:`dft_windows`."""
+    out = _apply_axes(np.asarray(values, dtype=np.complex128),
+                      np.conj(_dft_matrix(T)), d)
+    out *= (2 * T + 1) ** (-d / 2)
+    return out
+
+
 def dft_window(window: np.ndarray, T: int) -> np.ndarray:
     """Transform of a (2T+1)^d window array (direct per-axis summation)."""
     return dft_windows(window, T, window.ndim)
-
-
-def idft_window(values: np.ndarray, T: int) -> np.ndarray:
-    """Inverse transform of a (2T+1)^d spectrum array."""
-    d = values.ndim
-    return _apply_axes(np.asarray(values, dtype=np.complex128),
-                       np.conj(_dft_matrix(T)), d) * (2 * T + 1) ** (-d / 2)
 
 
 def dft(x: Field, T: int) -> Spectrum:
@@ -426,7 +428,7 @@ def dft(x: Field, T: int) -> Spectrum:
 
 def idft(S: Spectrum) -> Field:
     """Inverse transform; ``idft(dft(x, T))`` equals ``x`` on the window."""
-    return Field(Box.cube(S.d, S.T), idft_window(S.values, S.T))
+    return Field(Box.cube(S.d, S.T), idft_windows(S.values, S.T, S.d))
 
 
 def norm(x: Field, T: int, p) -> float:

@@ -16,13 +16,16 @@ Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
 (none for filtering), scaled by ``||A||`` so that ``K`` scales with the data.
-Both modes are one saddle point problem, solved by reflected restarted
-Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for linear programming",
-2024). With ``P`` one primal-dual step with exact closed-form projections,
-the iterate ``z = (Phi, y)`` moves to ``z0 + (k+1)/(k+2) (2 P(z) - z - z0)``
-at the k-th iteration after a restart, and restarts at ``P(z)``, its new
-anchor ``z0``, when its fixed-point residual ``||z - P(z)||`` has fallen
-enough since the last restart. The primal and dual steps are ``eta / omega``
+``K`` is the one stored matrix: ``F_W`` and ``F_W^H`` are applied axis by
+axis (``fields.dft_windows``, ``fields.idft_windows``), and ``K^H y`` is
+formed from ``K`` itself as ``conj(conj(y) K)``. Both modes are one saddle
+point problem, solved by reflected restarted Halpern PDHG (Lu & Yang,
+"Restarted Halpern PDHG for linear programming", 2024). With ``P`` one
+primal-dual step with exact closed-form projections, the iterate
+``z = (Phi, y)`` moves to ``z0 + (k+1)/(k+2) (2 P(z) - z - z0)`` at the k-th
+iteration after a restart, and restarts at ``P(z)``, its new anchor ``z0``,
+when its fixed-point residual ``||z - P(z)||`` has fallen enough since the
+last restart. The primal and dual steps are ``eta / omega``
 and ``eta omega`` with ``eta = 0.99 / ||K||``, ``||K||`` the exact spectral
 norm (largest singular value), so that their product times ``||K||^2`` is
 ``0.99^2 < 1``, as PDHG's convergence needs; the primal weight ``omega``
@@ -31,10 +34,9 @@ far the primal moved since the last anchor (the adaptive primal weight of
 PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
 norm it weights. The iteration is thus exactly equivariant under
 power-of-two scaling of the data. Every check turns ``P(z)`` into a
-feasible filter and a certified dual lower bound of the true program, the
-better of the one of ``(u, w)`` and the one of ``(u, 0)`` (the bound of the
-relaxation without the support rows, which bounds the true program too), so
-the reported optimality gap is unconditional. The solve is deterministic:
+feasible filter and the certified dual lower bound ``D(u, w)`` of the true
+program at the dual iterate ``(u, w)`` (see :func:`dual_lower_bound`), so the
+reported optimality gap is unconditional. The solve is deterministic:
 identical instances produce bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
@@ -65,11 +67,11 @@ from .fields import (
     Field,
     Filter,
     Spectrum,
-    _dft_matrix,
     _nonzero_outside,
     convolve,
     dft_window,
     dft_windows,
+    idft_windows,
 )
 
 __all__ = [
@@ -220,11 +222,11 @@ def objective(inst: Instance, phi: Filter) -> float:
 
 
 class _Geometry:
-    """The maps every instance of a batch shares, built from one instance.
-
-    ``F`` maps spatial coefficients on the window to their spectrum
-    (unitary), ``Finv = F^H`` maps back. ``off`` lists the window slots off
-    the admissible support (none for filtering).
+    """The window geometry every instance of a batch shares, built from one
+    instance. ``off`` lists the window slots off the admissible support (none
+    for filtering); the transforms between spatial coefficients on the window
+    and their spectra are the per-axis ones of :func:`dft_windows` and
+    :func:`idft_windows`.
     """
 
     def __init__(self, inst: Instance):
@@ -237,21 +239,14 @@ class _Geometry:
         self.off = np.flatnonzero(~supp_mask)
         self.n = supp_mask.size
 
-        F1 = _dft_matrix(W) / math.sqrt(2 * W + 1)
-        F = F1
-        for _ in range(d - 1):
-            F = np.kron(F, F1)
-        self.F = F                      # spatial -> spectrum (unitary)
-        self.Finv = F.conj().T          # spectrum -> spatial
-
     def operators(self, insts: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
         """Stacked ``K`` ``(B, n + m, n)`` and ``b`` ``(B, n + m)`` of the instances.
 
-        ``K = [A; Finv off the support]``. ``A`` maps the spectrum ``Phi =
+        ``K = [A; F_W^H off the support]``. ``A`` maps the spectrum ``Phi =
         F_W phi`` to the spectrum of the (truncated) window of ``phi(D) y``
-        recentered at the anchor. Column ``nu`` of ``A F`` is the transform of
-        the residual window of the observations shifted by ``nu``, and ``b``
-        the one at shift 0, padded with zeros.
+        recentered at the anchor. Column ``nu`` of ``A F_W`` is the transform
+        of the residual window of the observations shifted by ``nu``, and
+        ``b`` the one at shift 0, padded with zeros.
         """
         W, d, B, window = self.W, self.d, len(insts), self.window
         n, m = self.n, len(self.off)
@@ -263,19 +258,17 @@ class _Geometry:
         # only the support shifts, in nu order, and shift 0 are transformed
         cols = self._spectra(views[(slice(None),) + tuple(
             slice(W - lo, None, -1) for lo in self.supp.lo)])
-        if self.supp.contains_point((0,) * d):
-            b = cols[(slice(None),) + tuple(-lo for lo in self.supp.lo)]
-        else:
-            b = self._spectra(views[(slice(None),) + (W,) * d])
+        b = self._spectra(views[(slice(None),) + (W,) * d])
         b = np.pad(b.reshape(B, n), ((0, 0), (0, m)))
         K_spatial = np.zeros((B, n + m) + window.shape, dtype=np.complex128)
         K_spatial[(slice(None), slice(n)) + self.supp.slices_in(window)] = (
             np.moveaxis(cols, range(-d, 0), range(1, d + 1)).reshape(
                 (B, n) + self.supp.shape))
         del cols
-        K_spatial = K_spatial.reshape(B, n + m, n)
-        K_spatial[:, n + np.arange(m), self.off] = 1.0
-        return np.matmul(K_spatial, self.Finv), b
+        K_spatial.reshape(B, n + m, n)[:, n + np.arange(m), self.off] = 1.0
+        # K = K_spatial F_W^H, and F_W is symmetric: each row of K is the
+        # inverse transform of that row of K_spatial
+        return idft_windows(K_spatial, W, d).reshape(B, n + m, n), b
 
     def _spectra(self, views: np.ndarray) -> np.ndarray:
         """Transforms of observation windows (the trailing ``d`` axes of
@@ -293,9 +286,10 @@ class _Geometry:
 
         Returns the spatial coefficients on the window and their spectra.
         """
-        phi_sp = _matvec(self.Finv, Phi)
+        B, shape = len(Phi), (len(Phi),) + self.window.shape
+        phi_sp = idft_windows(Phi.reshape(shape), self.W, self.d).reshape(B, self.n)
         phi_sp[:, self.off] = 0.0
-        PhiF = _matvec(self.F, phi_sp)
+        PhiF = dft_windows(phi_sp.reshape(shape), self.W, self.d).reshape(B, self.n)
         l1 = np.abs(PhiF).sum(axis=1)
         scale = (radius / np.maximum(l1, radius))[:, None]
         return phi_sp * scale, PhiF * scale
@@ -307,12 +301,20 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M[k] @ x[k]`` for each row ``k`` (``M`` one matrix or a stack).
+    """``M[k] @ x[k]`` for each row ``k`` of a stack of matrices.
 
-    ``np.matmul`` against a column makes the BLAS matrix-vector call of
-    ``M @ v``; ``x @ M.T`` or ``einsum`` would sum in another order.
+    ``np.matmul`` against a column makes for each row the BLAS
+    matrix-vector call of a lone ``M[k] @ x[k]``, so a row of a batch comes
+    out as it would alone; ``einsum`` would sum in another order.
     """
     return np.matmul(M, x[..., None])[..., 0]
+
+
+def _rmatvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M[k]^H @ x[k]`` for each row ``k``, as ``conj(conj(x[k]) @ M[k])``:
+    a vector-matrix BLAS call on ``M`` itself, so no conjugate copy of ``M``
+    is kept, and row by row as in :func:`_matvec`."""
+    return np.conj(np.matmul(np.conj(x)[..., None, :], M)[..., 0, :])
 
 
 def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
@@ -359,11 +361,11 @@ def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _dual_values(KH: np.ndarray, b: np.ndarray, y: np.ndarray,
+def _dual_values(K: np.ndarray, b: np.ndarray, y: np.ndarray,
                  c: float) -> np.ndarray:
     """``-Re<y, b> - c ||K^H y||_inf`` of each row of ``y``: a lower bound on
     the optimum when the row's first ``n`` entries lie in the unit l1 ball."""
-    return -np.vecdot(y, b).real - c * np.abs(_matvec(KH, y)).max(axis=1)
+    return -np.vecdot(y, b).real - c * np.abs(_rmatvec(K, y)).max(axis=1)
 
 
 def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> float:
@@ -388,7 +390,7 @@ def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> flo
                          f"vanishing on the admissible support {geo.supp}")
     (K,), (b,) = geo.operators([inst])
     y = -np.concatenate([uv, w.data.ravel()[geo.off]])
-    return float(_dual_values(K.conj().T[None], b[None], y[None], inst.l1_bound)[0])
+    return float(_dual_values(K[None], b[None], y[None], inst.l1_bound)[0])
 
 
 # Restart rule of the Halpern iteration. Each instance compares its
@@ -432,10 +434,6 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         alpha = np.linalg.norm(K[:, :n], 2, axis=(1, 2))
         alpha[alpha == 0] = 1.0
         K[:, n:] *= alpha[:, None, None]
-    # K^H of each row is a transposed view, the layout a lone solve multiplies
-    # with; a C-ordered copy would make BLAS sum in another order
-    K_conj = K.conj()
-    KH = K_conj.transpose(0, 2, 1)
     step = (0.99 / np.linalg.norm(K, 2, axis=(1, 2)))[:, None]
     # the primal weight omega: primal step step / omega, dual step step * omega
     omega = np.ones(B)
@@ -458,7 +456,7 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         it += 1
         # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
         # is both its extrapolated point and the reflection of Phi
-        Phi_plus = project_l1_ball(Phi - tau * _matvec(KH, y), c)
+        Phi_plus = project_l1_ball(Phi - tau * _rmatvec(K, y), c)
         R = 2 * Phi_plus
         R -= Phi
         y_plus = _matvec(K, R)
@@ -474,18 +472,10 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
             better = J < best_J
             best_J[better] = J[better]
             best_phi[better] = phi_sp[better]
-            D = _dual_values(KH, b, y_plus, c)
-            if m:
-                # D(u, 0), the bound of the support relaxation, bounds the
-                # true program too; keep the larger
-                D_relaxed = _dual_values(KH[:, :, :n], b[:, :n], y_plus[:, :n], c)
-                relaxed = D_relaxed > D
-                D[relaxed] = D_relaxed[relaxed]
+            D = _dual_values(K, b, y_plus, c)
             better = D > best_D
             best_D[better] = D[better]
             best_y[better] = y_plus[better]
-            if m:
-                best_y[better & relaxed, n:] = 0.0
             converged = best_J - best_D <= tol
             # the fixed-point residual in the norm the primal weight sets
             r = np.sqrt(omega * _sq_norms(Phi - Phi_plus)
@@ -534,14 +524,13 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, K, K_conj, b, alpha, step, omega, tau, sigma, Phi, y,
-                 Phi0, y0, restart_it, r_restart, r_last, best_J, best_phi,
-                 best_D, best_y) = (
+                (rows, K, b, alpha, step, omega, tau, sigma, Phi, y, Phi0, y0,
+                 restart_it, r_restart, r_last, best_J, best_phi, best_D,
+                 best_y) = (
                     x[keep] for x in (
-                        rows, K, K_conj, b, alpha, step, omega, tau, sigma, Phi,
-                        y, Phi0, y0, restart_it, r_restart, r_last, best_J,
-                        best_phi, best_D, best_y))
-                KH = K_conj.transpose(0, 2, 1)
+                        rows, K, b, alpha, step, omega, tau, sigma, Phi, y, Phi0,
+                        y0, restart_it, r_restart, r_last, best_J, best_phi,
+                        best_D, best_y))
     return out
 
 
@@ -554,11 +543,10 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     every ``CHECK_EVERY`` iterations and at the last. Each instance has its
     own primal weight, adapted at its restarts, and in prediction its own
     scale ``||A||`` of the support rows; ``dual_w`` is the multiplier of the
-    unscaled rows, and zero when the support relaxation certifies the better
-    bound. Returns one result per instance, in order, each bit-identical to
-    what solving that instance alone gives. An instance that misses the
-    budget is returned with its certified gap and ``converged`` false.
-    Raises ``ParamError`` for a tolerance that is not positive (NaN
+    unscaled rows. Returns one result per instance, in order, each
+    bit-identical to what solving that instance alone gives. An instance that
+    misses the budget is returned with its certified gap and ``converged``
+    false. Raises ``ParamError`` for a tolerance that is not positive (NaN
     included), an empty batch, or instances that differ in mode, dimension,
     order, lag or l1 budget. Deterministic.
     """

@@ -12,6 +12,7 @@ a filter coefficient by its grid point, zero off the support,
 ``gaussian_max_one_shot`` draws all trials of the Gaussian-maximum check at once,
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
+``dense_dft`` is the transform of a whole window as one Kronecker matrix,
 and ``laurent_product_loop`` multiplies two filters one pair of taps at a time.
 """
 
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from gridfilt.fields import Box, dft, dft_window, Field, Filter
+from gridfilt.fields import Box, dft, dft_window, Field, Filter, _dft_matrix
 from gridfilt.harness import GaussianMaxReport
 from gridfilt.solver import Instance
 
@@ -95,6 +96,16 @@ def dft_window_tensordot(window: np.ndarray, T: int, M: np.ndarray) -> np.ndarra
     for axis in range(out.ndim):
         out = np.moveaxis(np.tensordot(M, out, axes=([1], [axis])), 0, axis)
     return out * (2 * T + 1) ** (-out.ndim / 2)
+
+
+def dense_dft(T: int, d: int) -> np.ndarray:
+    """The unitary window transform as one ``(2T+1)^d`` square matrix acting on
+    row-major flattened windows: the Kronecker power of the per-axis matrix."""
+    F1 = _dft_matrix(T) / math.sqrt(2 * T + 1)
+    F = F1
+    for _ in range(d - 1):
+        F = np.kron(F, F1)
+    return F
 
 
 def laurent_product_loop(a: Filter, b: Filter) -> Field:

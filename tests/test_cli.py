@@ -437,6 +437,67 @@ def test_bench_uncovered_anchor_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "stats.csv").exists()
 
 
+def test_bench_certificate_dimension_mismatch_before_sampling(tmp_path, monkeypatch,
+                                                              capsys):
+    # a 1-d certificate for a 2-d box is a config error, found before any
+    # trial is sampled
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"][0].update(
+        signal={"kind": "exp_poly",
+                "terms": [{"re_c": 1.0, "im_c": 0.0, "alpha": [0, 0],
+                           "re_omega": [0.0, 0.0], "im_omega": [0.0, 0.0]}]},
+        box={"lo": [-8, -8], "hi": [8, 8]}, anchor=[0, 0])
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.experiments[0].certificate: a 1-d certificate for a 2-d box" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+def _harmonic_signal_fails(monkeypatch):
+    """Make every harmonic signal miss its Jacobi budget."""
+    from gridfilt import signals
+
+    monkeypatch.setattr(signals, "JACOBI_MAX_ITER", 1)
+    return {"kind": "harmonic", "operator": "four_neighbor", "boundary": "saddle"}
+
+
+def test_bench_harmonic_generation_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a signal that cannot be generated is a generation error (3), not a
+    # solver failure (5)
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"][0].update(
+        signal=_harmonic_signal_fails(monkeypatch),
+        box={"lo": [-8, -8], "hi": [8, 8]}, anchor=[0, 0],
+        certificate={"kind": "tensor", "a": {"kind": "exp"}, "b": {"kind": "exp"}})
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "generation error: Jacobi iteration" in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+def test_certify_harmonic_generation_failure_exit_code(tmp_path, monkeypatch,
+                                                      capsys):
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "harmonic": {"operator": "four_neighbor", "n": 2},
+        "T": [1],
+        "signal": _harmonic_signal_fails(monkeypatch),
+        "box": {"lo": [-20, -20], "hi": [20, 20]},
+        "anchor": [0, 0],
+        "eval_radius": 4,
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "generation error: Jacobi iteration" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # (key of experiment 1, its bad value, exit code, what the message must say)
 BAD_EXPERIMENT_FIELDS = [
     ("sigma", -0.1, 2, "config.experiments[1].sigma: sigma must be nonnegative"),

@@ -29,7 +29,7 @@ from gridfilt.fields import (
     _nonzero_outside,
     dft_window,
     dft_windows,
-    idft_window,
+    idft_windows,
     rebox_filter,
 )
 
@@ -189,20 +189,22 @@ def test_dft_coverage_error():
 
 
 def test_stacked_transform_matches_tensordot_per_window():
-    # each window of a stack, contiguous or a strided view, transforms bit for
-    # bit as the per-axis tensordot transforms it alone
+    # each window of a stack, contiguous or a strided view, transforms (and
+    # inverse transforms) bit for bit as the per-axis tensordot transforms it
+    # alone
     for d, T in ((1, 1), (1, 8), (2, 1), (2, 4), (3, 1), (3, 2)):
         N = 2 * T + 1
         for lead in ((), (3,), (2, 3)):
             shape = lead + (N,) * d
             w = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
             stack = dft_windows(w, T, d)
+            inv_stack = idft_windows(w, T, d)
             for idx in np.ndindex(*lead):
                 ref = dft_window_tensordot(w[idx], T, _dft_matrix(T))
                 assert np.array_equal(stack[idx], ref)
                 assert np.array_equal(dft_window(w[idx], T), ref)
                 inv = dft_window_tensordot(w[idx], T, np.conj(_dft_matrix(T)))
-                assert np.array_equal(idft_window(w[idx], T), inv)
+                assert np.array_equal(inv_stack[idx], inv)
         data = RNG.standard_normal((2 * N - 1,) * d) + 0j
         views = np.lib.stride_tricks.sliding_window_view(data, (N,) * d)
         stack = dft_windows(views, T, d)
