@@ -166,13 +166,19 @@ def theta_stat(e: Field, t: Sequence[int], T: int) -> float:
     t = tuple(int(x) for x in t)
     if T < 0:
         raise ParamError("T must be nonnegative")
-    d = e.d
-    W = 2 * T
-    need = Box.cube(d, 4 * T, t)
+    need = Box.cube(e.d, 4 * T, t)
     if not e.box.contains_box(need):
         raise DomainError(f"noise field must cover {need}, got {e.box}")
-    # every shifted window at once, as a stack of windows indexed by the
-    # shift; memory is (4T+1)^{2d}, as for the solver's dense operator
-    data = e.data[need.slices_in(e.box)]
-    windows = np.lib.stride_tricks.sliding_window_view(data, (2 * W + 1,) * d)
-    return float(np.abs(dft_windows(windows, W, d)).max())
+    return float(_shift_maxima(e.data[need.slices_in(e.box)], T, e.d))
+
+
+def _shift_maxima(data: np.ndarray, T: int, d: int) -> np.ndarray:
+    """:func:`theta_stat` of each field of a stack: the trailing ``d`` axes
+    hold the values on ``{|tau - t| <= 4T}``, the leading axes index the
+    stack. One stacked transform of every shifted window of every field;
+    memory is (4T+1)^{2d} per field, as for the solver's dense operator."""
+    W = 2 * T
+    windows = np.lib.stride_tricks.sliding_window_view(
+        data, (2 * W + 1,) * d, axis=tuple(range(-d, 0)))
+    spectra = np.abs(dft_windows(windows, W, d))
+    return spectra.reshape(spectra.shape[:data.ndim - d] + (-1,)).max(axis=-1)

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DomainError, ParamError
 from .estimators import (
     DenoiseSetup,
+    _shift_maxima,
     denoise_batch,
     risk_bound,
     risk_constant,
@@ -368,11 +369,11 @@ def check_theta_moment(T: int, sigma: float, trials: int,
     ``d = THETA_MOMENT_D``. The standard error needs at least two trials."""
     _theta_moment_args(trials)
     d = THETA_MOMENT_D
-    vals = np.empty(trials)
     box = Box.cube(d, 4 * T)
-    for i in range(trials):
-        e = sample_noise(box, NoiseSpec(sigma, derive_seed(seed, i)))
-        vals[i] = theta_stat(e, (0,) * d, T) ** 2
+    # every trial's shifted windows in one stacked transform
+    noise = np.stack([sample_noise(box, NoiseSpec(sigma, derive_seed(seed, i))).data
+                      for i in range(trials)])
+    vals = _shift_maxima(noise, T, d) ** 2
     return ThetaMomentReport(
         d=d, T=T, sigma=sigma, trials=trials,
         mean_sq=float(vals.mean()),

@@ -16,36 +16,57 @@ Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
 (none for filtering), scaled by ``||A||`` so that ``K`` scales with the data.
-``K`` is the one stored matrix: ``F_W`` and ``F_W^H`` are applied axis by
-axis (``fields.dft_windows``, ``fields.idft_windows``), and ``K^H y`` is
-formed from ``K`` itself as ``conj(conj(y) K)``. Both modes are one saddle
-point problem, solved by reflected restarted Halpern PDHG (Lu & Yang,
-"Restarted Halpern PDHG for linear programming", 2024). With ``P`` one
+``F_W`` and ``F_W^H`` are applied axis by axis (``fields.dft_windows``,
+``fields.idft_windows``).
+
+Before iterating, ``K`` is equilibrated in place to ``K~ = D_r K D_c``, with
+the alpha = 1 diagonal preconditioner of Pock & Chambolle ("Diagonal
+preconditioning for first order primal-dual algorithms in convex
+optimization", ICCV 2011), which PDLP (Applegate et al., NeurIPS 2021) also
+applies: each row's (column's) l1 sum over the largest row (column) sum of
+its instance, to the power -1/2, rounded to a power of two. Without it one
+large entry of ``K``, such as a plane wave's frequency bin, sets the one step
+size for every direction. The iteration runs in the scaled variables
+``Phi / dc`` and ``y / dr``, where the two l1 balls become the weighted balls
+``sum dc |x| <= c`` and ``sum dr |v| <= 1``, projected on exactly by
+:func:`project_l1_ball`. The factors are powers of two so that
+``K = D_r^-1 K~ D_c^-1`` holds exactly and dividing a product with ``K~`` by
+them is exact: the objective of each feasible filter and the dual bound
+``D(u, w)`` come out as the unscaled operator gives them, bit for bit, while
+``K~`` is the one stored matrix (``K~^H y`` is formed from it as
+``conj(conj(y) K~)``).
+
+Both modes are one saddle point problem, solved by reflected restarted
+Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for linear programming",
+2024). With ``P`` one
 primal-dual step with exact closed-form projections, the iterate
 ``z = (Phi, y)`` moves to ``z0 + (k+1)/(k+2) (2 P(z) - z - z0)`` at the k-th
 iteration after a restart, and restarts at ``P(z)``, its new anchor ``z0``,
 when its fixed-point residual ``||z - P(z)||`` has fallen enough since the
 last restart. The primal and dual steps are ``eta / omega``
-and ``eta omega`` with ``eta = 0.99 / ||K||``, ``||K||`` the exact spectral
-norm (largest singular value), so that their product times ``||K||^2`` is
+and ``eta omega`` with ``eta = 0.99 / ||K~||``, ``||K~||`` the exact spectral
+norm (largest singular value), so that their product times ``||K~||^2`` is
 ``0.99^2 < 1``, as PDHG's convergence needs; the primal weight ``omega``
 starts at 1 and is set at every restart to how far the dual moved over how
 far the primal moved since the last anchor (the adaptive primal weight of
 PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
 norm it weights. The iteration is thus exactly equivariant under
-power-of-two scaling of the data. Every check turns ``P(z)`` into a
+power-of-two scaling of the data (which leaves the diagonal scales as they
+are). Every check turns ``P(z)`` into a
 feasible filter and the certified dual lower bound ``D(u, w)`` of the true
-program at the dual iterate ``(u, w)`` (see :func:`dual_lower_bound`), so the
-reported optimality gap is unconditional. The solve is deterministic:
+program at the dual iterate ``(u, w)`` (see :func:`dual_lower_bound`), or
+in prediction ``D(u, 0)`` where that is larger, so the reported optimality
+gap is unconditional. The solve is deterministic:
 identical instances produce bit-identical results.
 
 Instances that share a window geometry (mode, dimension, order and lag) and
 an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
 stacked transform of the shifted observation windows for the operators, one
 iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
-projections. Each instance keeps its own support row scale, step sizes,
-primal weight, Halpern anchor, restart state, best iterate and stopping
-check, and leaves the batch at the check that certifies it. Every transform
+projections. Each instance keeps its own support row scale, diagonal
+scales, step sizes, primal weight, Halpern anchor, restart state, best
+iterate and stopping check, and leaves the batch at the check that
+certifies it. Every transform
 and product is the BLAS call a lone solve makes, so each result is
 bit-identical to solving its instance alone; :func:`solve` is the batch of
 one.
@@ -326,28 +347,40 @@ def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
     return Filter.one_sided(inst.d, inst.kappa, inst.W, coeffs)
 
 
-def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of complex vectors onto ``{x : ||x||_1 <= radius}``.
+def project_l1_ball(z: np.ndarray, radius: float,
+                    weights: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of complex vectors onto the weighted l1 ball
+    ``{x : sum_j w_j |x_j| <= radius}``, unit weights if ``weights`` is None.
 
     ``z`` is one vector or a stack of them (rows of a 2-d array), each
-    projected on its own. Moduli are soft-thresholded against the exact
-    simplex threshold (sort based); phases are preserved. A row comes out
-    bit for bit as it would alone. Deterministic.
+    projected on its own; ``weights``, positive, has the shape of ``z``.
+    Moduli are shrunk to ``max(|z_j| - lam w_j, 0)`` with the exact
+    threshold ``lam = (sum_j w_j |z_j| - radius) / sum_j w_j^2``, the sums
+    over the entries of largest ratio ``|z_j| / w_j`` (sort based); phases are
+    preserved. Unit weights give the unweighted projection bit for bit, and
+    a row comes out bit for bit as it would alone. Deterministic.
     """
     if radius < 0:
         raise ParamError("radius must be nonnegative")
     rows = z.reshape(-1, z.shape[-1])
+    B, n = rows.shape
     a = np.abs(rows)
-    inside = a.sum(axis=1) <= radius
+    w = np.ones((B, n)) if weights is None else weights.reshape(B, n)
+    wa = a * w
+    inside = wa.sum(axis=1) <= radius
     n_inside = np.count_nonzero(inside)
     if n_inside == len(inside):
         return z.copy()
-    B, n = a.shape
-    srt = np.sort(a, axis=1)[:, ::-1]
-    thresh = (srt.cumsum(axis=1) - radius) / np.arange(1, n + 1)
-    # last index where the sorted modulus exceeds its threshold
+    ratio = a / w
+    # the entries of each row by decreasing ratio, as indices into the
+    # flattened stack: one gather per sorted quantity
+    order = np.argsort(ratio, axis=1)[:, ::-1] + (np.arange(B) * n)[:, None]
+    srt = ratio.ravel()[order]
+    thresh = ((wa.ravel()[order].cumsum(axis=1) - radius)
+              / (w * w).ravel()[order].cumsum(axis=1))
+    # last index where the sorted ratio exceeds its threshold
     last = (n - 1) - (srt > thresh)[:, ::-1].argmax(axis=1)
-    shrunk = np.maximum(a - thresh[np.arange(B), last][:, None], 0.0)
+    shrunk = np.maximum(a - thresh[np.arange(B), last][:, None] * w, 0.0)
     if radius == 0:
         out = np.zeros_like(rows)
     elif np.count_nonzero(a) == a.size:
@@ -361,11 +394,12 @@ def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _dual_values(K: np.ndarray, b: np.ndarray, y: np.ndarray,
-                 c: float) -> np.ndarray:
-    """``-Re<y, b> - c ||K^H y||_inf`` of each row of ``y``: a lower bound on
-    the optimum when the row's first ``n`` entries lie in the unit l1 ball."""
-    return -np.vecdot(y, b).real - c * np.abs(_rmatvec(K, y)).max(axis=1)
+def _dual_values(K: np.ndarray, b: np.ndarray, y: np.ndarray, c: float,
+                 dc: np.ndarray | float) -> np.ndarray:
+    """``-Re<y, b> - c ||K^H y / dc||_inf`` of each row of ``y``, for ``K``
+    with columns scaled by ``dc``: a lower bound on the optimum when the
+    row's first ``n`` entries lie in the unit l1 ball."""
+    return -np.vecdot(y, b).real - c * np.abs(_rmatvec(K, y) / dc).max(axis=1)
 
 
 def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> float:
@@ -390,7 +424,17 @@ def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> flo
                          f"vanishing on the admissible support {geo.supp}")
     (K,), (b,) = geo.operators([inst])
     y = -np.concatenate([uv, w.data.ravel()[geo.off]])
-    return float(_dual_values(K[None], b[None], y[None], inst.l1_bound)[0])
+    return float(_dual_values(K[None], b[None], y[None], inst.l1_bound, 1.0)[0])
+
+
+def _pow2_scales(sums: np.ndarray) -> np.ndarray:
+    """``(sums / their row-wise max)^(-1/2)``, each rounded to the nearest
+    power of two (in the exponent); 1 for a zero sum. Every row of ``sums``
+    needs a positive entry."""
+    rel = sums / sums.max(axis=1, keepdims=True)
+    log2 = np.zeros(sums.shape)
+    np.log2(rel, out=log2, where=rel > 0)
+    return np.ldexp(1.0, np.rint(-0.5 * log2).astype(np.int64))
 
 
 # Restart rule of the Halpern iteration. Each instance compares its
@@ -413,9 +457,11 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     of one geometry and l1 budget ``c``.
 
     The dual ``y = (u, w)`` has an entry per row of ``K``; its prox projects
-    ``u``, the first ``n``, onto the unit l1 ball. Returns, per instance: the
-    spatial coefficients of the best feasible filter, its objective, the best
-    dual value, the iteration count and the dual vector attaining that value.
+    ``u``, the first ``n``, onto the unit l1 ball. The iteration runs on the
+    equilibrated ``D_r K D_c`` (see the module docstring), which replaces
+    ``K`` in place. Returns, per instance: the spatial coefficients of the
+    best feasible filter, its objective, the best dual value, the iteration
+    count and the dual vector attaining that value.
     """
     n = geo.n
     zero = np.abs(b).max(axis=1) == 0
@@ -423,7 +469,8 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     out = [(np.zeros(n, dtype=np.complex128), 0.0, 0.0, 0,
             np.zeros(b.shape[1], dtype=np.complex128)) if z else None for z in zero]
     rows = np.flatnonzero(~zero)   # input position of each stacked row
-    K, b = K[rows], b[rows]
+    if rows.size < len(zero):      # indexing copies; K is scaled in place below
+        K, b = K[rows], b[rows]
     B = len(rows)
     # the support rows scaled by alpha = ||A|| (1 for an A of zero), so that K,
     # and with it the iteration, scales with the data; the multiplier of the
@@ -434,6 +481,16 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         alpha = np.linalg.norm(K[:, :n], 2, axis=(1, 2))
         alpha[alpha == 0] = 1.0
         K[:, n:] *= alpha[:, None, None]
+    # equilibrate: K <- D_r K D_c, b <- D_r b, in place; the primal is
+    # Phi / dc and the dual y / dr from here on
+    row_sums, col_sums = np.empty(K.shape[:2]), np.empty((B, n))
+    for k, Kk in enumerate(K):   # |K| one instance at a time: no full-size copy
+        a = np.abs(Kk)
+        row_sums[k], col_sums[k] = a.sum(axis=1), a.sum(axis=0)
+    dr, dc = _pow2_scales(row_sums), _pow2_scales(col_sums)
+    K *= dr[:, :, None]
+    K *= dc[:, None, :]
+    b *= dr
     step = (0.99 / np.linalg.norm(K, 2, axis=(1, 2)))[:, None]
     # the primal weight omega: primal step step / omega, dual step step * omega
     omega = np.ones(B)
@@ -456,26 +513,39 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         it += 1
         # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
         # is both its extrapolated point and the reflection of Phi
-        Phi_plus = project_l1_ball(Phi - tau * _rmatvec(K, y), c)
+        Phi_plus = project_l1_ball(Phi - tau * _rmatvec(K, y), c, dc)
         R = 2 * Phi_plus
         R -= Phi
         y_plus = _matvec(K, R)
         y_plus -= b
         y_plus *= sigma
         y_plus += y
-        y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0)
+        y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0, dr[:, :n])
 
         check = it % CHECK_EVERY == 0 or it == max_iter
         if check:
-            phi_sp, PhiF = geo.feasible_filters(Phi_plus, c)
-            J = np.abs(b[:, :n] - _matvec(K[:, :n], PhiF)).max(axis=1)
+            # J and D of the unscaled program: dividing the products by the
+            # powers of two dr and dc gives them bit for bit
+            phi_sp, PhiF = geo.feasible_filters(Phi_plus * dc, c)
+            J = (np.abs(b[:, :n] - _matvec(K[:, :n], PhiF / dc))
+                 / dr[:, :n]).max(axis=1)
             better = J < best_J
             best_J[better] = J[better]
             best_phi[better] = phi_sp[better]
-            D = _dual_values(K, b, y_plus, c)
+            D = _dual_values(K, b, y_plus, c, dc)
+            y_cert = y_plus
+            if m:
+                # D(u, 0), the bound of the support relaxation, can exceed
+                # D(u, w) while the multiplier w is still far off
+                y_u = y_plus.copy()
+                y_u[:, n:] = 0.0
+                D_u = _dual_values(K, b, y_u, c, dc)
+                relaxed = D_u > D
+                D = np.where(relaxed, D_u, D)
+                y_cert = np.where(relaxed[:, None], y_u, y_plus)
             better = D > best_D
             best_D[better] = D[better]
-            best_y[better] = y_plus[better]
+            best_y[better] = y_cert[better]
             converged = best_J - best_D <= tol
             # the fixed-point residual in the norm the primal weight sets
             r = np.sqrt(omega * _sq_norms(Phi - Phi_plus)
@@ -517,20 +587,20 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
             done = converged | (it == max_iter)
             if done.any():
                 for j in np.flatnonzero(done):
-                    y_best = best_y[j].copy()
+                    y_best = best_y[j] * dr[j]
                     y_best[n:] *= alpha[j]
                     out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
                                     float(best_D[j]), it, y_best)
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, K, b, alpha, step, omega, tau, sigma, Phi, y, Phi0, y0,
-                 restart_it, r_restart, r_last, best_J, best_phi, best_D,
-                 best_y) = (
+                (rows, K, b, alpha, dr, dc, step, omega, tau, sigma, Phi, y,
+                 Phi0, y0, restart_it, r_restart, r_last, best_J, best_phi,
+                 best_D, best_y) = (
                     x[keep] for x in (
-                        rows, K, b, alpha, step, omega, tau, sigma, Phi, y, Phi0,
-                        y0, restart_it, r_restart, r_last, best_J, best_phi,
-                        best_D, best_y))
+                        rows, K, b, alpha, dr, dc, step, omega, tau, sigma, Phi,
+                        y, Phi0, y0, restart_it, r_restart, r_last, best_J,
+                        best_phi, best_D, best_y))
     return out
 
 
@@ -541,12 +611,12 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     Runs reflected restarted Halpern PDHG (see the module docstring) for at
     most ``max_iter`` iterations, and certifies the gap and decides restarts
     every ``CHECK_EVERY`` iterations and at the last. Each instance has its
-    own primal weight, adapted at its restarts, and in prediction its own
-    scale ``||A||`` of the support rows; ``dual_w`` is the multiplier of the
-    unscaled rows. Returns one result per instance, in order, each
-    bit-identical to what solving that instance alone gives. An instance that
-    misses the budget is returned with its certified gap and ``converged``
-    false. Raises ``ParamError`` for a tolerance that is not positive (NaN
+    own primal weight, adapted at its restarts, its own diagonal scales, and
+    in prediction its own scale ``||A||`` of the support rows; ``dual_w`` is
+    the multiplier of the unscaled rows. Returns one result per instance, in
+    order, each bit-identical to what solving that instance alone gives. An
+    instance that misses the budget is returned with its certified gap and
+    ``converged`` false. Raises ``ParamError`` for a tolerance that is not positive (NaN
     included), an empty batch, or instances that differ in mode, dimension,
     order, lag or l1 budget. Deterministic.
     """

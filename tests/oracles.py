@@ -2,26 +2,37 @@
 
 Everything here is built from the field layer's definitions only: the
 objective matrix comes from shifting/windowing observation fields and
-transforming them with `dft`, the l1-ball projection uses bisection on the
-soft threshold (not the solver's sort construction), and the minimization is
-plain projected subgradient descent from many random starts. ``coeff`` reads
-a filter coefficient by its grid point, zero off the support,
+transforming them with `dft`, the (weighted) l1-ball projection uses
+bisection on the soft threshold (not the solver's sort construction), and the
+minimization is plain projected subgradient descent from many random starts.
+``coeff`` reads a filter coefficient by its grid point, zero off the support,
 ``nonzero_outside_loop`` is the point-by-point form of the support check,
 ``theta_stat_loop`` computes the noise statistic one shifted window at a time,
+``theta_moment_loop`` runs the theta-moment check one trial at a time,
 ``convolve_loop`` applies a filter one coefficient at a time,
 ``gaussian_max_one_shot`` draws all trials of the Gaussian-maximum check at once,
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
 ``dense_dft`` is the transform of a whole window as one Kronecker matrix,
-and ``laurent_product_loop`` multiplies two filters one pair of taps at a time.
+``laurent_product_loop`` multiplies two filters one pair of taps at a time,
+and ``harmonic_filter_exact`` builds a harmonic filter in exact rational
+arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from gridfilt.fields import Box, dft, dft_window, Field, Filter, _dft_matrix
-from gridfilt.harness import GaussianMaxReport
+from gridfilt.harness import (
+    THETA_MOMENT_D,
+    GaussianMaxReport,
+    NoiseSpec,
+    ThetaMomentReport,
+    derive_seed,
+    sample_noise,
+)
 from gridfilt.solver import Instance
 
 
@@ -48,6 +59,22 @@ def theta_stat_loop(e: Field, t, T: int) -> float:
         window = e.window(W, tuple(tj + vj for tj, vj in zip(t, tau)))
         best = max(best, float(np.abs(dft_window(window, W)).max()))
     return best
+
+
+def theta_moment_loop(T: int, sigma: float, trials: int,
+                      seed: int = 0) -> ThetaMomentReport:
+    """Reference ``check_theta_moment``: one noise field and one
+    :func:`theta_stat_loop` per trial."""
+    d = THETA_MOMENT_D
+    box = Box.cube(d, 4 * T)
+    vals = np.array([
+        theta_stat_loop(sample_noise(box, NoiseSpec(sigma, derive_seed(seed, i))),
+                        (0,) * d, T) ** 2
+        for i in range(trials)])
+    return ThetaMomentReport(
+        d=d, T=T, sigma=sigma, trials=trials, mean_sq=float(vals.mean()),
+        se=float(vals.std(ddof=1)) / math.sqrt(trials),
+        bound=sigma ** 2 * (4 * d * math.log(4 * T + 1) + 2))
 
 
 def convolve_loop(q: Filter, x: Field, eval_box: Box) -> Field:
@@ -143,23 +170,27 @@ def project_l1_sort(z: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def project_l1_bisect(z: np.ndarray, radius: float, iters: int = 80) -> np.ndarray:
-    """Complex l1-ball projection via bisection on the shrink threshold.
+def project_l1_bisect(z: np.ndarray, radius: float, iters: int = 80,
+                      weights: np.ndarray | None = None) -> np.ndarray:
+    """Complex projection onto the weighted l1 ball ``sum w |x| <= radius``
+    (unit weights if None) via bisection on the shrink threshold ``lam``:
+    moduli become ``max(|z| - lam w, 0)``.
 
     Works row-wise on 2-d input (one vector per row).
     """
     z = np.atleast_2d(z)
     a = np.abs(z)
+    w = np.ones(a.shape) if weights is None else np.atleast_2d(weights)
     lo = np.zeros(len(z))
-    hi = a.max(axis=1)
+    hi = (a / w).max(axis=1)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        over = np.maximum(a - mid[:, None], 0.0).sum(axis=1) > radius
+        over = (w * np.maximum(a - mid[:, None] * w, 0.0)).sum(axis=1) > radius
         lo = np.where(over, mid, lo)
         hi = np.where(over, hi, mid)
     lam = 0.5 * (lo + hi)
-    lam = np.where(a.sum(axis=1) <= radius, 0.0, lam)
-    shrunk = np.maximum(a - lam[:, None], 0.0)
+    lam = np.where((w * a).sum(axis=1) <= radius, 0.0, lam)
+    shrunk = np.maximum(a - lam[:, None] * w, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(a > 0, z * (shrunk / np.where(a > 0, a, 1.0)), 0.0)
     return out if out.shape[0] > 1 else out[0]
@@ -260,3 +291,57 @@ def subgradient_minimize(inst: Instance, starts: int = 50, iters: int = 8000,
     R = b[None, :] - X @ G.T
     f_best = np.minimum(f_best, np.abs(R).max(axis=1))
     return float(f_best.min())
+
+
+def harmonic_filter_exact(D, n: int, c24: int = 1) -> np.ndarray:
+    """Coefficients of ``harmonic_filter(D, n, c24)`` on its cube, computed in
+    exact rational arithmetic and then rounded once to float.
+
+    ``R_n = (P_n Q^{c24 n})^d`` is expanded in the monomial basis with
+    ``T_n`` from its integer recurrence, and ``R_n(D)`` is evaluated by Horner
+    over Python integers. ``D``'s weights must be real.
+    """
+    t_prev, t = [1], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + [2 * a for a in t]
+        for i, a in enumerate(t_prev):
+            nxt[i] -= a
+        t_prev, t = t, nxt
+    one_minus = [-a for a in t]
+    one_minus[0] += 1
+    # 1 - T_n = (1 - z) sum_j (sum_{i <= j} (1 - T_n)_i) z^j
+    quot = [sum(one_minus[:j + 1]) for j in range(len(one_minus) - 1)]
+    m = c24 * n
+    q_pow = [Fraction(math.comb(m, i), 2 ** m) for i in range(m + 1)]
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    s_n = mul([Fraction(x, n * n) for x in quot], q_pow)
+    r = [Fraction(1)]
+    for _ in range(D.d):
+        r = mul(r, s_n)
+    # integers: R(D) = sum_k r_k (S / L)^k with S = L D, r_k = p_k / Q
+    Q = math.lcm(*(x.denominator for x in r))
+    p = [int(x * Q) for x in r]
+    weights = [Fraction(complex(w).real) for w in D.weights]
+    assert all(complex(w).imag == 0 for w in D.weights)
+    L = math.lcm(*(w.denominator for w in weights))
+    taps = [(off, int(w * L)) for off, w in zip(D.offsets, weights)]
+    reach = max(max(abs(a) for a in off) for off in D.offsets)
+    K = len(p) - 1
+    acc = np.full((1,) * D.d, p[K], dtype=object)
+    for k in range(K - 1, -1, -1):
+        order = (acc.shape[0] - 1) // 2 + reach
+        nxt = np.zeros((2 * order + 1,) * D.d, dtype=object)
+        for off, s in taps:
+            sl = tuple(slice(reach + o, reach + o + acc.shape[0]) for o in off)
+            nxt[sl] += s * acc
+        nxt[(order,) * D.d] += p[k] * L ** (K - k)
+        acc = nxt
+    den = Q * L ** K
+    return np.array([int(h) / den for h in acc.ravel()]).reshape(acc.shape)

@@ -20,7 +20,7 @@ from gridfilt.harness import (
 )
 from gridfilt.signals import exp_certificate_1d
 
-from oracles import gaussian_max_one_shot
+from oracles import gaussian_max_one_shot, theta_moment_loop
 
 
 def test_noise_zero_sigma():
@@ -208,6 +208,14 @@ def test_theta_moment_check():
     rep = check_theta_moment(T=2, sigma=0.7, trials=300, seed=11)
     assert rep.ok
     assert rep.bound == pytest.approx(0.49 * (4 * math.log(9) + 2))
+
+
+@pytest.mark.parametrize("T,trials", [(0, 5), (2, 37), (4, 120)])
+def test_theta_moment_matches_per_trial_loop(T, trials):
+    # all trials are transformed as one stack; the report is the per-trial
+    # loop's bit for bit
+    assert check_theta_moment(T, 0.3, trials, seed=T) == \
+        theta_moment_loop(T, 0.3, trials, seed=T)
 
 
 @pytest.mark.parametrize("trials", [1, 0])

@@ -31,7 +31,7 @@ from gridfilt.signals import (
     tensor_certificate,
 )
 
-from oracles import coeff
+from oracles import coeff, harmonic_filter_exact
 
 RNG = np.random.default_rng(77002)
 
@@ -392,6 +392,16 @@ def test_harmonic_filter_norm_recorded():
         q = harmonic_filter(D, n)
         records.append(q.l2() * (2 * q.order + 1))
     assert all(np.isfinite(records))
+
+
+@pytest.mark.parametrize("n,c24", [(5, 2), (20, 1)])
+def test_harmonic_filter_matches_exact_rational_reference(n, c24):
+    # the monomial expansion lost about six digits at n = 20
+    D = four_neighbor_averaging(2)
+    q = harmonic_filter(D, n, c24)
+    exact = harmonic_filter_exact(D, n, c24)
+    assert q.field.data.shape == exact.shape
+    assert np.abs(q.field.data - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 def test_harmonic_filter_coefficients_sum_to_one():
