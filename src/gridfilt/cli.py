@@ -11,11 +11,14 @@ Global flags: ``--config``, ``--out`` (output directory), ``--seed``
 (overrides the config's master seed), ``--tol`` (solver tolerance),
 ``--quiet``.
 
-Exit codes: 0 success; 1 failed bench check; 2 config error, or an
-unreadable observations file; 3 generation error (an overflow, or a harmonic
-signal whose Jacobi iteration misses its budget), in any subcommand that
-builds a signal; 4 window coverage error, or a non-finite observation in an
-anchor's window; 5 solver non-convergence, which takes precedence over 1
+Exit codes: 0 success; 1 failed bench check; 2 config error (a missing or
+unknown key, a malformed value such as a scalar or an empty list where a
+nonempty list belongs, a parameter out of range, or a difference operator
+that is not regular), or an unreadable observations file; 3 generation error,
+only an overflow or a harmonic signal whose Jacobi iteration misses its
+budget, in any subcommand that builds a signal; 4 window coverage error, or a
+non-finite observation in an anchor's window; 5 solver non-convergence,
+which takes precedence over 1
 (every output is still written: ``denoise``/``predict`` write every estimate
 row with its certified gap, and ``bench`` runs every experiment and check,
 records each trial with its certified gap, and names every trial whose gap
@@ -33,7 +36,13 @@ import sys
 import numpy as np
 import yaml
 
-from .errors import ConfigError, ConvergenceError, DomainError, ParamError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    ParamError,
+    RegularityError,
+)
 from .estimators import DenoiseSetup, denoise_point
 from .fields import (
     FILTERING,
@@ -87,169 +96,153 @@ ESTIMATE_COLUMNS = ["anchor", "re_estimate", "im_estimate", "objective",
 # --------------------------------------------------------------------------
 
 
-def _require_mapping(node, context: str) -> dict:
+def _section(node, ctx: str, required, optional=()) -> dict:
+    """``node`` as a mapping with every key of ``required``, any of
+    ``optional`` and nothing else; otherwise a ``ConfigError`` at ``ctx``."""
     if not isinstance(node, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(node).__name__}")
+        raise ConfigError(f"{ctx}: expected a mapping, got {type(node).__name__}")
+    unknown = set(node) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(node)
+    if missing:
+        raise ConfigError(f"{ctx}: missing required keys {sorted(missing)}")
     return node
 
 
-def _check_keys(node: dict, allowed: set, required: set, context: str) -> None:
-    unknown = set(node) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(node)
-    if missing:
-        raise ConfigError(f"{context}: missing required keys {sorted(missing)}")
+def _list(node, ctx: str, item) -> list:
+    """``node`` as a nonempty list, entry ``i`` read by ``item(entry,
+    f"{ctx}[{i}]")``."""
+    if not isinstance(node, list) or not node:
+        raise ConfigError(f"{ctx}: expected a nonempty list, got {node!r}")
+    return [item(v, f"{ctx}[{i}]") for i, v in enumerate(node)]
 
 
-def _number(node, context: str) -> float:
+def _number(node, ctx: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {node!r}")
+        raise ConfigError(f"{ctx}: expected a number, got {node!r}")
     return float(node)
 
 
-def _integer(node, context: str) -> int:
+def _integer(node, ctx: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{context}: expected an integer, got {node!r}")
+        raise ConfigError(f"{ctx}: expected an integer, got {node!r}")
     return node
 
 
-def _int_list(node, context: str) -> list[int]:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"{context}: expected a nonempty list of integers")
-    return [_integer(v, context) for v in node]
+def _point(node, ctx: str) -> tuple[int, ...]:
+    return tuple(_list(node, ctx, _integer))
 
 
-def _parse_box(node, context: str) -> Box:
-    node = _require_mapping(node, context)
-    _check_keys(node, {"lo", "hi"}, {"lo", "hi"}, context)
-    return Box(tuple(_int_list(node["lo"], context + ".lo")),
-               tuple(_int_list(node["hi"], context + ".hi")))
+def _parse_box(node, ctx: str) -> Box:
+    node = _section(node, ctx, ("lo", "hi"))
+    return Box(_point(node["lo"], ctx + ".lo"), _point(node["hi"], ctx + ".hi"))
 
 
-def _parse_complex(node, context: str) -> complex:
-    node = _require_mapping(node, context)
-    _check_keys(node, {"re", "im"}, set(), context)
-    return complex(_number(node.get("re", 0.0), context),
-                   _number(node.get("im", 0.0), context))
+def _complex(node: dict, ctx: str, re: str = "re", im: str = "im") -> complex:
+    """``node[re] + i node[im]``, a missing part read as 0."""
+    return complex(_number(node.get(re, 0.0), f"{ctx}.{re}"),
+                   _number(node.get(im, 0.0), f"{ctx}.{im}"))
 
 
-def _parse_exp_poly(node, context: str) -> ExpPolynomial:
-    node = _require_mapping(node, context)
-    _check_keys(node, {"terms"}, {"terms"}, context)
-    if not isinstance(node["terms"], list) or not node["terms"]:
-        raise ConfigError(f"{context}.terms: expected a nonempty list")
-    terms = []
-    for i, term in enumerate(node["terms"]):
-        tctx = f"{context}.terms[{i}]"
-        term = _require_mapping(term, tctx)
-        _check_keys(term, {"re_c", "im_c", "alpha", "re_omega", "im_omega"},
-                    {"re_c", "im_c", "alpha", "re_omega", "im_omega"}, tctx)
-        alpha = _int_list(term["alpha"], tctx + ".alpha")
-        re_w = term["re_omega"]
-        im_w = term["im_omega"]
-        if not (isinstance(re_w, list) and isinstance(im_w, list)
-                and len(re_w) == len(im_w) == len(alpha)):
-            raise ConfigError(f"{tctx}: alpha, re_omega, im_omega must be lists "
-                              "of one common length d")
-        c = complex(_number(term["re_c"], tctx), _number(term["im_c"], tctx))
-        omega = tuple(complex(_number(a, tctx), _number(b, tctx))
-                      for a, b in zip(re_w, im_w))
-        terms.append((c, tuple(alpha), omega))
-    return ExpPolynomial(tuple(terms))
+def _parse_complex(node, ctx: str) -> complex:
+    return _complex(_section(node, ctx, (), ("re", "im")), ctx)
 
 
-def _parse_operator(node, context: str):
+def _parse_term(node, ctx: str) -> tuple:
+    """One ``(c, alpha, omega)`` term of an exponential polynomial."""
+    node = _section(node, ctx, ("re_c", "im_c", "alpha", "re_omega", "im_omega"))
+    alpha = _point(node["alpha"], ctx + ".alpha")
+    re_w, im_w = (_list(node[k], f"{ctx}.{k}", _number)
+                  for k in ("re_omega", "im_omega"))
+    if not len(alpha) == len(re_w) == len(im_w):
+        raise ConfigError(f"{ctx}: alpha, re_omega, im_omega must be lists "
+                          "of one common length d")
+    return _complex(node, ctx, "re_c", "im_c"), alpha, tuple(map(complex, re_w, im_w))
+
+
+def _parse_exp_poly(node, ctx: str) -> ExpPolynomial:
+    return ExpPolynomial(tuple(_list(node, ctx, _parse_term)))
+
+
+def _parse_operator(node, ctx: str):
     if node == "four_neighbor":
         return four_neighbor_averaging(2)
-    node = _require_mapping(node, context)
-    _check_keys(node, {"offsets", "weights"}, {"offsets", "weights"}, context)
-    offsets = [tuple(_int_list(o, context + ".offsets")) for o in node["offsets"]]
-    weights = [_parse_complex(w, context + ".weights") for w in node["weights"]]
-    return make_regular_operator(offsets, weights)
+    node = _section(node, ctx, ("offsets", "weights"))
+    return make_regular_operator(_list(node["offsets"], ctx + ".offsets", _point),
+                                 _list(node["weights"], ctx + ".weights",
+                                       _parse_complex))
 
 
-def _build_signal(node, box: Box, context: str) -> Field:
-    node = _require_mapping(node, context)
-    kind = node.get("kind")
+def _build_signal(node, box: Box, ctx: str) -> Field:
+    kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
     if kind == "exp_poly":
-        rest = {k: v for k, v in node.items() if k != "kind"}
-        poly = _parse_exp_poly(rest, context)
-        return eval_exp_poly(poly, box)
+        _section(node, ctx, ("kind", "terms"))
+        return eval_exp_poly(_parse_exp_poly(node["terms"], ctx + ".terms"), box)
     if kind == "harmonic":
-        _check_keys(node, {"kind", "operator", "boundary", "seed"},
-                    {"kind", "operator", "boundary"}, context)
-        op = _parse_operator(node["operator"], context + ".operator")
+        _section(node, ctx, ("kind", "operator", "boundary"), ("seed",))
+        op = _parse_operator(node["operator"], ctx + ".operator")
         boundary = node["boundary"]
         if boundary == "saddle":
             if box.d != 2:
-                raise ConfigError(f"{context}: the saddle boundary needs d = 2")
+                raise ConfigError(f"{ctx}: the saddle boundary needs d = 2")
             x = np.arange(box.lo[0], box.hi[0] + 1)
             y = np.arange(box.lo[1], box.hi[1] + 1)
             bnd = Field(box, (x[:, None] ** 2 - y[None, :] ** 2).astype(complex))
         elif boundary == "random":
-            seed = _seed(None, node.get("seed", 0), context + ".seed")
+            seed = _seed(None, node.get("seed", 0), ctx + ".seed")
             bnd = sample_noise(box, NoiseSpec(1.0, seed))
         else:
-            raise ConfigError(f"{context}.boundary: expected 'saddle' or 'random'")
+            raise ConfigError(f"{ctx}.boundary: expected 'saddle' or 'random'")
         return random_discrete_harmonic(op, box, bnd)
-    raise ConfigError(f"{context}.kind: expected 'exp_poly' or 'harmonic', got {kind!r}")
+    raise ConfigError(f"{ctx}.kind: expected 'exp_poly' or 'harmonic', got {kind!r}")
 
 
-def _build_certificate(node, context: str) -> Certificate:
-    node = _require_mapping(node, context)
-    kind = node.get("kind")
-    if kind is None:
-        raise ConfigError(f"{context}: missing 'kind'")
+def _build_certificate(node, ctx: str) -> Certificate:
+    kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
     if kind == "exp":
-        _check_keys(node, {"kind", "re_omega", "im_omega"}, {"kind"}, context)
-        return exp_certificate_1d(complex(_number(node.get("re_omega", 0.0), context),
-                                          _number(node.get("im_omega", 0.0), context)))
+        _section(node, ctx, ("kind",), ("re_omega", "im_omega"))
+        return exp_certificate_1d(_complex(node, ctx, "re_omega", "im_omega"))
     if kind == "poly":
-        _check_keys(node, {"kind", "degree"}, {"kind", "degree"}, context)
-        return poly_certificate_1d(_integer(node["degree"], context))
+        _section(node, ctx, ("kind", "degree"))
+        return poly_certificate_1d(_integer(node["degree"], ctx + ".degree"))
     if kind == "simple_exp":
-        _check_keys(node, {"kind", "freq_sets"}, {"kind", "freq_sets"}, context)
-        sets = [[_parse_complex(w, context) for w in fs] for fs in node["freq_sets"]]
-        return simple_exp_certificate(sets)
+        _section(node, ctx, ("kind", "freq_sets"))
+        return simple_exp_certificate(_list(
+            node["freq_sets"], ctx + ".freq_sets",
+            lambda fs, fs_ctx: _list(fs, fs_ctx, _parse_complex)))
     if kind == "predictor_exp":
-        _check_keys(node, {"kind", "re_omega", "im_omega", "kappa"},
-                    {"kind", "kappa"}, context)
+        _section(node, ctx, ("kind", "kappa"), ("re_omega", "im_omega"))
         return predictor_exp_certificate(
-            complex(_number(node.get("re_omega", 0.0), context),
-                    _number(node.get("im_omega", 0.0), context)),
-            _integer(node["kappa"], context))
+            _complex(node, ctx, "re_omega", "im_omega"),
+            _integer(node["kappa"], ctx + ".kappa"))
     if kind == "exp_poly":
-        _check_keys(node, {"kind", "terms", "epsilon"}, {"kind", "terms"}, context)
-        poly = _parse_exp_poly({"terms": node["terms"]}, context)
-        eps = _number(node.get("epsilon", 1e-3), context)
-        return exp_poly_certificate(poly, epsilon=eps)
+        _section(node, ctx, ("kind", "terms"), ("epsilon",))
+        return exp_poly_certificate(
+            _parse_exp_poly(node["terms"], ctx + ".terms"),
+            epsilon=_number(node.get("epsilon", 1e-3), ctx + ".epsilon"))
     if kind == "modulate":
-        _check_keys(node, {"kind", "base", "omega"}, {"kind", "base", "omega"},
-                    context)
-        base = _build_certificate(node["base"], context + ".base")
-        omega = [_number(v, context + ".omega") for v in node["omega"]]
-        return modulate_certificate(base, omega)
+        _section(node, ctx, ("kind", "base", "omega"))
+        return modulate_certificate(_build_certificate(node["base"], ctx + ".base"),
+                                    _list(node["omega"], ctx + ".omega", _number))
     if kind == "lift":
-        _check_keys(node, {"kind", "base", "d_plus"}, {"kind", "base", "d_plus"},
-                    context)
-        return lift_certificate(_build_certificate(node["base"], context + ".base"),
-                                _integer(node["d_plus"], context))
+        _section(node, ctx, ("kind", "base", "d_plus"))
+        return lift_certificate(_build_certificate(node["base"], ctx + ".base"),
+                                _integer(node["d_plus"], ctx + ".d_plus"))
     if kind == "tensor":
-        _check_keys(node, {"kind", "a", "b"}, {"kind", "a", "b"}, context)
-        return tensor_certificate(_build_certificate(node["a"], context + ".a"),
-                                  _build_certificate(node["b"], context + ".b"))
+        _section(node, ctx, ("kind", "a", "b"))
+        return tensor_certificate(_build_certificate(node["a"], ctx + ".a"),
+                                  _build_certificate(node["b"], ctx + ".b"))
     if kind == "combine":
-        _check_keys(node, {"kind", "parts", "lambdas"}, {"kind", "parts", "lambdas"},
-                    context)
-        parts = [_build_certificate(p, f"{context}.parts[{i}]")
-                 for i, p in enumerate(node["parts"])]
-        lambdas = [_parse_complex(l, context + ".lambdas") for l in node["lambdas"]]
-        return combine_certificates(parts, lambdas)
-    raise ConfigError(f"{context}.kind: unknown certificate kind {kind!r}")
+        _section(node, ctx, ("kind", "parts", "lambdas"))
+        return combine_certificates(
+            _list(node["parts"], ctx + ".parts", _build_certificate),
+            _list(node["lambdas"], ctx + ".lambdas", _parse_complex))
+    raise ConfigError(f"{ctx}.kind: unknown certificate kind {kind!r}")
 
 
-def _load_config(path) -> dict:
+def _load_config(path, required, optional=()) -> dict:
+    """The config document at ``path``, its top-level keys checked."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -257,7 +250,7 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return _require_mapping(doc, "config")
+    return _section(doc, "config", required, optional)
 
 
 def _tolerance(args, cfg: dict, default: float) -> float:
@@ -305,28 +298,17 @@ def _info(args, message: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"signal", "box", "noise", "out"}, {"signal", "box", "out"},
-                "config")
+    cfg = _load_config(args.config, ("signal", "box", "out"), ("noise",))
     box = _parse_box(cfg["box"], "config.box")
-    out = _require_mapping(cfg["out"], "config.out")
-    _check_keys(out, {"signal", "observations"}, {"signal"}, "config.out")
-    noise_cfg = cfg.get("noise")
+    out = _section(cfg["out"], "config.out", ("signal",), ("observations",))
     spec = None
-    if noise_cfg is not None:
-        noise_cfg = _require_mapping(noise_cfg, "config.noise")
-        _check_keys(noise_cfg, {"sigma", "seed"}, {"sigma", "seed"}, "config.noise")
+    if cfg.get("noise") is not None:
+        noise = _section(cfg["noise"], "config.noise", ("sigma", "seed"))
         if "observations" not in out:
             raise ConfigError("config.out: noise given but no observations path")
-        spec = NoiseSpec(_number(noise_cfg["sigma"], "config.noise.sigma"),
-                         _seed(args.seed, noise_cfg["seed"], "config.noise.seed"))
-    try:
-        signal = _build_signal(cfg["signal"], box, "config.signal")
-    except (ConfigError, ParamError):
-        raise
-    except Exception as exc:
-        _info(args, f"generation failed: {exc}")
-        return 3
+        spec = NoiseSpec(_number(noise["sigma"], "config.noise.sigma"),
+                         _seed(args.seed, noise["seed"], "config.noise.seed"))
+    signal = _build_signal(cfg["signal"], box, "config.signal")
     write_zdf(signal, _out_path(args, out["signal"]))
     _info(args, f"wrote signal field on {box} to {out['signal']}")
     if spec is not None:
@@ -337,30 +319,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_setup(node, mode: str, context: str) -> DenoiseSetup:
-    node = _require_mapping(node, context)
-    keys = {"rho", "T"} | ({"kappa"} if mode == PREDICTION else set())
-    _check_keys(node, keys, keys, context)
-    kappa = _integer(node["kappa"], context) if mode == PREDICTION else None
+def _parse_setup(node, mode: str, ctx: str) -> DenoiseSetup:
+    lag = ("kappa",) if mode == PREDICTION else ()
+    node = _section(node, ctx, ("rho", "T") + lag)
+    kappa = _integer(node["kappa"], ctx + ".kappa") if mode == PREDICTION else None
     try:
-        return DenoiseSetup(rho=_number(node["rho"], context),
-                            T=_integer(node["T"], context),
+        return DenoiseSetup(rho=_number(node["rho"], ctx + ".rho"),
+                            T=_integer(node["T"], ctx + ".T"),
                             mode=mode, kappa=kappa)
     except ParamError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _run_estimates(args, mode: str) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"observations", "setup", "anchors", "tol", "out"},
-                {"observations", "setup", "anchors", "out"}, "config")
-    out = _require_mapping(cfg["out"], "config.out")
-    _check_keys(out, {"estimates"}, {"estimates"}, "config.out")
+    cfg = _load_config(args.config, ("observations", "setup", "anchors", "out"),
+                       ("tol",))
+    out = _section(cfg["out"], "config.out", ("estimates",))
     setup = _parse_setup(cfg["setup"], mode, "config.setup")
-    anchors = cfg["anchors"]
-    if not isinstance(anchors, list) or not anchors:
-        raise ConfigError("config.anchors: expected a nonempty list of points")
-    anchors = [tuple(_int_list(a, "config.anchors")) for a in anchors]
+    anchors = _list(cfg["anchors"], "config.anchors", _point)
     tol = _tolerance(args, cfg, 1e-6)
     obs_path = cfg["observations"]
     if not os.path.isabs(obs_path):
@@ -408,25 +384,21 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"master_seed", "trials", "tol", "experiments", "checks",
-                      "out"},
-                {"master_seed", "trials", "experiments", "out"}, "config")
+    cfg = _load_config(args.config, ("master_seed", "trials", "experiments", "out"),
+                       ("tol", "checks"))
     master_seed = _seed(args.seed, cfg["master_seed"], "config.master_seed")
     trials = _integer(cfg["trials"], "config.trials")
     if trials < 1:
         raise ConfigError("config.trials: need at least one trial")
     tol = _tolerance(args, cfg, 1e-5)
-    out = _require_mapping(cfg["out"], "config.out")
-    _check_keys(out, {"stats_csv", "stats_json", "trials_csv"}, {"stats_csv"},
-                "config.out")
+    out = _section(cfg["out"], "config.out", ("stats_csv",),
+                   ("stats_json", "trials_csv"))
 
-    # the whole config is checked before any sampling
+    # the whole config is checked before any sampling; with no experiments,
+    # only the checks run
     experiments = cfg["experiments"]
-    if not isinstance(experiments, list):
-        raise ConfigError("config.experiments: expected a list")
-    experiments = [_parse_experiment(exp, f"config.experiments[{i}]")
-                   for i, exp in enumerate(experiments)]
+    if experiments != []:
+        experiments = _list(experiments, "config.experiments", _parse_experiment)
     checks = _parse_checks(cfg.get("checks"))
 
     failures: list[str] = []
@@ -495,11 +467,8 @@ def cmd_bench(args) -> int:
 def _parse_experiment(exp, ctx: str) -> tuple:
     """``(label, signal, certificate, anchor, setup, sigma)`` of one bench
     experiment."""
-    exp = _require_mapping(exp, ctx)
-    _check_keys(exp, {"label", "signal", "box", "certificate", "T", "sigma",
-                      "anchor", "kappa"},
-                {"label", "signal", "box", "certificate", "T", "sigma",
-                 "anchor"}, ctx)
+    exp = _section(exp, ctx, ("label", "signal", "box", "certificate", "T", "sigma",
+                              "anchor"), ("kappa",))
     box = _parse_box(exp["box"], ctx + ".box")
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
     if cert.d != box.d:
@@ -510,7 +479,7 @@ def _parse_experiment(exp, ctx: str) -> tuple:
     sigma = _number(exp["sigma"], ctx + ".sigma")
     if not sigma >= 0:
         raise ConfigError(f"{ctx}.sigma: sigma must be nonnegative, got {sigma}")
-    anchor = tuple(_int_list(exp["anchor"], ctx + ".anchor"))
+    anchor = _point(exp["anchor"], ctx + ".anchor")
     kappa = None
     if cert.kind == PREDICTION:
         kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
@@ -533,22 +502,19 @@ def _parse_checks(node) -> dict:
     ``theta_moment`` to ``(T, sigma, trials)``, each validated."""
     if node is None:
         return {}
-    node = _require_mapping(node, "config.checks")
-    _check_keys(node, {"gaussian_max", "theta_moment"}, set(), "config.checks")
+    node = _section(node, "config.checks", (), ("gaussian_max", "theta_moment"))
     checks = {}
     if "gaussian_max" in node:
         ctx = "config.checks.gaussian_max"
-        gm = _require_mapping(node["gaussian_max"], ctx)
-        _check_keys(gm, {"Ns", "trials"}, {"Ns", "trials"}, ctx)
-        Ns = _int_list(gm["Ns"], ctx + ".Ns")
+        gm = _section(node["gaussian_max"], ctx, ("Ns", "trials"))
+        Ns = _list(gm["Ns"], ctx + ".Ns", _integer)
         trials = _integer(gm["trials"], ctx + ".trials")
         for N in Ns:
             _gaussian_max_args(N, trials)
         checks["gaussian_max"] = (Ns, trials)
     if "theta_moment" in node:
         ctx = "config.checks.theta_moment"
-        tm = _require_mapping(node["theta_moment"], ctx)
-        _check_keys(tm, {"T", "sigma", "trials"}, {"T", "sigma", "trials"}, ctx)
+        tm = _section(node["theta_moment"], ctx, ("T", "sigma", "trials"))
         checks["theta_moment"] = (_integer(tm["T"], ctx + ".T"),
                                   _number(tm["sigma"], ctx + ".sigma"),
                                   _integer(tm["trials"], ctx + ".trials"))
@@ -556,18 +522,16 @@ def _parse_checks(node) -> dict:
     return checks
 
 
-def _check_residual(cfg: dict, box: Box, signal: Field, q: Filter, entry: dict,
+def _check_residual(signal: Field, q: Filter, cube: Box, entry: dict,
                     slack: float, rel_tol: float, enforce: bool = True) -> bool:
-    """Record ``q``'s reproduction residual on the evaluation cube in ``entry``.
+    """Record ``q``'s reproduction residual on ``cube`` in ``entry``.
 
     The residual violates the certificate when ``enforce`` is set and it
     exceeds ``slack + rel_tol * max(scale, 1)``, where ``scale`` is the
     signal's largest modulus; a violation is flagged in ``entry`` and
     returned.
     """
-    radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
-    anchor = tuple(_int_list(cfg.get("anchor", [0] * box.d), "config.anchor"))
-    res = reproduction_residual(q, signal, Box.cube(box.d, radius, anchor))
+    res = reproduction_residual(q, signal, cube)
     entry["residual"] = res
     scale = float(np.abs(signal.data).max())
     if enforce and res > slack + rel_tol * max(scale, 1.0):
@@ -577,25 +541,25 @@ def _check_residual(cfg: dict, box: Box, signal: Field, q: Filter, entry: dict,
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"certificate", "harmonic", "T", "signal", "box", "anchor",
-                      "eval_radius", "out"},
-                {"T", "box", "out"}, "config")
+    cfg = _load_config(args.config, ("T", "box", "out"),
+                       ("certificate", "harmonic", "signal", "anchor", "eval_radius"))
     if ("certificate" in cfg) == ("harmonic" in cfg):
         raise ConfigError("config: give exactly one of 'certificate' or 'harmonic'")
-    out = _require_mapping(cfg["out"], "config.out")
-    _check_keys(out, {"filter", "report"}, {"filter", "report"}, "config.out")
+    out = _section(cfg["out"], "config.out", ("filter", "report"))
     box = _parse_box(cfg["box"], "config.box")
-    Ts = (_int_list(cfg["T"], "config.T") if isinstance(cfg["T"], list)
+    Ts = (_list(cfg["T"], "config.T", _integer) if isinstance(cfg["T"], list)
           else [_integer(cfg["T"], "config.T")])
+    # a given signal's reproduction residual is measured on this cube
+    cube = Box.cube(box.d, _integer(cfg.get("eval_radius", 2), "config.eval_radius"),
+                    _point(cfg.get("anchor", [0] * box.d), "config.anchor"))
+    signal = _build_signal(cfg["signal"], box, "config.signal") \
+        if "signal" in cfg else None
 
     entries = []
     violated = False
     last_filter = None
     if "certificate" in cfg:
         cert = _build_certificate(cfg["certificate"], "config.certificate")
-        signal = _build_signal(cfg["signal"], box, "config.signal") \
-            if "signal" in cfg else None
         for T in Ts:
             q = cert.filter(T)
             last_filter = q
@@ -610,13 +574,12 @@ def cmd_certify(args) -> int:
                 entry["l2_violation"] = True
                 violated = True
             if signal is not None:
-                violated |= _check_residual(cfg, box, signal, q, entry,
+                violated |= _check_residual(signal, q, cube, entry,
                                             entry["theta_scaled"], 1e-9, cert.exact)
             entries.append(entry)
     else:
-        node = _require_mapping(cfg["harmonic"], "config.harmonic")
-        _check_keys(node, {"operator", "n", "c24"}, {"operator", "n"},
-                    "config.harmonic")
+        node = _section(cfg["harmonic"], "config.harmonic", ("operator", "n"),
+                        ("c24",))
         op = _parse_operator(node["operator"], "config.harmonic.operator")
         n = _integer(node["n"], "config.harmonic.n")
         c24 = _integer(node.get("c24", 1), "config.harmonic.c24")
@@ -624,9 +587,8 @@ def cmd_certify(args) -> int:
         last_filter = q
         entry = {"n": n, "c24": c24, "order": q.order, "l2": q.l2(),
                  "l2_scaled": q.l2() * (2 * q.order + 1) ** (op.d / 2)}
-        if "signal" in cfg:
-            signal = _build_signal(cfg["signal"], box, "config.signal")
-            violated |= _check_residual(cfg, box, signal, q, entry, 0.0, 1e-10)
+        if signal is not None:
+            violated |= _check_residual(signal, q, cube, entry, 0.0, 1e-10)
         entries.append(entry)
 
     write_zdf(last_filter.field, _out_path(args, out["filter"]))
@@ -671,15 +633,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ParamError, RegularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"coverage error: {exc}", file=sys.stderr)
         return 4
-    except ParamError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, OverflowError) as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return 3

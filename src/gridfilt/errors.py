@@ -13,7 +13,8 @@ class ParamError(ValueError):
 class RegularityError(ValueError):
     """A difference operator violates one of the regularity conditions.
 
-    The violated condition is named in ``condition`` ("R.1", "R.2a" or "R.2b").
+    The violated condition is named in ``condition`` ("R.1", "R.2", "R.2a" or
+    "R.2b"). The command line maps it to exit code 2, as a config error.
     """
 
     def __init__(self, condition: str, message: str):

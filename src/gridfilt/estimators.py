@@ -51,7 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenoiseSetup:
-    """Estimator setup: norm budget ``rho >= 1``, order ``T``, optional lag."""
+    """Estimator setup: finite norm budget ``rho >= 1``, order ``T``, optional
+    lag."""
 
     rho: float
     T: int
@@ -59,8 +60,8 @@ class DenoiseSetup:
     kappa: int | None = None
 
     def __post_init__(self):
-        if self.rho < 1:
-            raise ParamError("rho must be >= 1")
+        if not 1 <= self.rho < math.inf:
+            raise ParamError(f"rho must be finite and >= 1, got {self.rho}")
         if self.T < 0:
             raise ParamError("T must be nonnegative")
         if self.mode == PREDICTION:

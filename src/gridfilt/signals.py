@@ -287,8 +287,9 @@ class Certificate:
     def __post_init__(self):
         if self.kind not in (FILTERING, PREDICTION):
             raise ParamError(f"unknown certificate kind {self.kind!r}")
-        if self.rho < 1:
-            raise ParamError("certificate rho must be >= 1")
+        if not 1 <= self.rho < math.inf:
+            raise ParamError("certificate rho must be finite and >= 1, got "
+                             f"{self.rho}")
         if self.theta < 0:
             raise ParamError("certificate theta must be >= 0")
         if self.kind == PREDICTION and (self.kappa is None or self.kappa < 0):
@@ -422,10 +423,9 @@ def combine_certificates(certs: Sequence[Certificate],
     if any(c.kind != kind or c.d != d for c in certs):
         raise ParamError("certificates must share kind and dimension")
     if m == 1:
-        c0, l0 = certs[0], lambdas[0]
-        return Certificate(kind, d, abs(l0) * c0.theta, c0.rho, c0.L, c0.make,
-                           kappa=c0.kappa, T0=c0.T0, exact=c0.exact,
-                           label=f"combine[{c0.label}]")
+        c0 = certs[0]
+        return replace(c0, theta=abs(lambdas[0]) * c0.theta,
+                       label=f"combine[{c0.label}]")
     L = min(c.L for c in certs)
     L_plus = math.inf if math.isinf(L) else L // 2
     rho_prod = float(np.prod([c.rho for c in certs]))

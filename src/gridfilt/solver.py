@@ -155,7 +155,7 @@ def build_filtering_instance(y: Field, t: Sequence[int], T_alg: int,
                              rho: float) -> Instance:
     """Instance of the two-sided program at anchor ``t``.
 
-    Requires ``rho >= 1``, ``T_alg >= 1`` and finite observations on
+    Requires a finite ``rho >= 1``, ``T_alg >= 1`` and finite observations on
     ``{|tau - t| <= 4 T_alg}``.
     """
     return _build_instance(FILTERING, y, t, T_alg, rho, None)
@@ -190,8 +190,8 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
                     rho: float, kappa: int | None) -> Instance:
     """Check the parameters, the coverage and the finiteness of the read set."""
     t = tuple(int(x) for x in t)
-    if rho < 1:
-        raise ParamError(f"rho must be >= 1, got {rho}")
+    if not 1 <= rho < math.inf:
+        raise ParamError(f"rho must be finite and >= 1, got {rho}")
     if T_alg < 1:
         raise ParamError(f"T_alg must be >= 1, got {T_alg}")
     if mode == PREDICTION:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,6 +705,109 @@ def test_certify_detects_violation(tmp_path):
         "out": {"filter": "q.zdf", "report": "report.json"},
     })
     assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 6
+
+
+# ---------------------------------------------------------------- the config boundary
+
+
+NON_REGULAR = {"offsets": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+               "weights": [{"re": 0.5}] * 4}  # moduli sum to 2
+
+
+def _non_regular_config(tmp_path, command):
+    """A ``command`` config whose difference operator breaks R.2a."""
+    signal = {"kind": "harmonic", "operator": NON_REGULAR, "boundary": "saddle"}
+    box = {"lo": [-8, -8], "hi": [8, 8]}
+    if command == "generate":
+        doc = {"signal": signal, "box": box, "out": {"signal": "s.zdf"}}
+    elif command == "certify":
+        doc = {"harmonic": {"operator": NON_REGULAR, "n": 2}, "T": [1], "box": box,
+               "out": {"filter": "q.zdf", "report": "report.json"}}
+    else:
+        doc = bench_doc(trials=3)
+        doc["experiments"][0].update(
+            signal=signal, box=box, anchor=[0, 0],
+            certificate={"kind": "tensor", "a": {"kind": "exp"}, "b": {"kind": "exp"}})
+    return write_config(tmp_path / f"{command}.yaml", doc)
+
+
+@pytest.mark.parametrize("command", ["generate", "certify", "bench"])
+def test_non_regular_operator_config_error(tmp_path, monkeypatch, capsys, command):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    cfg = _non_regular_config(tmp_path, command)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: R.2a" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
+
+
+# (where the list goes, the context the message must name)
+LIST_KEYS = [
+    ("freq_sets", "config.certificate.freq_sets"),
+    ("freq_set", "config.certificate.freq_sets[0]"),
+    ("omega", "config.certificate.omega"),
+    ("parts", "config.certificate.parts"),
+    ("lambdas", "config.certificate.lambdas"),
+    ("offsets", "config.harmonic.operator.offsets"),
+    ("weights", "config.harmonic.operator.weights"),
+]
+
+
+def _certify_doc(key, value):
+    """A certify config whose list at ``key`` is replaced by ``value``."""
+    doc = {"T": [1], "box": {"lo": [-8], "hi": [8]},
+           "out": {"filter": "q.zdf", "report": "report.json"}}
+    exp = {"kind": "exp"}
+    certificates = {
+        "freq_sets": {"kind": "simple_exp", "freq_sets": value},
+        "freq_set": {"kind": "simple_exp", "freq_sets": [value]},
+        "omega": {"kind": "modulate", "base": exp, "omega": value},
+        "parts": {"kind": "combine", "parts": value, "lambdas": [{"re": 1.0}]},
+        "lambdas": {"kind": "combine", "parts": [exp], "lambdas": value},
+    }
+    if key in certificates:
+        doc["certificate"] = certificates[key]
+    else:
+        operator = {"offsets": [[1], [-1]], "weights": [{"re": 0.5}] * 2, key: value}
+        doc["harmonic"] = {"operator": operator, "n": 2}
+    return doc
+
+
+@pytest.mark.parametrize("value", [3, 0.3, {"re": 1.0}],
+                         ids=["int", "float", "mapping"])
+@pytest.mark.parametrize("key,context", LIST_KEYS)
+def test_certify_list_key_not_a_list_config_error(tmp_path, capsys, key, context,
+                                                  value):
+    cfg = write_config(tmp_path / "cert.yaml", _certify_doc(key, value))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {context}: expected a nonempty list, got {value!r}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_denoise_non_finite_rho_config_error(tmp_path, monkeypatch, capsys, rho):
+    from gridfilt import cli
+
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-8], "hi": [8]})
+    monkeypatch.setattr(cli, "denoise_point", _refuse)
+    cfg = write_config(tmp_path / "den.yaml", {
+        "observations": str(obs),
+        "setup": {"rho": rho, "T": 1},
+        "anchors": [[0]],
+        "out": {"estimates": "est.csv"},
+    })
+    assert main(["denoise", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.setup: rho must be finite and >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
+def test_shipped_bench_config_passes(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "bench_default.yaml"
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert json.loads((tmp_path / "bench_stats.json").read_text())["failures"] == []
 
 
 # ---------------------------------------------------------------- module entry

@@ -39,6 +39,12 @@ def test_setup_validation():
     DenoiseSetup(rho=1.0, T=2, mode="prediction", kappa=2)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_setup_rejects_non_finite_rho(rho):
+    with pytest.raises(ParamError, match="rho must be finite"):
+        DenoiseSetup(rho=rho, T=1)
+
+
 # ---------------------------------------------------------------- denoise
 
 

@@ -1,5 +1,6 @@
 """Signal generators, certificate filters and the certificate calculus."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,22 @@ def test_combine_single_passthrough():
     c1 = combine_certificates([c], [1.0])
     assert c1.rho == c.rho and c1.theta == 0.0
     assert np.array_equal(c1.filter(4).field.data, c.filter(4).field.data)
+
+
+def test_combine_single_keeps_every_other_field():
+    c = dataclasses.replace(predictor_exp_certificate(-0.1 + 0.5j, 1), theta=0.25)
+    c1 = combine_certificates([c], [2 - 1j])
+    assert c1.theta == abs(2 - 1j) * c.theta
+    assert c1.label == f"combine[{c.label}]"
+    for f in dataclasses.fields(Certificate):
+        if f.name not in ("theta", "label"):
+            assert getattr(c1, f.name) == getattr(c, f.name), f.name
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_certificate_rejects_non_finite_rho(rho):
+    with pytest.raises(ParamError, match="rho must be finite"):
+        dataclasses.replace(exp_certificate_1d(0.5j), rho=rho)
 
 
 def test_combine_two_exponentials():

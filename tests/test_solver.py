@@ -162,6 +162,15 @@ def test_instance_param_errors():
         build_prediction_instance(noisy_field(Box((-3,), (0,))), (0,), 1, 0, 1.0)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_instance_rejects_non_finite_rho(rho):
+    y = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
+    with pytest.raises(ParamError, match="rho must be finite"):
+        build_filtering_instance(y, (0,), 2, rho)
+    with pytest.raises(ParamError, match="rho must be finite"):
+        build_prediction_instance(y, (0,), 1, 1, rho)
+
+
 def test_prediction_kappa0_support():
     y = noisy_field(Box((-8,), (0,)))
     inst = build_prediction_instance(y, (0,), 2, 0, 1.0)
