@@ -325,8 +325,7 @@ def _parse_setup(node, mode: str, ctx: str) -> DenoiseSetup:
     kappa = _integer(node["kappa"], ctx + ".kappa") if mode == PREDICTION else None
     try:
         return DenoiseSetup(rho=_number(node["rho"], ctx + ".rho"),
-                            T=_integer(node["T"], ctx + ".T"),
-                            mode=mode, kappa=kappa)
+                            T=_integer(node["T"], ctx + ".T"), kappa=kappa)
     except ParamError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
@@ -348,7 +347,7 @@ def _run_estimates(args, mode: str) -> int:
     rows = []
     any_unconverged = False
     for t in anchors:
-        read = program_boxes(mode, t, setup.T, setup.kappa)[0]
+        read = program_boxes(t, setup.T, setup.kappa)[0]
         _info(args, f"anchor {t}: reading observations on [{read.lo}, {read.hi}]")
         est = denoise_point(y, t, setup, tol=tol)
         if est.solve is not None and not est.solve.converged:
@@ -395,9 +394,9 @@ def cmd_bench(args) -> int:
                    ("stats_json", "trials_csv"))
 
     # the whole config is checked before any sampling; with no experiments,
-    # only the checks run
+    # only the checks run, and there must be some
     experiments = cfg["experiments"]
-    if experiments != []:
+    if experiments != [] or not cfg.get("checks"):
         experiments = _list(experiments, "config.experiments", _parse_experiment)
     checks = _parse_checks(cfg.get("checks"))
 
@@ -481,12 +480,12 @@ def _parse_experiment(exp, ctx: str) -> tuple:
         raise ConfigError(f"{ctx}.sigma: sigma must be nonnegative, got {sigma}")
     anchor = _point(exp["anchor"], ctx + ".anchor")
     kappa = None
-    if cert.kind == PREDICTION:
+    if cert.kappa is not None:
         kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
     elif "kappa" in exp:
         raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
     try:
-        setup = DenoiseSetup(rho=cert.rho, T=T, mode=cert.kind, kappa=kappa)
+        setup = DenoiseSetup(rho=cert.rho, T=T, kappa=kappa)
         # a trial's noise statistic reads this cube, and its other reads too
         reads = Box.cube(box.d, 4 * T, anchor)
     except ParamError as exc:
@@ -541,17 +540,29 @@ def _check_residual(signal: Field, q: Filter, cube: Box, entry: dict,
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args.config, ("T", "box", "out"),
-                       ("certificate", "harmonic", "signal", "anchor", "eval_radius"))
+    cfg = _load_config(args.config, ("box", "out"),
+                       ("certificate", "T", "harmonic", "signal", "anchor",
+                        "eval_radius"))
     if ("certificate" in cfg) == ("harmonic" in cfg):
         raise ConfigError("config: give exactly one of 'certificate' or 'harmonic'")
+    if "certificate" in cfg:
+        T = _section(cfg, "config", ("T",), cfg)["T"]
+        Ts = (_list(T, "config.T", _integer) if isinstance(T, list)
+              else [_integer(T, "config.T")])
+    elif "T" in cfg:
+        raise ConfigError("config.T: not read with 'harmonic', whose filter "
+                          "order comes from n and c24")
     out = _section(cfg["out"], "config.out", ("filter", "report"))
     box = _parse_box(cfg["box"], "config.box")
-    Ts = (_list(cfg["T"], "config.T", _integer) if isinstance(cfg["T"], list)
-          else [_integer(cfg["T"], "config.T")])
     # a given signal's reproduction residual is measured on this cube
-    cube = Box.cube(box.d, _integer(cfg.get("eval_radius", 2), "config.eval_radius"),
-                    _point(cfg.get("anchor", [0] * box.d), "config.anchor"))
+    radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
+    if radius < 0:
+        raise ConfigError(f"config.eval_radius: must be nonnegative, got {radius}")
+    anchor = _point(cfg.get("anchor", [0] * box.d), "config.anchor")
+    if len(anchor) != box.d:
+        raise ConfigError(f"config.anchor: a {len(anchor)}-d anchor for a "
+                          f"{box.d}-d box")
+    cube = Box.cube(box.d, radius, anchor)
     signal = _build_signal(cfg["signal"], box, "config.signal") \
         if "signal" in cfg else None
 
@@ -559,6 +570,7 @@ def cmd_certify(args) -> int:
     violated = False
     last_filter = None
     if "certificate" in cfg:
+        checked = f"T={Ts}"
         cert = _build_certificate(cfg["certificate"], "config.certificate")
         for T in Ts:
             q = cert.filter(T)
@@ -585,6 +597,7 @@ def cmd_certify(args) -> int:
         c24 = _integer(node.get("c24", 1), "config.harmonic.c24")
         q = harmonic_filter(op, n, c24)
         last_filter = q
+        checked = f"order {q.order}"
         entry = {"n": n, "c24": c24, "order": q.order, "l2": q.l2(),
                  "l2_scaled": q.l2() * (2 * q.order + 1) ** (op.d / 2)}
         if signal is not None:
@@ -600,7 +613,7 @@ def cmd_certify(args) -> int:
         print("FAIL certificate bounds violated (implementation bug)",
               file=sys.stderr)
         return 6
-    _info(args, f"certificate ok over T={Ts}")
+    _info(args, f"certificate ok over {checked}")
     return 0
 
 

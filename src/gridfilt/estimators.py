@@ -2,8 +2,9 @@
 
 The estimator is fully data driven: given a setup ``(rho, T)`` (plus a lag
 ``kappa`` for prediction) it fits the min-max filter on a window around the
-anchor and applies it at the anchor. :func:`denoise_point` covers both modes,
-read from ``setup.mode``: prediction is the same fit with a one-sided support.
+anchor and applies it at the anchor. :func:`denoise_point` covers both modes:
+a setup without a lag filters, and one with a lag ``kappa`` predicts, which
+is the same fit with a one-sided support.
 :func:`denoise_batch` makes the same fits at one anchor of several
 observation fields, solved as one batch. The noise level never enters the
 fit; it only appears in :func:`risk_bound`, which evaluates the theoretical
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParamError
-from .fields import FILTERING, PREDICTION, Box, Field, convolve, dft_windows
+from .fields import Box, Field, convolve, dft_windows
 from .solver import (
     Instance,
     SolveResult,
@@ -51,12 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenoiseSetup:
-    """Estimator setup: finite norm budget ``rho >= 1``, order ``T``, optional
-    lag."""
+    """Estimator setup: finite norm budget ``rho >= 1``, order ``T``, and for
+    prediction a lag ``0 <= kappa <= T``; ``kappa=None`` means filtering."""
 
     rho: float
     T: int
-    mode: str = FILTERING
     kappa: int | None = None
 
     def __post_init__(self):
@@ -64,16 +64,9 @@ class DenoiseSetup:
             raise ParamError(f"rho must be finite and >= 1, got {self.rho}")
         if self.T < 0:
             raise ParamError("T must be nonnegative")
-        if self.mode == PREDICTION:
-            if self.kappa is None or self.kappa < 0:
-                raise ParamError("prediction needs kappa >= 0")
-            if self.kappa > self.T:
-                raise ParamError("prediction needs kappa <= T")
-        elif self.mode == FILTERING:
-            if self.kappa is not None:
-                raise ParamError("filtering carries no lag")
-        else:
-            raise ParamError(f"unknown mode {self.mode!r}")
+        if self.kappa is not None and not 0 <= self.kappa <= self.T:
+            raise ParamError(f"prediction needs 0 <= kappa <= T, got "
+                             f"kappa={self.kappa}, T={self.T}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,9 @@ def _observation(y: Field, t: tuple[int, ...]) -> Estimate:
 
 
 def _instance(y: Field, t: tuple[int, ...], setup: DenoiseSetup) -> Instance:
-    if setup.mode == FILTERING:
+    # two builders, not one: perfbench's tracer times the instance builds
+    # that go through build_filtering_instance
+    if setup.kappa is None:
         return build_filtering_instance(y, t, setup.T, setup.rho)
     return build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
 
@@ -150,8 +145,9 @@ def risk_constant(d: int) -> float:
 
 def risk_bound(d: int, T: int, rho: float, theta: float, sigma: float) -> float:
     """Mean-square-error bound for a ``(theta, rho)``-certified signal."""
-    if min(T, rho, theta, sigma) < 0 or rho < 1:
-        raise ParamError("need T, theta, sigma >= 0 and rho >= 1")
+    if not (T >= 0 and theta >= 0 and sigma >= 0 and 1 <= rho < math.inf):
+        raise ParamError("need T, theta, sigma >= 0 and 1 <= rho < inf, got "
+                         f"T={T}, theta={theta}, sigma={sigma}, rho={rho}")
     return (risk_constant(d) * rho ** 3
             * (theta + sigma * rho * math.sqrt(math.log(2 * T + 1) + 1))
             * (2 * T + 1) ** (-d / 2))

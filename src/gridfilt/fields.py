@@ -1,9 +1,11 @@
 """Complex fields on boxes of the integer grid, filters, and the finite Fourier transform.
 
 A ``Field`` is a dense complex-valued function on an axis-aligned box in Z^d,
-stored row-major. A ``Filter`` is a field of coefficients centered at the
-origin (two-sided support ``{|tau| <= T}``) or on a one-sided cube
-(``{kappa <= tau_j <= T}``); it acts on fields by convolution,
+stored row-major. A ``Filter`` of order ``T`` is a field of coefficients on
+its support box (:meth:`Box.support`): the centered cube ``{|tau| <= T}``
+(two-sided, for filtering) or, when it carries a lag ``kappa``, the one-sided
+cube ``{kappa <= tau_j <= T}`` (for prediction). The lag alone tells the two
+apart; ``kappa=None`` means two-sided. A filter acts on fields by convolution,
 
     (q(D) x)_t = sum_tau  q_tau * x_{t - tau}.
 
@@ -97,6 +99,12 @@ class Box:
         if not 0 <= kappa <= T:
             raise ParamError(f"need 0 <= kappa <= T, got kappa={kappa}, T={T}")
         return cls((kappa,) * d, (T,) * d)
+
+    @classmethod
+    def support(cls, d: int, T: int, kappa: int | None = None) -> "Box":
+        """Support of an order-T filter: the centered cube, or with a lag
+        ``kappa`` the one-sided cube."""
+        return cls.cube(d, T) if kappa is None else cls.one_sided_cube(d, kappa, T)
 
     @property
     def d(self) -> int:
@@ -207,53 +215,39 @@ class Field:
         return f"Field(box={self.box})"
 
 
-TWO_SIDED = "two-sided"
-ONE_SIDED = "one-sided"
-
-# estimation modes: two-sided filtering (denoising) and one-sided prediction
+# names of the estimation modes: two-sided filtering (denoising), and
+# one-sided prediction, which the lag kappa alone marks
 FILTERING = "filtering"
 PREDICTION = "prediction"
 
 
 @dataclass(frozen=True, eq=False)
 class Filter:
-    """Filter coefficients with declared order and support convention.
+    """Filter coefficients of a declared order on the support box of its lag.
 
-    Two-sided filters live on the centered cube ``{|tau| <= order}``;
-    one-sided filters on ``{kappa <= tau_j <= order}`` and may only be
-    applied causally.
+    Without a lag (``kappa=None``) a filter is two-sided and lives on the
+    centered cube ``{|tau| <= order}``; with one it is one-sided, lives on
+    ``{kappa <= tau_j <= order}`` and may only be applied causally.
     """
 
     field: Field
     order: int
-    kind: str = TWO_SIDED
     kappa: int | None = None
 
     def __post_init__(self):
-        d = self.field.d
-        if self.kind == TWO_SIDED:
-            expected = Box.cube(d, self.order)
-            if self.kappa is not None:
-                raise ParamError("two-sided filters carry no lag")
-        elif self.kind == ONE_SIDED:
-            if self.kappa is None or self.kappa < 0:
-                raise ParamError("one-sided filters need a lag kappa >= 0")
-            expected = Box.one_sided_cube(d, self.kappa, self.order)
-        else:
-            raise ParamError(f"unknown filter kind {self.kind!r}")
+        expected = Box.support(self.field.d, self.order, self.kappa)
         if self.field.box != expected:
             raise ParamError(
-                f"{self.kind} filter of order {self.order} must live on "
-                f"{expected}, got {self.field.box}")
+                f"filter of order {self.order} and lag {self.kappa} must live "
+                f"on {expected}, got {self.field.box}")
 
     @classmethod
     def two_sided(cls, d: int, T: int, coeffs) -> "Filter":
-        return cls(Field(Box.cube(d, T), coeffs), T, TWO_SIDED)
+        return cls(Field(Box.cube(d, T), coeffs), T)
 
     @classmethod
     def one_sided(cls, d: int, kappa: int, T: int, coeffs) -> "Filter":
-        return cls(Field(Box.one_sided_cube(d, kappa, T), coeffs), T,
-                   ONE_SIDED, kappa)
+        return cls(Field(Box.one_sided_cube(d, kappa, T), coeffs), T, kappa)
 
     @classmethod
     def impulse(cls, d: int) -> "Filter":
@@ -294,11 +288,11 @@ class Filter:
             axis = np.arange(box.lo[j], box.hi[j] + 1) * omega[j]
             phase = phase + axis.reshape((-1,) + (1,) * (self.d - 1 - j))
         return Filter(Field(box, self.field.data * np.exp(1j * phase)),
-                      self.order, self.kind, self.kappa)
+                      self.order, self.kappa)
 
     def __repr__(self):
-        lag = f", kappa={self.kappa}" if self.kind == ONE_SIDED else ""
-        return f"Filter(order={self.order}, kind={self.kind}{lag}, d={self.d})"
+        lag = "" if self.kappa is None else f", kappa={self.kappa}"
+        return f"Filter(order={self.order}{lag}, d={self.d})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,18 +435,15 @@ def star_norm(x: Field, T: int, p) -> float:
     return _lp(dft_window(x.window(T), T), p)
 
 
-def _product_kind(a: Filter, b: Filter):
-    if a.kind == ONE_SIDED and b.kind == ONE_SIDED:
-        return ONE_SIDED, a.kappa + b.kappa
-    if ONE_SIDED in (a.kind, b.kind):
-        # mixed product stays one-sided only when the two-sided factor is a
-        # scalar at the origin; otherwise the support straddles zero
-        one = a if a.kind == ONE_SIDED else b
-        other = b if a.kind == ONE_SIDED else a
-        if other.order == 0:
-            return ONE_SIDED, one.kappa
-        return TWO_SIDED, None
-    return TWO_SIDED, None
+def _product_lag(a: Filter, b: Filter) -> int | None:
+    if a.kappa is not None and b.kappa is not None:
+        return a.kappa + b.kappa
+    # a mixed product stays one-sided only when the two-sided factor is a
+    # scalar at the origin; otherwise the support straddles zero
+    one, other = (a, b) if b.kappa is None else (b, a)
+    if one.kappa is not None and other.order == 0:
+        return one.kappa
+    return None
 
 
 def filter_product(a: Filter, b: Filter) -> Filter:
@@ -475,15 +466,11 @@ def filter_product(a: Filter, b: Filter) -> Filter:
     padded = np.zeros(reads.shape, dtype=np.complex128)
     padded[gbox.slices_in(reads)] = big.field.data
     out = convolve(small, Field(reads, padded), box)
-    order = a.order + b.order
-    kind, kappa = _product_kind(a, b)
-    if kind == ONE_SIDED:
-        target = Box.one_sided_cube(a.d, kappa, order)
-    else:
-        target = Box.cube(a.d, order)
+    order, kappa = a.order + b.order, _product_lag(a, b)
+    target = Box.support(a.d, order, kappa)
     full = np.zeros(target.shape, dtype=np.complex128)
     full[box.slices_in(target)] = out.data
-    return Filter(Field(target, full), order, kind, kappa if kind == ONE_SIDED else None)
+    return Filter(Field(target, full), order, kappa)
 
 
 def filter_tensor(a: Filter, b: Filter) -> Filter:
@@ -492,33 +479,26 @@ def filter_tensor(a: Filter, b: Filter) -> Filter:
     The l2 norm multiplies exactly. The result lives on the enclosing cube of
     order ``max(ord a, ord b)`` (zero padded where one factor is shorter).
     """
-    d = a.d + b.d
+    if (a.kappa is None) != (b.kappa is None):
+        raise ParamError("tensor product of a one-sided and a two-sided filter "
+                         "is not defined")
     order = max(a.order, b.order)
+    kappa = None if a.kappa is None else min(a.kappa, b.kappa)
+    target = Box.support(a.d + b.d, order, kappa)
     prod = np.multiply.outer(a.field.data, b.field.data)
-    if a.kind == ONE_SIDED and b.kind == ONE_SIDED:
-        kappa = min(a.kappa, b.kappa)
-        target = Box.one_sided_cube(d, kappa, order)
-        kind = ONE_SIDED
-    elif a.kind == TWO_SIDED and b.kind == TWO_SIDED:
-        kappa = None
-        target = Box.cube(d, order)
-        kind = TWO_SIDED
-    else:
-        raise ParamError("tensor product of mixed filter kinds is not defined")
     inner = Box(a.field.box.lo + b.field.box.lo, a.field.box.hi + b.field.box.hi)
     full = np.zeros(target.shape, dtype=np.complex128)
     full[inner.slices_in(target)] = prod
-    return Filter(Field(target, full), order, kind, kappa)
+    return Filter(Field(target, full), order, kappa)
 
 
-def rebox_filter(q: Filter, kind: str, order: int, kappa: int | None = None) -> Filter:
-    """Re-declare a filter's support box, checking no nonzero coefficient is lost.
+def rebox_filter(q: Filter, order: int, kappa: int | None = None) -> Filter:
+    """Re-declare a filter's order and lag, checking no nonzero coefficient is lost.
 
     Used to tighten e.g. a lag-0 one-sided product whose actual support starts
     at a larger lag.
     """
-    d = q.d
-    target = Box.cube(d, order) if kind == TWO_SIDED else Box.one_sided_cube(d, kappa, order)
+    target = Box.support(q.d, order, kappa)
     tau = _nonzero_outside(q.field, target)
     if tau is not None:
         raise ParamError(f"nonzero coefficient at {tau} outside target box {target}")
@@ -526,7 +506,7 @@ def rebox_filter(q: Filter, kind: str, order: int, kappa: int | None = None) -> 
     at = tuple(i + sl - tl for i, sl, tl in zip(nz, q.field.box.lo, target.lo))
     out = np.zeros(target.shape, dtype=np.complex128)
     out[at] = q.field.data[nz]
-    return Filter(Field(target, out), order, kind, kappa if kind == ONE_SIDED else None)
+    return Filter(Field(target, out), order, kappa)
 
 
 def _nonzero_outside(x: Field, box: Box) -> tuple[int, ...] | None:

@@ -4,8 +4,10 @@ A *certificate* for a signal class is a family of filters ``q^(T)``, one per
 window order ``T``, with small l2 norm (``|q^(T)|_2 <= rho (2T+1)^{-d/2}``)
 that reproduces every signal of the class up to a mean-square error of
 ``theta (2T+1)^{-d/2}`` on a box of radius ``L`` around the anchor. Prediction
-certificates are the same with one-sided (causal) supports ``{kappa <= tau_j
-<= T}`` and a minimal usable order ``T_0``.
+certificates are the same with a lag ``kappa``, one-sided (causal) supports
+``{kappa <= tau_j <= T}`` and a minimal usable order ``T_0``; a certificate's
+filters carry its lag, and filtering certificates and their filters carry
+none.
 
 The module provides the basic constructive families
 
@@ -30,10 +32,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ParamError, RegularityError
 from .fields import (
-    FILTERING,
-    ONE_SIDED,
-    PREDICTION,
-    TWO_SIDED,
     Box,
     Field,
     Filter,
@@ -175,16 +173,14 @@ def exp_filter_1d(omega: complex, T: int) -> Filter:
 
 
 def _one_minus(q: Filter) -> Filter:
-    """The filter 1 - q in the Laurent algebra."""
-    if q.kind == TWO_SIDED:
-        data = -q.field.data.copy()
-        data[(q.order,) * q.d] += 1.0
-        return Filter.two_sided(q.d, q.order, data)
-    box = Box.one_sided_cube(q.d, 0, q.order)
+    """The filter 1 - q in the Laurent algebra; one-sided with lag 0 when q
+    is one-sided, as the 1 sits at the origin."""
+    kappa = None if q.kappa is None else 0
+    box = Box.support(q.d, q.order, kappa)
     data = np.zeros(box.shape, dtype=np.complex128)
     data[q.field.box.slices_in(box)] = -q.field.data
-    data[(0,) * q.d] += 1.0
-    return Filter.one_sided(q.d, 0, q.order, data)
+    data[tuple(-l for l in box.lo)] += 1.0
+    return Filter(Field(box, data), q.order, kappa)
 
 
 def _annihilator_combination(factors: Sequence[Filter]) -> Filter:
@@ -268,12 +264,13 @@ class Certificate:
 
     ``theta`` bounds the reproduction error (times ``(2T+1)^{d/2}``), ``rho``
     the filter l2 norm (same scaling), ``L`` the horizon of validity around
-    the anchor. Prediction certificates carry the lag ``kappa`` and the
-    minimal order ``T0``. ``exact`` is False for constructions that only
-    approximate their class (the residual is then measured, not promised).
+    the anchor. Prediction certificates carry the lag ``kappa``, which each
+    of their filters carries too, and the minimal order ``T0``; a filtering
+    certificate has ``kappa=None`` and two-sided filters. ``exact`` is False
+    for constructions that only approximate their class (the residual is
+    then measured, not promised).
     """
 
-    kind: str
     d: int
     theta: float
     rho: float
@@ -285,15 +282,13 @@ class Certificate:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in (FILTERING, PREDICTION):
-            raise ParamError(f"unknown certificate kind {self.kind!r}")
         if not 1 <= self.rho < math.inf:
             raise ParamError("certificate rho must be finite and >= 1, got "
                              f"{self.rho}")
-        if self.theta < 0:
-            raise ParamError("certificate theta must be >= 0")
-        if self.kind == PREDICTION and (self.kappa is None or self.kappa < 0):
-            raise ParamError("prediction certificates need kappa >= 0")
+        if not self.theta >= 0:
+            raise ParamError(f"certificate theta must be >= 0, got {self.theta}")
+        if self.kappa is not None and self.kappa < 0:
+            raise ParamError(f"certificate lag must be >= 0, got {self.kappa}")
 
     def filter(self, T: int) -> Filter:
         """The order-T certificate filter; ``ParamError`` outside [T0, L]."""
@@ -304,6 +299,9 @@ class Certificate:
         q = self.make(T)
         if q.order > T:
             raise ParamError(f"constructed filter has order {q.order} > {T}")
+        if q.kappa != self.kappa:
+            raise ParamError(f"constructed filter has lag {q.kappa}, the "
+                             f"certificate {self.kappa}")
         return q
 
 
@@ -311,7 +309,7 @@ def exp_certificate_1d(omega: complex, label: str = "") -> Certificate:
     """Certificate for the univariate exponential ``exp(omega tau)``: theta 0, rho sqrt(2)."""
     omega = complex(omega)
     return Certificate(
-        FILTERING, 1, 0.0, math.sqrt(2), math.inf,
+        1, 0.0, math.sqrt(2), math.inf,
         lambda T: exp_filter_1d(omega, T),
         label=label or f"exp({omega})")
 
@@ -327,7 +325,7 @@ def poly_certificate_1d(m: int, label: str = "") -> Certificate:
             return Filter.impulse(1)  # trivial reproduction at tiny orders
         return poly_filter_1d(m, T)
 
-    return Certificate(FILTERING, 1, 0.0, rho, math.inf, make,
+    return Certificate(1, 0.0, rho, math.inf, make,
                        label=label or f"poly(deg<={m})")
 
 
@@ -350,7 +348,7 @@ def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]],
             return Filter.impulse(d)
         return simple_exp_filter(freq_sets, T)
 
-    return Certificate(FILTERING, d, 0.0, _rho_simple(sizes), math.inf, make,
+    return Certificate(d, 0.0, _rho_simple(sizes), math.inf, make,
                        label=label or f"simple-exp(N={sizes})")
 
 
@@ -364,7 +362,7 @@ def predictor_exp_certificate(omega: complex, kappa: int,
         raise ParamError("kappa must be nonnegative")
     rho = 2.0 * math.sqrt(max(2, 2 * kappa + 1))
     return Certificate(
-        PREDICTION, 1, 0.0, rho, math.inf,
+        1, 0.0, rho, math.inf,
         lambda T: predictor_exp_filter(omega, T, kappa),
         kappa=kappa, T0=kappa,
         label=label or f"pred-exp({omega}, kappa={kappa})")
@@ -419,9 +417,10 @@ def combine_certificates(certs: Sequence[Certificate],
     if len(lambdas) != len(certs):
         raise ParamError("one coefficient per certificate")
     m = len(certs)
-    kind, d = certs[0].kind, certs[0].d
-    if any(c.kind != kind or c.d != d for c in certs):
-        raise ParamError("certificates must share kind and dimension")
+    d, causal = certs[0].d, certs[0].kappa is not None
+    if any(c.d != d or (c.kappa is not None) != causal for c in certs):
+        raise ParamError("certificates must share their dimension, and either "
+                         "all have a lag or none")
     if m == 1:
         c0 = certs[0]
         return replace(c0, theta=abs(lambdas[0]) * c0.theta,
@@ -433,17 +432,17 @@ def combine_certificates(certs: Sequence[Certificate],
     rho_plus = factor * 2 ** m * rho_prod
     theta_plus = factor * 2 ** (m - 1) * rho_prod * sum(
         c.theta * abs(l) / c.rho for c, l in zip(certs, lambdas))
-    kappa_plus = min(c.kappa for c in certs) if kind == PREDICTION else None
+    kappa_plus = min(c.kappa for c in certs) if causal else None
     T0_plus = m * max(c.T0 for c in certs)
 
     def make(T_plus: int) -> Filter:
         T = T_plus // m
         q = _annihilator_combination([c.make(T) for c in certs])
-        if kind == PREDICTION:
-            q = rebox_filter(q, ONE_SIDED, q.order, kappa=kappa_plus)
+        if causal:
+            q = rebox_filter(q, q.order, kappa_plus)
         return q
 
-    return Certificate(kind, d, theta_plus, rho_plus, L_plus, make,
+    return Certificate(d, theta_plus, rho_plus, L_plus, make,
                        kappa=kappa_plus, T0=T0_plus,
                        exact=all(c.exact for c in certs),
                        label="combine[" + ", ".join(c.label for c in certs) + "]")
@@ -459,11 +458,8 @@ def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certifica
     omega = tuple(float(w) for w in omega)
     if len(omega) != cert.d:
         raise ParamError("frequency vector dimension mismatch")
-    return Certificate(
-        cert.kind, cert.d, cert.theta, cert.rho, cert.L,
-        lambda T: cert.make(T).modulate(omega),
-        kappa=cert.kappa, T0=cert.T0, exact=cert.exact,
-        label=f"modulate[{cert.label}]")
+    return replace(cert, make=lambda T: cert.make(T).modulate(omega),
+                   label=f"modulate[{cert.label}]")
 
 
 def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
@@ -480,7 +476,7 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
     if cert.theta > 0 and math.isinf(cert.L):
         raise ParamError("lifting an inexact certificate needs a finite horizon")
     theta_plus = 0.0 if cert.theta == 0 else (2 * cert.L + 1) ** (extra / 2) * cert.theta
-    if cert.kind == FILTERING:
+    if cert.kappa is None:
         rho_plus = cert.rho
 
         def axis_factor(T: int) -> Filter:
@@ -497,7 +493,7 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
             q = filter_tensor(q, axis_factor(T))
         return q
 
-    return Certificate(cert.kind, d_plus, theta_plus, rho_plus, cert.L, make,
+    return Certificate(d_plus, theta_plus, rho_plus, cert.L, make,
                        kappa=cert.kappa, T0=max(cert.T0, cert.kappa or 0),
                        exact=cert.exact, label=f"lift[{cert.label}]->d{d_plus}")
 
@@ -506,12 +502,10 @@ def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
     """Certificate for the tensor product ``s'_{tau'} s''_{tau''}`` (exact inputs only)."""
     if a.theta != 0 or b.theta != 0:
         raise ParamError("tensor products require exact certificates (theta = 0)")
-    if a.kind != b.kind:
-        raise ParamError("tensor products require matching kinds")
-    if a.kind == PREDICTION and a.kappa != b.kappa:
-        raise ParamError("tensor products of predictors require equal lags")
+    if a.kappa != b.kappa:
+        raise ParamError("tensor products require equal lags, or none")
     return Certificate(
-        a.kind, a.d + b.d, 0.0, a.rho * b.rho, min(a.L, b.L),
+        a.d + b.d, 0.0, a.rho * b.rho, min(a.L, b.L),
         lambda T: filter_tensor(a.make(T), b.make(T)),
         kappa=a.kappa, T0=max(a.T0, b.T0), exact=a.exact and b.exact,
         label=f"tensor[{a.label}, {b.label}]")

@@ -59,7 +59,7 @@ in prediction ``D(u, 0)`` where that is larger, so the reported optimality
 gap is unconditional. The solve is deterministic:
 identical instances produce bit-identical results.
 
-Instances that share a window geometry (mode, dimension, order and lag) and
+Instances that share a window geometry (dimension, order and lag) and
 an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
 stacked transform of the shifted observation windows for the operators, one
 iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
@@ -114,13 +114,13 @@ class Instance:
     """Problem data for one anchor point.
 
     ``T_alg`` is the setup order; the residual transform window is
-    ``W = 2 T_alg``. ``y_win`` holds exactly the observations the program may
+    ``W = 2 T_alg``. ``kappa`` is the lag of a prediction instance and None
+    for filtering. ``y_win`` holds exactly the observations the program may
     read; ``support_box`` and ``residual_box`` are the admissible support and
     the residual offsets (:func:`program_boxes`). ``l1_bound`` is the spectral
     l1 budget ``2^{d/2} rho^2 (2 T_alg + 1)^{-d/2}``.
     """
 
-    mode: str
     d: int
     t: tuple[int, ...]
     T_alg: int
@@ -134,6 +134,11 @@ class Instance:
     @property
     def W(self) -> int:
         return 2 * self.T_alg
+
+    @property
+    def mode(self) -> str:
+        """``FILTERING`` or ``PREDICTION``, read from the lag."""
+        return FILTERING if self.kappa is None else PREDICTION
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def build_filtering_instance(y: Field, t: Sequence[int], T_alg: int,
     Requires a finite ``rho >= 1``, ``T_alg >= 1`` and finite observations on
     ``{|tau - t| <= 4 T_alg}``.
     """
-    return _build_instance(FILTERING, y, t, T_alg, rho, None)
+    return _build_instance(y, t, T_alg, rho, None)
 
 
 def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
@@ -169,39 +174,40 @@ def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
     program reads only ``{kappa <= t_j - tau_j <= 4 T_alg}``, where the
     observations must be finite.
     """
-    return _build_instance(PREDICTION, y, t, T_alg, rho, kappa)
+    return _build_instance(y, t, T_alg, rho, kappa)
 
 
-def program_boxes(mode: str, t: Sequence[int], T_alg: int,
-                  kappa: int | None) -> tuple[Box, Box, Box]:
+def program_boxes(t: Sequence[int], T_alg: int,
+                  kappa: int | None = None) -> tuple[Box, Box, Box]:
     """The read set, the admissible support and the residual offsets at ``t``
-    (see the module docstring); the instance builders check the parameters."""
+    (see the module docstring), of prediction with a lag ``kappa`` and of
+    filtering without; the instance builders check the parameters."""
     d, W = len(t), 2 * T_alg
-    if mode == FILTERING:
-        reach, support, resid = 2 * W, Box.cube(d, W), Box.cube(d, W)
+    support = Box.support(d, W, kappa)
+    if kappa is None:
+        reach, resid = 2 * W, support
     else:
-        reach, support = -kappa, Box.one_sided_cube(d, kappa, W)
-        resid = Box((-W,) * d, (-kappa,) * d)
+        reach, resid = -kappa, Box((-W,) * d, (-kappa,) * d)
     read = Box(tuple(tj - 2 * W for tj in t), tuple(tj + reach for tj in t))
     return read, support, resid
 
 
-def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
-                    rho: float, kappa: int | None) -> Instance:
+def _build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
+                    kappa: int | None) -> Instance:
     """Check the parameters, the coverage and the finiteness of the read set."""
     t = tuple(int(x) for x in t)
     if not 1 <= rho < math.inf:
         raise ParamError(f"rho must be finite and >= 1, got {rho}")
     if T_alg < 1:
         raise ParamError(f"T_alg must be >= 1, got {T_alg}")
-    if mode == PREDICTION:
+    if kappa is not None:
         if not 0 <= kappa <= 2 * T_alg:
             raise ParamError(f"need 0 <= kappa <= 2*T_alg, got kappa={kappa}")
         kappa = int(kappa)
     d = y.d
     if len(t) != d:
         raise ParamError("anchor dimension mismatch")
-    need, support, resid = program_boxes(mode, t, T_alg, kappa)
+    need, support, resid = program_boxes(t, T_alg, kappa)
     if not y.box.contains_box(need):
         raise DomainError(f"observations must cover {need}, got {y.box}")
     y_win = y.restrict(need)
@@ -210,8 +216,7 @@ def _build_instance(mode: str, y: Field, t: Sequence[int], T_alg: int,
         tau = tuple(int(i) + l for i, l in zip(np.argwhere(~finite)[0], need.lo))
         raise DomainError(f"observation at {tau} is not finite: {y_win.value(tau)}")
     bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(mode, d, t, T_alg, float(rho), kappa, y_win, bound,
-                    support, resid)
+    return Instance(d, t, T_alg, float(rho), kappa, y_win, bound, support, resid)
 
 
 # --------------------------------------------------------------------------
@@ -341,10 +346,8 @@ def _rmatvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
     """The instance's filter from spatial coefficients on the window."""
     grid = phi_sp.reshape((2 * inst.W + 1,) * inst.d)
-    if inst.mode == FILTERING:
-        return Filter.two_sided(inst.d, inst.W, grid)
-    coeffs = grid[inst.support_box.slices_in(Box.cube(inst.d, inst.W))]
-    return Filter.one_sided(inst.d, inst.kappa, inst.W, coeffs)
+    return Filter(Field(inst.support_box, grid[inst.support_box.slices_in(
+        Box.cube(inst.d, inst.W))]), inst.W, inst.kappa)
 
 
 def project_l1_ball(z: np.ndarray, radius: float,
@@ -617,8 +620,8 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     order, each bit-identical to what solving that instance alone gives. An
     instance that misses the budget is returned with its certified gap and
     ``converged`` false. Raises ``ParamError`` for a tolerance that is not positive (NaN
-    included), an empty batch, or instances that differ in mode, dimension,
-    order, lag or l1 budget. Deterministic.
+    included), an empty batch, or instances that differ in dimension, order,
+    lag (None for filtering) or l1 budget. Deterministic.
     """
     if not tol > 0:
         raise ParamError(f"tol must be positive, got {tol}")
@@ -626,11 +629,10 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
         raise ParamError("max_iter must be positive")
     if not instances:
         raise ParamError("a batch needs at least one instance")
-    kinds = {(inst.mode, inst.d, inst.T_alg, inst.kappa, inst.l1_bound)
-             for inst in instances}
+    kinds = {(inst.d, inst.T_alg, inst.kappa, inst.l1_bound) for inst in instances}
     if len(kinds) > 1:
         raise ParamError("instances of a batch must share one geometry and l1 "
-                         f"budget (mode, d, T_alg, kappa, l1_bound), got "
+                         f"budget (d, T_alg, kappa, l1_bound), got "
                          f"{sorted(kinds, key=str)}")
     geo = _Geometry(instances[0])
     # the operators are passed on, not held here, so that _pdhg's compaction

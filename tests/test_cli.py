@@ -416,6 +416,44 @@ def test_bench_check_trials_key_named(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("passed", [True, False])
+def test_bench_checks_alone(tmp_path, monkeypatch, passed):
+    # with no experiments only the checks run, and they set the exit code
+    import dataclasses
+
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    if not passed:
+        real = cli.check_gaussian_max
+        monkeypatch.setattr(cli, "check_gaussian_max", lambda *args, **kwargs:
+                            dataclasses.replace(real(*args, **kwargs), bound_mean=-1.0))
+    doc = bench_doc()
+    doc["experiments"] = []
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"]) == (0 if passed else 1)
+    stats = (tmp_path / "stats.csv").read_text().splitlines()
+    assert len(stats) == 2 and stats[0] == "# master_seed=77"
+    payload = json.loads((tmp_path / "stats.json").read_text())
+    assert payload["experiments"] == [] and len(payload["checks"]["gaussian_max"]) == 2
+    assert (payload["failures"] == []) == passed
+
+
+def test_bench_nothing_to_run_config_error(tmp_path, monkeypatch, capsys):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "check_gaussian_max", _refuse)
+    doc = bench_doc()
+    doc["experiments"] = []
+    del doc["checks"]
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: config.experiments: expected a nonempty list" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 def test_bench_filtering_kappa_config_error(tmp_path, capsys):
     doc = bench_doc(trials=3)
     doc["experiments"][0]["kappa"] = 7
@@ -487,7 +525,6 @@ def test_certify_harmonic_generation_failure_exit_code(tmp_path, monkeypatch,
                                                       capsys):
     cfg = write_config(tmp_path / "cert.yaml", {
         "harmonic": {"operator": "four_neighbor", "n": 2},
-        "T": [1],
         "signal": _harmonic_signal_fails(monkeypatch),
         "box": {"lo": [-20, -20], "hi": [20, 20]},
         "anchor": [0, 0],
@@ -667,7 +704,6 @@ def test_certify_modulation_preserves_l2(tmp_path):
 def test_certify_harmonic_saddle(tmp_path):
     cfg = write_config(tmp_path / "cert.yaml", {
         "harmonic": {"operator": "four_neighbor", "n": 2},
-        "T": [1],
         "signal": {"kind": "harmonic", "operator": "four_neighbor",
                    "boundary": "saddle"},
         "box": {"lo": [-20, -20], "hi": [20, 20]},
@@ -689,6 +725,38 @@ def test_certify_empty_T_list_config_error(tmp_path, capsys):
     })
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config.T: expected a nonempty list" in capsys.readouterr().err
+    assert not (tmp_path / "q.zdf").exists()
+
+
+@pytest.mark.parametrize("key,value", [("eval_radius", -1), ("anchor", [0, 0])])
+def test_certify_bad_evaluation_cube_names_its_key(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "poly", "degree": 1},
+        "T": [1],
+        "box": {"lo": [-10], "hi": [10]},
+        key: value,
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: config.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "q.zdf").exists()
+
+
+@pytest.mark.parametrize("harmonic", [True, False])
+def test_certify_T_only_with_a_certificate(tmp_path, capsys, harmonic):
+    # a harmonic filter's order comes from n and c24, so T would be ignored
+    doc = {"box": {"lo": [-8, -8], "hi": [8, 8]},
+           "out": {"filter": "q.zdf", "report": "report.json"}}
+    if harmonic:
+        doc.update(harmonic={"operator": "four_neighbor", "n": 2}, T=[1, 2, 999])
+        message = "config.T: not read with 'harmonic'"
+    else:
+        doc.update(certificate={"kind": "tensor", "a": {"kind": "exp"},
+                                "b": {"kind": "exp"}})
+        message = "config: missing required keys ['T']"
+    cfg = write_config(tmp_path / "cert.yaml", doc)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "q.zdf").exists()
 
 
@@ -721,7 +789,7 @@ def _non_regular_config(tmp_path, command):
     if command == "generate":
         doc = {"signal": signal, "box": box, "out": {"signal": "s.zdf"}}
     elif command == "certify":
-        doc = {"harmonic": {"operator": NON_REGULAR, "n": 2}, "T": [1], "box": box,
+        doc = {"harmonic": {"operator": NON_REGULAR, "n": 2}, "box": box,
                "out": {"filter": "q.zdf", "report": "report.json"}}
     else:
         doc = bench_doc(trials=3)
@@ -756,7 +824,7 @@ LIST_KEYS = [
 
 def _certify_doc(key, value):
     """A certify config whose list at ``key`` is replaced by ``value``."""
-    doc = {"T": [1], "box": {"lo": [-8], "hi": [8]},
+    doc = {"box": {"lo": [-8], "hi": [8]},
            "out": {"filter": "q.zdf", "report": "report.json"}}
     exp = {"kind": "exp"}
     certificates = {
@@ -767,7 +835,7 @@ def _certify_doc(key, value):
         "lambdas": {"kind": "combine", "parts": [exp], "lambdas": value},
     }
     if key in certificates:
-        doc["certificate"] = certificates[key]
+        doc["certificate"], doc["T"] = certificates[key], [1]
     else:
         operator = {"offsets": [[1], [-1]], "weights": [{"re": 0.5}] * 2, key: value}
         doc["harmonic"] = {"operator": operator, "n": 2}

@@ -33,10 +33,10 @@ def test_setup_validation():
     with pytest.raises(ParamError):
         DenoiseSetup(rho=0.5, T=1)
     with pytest.raises(ParamError):
-        DenoiseSetup(rho=1.0, T=2, mode="prediction", kappa=3)
+        DenoiseSetup(rho=1.0, T=2, kappa=3)
     with pytest.raises(ParamError):
-        DenoiseSetup(rho=1.0, T=2, kappa=1)
-    DenoiseSetup(rho=1.0, T=2, mode="prediction", kappa=2)
+        DenoiseSetup(rho=1.0, T=2, kappa=-1)
+    DenoiseSetup(rho=1.0, T=2, kappa=2)
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf])
@@ -143,8 +143,7 @@ def test_predict_constant_kappa_sweep():
     y = const_field(Box((-33,), (0,)), 2.0 - 1.0j)
     for kappa in (0, 1, 2):
         cert = predictor_exp_certificate(0.0, kappa)
-        setup = DenoiseSetup(rho=cert.rho, T=max(kappa, 2), mode="prediction",
-                             kappa=kappa)
+        setup = DenoiseSetup(rho=cert.rho, T=max(kappa, 2), kappa=kappa)
         est = denoise_point(y, (0,), setup, tol=1e-9)
         assert abs(est.value - (2.0 - 1.0j)) < 1e-6
 
@@ -154,7 +153,7 @@ def test_predict_quasi_stable_exponential():
     t_axis = np.arange(-40, 1)
     y = Field(Box((-40,), (0,)), np.exp(omega * t_axis))
     cert = predictor_exp_certificate(omega, 1)
-    setup = DenoiseSetup(rho=cert.rho, T=4, mode="prediction", kappa=1)
+    setup = DenoiseSetup(rho=cert.rho, T=4, kappa=1)
     est = denoise_point(y, (0,), setup, tol=1e-9)
     assert abs(est.value - 1.0) < 1e-6
 
@@ -170,7 +169,7 @@ def test_predict_causal_read_set():
     pert[-3:] += np.array([5.0, -3.0j, 11.0])  # tau in {0, 1, 2}: t - tau < kappa
     y2 = Field(Box((-33,), (2,)), pert)
     cert = predictor_exp_certificate(omega, 1)
-    setup = DenoiseSetup(rho=cert.rho, T=4, mode="prediction", kappa=1)
+    setup = DenoiseSetup(rho=cert.rho, T=4, kappa=1)
     e1 = denoise_point(y1, (0,), setup)
     e2 = denoise_point(y2, (0,), setup)
     assert e1.value == e2.value
@@ -192,8 +191,7 @@ def test_predict_ignores_non_finite_outside_read_set():
     data = np.full(34, 2.0 - 1.0j)
     data[-1] = np.inf
     y = Field(Box((-33,), (0,)), data)
-    setup = DenoiseSetup(rho=predictor_exp_certificate(0.0, 1).rho, T=2,
-                         mode="prediction", kappa=1)
+    setup = DenoiseSetup(rho=predictor_exp_certificate(0.0, 1).rho, T=2, kappa=1)
     est = denoise_point(y, (0,), setup, tol=1e-9)
     assert abs(est.value - (2.0 - 1.0j)) < 1e-6
     # one step later the anchor's value is in the read set
@@ -215,6 +213,15 @@ def test_risk_bound_values():
     assert risk_bound(1, 8, math.sqrt(2), 0.0, 0.1) == pytest.approx(expected)
     with pytest.raises(ParamError):
         risk_bound(1, 4, 0.5, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("T,rho,theta,sigma", [
+    (2, math.nan, 0.0, 0.1), (2, 2.0, math.nan, 0.1), (2, 2.0, 0.0, math.nan),
+    (2, math.inf, 0.0, 0.1), (-1, 2.0, 0.0, 0.1)])
+def test_risk_bound_rejects_nan_and_out_of_range(T, rho, theta, sigma):
+    # a NaN bound would pass the bench's check rmse > bound silently
+    with pytest.raises(ParamError, match="need T, theta, sigma >= 0"):
+        risk_bound(1, T, rho, theta, sigma)
 
 
 # ---------------------------------------------------------------- theta statistic

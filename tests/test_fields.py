@@ -310,27 +310,24 @@ def test_one_sided_product_lags_add():
     a = Filter.one_sided(1, 1, 2, [1.0, 2.0])
     b = Filter.one_sided(1, 2, 3, [3.0, 1.0])
     ab = filter_product(a, b)
-    assert ab.kind == "one-sided" and ab.kappa == 3 and ab.order == 5
+    assert ab.kappa == 3 and ab.order == 5
     assert coeff(ab, (3,)) == 3.0 and coeff(ab, (5,)) == 2.0
 
 
-def _random_filter(d, kind, order, kappa=None):
-    box = Box.cube(d, order) if kind == "two-sided" else \
-        Box.one_sided_cube(d, kappa, order)
+def _random_filter(d, order, kappa=None):
+    box = Box.support(d, order, kappa)
     coeffs = RNG.standard_normal(box.shape) + 1j * RNG.standard_normal(box.shape)
-    if kind == "two-sided":
-        return Filter.two_sided(d, order, coeffs)
-    return Filter.one_sided(d, kappa, order, coeffs)
+    return Filter(Field(box, coeffs), order, kappa)
 
 
-# factors (kind, order, kappa) and the product's (kind, kappa)
+# factors (order, kappa) and the product's (kappa, order); None is two-sided
 PRODUCT_CASES = [
-    (("two-sided", 2, None), ("two-sided", 3, None), ("two-sided", None)),
-    (("one-sided", 2, 1), ("one-sided", 3, 0), ("one-sided", 1)),
-    (("one-sided", 4, 2), ("two-sided", 1, None), ("two-sided", None)),
-    (("two-sided", 3, None), ("one-sided", 1, 1), ("two-sided", None)),
-    (("two-sided", 0, None), ("one-sided", 3, 2), ("one-sided", 2)),
-    (("one-sided", 2, 0), ("two-sided", 0, None), ("one-sided", 0)),
+    ((2, None), (3, None), (None, 5)),
+    ((2, 1), (3, 0), (1, 5)),
+    ((4, 2), (1, None), (None, 5)),
+    ((3, None), (1, 1), (None, 4)),
+    ((0, None), (3, 2), (2, 3)),
+    ((2, 0), (0, None), (0, 2)),
 ]
 
 
@@ -339,7 +336,7 @@ PRODUCT_CASES = [
 def test_filter_product_matches_laurent_loop(d, fa, fb, expected):
     a, b = _random_filter(d, *fa), _random_filter(d, *fb)
     ab = filter_product(a, b)
-    assert (ab.kind, ab.kappa, ab.order) == expected + (a.order + b.order,)
+    assert (ab.kappa, ab.order) == expected
     ref = laurent_product_loop(a, b)
     scale = np.abs(ref.data).max()
     for tau in ab.field.box.points():
@@ -349,10 +346,10 @@ def test_filter_product_matches_laurent_loop(d, fa, fb, expected):
 
 def test_rebox_filter_checks_support():
     q = Filter.one_sided(1, 0, 3, [0.0, 0.0, 1.0, 0.5])
-    tight = rebox_filter(q, "one-sided", 3, kappa=2)
+    tight = rebox_filter(q, 3, kappa=2)
     assert tight.kappa == 2
     with pytest.raises(ParamError):
-        rebox_filter(q, "one-sided", 3, kappa=3)
+        rebox_filter(q, 3, kappa=3)
 
 
 def test_support_check_matches_loop_reference():
@@ -367,7 +364,7 @@ def test_support_check_matches_loop_reference():
         q = Filter.one_sided(d, 0, 3, RNG.standard_normal((4,) * d))
         q = Filter.one_sided(d, 0, 3, q.field.data * np.all(
             np.indices((4,) * d) >= kappa, axis=0))
-        tight = rebox_filter(q, "one-sided", 3, kappa=kappa)
+        tight = rebox_filter(q, 3, kappa=kappa)
         for tau in tight.field.box.points():
             assert tight.field.value(tau) == q.field.value(tau)
 

@@ -194,7 +194,7 @@ def test_poly_filter_infeasible():
 
 def test_predictor_constant():
     q = predictor_exp_filter(0.0, 2, 1)
-    assert q.kind == "one-sided" and q.kappa == 1
+    assert q.kappa == 1
     assert np.allclose(q.field.data, 0.5)
     s = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
     assert reproduction_residual(q, s, Box((-5,), (5,))) < 1e-15
@@ -254,6 +254,56 @@ def test_certificate_rejects_non_finite_rho(rho):
         dataclasses.replace(exp_certificate_1d(0.5j), rho=rho)
 
 
+@pytest.mark.parametrize("theta", [math.nan, -0.5])
+def test_certificate_rejects_nan_or_negative_theta(theta):
+    with pytest.raises(ParamError, match="theta must be >= 0"):
+        dataclasses.replace(exp_certificate_1d(0.5j), theta=theta)
+
+
+def test_certificate_lag_is_its_filters_lag():
+    # a lag makes a prediction certificate, whose filters must carry it: a
+    # certificate of two-sided filters cannot have one
+    lagged = dataclasses.replace(exp_certificate_1d(0.4j), kappa=2)
+    with pytest.raises(ParamError, match="lag None, the certificate 2"):
+        lagged.filter(3)
+    with pytest.raises(ParamError):
+        lift_certificate(lagged, 2).filter(3)
+
+
+# a filtering and a prediction pair of 1-d certificates
+CERTIFICATE_PAIRS = {
+    "filtering": (exp_certificate_1d(0.4j), exp_certificate_1d(-1.2j)),
+    "prediction": (predictor_exp_certificate(-0.3 + 0.5j, 1),
+                   predictor_exp_certificate(-0.1, 1)),
+}
+CALCULUS = {
+    "combine": lambda a, b: combine_certificates([a, b], [1.0, -0.5j]),
+    "modulate": lambda a, b: modulate_certificate(a, (0.9,)),
+    "lift": lambda a, b: lift_certificate(a, 2),
+    "tensor": tensor_certificate,
+}
+
+
+@pytest.mark.parametrize("op", CALCULUS)
+@pytest.mark.parametrize("mode", CERTIFICATE_PAIRS)
+def test_calculus_filters_are_one_sided_exactly_with_a_lag(mode, op):
+    cert = CALCULUS[op](*CERTIFICATE_PAIRS[mode])
+    assert (cert.kappa is None) == (mode == "filtering")
+    for T in (cert.T0 + 2, cert.T0 + 5):
+        q = cert.filter(T)
+        assert q.kappa == cert.kappa
+        assert q.field.box == Box.support(cert.d, q.order, cert.kappa)
+
+
+def test_calculus_rejects_mixed_lags():
+    filtering, predictor = exp_certificate_1d(0.4j), predictor_exp_certificate(-0.3, 1)
+    with pytest.raises(ParamError, match="all have a lag or none"):
+        combine_certificates([filtering, predictor], [1.0, 1.0])
+    for a, b in ((filtering, predictor), (predictor, predictor_exp_certificate(-0.3, 2))):
+        with pytest.raises(ParamError, match="equal lags"):
+            tensor_certificate(a, b)
+
+
 def test_combine_two_exponentials():
     w1, w2 = 0.4j, -1.2j
     comb = combine_certificates([exp_certificate_1d(w1), exp_certificate_1d(w2)],
@@ -304,7 +354,7 @@ def test_lift_prediction_certificate():
     lifted = lift_certificate(c, 2)
     assert lifted.rho == pytest.approx(math.sqrt(3) * c.rho)
     q = lifted.filter(4)
-    assert q.kind == "one-sided" and q.kappa == 1
+    assert q.kappa == 1
     assert q.l2() <= lifted.rho * (2 * 4 + 1) ** -1.0 * (1 + 1e-9)
 
 
@@ -321,7 +371,7 @@ def test_tensor_certificate():
 
 
 def test_tensor_requires_exact():
-    inexact = Certificate("filtering", 1, 0.5, 2.0, 100, lambda T: exp_filter_1d(0, T))
+    inexact = Certificate(1, 0.5, 2.0, 100, lambda T: exp_filter_1d(0, T))
     with pytest.raises(ParamError):
         tensor_certificate(inexact, exp_certificate_1d(0.0))
 

@@ -576,7 +576,7 @@ def test_prediction_one_sided_result_support():
     y = noisy_field(Box((-16,), (-1,)), mean=1.0, sigma=0.2)
     inst = build_prediction_instance(y, (0,), 2, 1, 2.0)
     res = solve(inst, tol=1e-6)
-    assert res.phi.kind == "one-sided" and res.phi.kappa == 1
+    assert res.phi.kappa == 1
     assert res.phi.field.box == Box((1,), (4,))
 
 
