@@ -17,6 +17,15 @@ The trials of one experiment share a window geometry, so their filter fits
 are solved as one batch (:func:`gridfilt.solver.solve_batch`). Batching does
 not change a bit of any trial: :func:`run_trial` replays one trial on its own
 and records exactly what :func:`monte_carlo` recorded for it.
+
+Working memory does not grow with the trial counts; only the per-trial data
+(noise fields, observations, results) does. The solver builds and iterates a
+large batch in sub-batches whose operators fit in
+``solver.SOLVE_BATCH_BYTES``, and the statistical checks
+(:func:`check_gaussian_max`, :func:`check_theta_moment`) draw and reduce
+their trials in chunks of about ``CHECK_CHUNK_BYTES``. Neither changes a
+bit: Philox fills its stream in order, and every stacked transform and
+batched solve gives each row what it gives that row alone.
 """
 
 from __future__ import annotations
@@ -286,8 +295,9 @@ class GaussianMaxReport:
                    zip(self.tail_freq, self.tail_bound, self.tail_se))
 
 
-# trials of the Gaussian-maximum check drawn and reduced at a time
-GAUSSIAN_MAX_CHUNK = 1000
+# the byte budget of a statistical check's working arrays: it draws and
+# reduces its trials in chunks that fit
+CHECK_CHUNK_BYTES = 1 << 20
 # the offsets u of the Gaussian-maximum check's tail probabilities
 GAUSSIAN_MAX_TAIL_U = (1.0, 2.0, 3.0)
 
@@ -298,6 +308,12 @@ def _gaussian_max_args(N: int, trials: int) -> None:
                          f"got N={N}, trials={trials}")
 
 
+def _gaussian_max_chunk(N: int) -> int:
+    """Trials per chunk of the Gaussian-maximum check: 40 bytes per variable
+    and trial, for its two float draws, its complex value and its modulus."""
+    return max(1, CHECK_CHUNK_BYTES // (40 * N))
+
+
 def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
     """Empirical check of the Gaussian maximum bounds.
 
@@ -305,17 +321,33 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
     ``P{max |f_j| > u + sqrt(2 ln N)} <= exp(-u^2/2)`` for each ``u`` of
     ``GAUSSIAN_MAX_TAIL_U``. The standard errors need at least two trials;
     the seed is a Philox key, in ``[0, 2**128)``.
+
+    Each of the four comparisons (the mean and three tails) is one-sided at
+    3 standard errors. Where a bound is attained, as all four are at N = 1,
+    each fails by chance with probability about 0.135%, so a correct program
+    fails this check on at most about 0.54% of seeds (2 of the master seeds
+    0..599 at N = 1).
+
+    The trials are drawn and reduced in chunks, through preallocated
+    buffers of about ``CHECK_CHUNK_BYTES``.
     """
     _gaussian_max_args(N, trials)
     _seed_arg(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # Philox fills the stream in order, so drawing the trials chunk by chunk
     # gives every trial the values of one (trials, 2, N) draw
+    rows = min(trials, _gaussian_max_chunk(N))
+    draws = np.empty((rows, 2, N))
+    z = np.empty((rows, N), dtype=np.complex128)
+    mag = np.empty((rows, N))
     max_mag = np.empty(trials)
-    for lo in range(0, trials, GAUSSIAN_MAX_CHUNK):
-        draws = rng.standard_normal((min(GAUSSIAN_MAX_CHUNK, trials - lo), 2, N))
-        max_mag[lo:lo + len(draws)] = np.abs(
-            draws[:, 0, :] + 1j * draws[:, 1, :]).max(axis=1)
+    for lo in range(0, trials, rows):
+        k = min(rows, trials - lo)
+        rng.standard_normal(out=draws[:k])
+        z[:k].real = draws[:k, 0]
+        z[:k].imag = draws[:k, 1]
+        np.abs(z[:k], out=mag[:k])
+        mag[:k].max(axis=1, out=max_mag[lo:lo + k])
     max_sq = max_mag ** 2
     shift = math.sqrt(2 * math.log(N))
     freqs, ses = [], []
@@ -363,17 +395,32 @@ def _theta_moment_args(trials: int) -> None:
 THETA_MOMENT_D = 1
 
 
+def _theta_moment_chunk(T: int) -> int:
+    """Trials per chunk of the theta-moment check: per trial, its noise
+    field and at most 40 bytes per entry of its (4T+1)^d shifted windows of
+    (4T+1)^d values (the spectra, their moduli and any copy the per-axis
+    transform makes)."""
+    d = THETA_MOMENT_D
+    return max(1, CHECK_CHUNK_BYTES // (40 * (4 * T + 1) ** (2 * d)
+                                        + 16 * (8 * T + 1) ** d))
+
+
 def check_theta_moment(T: int, sigma: float, trials: int,
                        seed: int = 0) -> ThetaMomentReport:
     """Monte Carlo check of ``E[Theta_T^2] <= sigma^2 (4 d ln(4T+1) + 2)``,
-    ``d = THETA_MOMENT_D``. The standard error needs at least two trials."""
+    ``d = THETA_MOMENT_D``. The standard error needs at least two trials.
+    The trials are drawn and transformed in chunks of about
+    ``CHECK_CHUNK_BYTES``."""
     _theta_moment_args(trials)
     d = THETA_MOMENT_D
     box = Box.cube(d, 4 * T)
-    # every trial's shifted windows in one stacked transform
-    noise = np.stack([sample_noise(box, NoiseSpec(sigma, derive_seed(seed, i))).data
-                      for i in range(trials)])
-    vals = _shift_maxima(noise, T, d) ** 2
+    rows = _theta_moment_chunk(T)
+    vals = np.empty(trials)
+    for lo in range(0, trials, rows):
+        noise = np.stack([
+            sample_noise(box, NoiseSpec(sigma, derive_seed(seed, i))).data
+            for i in range(lo, min(lo + rows, trials))])
+        vals[lo:lo + len(noise)] = _shift_maxima(noise, T, d) ** 2
     return ThetaMomentReport(
         d=d, T=T, sigma=sigma, trials=trials,
         mean_sq=float(vals.mean()),

@@ -440,6 +440,40 @@ def test_bench_checks_alone(tmp_path, monkeypatch, passed):
     assert (payload["failures"] == []) == passed
 
 
+def test_bench_gaussian_max_false_alarm_states_its_rate(tmp_path, capsys):
+    # at N = 1 the bounds are attained, so a correct program fails the check
+    # on a few seeds in a thousand; master seed 302 is one
+    doc = bench_doc()
+    doc.update(master_seed=302, experiments=[],
+               checks={"gaussian_max": {"Ns": [1], "trials": 10000}})
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    failure = json.loads((tmp_path / "stats.json").read_text())["failures"][0]
+    assert failure.startswith("gaussian_max N=1: bound violated")
+    assert "0.135%" in failure and "0.54%" in failure
+    assert f"FAIL {failure}" in capsys.readouterr().err
+
+
+def test_bench_T_below_certificate_order_before_sampling(tmp_path, monkeypatch,
+                                                         capsys):
+    # the combined predictor has lag 1 but no filter below order 2: found
+    # before any trial is sampled, under the experiment's key
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    part = {"kind": "predictor_exp", "im_omega": 0.3, "kappa": 1}
+    doc["experiments"][0].update(
+        certificate={"kind": "combine", "parts": [part, part],
+                     "lambdas": [{"re": 0.5}, {"re": 0.5}]},
+        T=1)
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("config.experiments[0].T: order 1 outside the certificate's usable "
+            "range [2, inf]") in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 def test_bench_nothing_to_run_config_error(tmp_path, monkeypatch, capsys):
     from gridfilt import cli
 
@@ -757,6 +791,20 @@ def test_certify_T_only_with_a_certificate(tmp_path, capsys, harmonic):
     cfg = write_config(tmp_path / "cert.yaml", doc)
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "q.zdf").exists()
+
+
+def test_certify_T_outside_usable_range_names_its_key(tmp_path, capsys):
+    # a predictor of lag 2 has no filter of order 1: its usable range is [2, L]
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "predictor_exp", "im_omega": 0.3, "kappa": 2},
+        "T": [1, 3],
+        "box": {"lo": [-20], "hi": [20]},
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("config error: config.T: order 1 outside the certificate's usable "
+            "range [2, inf]") in capsys.readouterr().err
     assert not (tmp_path / "q.zdf").exists()
 
 

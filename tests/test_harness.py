@@ -1,6 +1,7 @@
 """Noise generation, trial mechanics and the statistical checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from gridfilt import Box, DomainError, Field, ParamError
 from gridfilt.estimators import DenoiseSetup, denoise_point, theta_stat
 from gridfilt.harness import (
-    GAUSSIAN_MAX_CHUNK,
+    CHECK_CHUNK_BYTES,
     NoiseSpec,
+    _gaussian_max_chunk,
+    _theta_moment_chunk,
     check_gaussian_max,
     check_theta_moment,
     derive_seed,
@@ -198,7 +201,7 @@ def test_gaussian_max_n16():
 def test_gaussian_max_chunks_match_one_shot_draw(N):
     # the trials are drawn chunk by chunk; a last, partial chunk included,
     # the report is the one-shot draw's bit for bit
-    trials = 2 * GAUSSIAN_MAX_CHUNK + 37
+    trials = 2 * _gaussian_max_chunk(N) + 37
     assert check_gaussian_max(N, trials, seed=N) == \
         gaussian_max_one_shot(N, trials, seed=N)
     assert check_gaussian_max(N, 5, seed=2) == gaussian_max_one_shot(N, 5, seed=2)
@@ -210,12 +213,34 @@ def test_theta_moment_check():
     assert rep.bound == pytest.approx(0.49 * (4 * math.log(9) + 2))
 
 
-@pytest.mark.parametrize("T,trials", [(0, 5), (2, 37), (4, 120)])
+@pytest.mark.parametrize("T,trials", [(0, 5), (2, 37), (4, 120),
+                                      (4, 2 * _theta_moment_chunk(4) + 7)])
 def test_theta_moment_matches_per_trial_loop(T, trials):
-    # all trials are transformed as one stack; the report is the per-trial
-    # loop's bit for bit
+    # the trials are transformed as stacked chunks, the last case over two
+    # full chunks and a partial one; the report is the per-trial loop's bit
+    # for bit
     assert check_theta_moment(T, 0.3, trials, seed=T) == \
         theta_moment_loop(T, 0.3, trials, seed=T)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check,args", [(check_gaussian_max, (256,)),
+                                        (check_theta_moment, (4, 0.1))])
+def test_check_memory_bounded_by_chunk_budget(check, args):
+    # the working arrays stay within the chunk budget whatever the trial
+    # count; only the per-trial results, a few floats each, grow with it
+    check(*args, 1000)   # numpy's first-call allocations are not the check's
+    few, many = (_peak_bytes(check, *args, trials) for trials in (1000, 10000))
+    assert many <= 2 * CHECK_CHUNK_BYTES
+    assert many - few <= 6 * 8 * (10000 - 1000)
 
 
 @pytest.mark.parametrize("trials", [1, 0])

@@ -627,6 +627,46 @@ def test_solve_batch_matches_solve_bit_for_bit(mode):
         assert np.array_equal(r.dual_w.data, alone.dual_w.data)
 
 
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
+    # with room for the operators of two instances, a batch of five is built
+    # and iterated as 2 + 2 + 1; every result is still the lone solve's
+    from gridfilt import solver
+
+    rng = np.random.default_rng(8)
+    if mode == "filtering":
+        box = Box((-8,), (8,))
+        insts = [build_filtering_instance(_field(rng, box, 0.3, 1.0), (0,), 2,
+                                          math.sqrt(2)) for _ in range(5)]
+    else:
+        box = Box((-8,), (0,))
+        insts = [build_prediction_instance(_field(rng, box, 0.3, 1.0), (0,), 2,
+                                           1, 2.0) for _ in range(5)]
+    geo = _Geometry(insts[0])
+    cap = 2 * (geo.n + len(geo.off)) * geo.n * 16 + 16
+    monkeypatch.setattr(solver, "SOLVE_BATCH_BYTES", cap)
+    sizes = []
+    operators = _Geometry.operators
+
+    def spy(self, batch):
+        K, b = operators(self, batch)
+        assert K.nbytes <= cap
+        sizes.append(len(K))
+        return K, b
+
+    monkeypatch.setattr(_Geometry, "operators", spy)
+    batch = solve_batch(insts, tol=1e-6, max_iter=300)
+    assert sizes == [2, 2, 1]
+    for inst, r in zip(insts, batch):
+        alone = solve(inst, tol=1e-6, max_iter=300)
+        assert (r.objective, r.dual_bound, r.gap, r.iterations, r.converged) == \
+            (alone.objective, alone.dual_bound, alone.gap, alone.iterations,
+             alone.converged)
+        assert np.array_equal(r.phi.field.data, alone.phi.field.data)
+        assert np.array_equal(r.dual_u.values, alone.dual_u.values)
+        assert np.array_equal(r.dual_w.data, alone.dual_w.data)
+
+
 def test_solve_batch_rejects_empty_and_mixed_batches():
     y = noisy_field(Box((-16,), (16,)))
     with pytest.raises(ParamError):
