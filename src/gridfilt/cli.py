@@ -6,10 +6,13 @@ Subcommands: ``generate`` (write signal / noisy observation fields),
 summary), ``certify`` (build a certificate filter and report its bounds).
 
 Every run is driven by one YAML config document (strict schema: unknown keys
-are rejected, and the setup parameters rho, T, sigma have no defaults).
-Global flags: ``--config``, ``--out`` (output directory), ``--seed``
-(overrides the config's master seed), ``--tol`` (solver tolerance),
-``--quiet``.
+are rejected, and so are keys the run would not read; the setup parameters
+rho, T, sigma have no defaults).
+Every subcommand takes ``--config``, ``--out`` (output directory) and
+``--quiet``. ``--seed`` (overrides the config's seed) goes with
+``generate`` and ``bench``, and ``--tol`` (overrides the solver tolerance)
+with ``denoise``, ``predict`` and ``bench``. A flag that a subcommand does
+not take is a usage error, exit 2.
 
 Exit codes: 0 success; 1 failed bench check; 2 config error (a missing or
 unknown key, a malformed value such as a scalar or an empty list where a
@@ -308,6 +311,9 @@ def cmd_generate(args) -> int:
             raise ConfigError("config.out: noise given but no observations path")
         spec = NoiseSpec(_number(noise["sigma"], "config.noise.sigma"),
                          _seed(args.seed, noise["seed"], "config.noise.seed"))
+    elif "observations" in out:
+        raise ConfigError("config.out.observations: no noise given, so no "
+                          "observations would be written")
     signal = _build_signal(cfg["signal"], box, "config.signal")
     write_zdf(signal, _out_path(args, out["signal"]))
     _info(args, f"wrote signal field on {box} to {out['signal']}")
@@ -567,7 +573,12 @@ def cmd_certify(args) -> int:
                           "order comes from n and c24")
     out = _section(cfg["out"], "config.out", ("filter", "report"))
     box = _parse_box(cfg["box"], "config.box")
-    # a given signal's reproduction residual is measured on this cube
+    # a given signal's reproduction residual is measured on this cube, and
+    # without a signal nothing reads it
+    for key in ("anchor", "eval_radius"):
+        if key in cfg and "signal" not in cfg:
+            raise ConfigError(f"config.{key}: read only with 'signal', to "
+                              "place the cube of its reproduction residual")
     radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
     if radius < 0:
         raise ConfigError(f"config.eval_radius: must be nonnegative, got {radius}")
@@ -636,21 +647,29 @@ def cmd_certify(args) -> int:
 # --------------------------------------------------------------------------
 
 
+_OVERRIDES = {
+    "--seed": {"type": int, "help": "override the config's seed"},
+    "--tol": {"type": float, "help": "override the solver tolerance"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfilt",
         description="Adaptive min-max filtering on integer grids")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("generate", cmd_generate), ("denoise", cmd_denoise),
-                          ("predict", cmd_predict), ("bench", cmd_bench),
-                          ("certify", cmd_certify)):
+    # each subcommand takes only the overrides it reads
+    for name, handler, overrides in (
+            ("generate", cmd_generate, ("--seed",)),
+            ("denoise", cmd_denoise, ("--tol",)),
+            ("predict", cmd_predict, ("--tol",)),
+            ("bench", cmd_bench, ("--seed", "--tol")),
+            ("certify", cmd_certify, ())):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the solver tolerance")
+        for flag in overrides:
+            p.add_argument(flag, default=None, **_OVERRIDES[flag])
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(handler=handler)
     return parser

@@ -4,7 +4,9 @@ The estimator is fully data driven: given a setup ``(rho, T)`` (plus a lag
 ``kappa`` for prediction) it fits the min-max filter on a window around the
 anchor and applies it at the anchor. :func:`denoise_point` covers both modes:
 a setup without a lag filters, and one with a lag ``kappa`` predicts, which
-is the same fit with a one-sided support.
+is the same fit with a one-sided support. Both modes build their instances
+with the one builder :func:`gridfilt.solver.build_instance`, which reads the
+mode from the lag.
 :func:`denoise_batch` makes the same fits at one anchor of several
 observation fields, solved as one batch. The noise level never enters the
 fit; it only appears in :func:`risk_bound`, which evaluates the theoretical
@@ -33,8 +35,7 @@ from .fields import Box, Field, convolve, dft_windows
 from .solver import (
     Instance,
     SolveResult,
-    build_filtering_instance,
-    build_prediction_instance,
+    build_instance,
     solve,
     solve_batch,
 )
@@ -74,7 +75,6 @@ class Estimate:
     """Estimated signal value at an anchor; ``solve`` is None for T = 0."""
 
     value: complex
-    anchor: tuple[int, ...]
     solve: SolveResult | None
 
 
@@ -93,7 +93,7 @@ def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
     t = tuple(int(x) for x in t)
     if setup.T == 0:
         return _observation(y, t)
-    inst = _instance(y, t, setup)
+    inst = build_instance(y, t, setup.T, setup.rho, setup.kappa)
     return _estimate(inst, solve(inst, tol=tol, max_iter=max_iter))
 
 
@@ -109,7 +109,7 @@ def denoise_batch(ys: Sequence[Field], t: Sequence[int], setup: DenoiseSetup,
     t = tuple(int(x) for x in t)
     if setup.T == 0:
         return [_observation(y, t) for y in ys]
-    insts = [_instance(y, t, setup) for y in ys]
+    insts = [build_instance(y, t, setup.T, setup.rho, setup.kappa) for y in ys]
     results = solve_batch(insts, tol=tol, max_iter=max_iter)
     return [_estimate(inst, res) for inst, res in zip(insts, results)]
 
@@ -119,21 +119,13 @@ def _observation(y: Field, t: tuple[int, ...]) -> Estimate:
     value = y.value(t)
     if not np.isfinite(value):
         raise DomainError(f"observation at {t} is not finite: {value}")
-    return Estimate(value, t, None)
-
-
-def _instance(y: Field, t: tuple[int, ...], setup: DenoiseSetup) -> Instance:
-    # two builders, not one: perfbench's tracer times the instance builds
-    # that go through build_filtering_instance
-    if setup.kappa is None:
-        return build_filtering_instance(y, t, setup.T, setup.rho)
-    return build_prediction_instance(y, t, setup.T, setup.kappa, setup.rho)
+    return Estimate(value, None)
 
 
 def _estimate(inst: Instance, res: SolveResult) -> Estimate:
     """Apply the fitted filter at the anchor."""
     t = inst.t
-    return Estimate(convolve(res.phi, inst.y_win, Box(t, t)).value(t), t, res)
+    return Estimate(convolve(res.phi, inst.y_win, Box(t, t)).value(t), res)
 
 
 def risk_constant(d: int) -> float:

@@ -94,17 +94,15 @@ class Box:
         return cls(tuple(ci - T for ci in c), tuple(ci + T for ci in c))
 
     @classmethod
-    def one_sided_cube(cls, d: int, kappa: int, T: int) -> "Box":
-        """One-sided cube ``{kappa <= tau_j <= T}``."""
+    def support(cls, d: int, T: int, kappa: int | None = None) -> "Box":
+        """Support of an order-T filter: the centered cube ``{|tau| <= T}``,
+        or with a lag ``kappa`` the one-sided cube ``{kappa <= tau_j <= T}``,
+        which needs ``0 <= kappa <= T``."""
+        if kappa is None:
+            return cls.cube(d, T)
         if not 0 <= kappa <= T:
             raise ParamError(f"need 0 <= kappa <= T, got kappa={kappa}, T={T}")
         return cls((kappa,) * d, (T,) * d)
-
-    @classmethod
-    def support(cls, d: int, T: int, kappa: int | None = None) -> "Box":
-        """Support of an order-T filter: the centered cube, or with a lag
-        ``kappa`` the one-sided cube."""
-        return cls.cube(d, T) if kappa is None else cls.one_sided_cube(d, kappa, T)
 
     @property
     def d(self) -> int:
@@ -247,7 +245,7 @@ class Filter:
 
     @classmethod
     def one_sided(cls, d: int, kappa: int, T: int, coeffs) -> "Filter":
-        return cls(Field(Box.one_sided_cube(d, kappa, T), coeffs), T, kappa)
+        return cls(Field(Box.support(d, T, kappa), coeffs), T, kappa)
 
     @classmethod
     def impulse(cls, d: int) -> "Filter":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -170,7 +170,8 @@ def _run_trials(s: Field, cert: Certificate | None, t: Sequence[int],
 
 @dataclass(frozen=True)
 class ExperimentStats:
-    """Aggregate of one experiment configuration."""
+    """Aggregate of one experiment configuration; its fields, in order, are
+    the columns of the stats CSV (``STATS_COLUMNS``)."""
 
     label: str
     d: int
@@ -439,11 +440,7 @@ TRIAL_COLUMNS = [
     "sq_err_oracle", "solver_gap", "theta_stat",
 ]
 
-STATS_COLUMNS = [
-    "label", "d", "T", "rho", "theta", "sigma", "trials", "master_seed",
-    "rmse_adaptive", "hw_adaptive", "rmse_oracle", "hw_oracle", "bound",
-    "ratio", "max_solver_gap", "pathwise_violations",
-]
+STATS_COLUMNS = [f.name for f in fields(ExperimentStats)]
 
 
 def _fmt(x) -> str:

@@ -122,10 +122,6 @@ class ExpPolynomial:
         degs = self.max_degrees()
         return tuple((degs[j] + 1) * len(s) for j, s in enumerate(self.freq_sets()))
 
-    @property
-    def quasi_stable(self) -> bool:
-        return all(w.real <= 0 for _, _, omega in self.terms for w in omega)
-
 
 def eval_exp_poly(p: ExpPolynomial, box: Box) -> Field:
     """Evaluate an exponential polynomial on a box."""
@@ -279,7 +275,6 @@ class Certificate:
     kappa: int | None = None
     T0: int = 0
     exact: bool = True
-    label: str = ""
 
     def __post_init__(self):
         if not 1 <= self.rho < math.inf:
@@ -305,16 +300,15 @@ class Certificate:
         return q
 
 
-def exp_certificate_1d(omega: complex, label: str = "") -> Certificate:
+def exp_certificate_1d(omega: complex) -> Certificate:
     """Certificate for the univariate exponential ``exp(omega tau)``: theta 0, rho sqrt(2)."""
     omega = complex(omega)
     return Certificate(
         1, 0.0, math.sqrt(2), math.inf,
-        lambda T: exp_filter_1d(omega, T),
-        label=label or f"exp({omega})")
+        lambda T: exp_filter_1d(omega, T))
 
 
-def poly_certificate_1d(m: int, label: str = "") -> Certificate:
+def poly_certificate_1d(m: int) -> Certificate:
     """Certificate for univariate polynomials of degree <= m: theta 0, rho 16m."""
     if m < 0:
         raise ParamError("degree must be nonnegative")
@@ -325,16 +319,14 @@ def poly_certificate_1d(m: int, label: str = "") -> Certificate:
             return Filter.impulse(1)  # trivial reproduction at tiny orders
         return poly_filter_1d(m, T)
 
-    return Certificate(1, 0.0, rho, math.inf, make,
-                       label=label or f"poly(deg<={m})")
+    return Certificate(1, 0.0, rho, math.inf, make)
 
 
 def _rho_simple(sizes: Sequence[int]) -> float:
     return float(np.prod([math.sqrt(2 * N - 1) * 2 ** (1.5 * N) for N in sizes]))
 
 
-def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]],
-                           label: str = "") -> Certificate:
+def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificate:
     """Certificate for spans of exponentials with the given per-axis frequency sets."""
     freq_sets = tuple(tuple(complex(w) for w in fs) for fs in freq_sets)
     sizes = [len(fs) for fs in freq_sets]
@@ -348,12 +340,10 @@ def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]],
             return Filter.impulse(d)
         return simple_exp_filter(freq_sets, T)
 
-    return Certificate(d, 0.0, _rho_simple(sizes), math.inf, make,
-                       label=label or f"simple-exp(N={sizes})")
+    return Certificate(d, 0.0, _rho_simple(sizes), math.inf, make)
 
 
-def predictor_exp_certificate(omega: complex, kappa: int,
-                              label: str = "") -> Certificate:
+def predictor_exp_certificate(omega: complex, kappa: int) -> Certificate:
     """Causal certificate for a quasi-stable exponential, lag ``kappa``."""
     omega = complex(omega)
     if omega.real > 0:
@@ -364,12 +354,10 @@ def predictor_exp_certificate(omega: complex, kappa: int,
     return Certificate(
         1, 0.0, rho, math.inf,
         lambda T: predictor_exp_filter(omega, T, kappa),
-        kappa=kappa, T0=kappa,
-        label=label or f"pred-exp({omega}, kappa={kappa})")
+        kappa=kappa, T0=kappa)
 
 
-def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3,
-                         label: str = "") -> Certificate:
+def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3) -> Certificate:
     """Certificate for a general exponential polynomial, from its frequency structure.
 
     Monomial factors ``tau^alpha`` are handled by splitting each partial
@@ -393,11 +381,9 @@ def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3,
         if len(set(ext)) != len(ext):
             raise ParamError("epsilon splitting collides with an existing frequency")
         ext_sets.append(tuple(ext))
-    sizes = p.partial_sizes()
-    # the split sets have the sizes N_j, so rho and the filters are the
-    # simple-exponential certificate's on them
-    return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs),
-                   label=label or f"exp-poly(N={list(sizes)})")
+    # the split sets have the sizes N_j of p.partial_sizes(), so rho and the
+    # filters are the simple-exponential certificate's on them
+    return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs))
 
 
 def combine_certificates(certs: Sequence[Certificate],
@@ -423,8 +409,7 @@ def combine_certificates(certs: Sequence[Certificate],
                          "all have a lag or none")
     if m == 1:
         c0 = certs[0]
-        return replace(c0, theta=abs(lambdas[0]) * c0.theta,
-                       label=f"combine[{c0.label}]")
+        return replace(c0, theta=abs(lambdas[0]) * c0.theta)
     L = min(c.L for c in certs)
     L_plus = math.inf if math.isinf(L) else L // 2
     rho_prod = float(np.prod([c.rho for c in certs]))
@@ -444,8 +429,7 @@ def combine_certificates(certs: Sequence[Certificate],
 
     return Certificate(d, theta_plus, rho_plus, L_plus, make,
                        kappa=kappa_plus, T0=T0_plus,
-                       exact=all(c.exact for c in certs),
-                       label="combine[" + ", ".join(c.label for c in certs) + "]")
+                       exact=all(c.exact for c in certs))
 
 
 def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certificate:
@@ -458,8 +442,7 @@ def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certifica
     omega = tuple(float(w) for w in omega)
     if len(omega) != cert.d:
         raise ParamError("frequency vector dimension mismatch")
-    return replace(cert, make=lambda T: cert.make(T).modulate(omega),
-                   label=f"modulate[{cert.label}]")
+    return replace(cert, make=lambda T: cert.make(T).modulate(omega))
 
 
 def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
@@ -495,7 +478,7 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
 
     return Certificate(d_plus, theta_plus, rho_plus, cert.L, make,
                        kappa=cert.kappa, T0=max(cert.T0, cert.kappa or 0),
-                       exact=cert.exact, label=f"lift[{cert.label}]->d{d_plus}")
+                       exact=cert.exact)
 
 
 def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
@@ -507,8 +490,7 @@ def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
     return Certificate(
         a.d + b.d, 0.0, a.rho * b.rho, min(a.L, b.L),
         lambda T: filter_tensor(a.make(T), b.make(T)),
-        kappa=a.kappa, T0=max(a.T0, b.T0), exact=a.exact and b.exact,
-        label=f"tensor[{a.label}, {b.label}]")
+        kappa=a.kappa, T0=max(a.T0, b.T0), exact=a.exact and b.exact)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,10 @@ residual is evaluated on the causal offsets ``{-W <= tau_j <= -kappa}`` only
 (zero elsewhere in the transform window), so the whole program reads just the
 observations ``{kappa <= t_j - tau_j <= 4T}`` preceding the anchor.
 
+One builder, :func:`build_instance`, makes the instance of either mode: the
+lag ``kappa`` is the mode, None for filtering. It checks the parameters and
+keeps only the observations of the read set (:func:`program_boxes`).
+
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
@@ -100,8 +104,7 @@ from .fields import (
 __all__ = [
     "Instance",
     "SolveResult",
-    "build_filtering_instance",
-    "build_prediction_instance",
+    "build_instance",
     "program_boxes",
     "objective",
     "solve",
@@ -126,7 +129,6 @@ class Instance:
     d: int
     t: tuple[int, ...]
     T_alg: int
-    rho: float
     kappa: int | None
     y_win: Field
     l1_bound: float
@@ -158,32 +160,11 @@ class SolveResult:
     dual_w: Field
 
 
-def build_filtering_instance(y: Field, t: Sequence[int], T_alg: int,
-                             rho: float) -> Instance:
-    """Instance of the two-sided program at anchor ``t``.
-
-    Requires a finite ``rho >= 1``, ``T_alg >= 1`` and finite observations on
-    ``{|tau - t| <= 4 T_alg}``.
-    """
-    return _build_instance(y, t, T_alg, rho, None)
-
-
-def build_prediction_instance(y: Field, t: Sequence[int], T_alg: int,
-                              kappa: int, rho: float) -> Instance:
-    """Instance of the one-sided (causal) program at anchor ``t``.
-
-    The admissible supports are ``{kappa <= nu_j <= 2 T_alg}`` and the
-    program reads only ``{kappa <= t_j - tau_j <= 4 T_alg}``, where the
-    observations must be finite.
-    """
-    return _build_instance(y, t, T_alg, rho, kappa)
-
-
 def program_boxes(t: Sequence[int], T_alg: int,
                   kappa: int | None = None) -> tuple[Box, Box, Box]:
     """The read set, the admissible support and the residual offsets at ``t``
     (see the module docstring), of prediction with a lag ``kappa`` and of
-    filtering without; the instance builders check the parameters."""
+    filtering without; :func:`build_instance` checks the parameters."""
     d, W = len(t), 2 * T_alg
     support = Box.support(d, W, kappa)
     if kappa is None:
@@ -194,9 +175,16 @@ def program_boxes(t: Sequence[int], T_alg: int,
     return read, support, resid
 
 
-def _build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
-                    kappa: int | None) -> Instance:
-    """Check the parameters, the coverage and the finiteness of the read set."""
+def build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
+                   kappa: int | None = None) -> Instance:
+    """Instance of the program at anchor ``t``: two-sided (filtering)
+    without a lag, one-sided (prediction) with a lag ``kappa``.
+
+    Requires a finite ``rho >= 1``, ``T_alg >= 1``, ``0 <= kappa <= 2
+    T_alg`` and finite observations on the read set of
+    :func:`program_boxes`: ``{|tau - t| <= 4 T_alg}`` for filtering and
+    ``{kappa <= t_j - tau_j <= 4 T_alg}`` for prediction.
+    """
     t = tuple(int(x) for x in t)
     if not 1 <= rho < math.inf:
         raise ParamError(f"rho must be finite and >= 1, got {rho}")
@@ -218,7 +206,14 @@ def _build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
         tau = tuple(int(i) + l for i, l in zip(np.argwhere(~finite)[0], need.lo))
         raise DomainError(f"observation at {tau} is not finite: {y_win.value(tau)}")
     bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(d, t, T_alg, float(rho), kappa, y_win, bound, support, resid)
+    return Instance(d, t, T_alg, kappa, y_win, bound, support, resid)
+
+
+# The older name, kept out of __all__: perfbench/tracing.py (TARGETS) and
+# perfbench/verify.py name it, and ROADMAP item 7 drops it once the tracer
+# moves. The tracer rebinds every name bound to this one function, so it
+# times every build_instance call.
+build_filtering_instance = build_instance
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import importlib.util
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import gridfilt
-from gridfilt import solver
+from gridfilt import Box, Field, solver
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gridfilt.__path__))
 
@@ -45,3 +46,15 @@ def test_traced_names_resolve():
             assert owner is not None, f"{layer}: {modname}.{attr} is gone"
     # the batched solver looks the projection up by its module-level name
     assert "project_l1_ball" in solver._pdhg.__code__.co_names
+
+
+def test_benchmark_builder_name_and_instance_attributes():
+    # perfbench/tracing.py times builds through the older name and files
+    # solves by (mode, d, T_alg); perfbench/verify.py reads W, d, l1_bound
+    assert solver.build_filtering_instance is solver.build_instance
+    assert "build_filtering_instance" not in solver.__all__
+    y = Field(Box.cube(1, 8), np.ones(17, dtype=complex))
+    for kappa, mode in ((None, "filtering"), (1, "prediction")):
+        inst = solver.build_instance(y, (0,), 2, 1.0, kappa)
+        assert (inst.mode, inst.d, inst.T_alg, inst.W) == (mode, 1, 2, 4)
+        assert inst.l1_bound == 2 ** 0.5 * 5 ** -0.5

@@ -12,6 +12,12 @@ import yaml
 
 from gridfilt import read_zdf
 from gridfilt.cli import main
+from gridfilt.signals import (
+    ExpPolynomial,
+    exp_certificate_1d,
+    exp_poly_certificate,
+    lift_certificate,
+)
 
 
 def write_config(path, doc) -> str:
@@ -88,6 +94,44 @@ def test_generate_overflow_exit_code(tmp_path):
         "out": {"signal": "sig.zdf"},
     })
     assert main(["generate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+
+
+def test_generate_random_harmonic_boundary_same_seed_same_bytes(tmp_path):
+    out = {}
+    for run, seed in (("a", 5), ("b", 5), ("c", 6)):
+        cfg = write_config(tmp_path / f"{run}.yaml", {
+            "signal": {"kind": "harmonic", "operator": "four_neighbor",
+                       "boundary": "random", "seed": seed},
+            "box": {"lo": [-4, -4], "hi": [4, 4]},
+            "out": {"signal": f"{run}.zdf"},
+        })
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        out[run] = (tmp_path / f"{run}.zdf").read_bytes()
+    assert out["a"] == out["b"] and out["a"] != out["c"]
+
+
+NO_NOISE = "config.out.observations: no noise given"
+NO_PATH = "config.out: noise given but no observations path"
+
+
+# observations need both noise and a path: without noise the path would be
+# ignored, and without a path the noise
+@pytest.mark.parametrize("noise,out,message", [
+    ("absent", {"observations": "y.zdf"}, NO_NOISE),
+    (None, {"observations": "y.zdf"}, NO_NOISE),
+    ({"sigma": 0.1, "seed": 1}, {}, NO_PATH),
+])
+def test_generate_observations_need_noise_and_a_path(tmp_path, capsys, noise, out,
+                                                     message):
+    doc = {"signal": constant_signal(), "box": {"lo": [-4], "hi": [4]},
+           "out": {"signal": "s.zdf", **out}}
+    if noise != "absent":
+        doc["noise"] = noise
+    cfg = write_config(tmp_path / "gen.yaml", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "s.zdf").exists()
 
 
 # ---------------------------------------------------------------- denoise / predict
@@ -189,6 +233,24 @@ def denoise_config(tmp_path, obs):
         "anchors": [[0]],
         "out": {"estimates": "est.csv"},
     })
+
+
+def test_denoise_observations_path_relative_to_the_config(tmp_path, monkeypatch):
+    # a relative observations path is read next to the config file, not in
+    # the working directory
+    data = tmp_path / "data"
+    data.mkdir()
+    make_observations(data, constant_signal(2.0), {"lo": [-8], "hi": [8]})
+    write_config(data / "den.yaml", {
+        "observations": "obs.zdf",
+        "setup": {"rho": 1.0, "T": 0},
+        "anchors": [[3]],
+        "out": {"estimates": "est.csv"},
+    })
+    monkeypatch.chdir(tmp_path)
+    assert main(["denoise", "--config", "data/den.yaml", "--out", "res",
+                 "--quiet"]) == 0
+    assert read_estimates(tmp_path / "res" / "est.csv")[(3,)][0] == 2.0
 
 
 def test_denoise_unreadable_observations_exit_code(tmp_path, capsys):
@@ -454,6 +516,64 @@ def test_bench_gaussian_max_false_alarm_states_its_rate(tmp_path, capsys):
     assert f"FAIL {failure}" in capsys.readouterr().err
 
 
+def _bench_failures(tmp_path, doc) -> tuple[int, dict]:
+    """Exit code and stats JSON of a bench run of ``doc``."""
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    code = main(["bench", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    return code, json.loads((tmp_path / "stats.json").read_text())
+
+
+def test_bench_rmse_above_bound_fails(tmp_path, monkeypatch):
+    import dataclasses
+
+    from gridfilt import cli
+
+    real = cli.monte_carlo
+
+    def inflated(*args, **kwargs):
+        stats, records = real(*args, **kwargs)
+        return dataclasses.replace(stats, rmse_adaptive=2 * stats.bound), records
+
+    monkeypatch.setattr(cli, "monte_carlo", inflated)
+    doc = bench_doc(trials=3)
+    del doc["checks"]
+    code, payload = _bench_failures(tmp_path, doc)
+    exp = payload["experiments"][0]
+    assert code == 1
+    assert payload["failures"] == [f"const: rmse {exp['rmse_adaptive']:.6g} "
+                                   f"exceeds bound {exp['bound']:.6g}"]
+
+
+def test_bench_pathwise_violations_fail(tmp_path, monkeypatch):
+    # with a zero constant every noisy trial's error exceeds its pathwise
+    # bound, and each one is counted
+    from gridfilt import harness
+
+    monkeypatch.setattr(harness, "risk_constant", lambda d: 0.0)
+    doc = bench_doc(trials=3)
+    del doc["checks"]
+    code, payload = _bench_failures(tmp_path, doc)
+    assert code == 1
+    assert payload["experiments"][0]["pathwise_violations"] == 3
+    assert payload["failures"] == ["const: 3 pathwise bound violations"]
+
+
+def test_bench_theta_moment_violation_fails(tmp_path, monkeypatch):
+    import dataclasses
+
+    from gridfilt import cli
+
+    real = cli.check_theta_moment
+    monkeypatch.setattr(cli, "check_theta_moment", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), bound=-1.0))
+    doc = bench_doc()
+    doc.update(experiments=[],
+               checks={"theta_moment": {"T": 1, "sigma": 0.5, "trials": 20}})
+    code, payload = _bench_failures(tmp_path, doc)
+    assert code == 1
+    assert payload["failures"] == ["theta_moment: bound violated"]
+
+
 def test_bench_T_below_certificate_order_before_sampling(tmp_path, monkeypatch,
                                                          capsys):
     # the combined predictor has lag 1 but no filter below order 2: found
@@ -684,6 +804,23 @@ def test_generate_rejects_bad_noise_seed_before_writing(tmp_path, capsys,
     assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
 
 
+# a flag given to a subcommand that does not read it
+UNTAKEN_FLAGS = [("generate", "--tol", "1e-6"), ("denoise", "--seed", "1"),
+                 ("predict", "--seed", "1"), ("certify", "--seed", "1"),
+                 ("certify", "--tol", "1e-6")]
+
+
+@pytest.mark.parametrize("command,flag,value", UNTAKEN_FLAGS)
+def test_flag_a_subcommand_does_not_take_is_a_usage_error(tmp_path, capsys,
+                                                          command, flag, value):
+    cfg = write_config(tmp_path / "run.yaml", {})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.yaml"]
+
+
 def test_bench_seed_flag_overrides(tmp_path):
     cfg = write_config(tmp_path / "bench.yaml", bench_doc())
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "r1"),
@@ -735,6 +872,42 @@ def test_certify_modulation_preserves_l2(tmp_path):
         pytest.approx(out["mod"]["entries"][0]["l2"])
 
 
+# a config certificate, the same certificate built in code, and its orders
+CERT_KINDS = {
+    "exp_poly": ({"kind": "exp_poly", "epsilon": 0.01,
+                  "terms": [{"re_c": 1.0, "im_c": 0.0, "alpha": [1],
+                             "re_omega": [0.0], "im_omega": [0.5]}]},
+                 lambda: exp_poly_certificate(
+                     ExpPolynomial(((1.0, (1,), (0.5j,)),)), epsilon=0.01),
+                 [2, 4]),
+    "lift": ({"kind": "lift", "base": {"kind": "exp", "im_omega": 0.5},
+              "d_plus": 2},
+             lambda: lift_certificate(exp_certificate_1d(0.5j), 2), [1, 3]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CERT_KINDS))
+def test_certify_reports_the_certificate_of_its_kind(tmp_path, kind):
+    node, build, Ts = CERT_KINDS[kind]
+    cert = build()
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": node,
+        "T": Ts,
+        "box": {"lo": [-8] * cert.d, "hi": [8] * cert.d},
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    entries = json.loads((tmp_path / "report.json").read_text())["entries"]
+    assert [e["T"] for e in entries] == Ts
+    for e, T in zip(entries, Ts):
+        assert e["l2"] == cert.filter(T).l2()
+        assert e["l2_bound"] == cert.rho * (2 * T + 1) ** (-cert.d / 2)
+        assert e["theta_scaled"] == cert.theta * (2 * T + 1) ** (-cert.d / 2)
+    q = read_zdf(tmp_path / "q.zdf")
+    assert q.box == cert.filter(Ts[-1]).field.box
+    assert np.array_equal(q.data, cert.filter(Ts[-1]).field.data)
+
+
 def test_certify_harmonic_saddle(tmp_path):
     cfg = write_config(tmp_path / "cert.yaml", {
         "harmonic": {"operator": "four_neighbor", "n": 2},
@@ -762,17 +935,28 @@ def test_certify_empty_T_list_config_error(tmp_path, capsys):
     assert not (tmp_path / "q.zdf").exists()
 
 
-@pytest.mark.parametrize("key,value", [("eval_radius", -1), ("anchor", [0, 0])])
-def test_certify_bad_evaluation_cube_names_its_key(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path / "cert.yaml", {
+# the cube places a signal's reproduction residual, so without a signal it
+# would be ignored
+@pytest.mark.parametrize("key,value,signal,message", [
+    ("eval_radius", -1, True, "must be nonnegative"),
+    ("anchor", [0, 0], True, "a 2-d anchor for a 1-d box"),
+    ("eval_radius", 2, False, "read only with 'signal'"),
+    ("anchor", [0], False, "read only with 'signal'"),
+])
+def test_certify_bad_evaluation_cube_names_its_key(tmp_path, capsys, key, value,
+                                                   signal, message):
+    doc = {
         "certificate": {"kind": "poly", "degree": 1},
         "T": [1],
         "box": {"lo": [-10], "hi": [10]},
         key: value,
         "out": {"filter": "q.zdf", "report": "report.json"},
-    })
+    }
+    if signal:
+        doc["signal"] = constant_signal()
+    cfg = write_config(tmp_path / "cert.yaml", doc)
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert f"config error: config.{key}: " in capsys.readouterr().err
+    assert f"config error: config.{key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "q.zdf").exists()
 
 

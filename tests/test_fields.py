@@ -357,7 +357,7 @@ def test_support_check_matches_loop_reference():
         d = int(RNG.integers(1, 3))
         box = Box(tuple(RNG.integers(-3, 1, d)), tuple(RNG.integers(0, 4, d)))
         x = Field(box, RNG.standard_normal(box.shape) * (RNG.random(box.shape) < 0.3))
-        target = Box.one_sided_cube(d, int(RNG.integers(0, 2)), int(RNG.integers(2, 4)))
+        target = Box.support(d, int(RNG.integers(2, 4)), int(RNG.integers(0, 2)))
         assert _nonzero_outside(x, target) == nonzero_outside_loop(x, target)
         # a lag-0 one-sided filter whose coefficients vanish below lag kappa
         kappa = int(RNG.integers(0, 3))

@@ -11,14 +11,17 @@ from gridfilt.estimators import DenoiseSetup, denoise_point, theta_stat
 from gridfilt.harness import (
     CHECK_CHUNK_BYTES,
     NoiseSpec,
+    TrialRecord,
     _gaussian_max_chunk,
     _theta_moment_chunk,
     check_gaussian_max,
     check_theta_moment,
     derive_seed,
     monte_carlo,
+    pathwise_violations,
     run_trial,
     sample_noise,
+    write_stats_csv,
     write_trials_csv,
 )
 from gridfilt.signals import exp_certificate_1d
@@ -106,6 +109,22 @@ def test_monte_carlo_single_trial_degenerate():
     assert stats.rmse_adaptive == pytest.approx(math.sqrt(records[0].sq_err_adaptive))
     assert stats.hw_adaptive == 0.0
     assert stats.pathwise_violations == 0
+
+
+def test_pathwise_violations_counts_errors_above_the_bound():
+    # c(1) rho^3 (theta + rho Theta) (2T+1)^{-1/2} at rho = 2, theta = 0.5,
+    # T = 2: the trial's bound scales with its noise statistic Theta
+    def record(error, stat):
+        return TrialRecord((0,), 0, 1.0, 1.0 + error, 1.0, error ** 2, 0.0, 0.0,
+                           stat)
+
+    def bound(stat):
+        return 18.0 * 8.0 * (0.5 + 2.0 * stat) * 5 ** -0.5
+
+    records = [record(0.0, 0.0), record(bound(0.0) * 0.99, 0.0),
+               record(bound(0.0) * 1.01, 0.0), record(bound(0.0) * 1.01, 0.1),
+               record(bound(0.1) * 1.01, 0.1), record(-bound(0.0) * 1.01, 0.0)]
+    assert pathwise_violations(records, 1, 2, 2.0, 0.5) == 3
 
 
 def test_monte_carlo_rejects_zero_trials():
@@ -264,6 +283,21 @@ def test_largest_philox_key_accepted():
     f = sample_noise(Box((0,), (3,)), NoiseSpec(1.0, 2 ** 128 - 1))
     assert np.all(np.isfinite(f.data))
     assert check_gaussian_max(16, 10, seed=2 ** 128 - 1).trials == 10
+
+
+def test_stats_csv_columns(tmp_path):
+    # the documented column order: the ExperimentStats fields, in order
+    box = Box((-8,), (8,))
+    cert = exp_certificate_1d(0.0)
+    stats, _ = monte_carlo(Field(box, np.ones(17, dtype=complex)), cert, (0,),
+                           DenoiseSetup(rho=cert.rho, T=2), 0.1, 2, 5, label="c")
+    p = tmp_path / "stats.csv"
+    write_stats_csv(p, [stats])
+    header, row = p.read_text().splitlines()
+    assert header == ("label,d,T,rho,theta,sigma,trials,master_seed,"
+                      "rmse_adaptive,hw_adaptive,rmse_oracle,hw_oracle,bound,"
+                      "ratio,max_solver_gap,pathwise_violations")
+    assert row.startswith("c,1,2,1.4142135623730951,0,0.10000000000000001,2,5,")
 
 
 def test_trials_csv_layout(tmp_path):

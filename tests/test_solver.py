@@ -29,8 +29,7 @@ from gridfilt.signals import (
 from gridfilt.solver import (
     CHECK_EVERY,
     _Geometry,
-    build_filtering_instance,
-    build_prediction_instance,
+    build_instance,
     dual_lower_bound,
     objective,
     project_l1_ball,
@@ -144,36 +143,36 @@ def test_project_l1_unit_weights_bit_for_bit():
 
 def test_l1_bound_value():
     y = noisy_field(Box((-32,), (32,)))
-    inst = build_filtering_instance(y, (0,), 8, 2.0)
+    inst = build_instance(y, (0,), 8, 2.0)
     assert inst.l1_bound == pytest.approx(math.sqrt(2) * 4 / math.sqrt(17))
 
 
 def test_instance_param_errors():
     y = noisy_field(Box((-8,), (8,)))
     with pytest.raises(ParamError):
-        build_filtering_instance(y, (0,), 2, 0.5)
+        build_instance(y, (0,), 2, 0.5)
     with pytest.raises(ParamError):
-        build_filtering_instance(y, (0,), 0, 1.0)
+        build_instance(y, (0,), 0, 1.0)
     with pytest.raises(DomainError):
-        build_filtering_instance(y, (2,), 2, 1.0)  # needs [-6, 10]
+        build_instance(y, (2,), 2, 1.0)  # needs [-6, 10]
     with pytest.raises(ParamError):
-        build_prediction_instance(y, (0,), 1, 3, 1.0)  # kappa > 2 T_alg
+        build_instance(y, (0,), 1, 1.0, 3)  # kappa > 2 T_alg
     with pytest.raises(DomainError):
-        build_prediction_instance(noisy_field(Box((-3,), (0,))), (0,), 1, 0, 1.0)
+        build_instance(noisy_field(Box((-3,), (0,))), (0,), 1, 1.0, 0)
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf])
 def test_instance_rejects_non_finite_rho(rho):
     y = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
     with pytest.raises(ParamError, match="rho must be finite"):
-        build_filtering_instance(y, (0,), 2, rho)
+        build_instance(y, (0,), 2, rho)
     with pytest.raises(ParamError, match="rho must be finite"):
-        build_prediction_instance(y, (0,), 1, 1, rho)
+        build_instance(y, (0,), 1, rho, 1)
 
 
 def test_prediction_kappa0_support():
     y = noisy_field(Box((-8,), (0,)))
-    inst = build_prediction_instance(y, (0,), 2, 0, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0, 0)
     assert inst.support_box == Box((0,), (4,))
     assert inst.residual_box == Box((-4,), (0,))
     assert inst.y_win.box == Box((-8,), (0,))
@@ -184,7 +183,7 @@ def test_prediction_kappa0_support():
 
 def test_objective_of_zero_filter_is_window_sup():
     y = noisy_field(Box((-8,), (8,)))
-    inst = build_filtering_instance(y, (0,), 2, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0)
     zero = Filter.two_sided(1, 4, np.zeros(9))
     from gridfilt import dft
 
@@ -194,7 +193,7 @@ def test_objective_of_zero_filter_is_window_sup():
 
 def test_objective_constant_averaging_zero():
     y = Field(Box((-8,), (8,)), np.full(17, -1.5 + 2j))
-    inst = build_filtering_instance(y, (0,), 1, 1.0)
+    inst = build_instance(y, (0,), 1, 1.0)
     avg = Filter.two_sided(1, 2, np.full(5, 0.2))
     # the full averaging filter is feasible at rho = 1 and kills the residual
     assert avg.star_norm(2, 1) == pytest.approx(5 ** -0.5)
@@ -206,7 +205,7 @@ def test_objective_constant_averaging_zero():
 
 def test_objective_convexity():
     y = noisy_field(Box((-8,), (8,)))
-    inst = build_filtering_instance(y, (0,), 2, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0)
     for _ in range(20):
         p1 = Filter.two_sided(1, 4, RNG.standard_normal(9) + 1j * RNG.standard_normal(9))
         p2 = Filter.two_sided(1, 4, RNG.standard_normal(9) + 1j * RNG.standard_normal(9))
@@ -217,7 +216,7 @@ def test_objective_convexity():
 
 def test_objective_support_violation():
     y = noisy_field(Box((-8,), (0,)))
-    inst = build_prediction_instance(y, (0,), 2, 1, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0, 1)
     bad = Filter.two_sided(1, 4, np.ones(9))
     with pytest.raises(DomainError):
         objective(inst, bad)
@@ -228,7 +227,7 @@ def test_objective_support_violation():
 
 def test_solve_zero_observations():
     y = Field(Box((-8,), (8,)), np.zeros(17))
-    res = solve(build_filtering_instance(y, (0,), 2, 1.0))
+    res = solve(build_instance(y, (0,), 2, 1.0))
     assert res.objective == 0.0 and res.dual_bound == 0.0 and res.gap == 0.0
     assert np.all(res.phi.field.data == 0)
 
@@ -236,7 +235,7 @@ def test_solve_zero_observations():
 def test_solve_feasibility_and_gap():
     for d, T_alg in ((1, 1), (1, 3), (2, 1)):
         y = noisy_field(Box.cube(d, 4 * T_alg))
-        inst = build_filtering_instance(y, (0,) * d, T_alg, math.sqrt(2))
+        inst = build_instance(y, (0,) * d, T_alg, math.sqrt(2))
         res = solve(inst, tol=1e-7)
         assert res.phi.star_norm(inst.W, 1) <= inst.l1_bound * (1 + 1e-9)
         assert res.gap <= 1e-7
@@ -248,7 +247,7 @@ def test_solve_dominates_references():
     cert = exp_certificate_1d(0.0)
     for trial in range(5):
         y = noisy_field(Box((-8,), (8,)), sigma=0.3, mean=1.0)
-        inst = build_filtering_instance(y, (0,), 2, math.sqrt(2))
+        inst = build_instance(y, (0,), 2, math.sqrt(2))
         res = solve(inst, tol=1e-7)
         q = cert.filter(2)
         r = filter_product(q, q)
@@ -268,7 +267,7 @@ def test_solve_dominates_references():
 def test_solve_matches_subgradient_oracle():
     for trial in range(3):
         y = noisy_field(Box((-4,), (4,)), sigma=1.0, mean=0.5 * trial)
-        inst = build_filtering_instance(y, (0,), 1, 1.0)
+        inst = build_instance(y, (0,), 1, 1.0)
         res = solve(inst, tol=1e-8)
         oracle = subgradient_minimize(inst, starts=50, iters=8000, seed=trial)
         assert abs(res.objective - oracle) < 1e-4
@@ -278,8 +277,8 @@ def test_solve_matches_subgradient_oracle():
 def test_solve_shift_covariance():
     y = noisy_field(Box((-20,), (20,)))
     t = (5,)
-    inst_t = build_filtering_instance(y, t, 2, math.sqrt(2))
-    inst_0 = build_filtering_instance(shift(y, (-5,)), (0,), 2, math.sqrt(2))
+    inst_t = build_instance(y, t, 2, math.sqrt(2))
+    inst_0 = build_instance(shift(y, (-5,)), (0,), 2, math.sqrt(2))
     r_t, r_0 = solve(inst_t), solve(inst_0)
     assert np.array_equal(r_t.phi.field.data, r_0.phi.field.data)
     assert r_t.objective == r_0.objective
@@ -287,7 +286,7 @@ def test_solve_shift_covariance():
 
 def test_solve_deterministic():
     y = noisy_field(Box.cube(2, 8))
-    inst = build_filtering_instance(y, (0, 0), 2, 1.0)
+    inst = build_instance(y, (0, 0), 2, 1.0)
     r1, r2 = solve(inst), solve(inst)
     assert np.array_equal(r1.phi.field.data, r2.phi.field.data)
     assert (r1.objective, r1.dual_bound, r1.gap, r1.iterations) == \
@@ -296,7 +295,7 @@ def test_solve_deterministic():
 
 def test_solve_budget_miss_returns_flagged_result():
     y = noisy_field(Box((-16,), (16,)), sigma=0.1, mean=1.0)
-    inst = build_filtering_instance(y, (0,), 4, math.sqrt(2))
+    inst = build_instance(y, (0,), 4, math.sqrt(2))
     res = solve(inst, tol=1e-12, max_iter=50)
     assert not res.converged and res.iterations == 50 and res.gap > 1e-12
     assert res.phi.star_norm(inst.W, 1) <= inst.l1_bound * (1 + 1e-9)
@@ -307,21 +306,21 @@ def test_solve_budget_miss_returns_flagged_result():
 
 def test_dual_bound_zero_vector():
     y = noisy_field(Box((-8,), (8,)))
-    inst = build_filtering_instance(y, (0,), 2, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0)
     u0 = Spectrum(4, 1, np.zeros(9))
     assert dual_lower_bound(inst, u0) == 0.0
 
 
 def test_dual_bound_rejects_large_u():
     y = noisy_field(Box((-8,), (8,)))
-    inst = build_filtering_instance(y, (0,), 2, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0)
     with pytest.raises(ParamError):
         dual_lower_bound(inst, Spectrum(4, 1, np.ones(9)))
 
 
 def test_dual_bound_weak_duality_random():
     y = noisy_field(Box((-8,), (8,)))
-    inst = build_filtering_instance(y, (0,), 2, 1.0)
+    inst = build_instance(y, (0,), 2, 1.0)
     opt = solve(inst, tol=1e-8).objective
     for _ in range(25):
         raw = RNG.standard_normal(9) + 1j * RNG.standard_normal(9)
@@ -331,7 +330,7 @@ def test_dual_bound_weak_duality_random():
 
 def test_dual_bound_at_solver_iterate_is_tight():
     y = noisy_field(Box((-8,), (8,)), sigma=0.5, mean=1.0)
-    inst = build_filtering_instance(y, (0,), 2, math.sqrt(2))
+    inst = build_instance(y, (0,), 2, math.sqrt(2))
     res = solve(inst, tol=1e-7)
     assert dual_lower_bound(inst, res.dual_u) >= res.objective - 1e-6
     assert np.all(res.dual_w.data == 0)
@@ -345,7 +344,7 @@ def test_filtering_dual_pair_reproduces_reported_bound_exactly(d, T, max_iter):
     # scales make that the unscaled program's bound bit for bit
     rng = np.random.default_rng(40 + d + T)
     y = _field(rng, Box.cube(d, 4 * T), 0.3, 1.0)
-    inst = build_filtering_instance(y, (0,) * d, T, math.sqrt(2))
+    inst = build_instance(y, (0,) * d, T, math.sqrt(2))
     res = solve(inst, tol=1e-7, max_iter=max_iter)
     assert res.dual_bound < res.objective
     assert dual_lower_bound(inst, res.dual_u, res.dual_w) == res.dual_bound
@@ -354,8 +353,7 @@ def test_filtering_dual_pair_reproduces_reported_bound_exactly(d, T, max_iter):
 def _prediction_instance(d, T, kappa, seed, rho=2.0):
     rng = np.random.default_rng(seed)
     box = Box((-4 * T,) * d, (-kappa,) * d)
-    return build_prediction_instance(_field(rng, box, 0.5, 1.0), (0,) * d, T,
-                                     kappa, rho)
+    return build_instance(_field(rng, box, 0.5, 1.0), (0,) * d, T, rho, kappa)
 
 
 @pytest.mark.parametrize("d,T,kappa", [(1, 2, 0), (1, 2, 1), (1, 4, 1),
@@ -419,7 +417,7 @@ def test_dual_bound_rejects_multiplier_on_support():
 
 def test_dual_bound_nonpositive_when_optimum_zero():
     y = Field(Box((-8,), (8,)), np.full(17, 4.2 + 0j))
-    inst = build_filtering_instance(y, (0,), 1, 1.0)
+    inst = build_instance(y, (0,), 1, 1.0)
     for _ in range(10):
         raw = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
         u = Spectrum(2, 1, project_l1_ball(raw, 1.0))
@@ -435,8 +433,8 @@ def _covariance_instance(mode, seed, factor=1.0):
     box = Box((-8,), (8 if mode == "filtering" else 0,))
     y = _field(rng, box, 0.5, 1.0) * factor
     if mode == "filtering":
-        return build_filtering_instance(y, (0,), 2, math.sqrt(2))
-    return build_prediction_instance(y, (0,), 2, 1, 2.0)
+        return build_instance(y, (0,), 2, math.sqrt(2))
+    return build_instance(y, (0,), 2, 2.0, 1)
 
 
 def _certified_intervals_overlap(lo_a, hi_a, lo_b, hi_b, scale):
@@ -475,10 +473,10 @@ def test_solve_power_of_two_equivariance(mode):
     rng = np.random.default_rng(7)
     if mode == "filtering":
         y = _field(rng, Box((-8,), (8,)), 0.5, 1.0)
-        make = lambda y: build_filtering_instance(y, (0,), 2, math.sqrt(2))
+        make = lambda y: build_instance(y, (0,), 2, math.sqrt(2))
     else:
         y = _field(rng, Box((-8,), (0,)), 0.5, 1.0)
-        make = lambda y: build_prediction_instance(y, (0,), 2, 1, 2.0)
+        make = lambda y: build_instance(y, (0,), 2, 2.0, 1)
     k = 2.0 ** -20
     r0 = solve(make(y), tol=1e-7)
     r1 = solve(make(Field(y.box, k * y.data)), tol=k * 1e-7)
@@ -496,7 +494,7 @@ def test_prediction_iterations_do_not_depend_on_data_scale():
     iterations = []
     for s in (1.0, 1e-3, 1e-6):
         y = _field(np.random.default_rng(5), Box((-8,), (0,)), s, s)
-        res = solve(build_prediction_instance(y, (0,), 2, 1, 2.0), tol=1e-6 * s)
+        res = solve(build_instance(y, (0,), 2, 2.0, 1), tol=1e-6 * s)
         assert res.converged
         iterations.append(res.iterations)
     assert len(set(iterations)) == 1
@@ -508,7 +506,7 @@ def test_two_dimensional_instances_converge_within_default_budget():
     poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
     box = Box((-16, -16), (17, 17))
     y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 1))
-    inst = build_filtering_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)
+    inst = build_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)
     assert solve(inst, tol=1e-5).converged
     rng = np.random.default_rng(0)
     box = Box((-12, -12), (0, 0))
@@ -517,7 +515,7 @@ def test_two_dimensional_instances_converge_within_default_budget():
     wave = np.exp(1j * np.tensordot(theta, tau, axes=1))
     y = Field(box, wave + 0.1 * (rng.standard_normal(box.shape)
                                  + 1j * rng.standard_normal(box.shape)))
-    inst = build_prediction_instance(y, (0, 0), 3, 1, 2.0)
+    inst = build_instance(y, (0, 0), 3, 2.0, 1)
     assert solve(inst, tol=1e-5).converged
 
 
@@ -527,7 +525,7 @@ def test_plane_wave_filtering_converges_within_8000_iterations():
     poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
     box = Box((-16, -16), (17, 17))
     y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 2))
-    inst = build_filtering_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)
+    inst = build_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)
     res = solve(inst, tol=1e-5, max_iter=8000)
     assert res.converged and res.gap <= 1e-5
 
@@ -538,7 +536,7 @@ def test_plane_wave_filtering_converges_within_8000_iterations():
 def test_prediction_constant_exact():
     rho = predictor_exp_certificate(0.0, 1).rho
     y = Field(Box((-8,), (0,)), np.full(9, 3.0 + 1j))
-    inst = build_prediction_instance(y, (0,), 1, 1, rho)
+    inst = build_instance(y, (0,), 1, rho, 1)
     res = solve(inst, tol=1e-9)
     assert res.objective <= 1e-9
     est = estimate_at(res.phi, y, (0,))
@@ -550,7 +548,7 @@ def test_prediction_data_only_shift_zero_reads():
     # does: A = 0, the optimum is J(0) with phi = 0
     data = np.zeros(9, dtype=complex)
     data[7] = 1.0 - 2.0j
-    inst = build_prediction_instance(Field(Box((-8,), (0,)), data), (0,), 2, 1, 2.0)
+    inst = build_instance(Field(Box((-8,), (0,)), data), (0,), 2, 2.0, 1)
     res = solve(inst, tol=1e-9)
     assert res.converged and np.all(res.phi.field.data == 0)
     assert res.objective == pytest.approx(objective(inst, res.phi), rel=1e-12)
@@ -566,15 +564,15 @@ def test_prediction_reads_only_causal_slab():
     pert[-1] += 13.0   # tau = 0: t - tau = 0 < kappa
     pert[-2] -= 7.0j   # tau = -1: t - tau = 1 < kappa
     y2 = Field(Box((-20,), (0,)), pert)
-    i1 = build_prediction_instance(y1, (0,), 2, 2, cert.rho)
-    i2 = build_prediction_instance(y2, (0,), 2, 2, cert.rho)
+    i1 = build_instance(y1, (0,), 2, cert.rho, 2)
+    i2 = build_instance(y2, (0,), 2, cert.rho, 2)
     r1, r2 = solve(i1, tol=1e-8), solve(i2, tol=1e-8)
     assert np.array_equal(r1.phi.field.data, r2.phi.field.data)
 
 
 def test_prediction_one_sided_result_support():
     y = noisy_field(Box((-16,), (-1,)), mean=1.0, sigma=0.2)
-    inst = build_prediction_instance(y, (0,), 2, 1, 2.0)
+    inst = build_instance(y, (0,), 2, 2.0, 1)
     res = solve(inst, tol=1e-6)
     assert res.phi.kappa == 1
     assert res.phi.field.box == Box((1,), (4,))
@@ -601,13 +599,13 @@ def test_solve_batch_matches_solve_bit_for_bit(mode):
               Field(box, np.zeros(17)), _field(rng, box, 1.0, 0.0),
               _field(rng, box, 0.05, 1.0), _field(rng, box, 1.0, 0.5),
               _field(rng, box, 1e-7, 1e-7)]
-        insts = [build_filtering_instance(y, (0,), 2, math.sqrt(2)) for y in ys]
+        insts = [build_instance(y, (0,), 2, math.sqrt(2)) for y in ys]
     else:
         box = Box((-8,), (0,))
         ys = [Field(box, np.full(9, 3.0 + 1j)), _field(rng, box, 0.2, 1.0),
               Field(box, np.zeros(9)), _field(rng, box, 1.0, 0.0),
               _field(rng, box, 0.05, 1.0), _field(rng, box, 1e-7, 1e-7)]
-        insts = [build_prediction_instance(y, (0,), 2, 1, 2.0) for y in ys]
+        insts = [build_instance(y, (0,), 2, 2.0, 1) for y in ys]
     # every filtering instance converges within 300 iterations
     max_iter = 200 if mode == "filtering" else 1000
     kwargs = dict(tol=1e-6, max_iter=max_iter)
@@ -636,12 +634,12 @@ def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
     rng = np.random.default_rng(8)
     if mode == "filtering":
         box = Box((-8,), (8,))
-        insts = [build_filtering_instance(_field(rng, box, 0.3, 1.0), (0,), 2,
-                                          math.sqrt(2)) for _ in range(5)]
+        insts = [build_instance(_field(rng, box, 0.3, 1.0), (0,), 2,
+                                math.sqrt(2)) for _ in range(5)]
     else:
         box = Box((-8,), (0,))
-        insts = [build_prediction_instance(_field(rng, box, 0.3, 1.0), (0,), 2,
-                                           1, 2.0) for _ in range(5)]
+        insts = [build_instance(_field(rng, box, 0.3, 1.0), (0,), 2, 2.0, 1)
+                 for _ in range(5)]
     geo = _Geometry(insts[0])
     cap = 2 * (geo.n + len(geo.off)) * geo.n * 16 + 16
     monkeypatch.setattr(solver, "SOLVE_BATCH_BYTES", cap)
@@ -672,18 +670,18 @@ def test_solve_batch_rejects_empty_and_mixed_batches():
     with pytest.raises(ParamError):
         solve_batch([])
     with pytest.raises(ParamError, match="geometry"):
-        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
-                     build_filtering_instance(y, (0,), 3, 1.0)])
+        solve_batch([build_instance(y, (0,), 2, 1.0),
+                     build_instance(y, (0,), 3, 1.0)])
     with pytest.raises(ParamError, match="geometry"):
-        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
-                     build_prediction_instance(y, (0,), 2, 1, 1.0)])
+        solve_batch([build_instance(y, (0,), 2, 1.0),
+                     build_instance(y, (0,), 2, 1.0, 1)])
     with pytest.raises(ParamError, match="l1 budget"):
-        solve_batch([build_filtering_instance(y, (0,), 2, 1.0),
-                     build_filtering_instance(y, (0,), 2, 2.0)])
+        solve_batch([build_instance(y, (0,), 2, 1.0),
+                     build_instance(y, (0,), 2, 2.0)])
 
 
 def test_solve_rejects_non_positive_or_nan_tol():
-    inst = build_filtering_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
+    inst = build_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
     for tol in (0.0, -1e-6, float("nan")):
         with pytest.raises(ParamError, match="tol"):
             solve(inst, tol=tol)
@@ -701,10 +699,10 @@ def _operator_batch(mode, d, T, kappa):
     t = (1,) * d
     if mode == "filtering":
         box = Box.cube(d, 4 * T, t)
-        return [build_filtering_instance(_field(rng, box, 1.0, 0.3), t, T, 1.5)
+        return [build_instance(_field(rng, box, 1.0, 0.3), t, T, 1.5)
                 for _ in range(3)]
     box = Box(tuple(tj - 4 * T for tj in t), tuple(tj - kappa for tj in t))
-    return [build_prediction_instance(_field(rng, box, 1.0, 0.3), t, T, kappa, 1.5)
+    return [build_instance(_field(rng, box, 1.0, 0.3), t, T, 1.5, kappa)
             for _ in range(3)]
 
 
