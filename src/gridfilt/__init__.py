@@ -22,14 +22,9 @@ from .fields import (
     Filter,
     Spectrum,
     convolve,
-    dft,
     filter_product,
     filter_tensor,
-    idft,
-    norm,
     read_zdf,
-    shift,
-    star_norm,
     write_zdf,
 )
 

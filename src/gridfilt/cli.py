@@ -60,6 +60,7 @@ from .harness import (
     NoiseSpec,
     _gaussian_max_args,
     _seed_arg,
+    _sigma_arg,
     _theta_moment_args,
     check_gaussian_max,
     check_theta_moment,
@@ -282,6 +283,17 @@ def _seed(override: int | None, node, context: str) -> int:
     return seed
 
 
+def _sigma(node, ctx: str) -> float:
+    """The noise level at ``ctx``; one that ``NoiseSpec`` would refuse (NaN
+    and infinity included) is an error naming ``ctx``."""
+    sigma = _number(node, ctx)
+    try:
+        _sigma_arg(sigma)
+    except ParamError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+    return sigma
+
+
 def _out_path(args, name: str) -> str:
     if os.path.isabs(name):
         return name
@@ -309,7 +321,7 @@ def cmd_generate(args) -> int:
         noise = _section(cfg["noise"], "config.noise", ("sigma", "seed"))
         if "observations" not in out:
             raise ConfigError("config.out: noise given but no observations path")
-        spec = NoiseSpec(_number(noise["sigma"], "config.noise.sigma"),
+        spec = NoiseSpec(_sigma(noise["sigma"], "config.noise.sigma"),
                          _seed(args.seed, noise["seed"], "config.noise.seed"))
     elif "observations" in out:
         raise ConfigError("config.out.observations: no noise given, so no "
@@ -485,9 +497,7 @@ def _parse_experiment(exp, ctx: str) -> tuple:
                           f"{box.d}-d box")
     signal = _build_signal(exp["signal"], box, ctx + ".signal")
     T = _integer(exp["T"], ctx + ".T")
-    sigma = _number(exp["sigma"], ctx + ".sigma")
-    if not sigma >= 0:
-        raise ConfigError(f"{ctx}.sigma: sigma must be nonnegative, got {sigma}")
+    sigma = _sigma(exp["sigma"], ctx + ".sigma")
     anchor = _point(exp["anchor"], ctx + ".anchor")
     kappa = None
     if cert.kappa is not None:
@@ -533,8 +543,10 @@ def _parse_checks(node) -> dict:
     if "theta_moment" in node:
         ctx = "config.checks.theta_moment"
         tm = _section(node["theta_moment"], ctx, ("T", "sigma", "trials"))
-        checks["theta_moment"] = (_integer(tm["T"], ctx + ".T"),
-                                  _number(tm["sigma"], ctx + ".sigma"),
+        T = _integer(tm["T"], ctx + ".T")
+        if T < 0:
+            raise ConfigError(f"{ctx}.T: the order must be nonnegative, got {T}")
+        checks["theta_moment"] = (T, _sigma(tm["sigma"], ctx + ".sigma"),
                                   _integer(tm["trials"], ctx + ".trials"))
         _theta_moment_args(checks["theta_moment"][2])
     return checks

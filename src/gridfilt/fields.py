@@ -16,8 +16,9 @@ of unity indexed by exponents ``n in {-T..T}``:
     (F_T x)(mu_n) = (2T+1)^{-d/2} * sum_{|tau|<=T} x_tau * mu_n^tau,
     mu_n = exp(2*pi*i*n/(2T+1)).
 
-Seminorms: ``norm(x, T, p)`` is the l_p norm of the spatial values on the
-window, ``star_norm(x, T, p)`` the l_p norm of the transform values.
+The starred seminorm ``|q|*_{T,p}`` of a filter, the l_p norm of the
+transform values of its zero-extended coefficients, is
+:meth:`Filter.star_norm`.
 
 Reading a field outside its box is an error (``DomainError``), never silent
 zero padding. Filters, by contrast, are genuinely zero off their support;
@@ -45,12 +46,7 @@ __all__ = [
     "Field",
     "Filter",
     "Spectrum",
-    "shift",
     "convolve",
-    "dft",
-    "idft",
-    "norm",
-    "star_norm",
     "filter_product",
     "filter_tensor",
     "rebox_filter",
@@ -138,11 +134,6 @@ class Box:
         return tuple(slice(l - pl, h - pl + 1)
                      for l, h, pl in zip(self.lo, self.hi, parent.lo))
 
-    def points(self):
-        """Iterate over grid points in row-major order."""
-        for idx in np.ndindex(*self.shape):
-            yield tuple(l + i for l, i in zip(self.lo, idx))
-
     def __repr__(self):
         return f"Box(lo={self.lo}, hi={self.hi})"
 
@@ -165,10 +156,6 @@ class Field:
         arr = _frozen_array(self.data, self.box.shape)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def zeros(cls, box: Box) -> "Field":
-        return cls(box, np.zeros(box.shape, dtype=np.complex128))
-
     @property
     def d(self) -> int:
         return self.box.d
@@ -184,30 +171,10 @@ class Field:
         """Sub-field on ``box`` (must be contained in this field's box)."""
         return Field(box, self.data[box.slices_in(self.box)])
 
-    def window(self, T: int, center: Sequence[int] | None = None) -> np.ndarray:
-        """Values on the cube ``{|tau - center| <= T}`` as a (2T+1)^d array."""
-        cube = Box.cube(self.d, T, center)
-        if not self.box.contains_box(cube):
-            raise DomainError(f"field on {self.box} does not cover {cube}")
-        return self.data[cube.slices_in(self.box)]
-
     def __add__(self, other: "Field") -> "Field":
         if self.box != other.box:
             raise DomainError("field addition requires identical boxes")
         return Field(self.box, self.data + other.data)
-
-    def __sub__(self, other: "Field") -> "Field":
-        if self.box != other.box:
-            raise DomainError("field subtraction requires identical boxes")
-        return Field(self.box, self.data - other.data)
-
-    def __mul__(self, scalar) -> "Field":
-        return Field(self.box, self.data * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Field":
-        return Field(self.box, np.conj(self.data))
 
     def __repr__(self):
         return f"Field(box={self.box})"
@@ -268,12 +235,9 @@ class Filter:
     def l2(self) -> float:
         return float(np.linalg.norm(self.field.data.ravel(), 2))
 
-    def l1(self) -> float:
-        return float(np.abs(self.field.data).sum())
-
     def star_norm(self, T: int, p) -> float:
         """Starred seminorm of the zero-extended coefficients on window T."""
-        return star_norm(self.pad_to_cube(T), T, p)
+        return _lp(dft_window(self.pad_to_cube(T).data, T), p)
 
     def modulate(self, omega: Sequence[float]) -> "Filter":
         """Coefficient-wise modulation q_tau -> exp(i omega.tau) q_tau."""
@@ -310,12 +274,6 @@ class Spectrum:
         arr = _frozen_array(self.values, shape)
         object.__setattr__(self, "values", arr)
 
-    def value(self, n: Sequence[int]) -> complex:
-        n = _as_int_tuple(n, self.d)
-        if any(abs(nj) > self.T for nj in n):
-            raise DomainError(f"exponent {n} outside {{-T..T}}^d with T={self.T}")
-        return complex(self.values[tuple(nj + self.T for nj in n)])
-
     def __repr__(self):
         return f"Spectrum(T={self.T}, d={self.d})"
 
@@ -329,14 +287,6 @@ def _lp(arr: np.ndarray, p) -> float:
     if p == 2:
         return float(np.sqrt((mags ** 2).sum()))
     return float(mags.max()) if mags.size else 0.0
-
-
-def shift(x: Field, v: Sequence[int]) -> Field:
-    """Translate a field: ``shift(x, v)_tau = x_{tau - v}``.
-
-    Pure relabeling; the box moves by ``v`` and the stored values are shared.
-    """
-    return Field(x.box.translate(v), x.data)
 
 
 def convolve(q: Filter, x: Field, eval_box: Box) -> Field:
@@ -407,30 +357,6 @@ def idft_windows(values: np.ndarray, T: int, d: int) -> np.ndarray:
 def dft_window(window: np.ndarray, T: int) -> np.ndarray:
     """Transform of a (2T+1)^d window array (direct per-axis summation)."""
     return dft_windows(window, T, window.ndim)
-
-
-def dft(x: Field, T: int) -> Spectrum:
-    """Fourier transform of ``x`` on the window ``{|tau| <= T}``.
-
-    ``x.box`` must cover the window. Exponent ``n`` of the result corresponds
-    to the root of unity ``exp(2*pi*i*n/(2T+1))`` per axis.
-    """
-    return Spectrum(T, x.d, dft_window(x.window(T), T))
-
-
-def idft(S: Spectrum) -> Field:
-    """Inverse transform; ``idft(dft(x, T))`` equals ``x`` on the window."""
-    return Field(Box.cube(S.d, S.T), idft_windows(S.values, S.T, S.d))
-
-
-def norm(x: Field, T: int, p) -> float:
-    """Spatial seminorm: l_p norm of the values on ``{|tau| <= T}``."""
-    return _lp(x.window(T), p)
-
-
-def star_norm(x: Field, T: int, p) -> float:
-    """Starred seminorm: l_p norm of the window-T transform values."""
-    return _lp(dft_window(x.window(T), T), p)
 
 
 def _product_lag(a: Filter, b: Filter) -> int | None:

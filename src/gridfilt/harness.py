@@ -77,17 +77,21 @@ def _seed_arg(seed: int) -> None:
         raise ParamError(f"seed must be in [0, 2**128), got {seed}")
 
 
+def _sigma_arg(sigma: float) -> None:
+    if not 0 <= sigma < math.inf:
+        raise ParamError(f"sigma must be nonnegative and finite, got {sigma}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level and generator seed, a Philox key in ``[0, 2**128)``; equal
-    seeds give identical fields."""
+    """Noise level, finite and nonnegative, and generator seed, a Philox key
+    in ``[0, 2**128)``; equal seeds give identical fields."""
 
     sigma: float
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ParamError("sigma must be nonnegative")
+        _sigma_arg(self.sigma)
         _seed_arg(self.seed)
 
 

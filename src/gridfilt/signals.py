@@ -117,11 +117,6 @@ class ExpPolynomial:
             out.append(tuple(seen))
         return tuple(out)
 
-    def partial_sizes(self) -> tuple[int, ...]:
-        """N_j = (m_j + 1) * M_j per axis."""
-        degs = self.max_degrees()
-        return tuple((degs[j] + 1) * len(s) for j, s in enumerate(self.freq_sets()))
-
 
 def eval_exp_poly(p: ExpPolynomial, box: Box) -> Field:
     """Evaluate an exponential polynomial on a box."""
@@ -381,8 +376,9 @@ def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3) -> Certificate
         if len(set(ext)) != len(ext):
             raise ParamError("epsilon splitting collides with an existing frequency")
         ext_sets.append(tuple(ext))
-    # the split sets have the sizes N_j of p.partial_sizes(), so rho and the
-    # filters are the simple-exponential certificate's on them
+    # axis j's split set has N_j = (m_j + 1) M_j frequencies, m_j the largest
+    # degree and M_j the distinct partial frequencies on the axis, so rho and
+    # the filters are the simple-exponential certificate's on them
     return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs))
 
 

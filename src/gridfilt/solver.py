@@ -121,23 +121,34 @@ class Instance:
     ``T_alg`` is the setup order; the residual transform window is
     ``W = 2 T_alg``. ``kappa`` is the lag of a prediction instance and None
     for filtering. ``y_win`` holds exactly the observations the program may
-    read; ``support_box`` and ``residual_box`` are the admissible support and
-    the residual offsets (:func:`program_boxes`). ``l1_bound`` is the spectral
-    l1 budget ``2^{d/2} rho^2 (2 T_alg + 1)^{-d/2}``.
+    read; ``l1_bound`` is the spectral l1 budget ``2^{d/2} rho^2 (2 T_alg +
+    1)^{-d/2}``. Only these are stored: the dimension comes from the anchor,
+    and ``support_box`` and ``residual_box``, the admissible support and the
+    residual offsets, from :func:`program_boxes` of ``(t, T_alg, kappa)``, so
+    they always agree with the lag.
     """
 
-    d: int
     t: tuple[int, ...]
     T_alg: int
     kappa: int | None
     y_win: Field
     l1_bound: float
-    support_box: Box
-    residual_box: Box
+
+    @property
+    def d(self) -> int:
+        return len(self.t)
 
     @property
     def W(self) -> int:
         return 2 * self.T_alg
+
+    @property
+    def support_box(self) -> Box:
+        return program_boxes(self.t, self.T_alg, self.kappa)[1]
+
+    @property
+    def residual_box(self) -> Box:
+        return program_boxes(self.t, self.T_alg, self.kappa)[2]
 
     @property
     def mode(self) -> str:
@@ -197,7 +208,7 @@ def build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
     d = y.d
     if len(t) != d:
         raise ParamError("anchor dimension mismatch")
-    need, support, resid = program_boxes(t, T_alg, kappa)
+    need = program_boxes(t, T_alg, kappa)[0]
     if not y.box.contains_box(need):
         raise DomainError(f"observations must cover {need}, got {y.box}")
     y_win = y.restrict(need)
@@ -206,7 +217,7 @@ def build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
         tau = tuple(int(i) + l for i, l in zip(np.argwhere(~finite)[0], need.lo))
         raise DomainError(f"observation at {tau} is not finite: {y_win.value(tau)}")
     bound = 2 ** (d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-d / 2)
-    return Instance(d, t, T_alg, kappa, y_win, bound, support, resid)
+    return Instance(t, T_alg, kappa, y_win, bound)
 
 
 # The older name, kept out of __all__: perfbench/tracing.py (TARGETS) and
@@ -343,8 +354,9 @@ def _rmatvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
     """The instance's filter from spatial coefficients on the window."""
     grid = phi_sp.reshape((2 * inst.W + 1,) * inst.d)
-    return Filter(Field(inst.support_box, grid[inst.support_box.slices_in(
-        Box.cube(inst.d, inst.W))]), inst.W, inst.kappa)
+    supp = inst.support_box
+    return Filter(Field(supp, grid[supp.slices_in(Box.cube(inst.d, inst.W))]),
+                  inst.W, inst.kappa)
 
 
 def project_l1_ball(z: np.ndarray, radius: float,

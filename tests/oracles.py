@@ -2,9 +2,10 @@
 
 Everything here is built from the field layer's definitions only: the
 objective matrix comes from shifting/windowing observation fields and
-transforming them with `dft`, the (weighted) l1-ball projection uses
+transforming them with `dft_window`, the (weighted) l1-ball projection uses
 bisection on the soft threshold (not the solver's sort construction), and the
 minimization is plain projected subgradient descent from many random starts.
+``points`` lists a box's grid points, ``translate`` relabels a field,
 ``coeff`` reads a filter coefficient by its grid point, zero off the support,
 ``nonzero_outside_loop`` is the point-by-point form of the support check,
 ``theta_stat_loop`` computes the noise statistic one shifted window at a time,
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gridfilt.fields import Box, dft, dft_window, Field, Filter, _dft_matrix
+from gridfilt.fields import Box, dft_window, Field, Filter, _dft_matrix
 from gridfilt.harness import (
     THETA_MOMENT_D,
     GaussianMaxReport,
@@ -36,6 +37,16 @@ from gridfilt.harness import (
 from gridfilt.solver import Instance
 
 
+def points(box: Box) -> list:
+    """The grid points of ``box`` in row-major order."""
+    return [tuple(l + i for l, i in zip(box.lo, idx)) for idx in np.ndindex(*box.shape)]
+
+
+def translate(x: Field, v) -> Field:
+    """``x`` translated by ``v``: the value at ``tau`` is ``x`` at ``tau - v``."""
+    return Field(x.box.translate(v), x.data)
+
+
 def coeff(q: Filter, tau) -> complex:
     """Coefficient of ``q`` at ``tau`` (zero off the support box)."""
     if not q.field.box.contains_point(tau):
@@ -45,7 +56,7 @@ def coeff(q: Filter, tau) -> complex:
 
 def nonzero_outside_loop(x: Field, box: Box):
     """Point-by-point reference: first nonzero point of ``x`` outside ``box``."""
-    for tau in x.box.points():
+    for tau in points(x.box):
         if x.value(tau) != 0 and not box.contains_point(tau):
             return tau
     return None
@@ -55,8 +66,9 @@ def theta_stat_loop(e: Field, t, T: int) -> float:
     """Reference ``theta_stat``: one window transform per shift ``|tau| <= 2T``."""
     W = 2 * T
     best = 0.0
-    for tau in Box.cube(e.d, W).points():
-        window = e.window(W, tuple(tj + vj for tj, vj in zip(t, tau)))
+    for tau in points(Box.cube(e.d, W)):
+        center = tuple(tj + vj for tj, vj in zip(t, tau))
+        window = e.restrict(Box.cube(e.d, W, center)).data
         best = max(best, float(np.abs(dft_window(window, W)).max()))
     return best
 
@@ -142,8 +154,8 @@ def laurent_product_loop(a: Filter, b: Filter) -> Field:
     box = Box(tuple(x + y for x, y in zip(abox.lo, bbox.lo)),
               tuple(x + y for x, y in zip(abox.hi, bbox.hi)))
     out = np.zeros(box.shape, dtype=np.complex128)
-    for s in abox.points():
-        for t in bbox.points():
+    for s in points(abox):
+        for t in points(bbox):
             idx = tuple(si + ti - l for si, ti, l in zip(s, t, box.lo))
             out[idx] += a.field.value(s) * b.field.value(t)
     return Field(box, out)
@@ -212,11 +224,11 @@ def design_matrix(inst: Instance) -> tuple[np.ndarray, np.ndarray, list]:
         sl = tuple(slice(lo + W, hi + W + 1)
                    for lo, hi in zip(offsets.lo, offsets.hi))
         window[sl] = values
-        return dft(Field(Box.cube(d, W), window), W).values.ravel()
+        return dft_window(window, W).ravel()
 
     eval_box = offsets.translate(t)
     b = window_spectrum(eval_box, inst.y_win.restrict(eval_box).data)
-    support = list(inst.support_box.points())
+    support = points(inst.support_box)
     cols = []
     for nu in support:
         shifted_box = Box(tuple(l - v for l, v in zip(eval_box.lo, nu)),
@@ -248,12 +260,12 @@ def subgradient_minimize(inst: Instance, starts: int = 50, iters: int = 8000,
     n_side = 2 * W + 1
 
     # unitary map between support coefficients (embedded in the window) and
-    # spectrum coordinates, built column by column from dft
+    # spectrum coordinates, built column by column from dft_window
     emb = np.zeros((n_side ** d, nsup), dtype=complex)
     for j, nu in enumerate(support):
         window = np.zeros((n_side,) * d, dtype=complex)
         window[tuple(v + W for v in nu)] = 1.0
-        emb[:, j] = dft(Field(Box.cube(d, W), window), W).values.ravel()
+        emb[:, j] = dft_window(window, W).ravel()
 
     def project(X: np.ndarray) -> np.ndarray:
         P = project_l1_bisect(X @ emb.T, c) @ np.conj(emb)

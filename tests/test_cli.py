@@ -340,12 +340,13 @@ def test_anchor_sweep_on_shifted_data(tmp_path):
                              sigma=0.1, seed=9)
     # same field shifted by +2 (regenerate on a shifted box with same seed
     # gives a different draw, so shift the file contents instead)
-    from gridfilt import Field, shift, write_zdf
+    from gridfilt import write_zdf
+    from oracles import translate
 
     y = read_zdf(obs1)
     (tmp_path / "b").mkdir(exist_ok=True)
     obs2 = tmp_path / "b" / "obs.zdf"
-    write_zdf(shift(y, (2,)), obs2)
+    write_zdf(translate(y, (2,)), obs2)
     mk = lambda obs, anchors, sub: write_config(tmp_path / f"{sub}.yaml", {
         "observations": str(obs),
         "setup": {"rho": math.sqrt(2), "T": 2},
@@ -469,13 +470,27 @@ def test_bench_rejects_bad_later_experiment_before_sampling(tmp_path, monkeypatc
     assert not (tmp_path / "stats.csv").exists()
 
 
-def test_bench_check_trials_key_named(tmp_path, capsys):
+@pytest.mark.parametrize("key,value,message", [
+    ("sigma", math.nan, "sigma must be nonnegative and finite"),
+    ("sigma", math.inf, "sigma must be nonnegative and finite"),
+    ("sigma", -1.0, "sigma must be nonnegative and finite"),
+    ("T", -1, "the order must be nonnegative"),
+    ("trials", "many", "expected an integer"),
+])
+def test_bench_theta_moment_bad_value_names_its_key(
+        tmp_path, monkeypatch, capsys, key, value, message):
+    from gridfilt import cli
+
+    for name in ("monte_carlo", "check_gaussian_max", "check_theta_moment"):
+        monkeypatch.setattr(cli, name, _refuse)
     doc = bench_doc(trials=3)
-    doc["checks"] = {"theta_moment": {"T": 2, "sigma": 0.7, "trials": "many"}}
+    doc["checks"] = {"gaussian_max": {"Ns": [16], "trials": 2000},
+                     "theta_moment": {"T": 2, "sigma": 0.7, "trials": 300}}
+    doc["checks"]["theta_moment"][key] = value
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config.checks.theta_moment.trials: expected an integer" in \
-        capsys.readouterr().err
+    assert f"config.checks.theta_moment.{key}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
 
 
 @pytest.mark.parametrize("passed", [True, False])
@@ -693,6 +708,8 @@ def test_certify_harmonic_generation_failure_exit_code(tmp_path, monkeypatch,
 # (key of experiment 1, its bad value, exit code, what the message must say)
 BAD_EXPERIMENT_FIELDS = [
     ("sigma", -0.1, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
+    ("sigma", math.nan, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
+    ("sigma", math.inf, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
     ("T", -1, 2, "config.experiments[1]: T must be nonnegative"),
     ("anchor", [4], 4, "config.experiments[1] (second): a trial at anchor (4,)"),
 ]
@@ -801,6 +818,18 @@ def test_generate_rejects_bad_noise_seed_before_writing(tmp_path, capsys,
     assert main(argv + ([f"--seed={flag}"] if flag else [])) == 2
     source = "config.noise.seed" if source == "config" else source
     assert f"{source}: seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+def test_generate_rejects_bad_noise_level_before_writing(tmp_path, capsys, sigma):
+    doc = {"signal": constant_signal(), "box": {"lo": [-4], "hi": [4]},
+           "noise": {"sigma": sigma, "seed": 1},
+           "out": {"signal": "s.zdf", "observations": "y.zdf"}}
+    cfg = write_config(tmp_path / "gen.yaml", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.noise.sigma: sigma must be nonnegative and finite" in \
+        capsys.readouterr().err
     assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfilt import Box, DomainError, Field, Filter, ParamError, shift
+from gridfilt import Box, DomainError, Field, Filter, ParamError
 from gridfilt.estimators import (
     DenoiseSetup,
     denoise_batch,
@@ -17,7 +17,7 @@ from gridfilt.estimators import (
 from gridfilt.signals import predictor_exp_certificate
 from gridfilt.solver import build_instance, objective
 
-from oracles import theta_stat_loop
+from oracles import theta_stat_loop, translate
 
 RNG = np.random.default_rng(5150)
 
@@ -103,7 +103,7 @@ def test_denoise_translation_equivariance():
               RNG.standard_normal(41) + 1j * RNG.standard_normal(41))
     setup = DenoiseSetup(rho=math.sqrt(2), T=2)
     e0 = denoise_point(y, (3,), setup)
-    e1 = denoise_point(shift(y, (-9,)), (-6,), setup)
+    e1 = denoise_point(translate(y, (-9,)), (-6,), setup)
     assert abs(e0.value - e1.value) < 1e-12
 
 

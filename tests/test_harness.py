@@ -279,6 +279,12 @@ def test_seed_outside_philox_keys_rejected(seed):
         check_gaussian_max(16, 10, seed=seed)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+def test_noise_level_must_be_finite_and_nonnegative(sigma):
+    with pytest.raises(ParamError, match="sigma must be nonnegative and finite"):
+        NoiseSpec(sigma, 1)
+
+
 def test_largest_philox_key_accepted():
     f = sample_noise(Box((0,), (3,)), NoiseSpec(1.0, 2 ** 128 - 1))
     assert np.all(np.isfinite(f.data))
