@@ -20,7 +20,6 @@ from .fields import (
     Box,
     Field,
     Filter,
-    Spectrum,
     convolve,
     filter_product,
     filter_tensor,

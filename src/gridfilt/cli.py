@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: ``generate`` (write signal / noisy observation fields),
-``denoise`` / ``predict`` (estimate at anchor points from a field file),
+``denoise`` / ``predict`` (estimate at anchor points from a field file; a
+``predict`` setup has a lag ``kappa``, which alone makes it a prediction),
 ``bench`` (Monte Carlo experiments plus statistical checks, with pass/fail
 summary), ``certify`` (build a certificate filter and report its bounds).
 
@@ -47,15 +48,7 @@ from .errors import (
     RegularityError,
 )
 from .estimators import DenoiseSetup, denoise_point
-from .fields import (
-    FILTERING,
-    PREDICTION,
-    Box,
-    Field,
-    Filter,
-    read_zdf,
-    write_zdf,
-)
+from .fields import Box, Field, Filter, read_zdf, write_zdf
 from .harness import (
     NoiseSpec,
     _gaussian_max_args,
@@ -169,13 +162,27 @@ def _parse_exp_poly(node, ctx: str) -> ExpPolynomial:
     return ExpPolynomial(tuple(_list(node, ctx, _parse_term)))
 
 
-def _parse_operator(node, ctx: str):
+def _dimension(d: int, what: str, box: Box, ctx: str) -> None:
+    """A ``ConfigError`` naming ``ctx`` unless the ``what`` of dimension
+    ``d`` matches the dimension of ``box``."""
+    if d != box.d:
+        raise ConfigError(f"{ctx}: a {d}-d {what} for a {box.d}-d box")
+
+
+def _parse_operator(node, box: Box, ctx: str) -> Filter:
+    """The stencil filter of a regular operator for ``box``."""
     if node == "four_neighbor":
-        return four_neighbor_averaging(2)
-    node = _section(node, ctx, ("offsets", "weights"))
-    return make_regular_operator(_list(node["offsets"], ctx + ".offsets", _point),
-                                 _list(node["weights"], ctx + ".weights",
-                                       _parse_complex))
+        op = four_neighbor_averaging(2)
+    else:
+        node = _section(node, ctx, ("offsets", "weights"))
+        try:
+            op = make_regular_operator(
+                _list(node["offsets"], ctx + ".offsets", _point),
+                _list(node["weights"], ctx + ".weights", _parse_complex))
+        except ParamError as exc:  # a repeated offset, say
+            raise ConfigError(f"{ctx}.offsets: {exc}") from exc
+    _dimension(op.d, "operator", box, ctx)
+    return op
 
 
 def _build_signal(node, box: Box, ctx: str) -> Field:
@@ -185,7 +192,7 @@ def _build_signal(node, box: Box, ctx: str) -> Field:
         return eval_exp_poly(_parse_exp_poly(node["terms"], ctx + ".terms"), box)
     if kind == "harmonic":
         _section(node, ctx, ("kind", "operator", "boundary"), ("seed",))
-        op = _parse_operator(node["operator"], ctx + ".operator")
+        op = _parse_operator(node["operator"], box, ctx + ".operator")
         boundary = node["boundary"]
         if boundary == "saddle":
             if box.d != 2:
@@ -337,10 +344,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_setup(node, mode: str, ctx: str) -> DenoiseSetup:
-    lag = ("kappa",) if mode == PREDICTION else ()
-    node = _section(node, ctx, ("rho", "T") + lag)
-    kappa = _integer(node["kappa"], ctx + ".kappa") if mode == PREDICTION else None
+def _parse_setup(node, lagged: bool, ctx: str) -> DenoiseSetup:
+    """The setup at ``ctx``, with a lag ``kappa`` exactly when ``lagged``."""
+    node = _section(node, ctx, ("rho", "T", "kappa") if lagged else ("rho", "T"))
+    kappa = _integer(node["kappa"], ctx + ".kappa") if lagged else None
     try:
         return DenoiseSetup(rho=_number(node["rho"], ctx + ".rho"),
                             T=_integer(node["T"], ctx + ".T"), kappa=kappa)
@@ -348,11 +355,11 @@ def _parse_setup(node, mode: str, ctx: str) -> DenoiseSetup:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _run_estimates(args, mode: str) -> int:
+def _run_estimates(args, lagged: bool) -> int:
     cfg = _load_config(args.config, ("observations", "setup", "anchors", "out"),
                        ("tol",))
     out = _section(cfg["out"], "config.out", ("estimates",))
-    setup = _parse_setup(cfg["setup"], mode, "config.setup")
+    setup = _parse_setup(cfg["setup"], lagged, "config.setup")
     anchors = _list(cfg["anchors"], "config.anchors", _point)
     tol = _tolerance(args, cfg, 1e-6)
     obs_path = cfg["observations"]
@@ -362,6 +369,8 @@ def _run_estimates(args, mode: str) -> int:
         y = read_zdf(obs_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}") from exc
+    for i, t in enumerate(anchors):
+        _dimension(len(t), "anchor", y.box, f"config.anchors[{i}]")
     rows = []
     any_unconverged = False
     for t in anchors:
@@ -393,11 +402,11 @@ def _run_estimates(args, mode: str) -> int:
 
 
 def cmd_denoise(args) -> int:
-    return _run_estimates(args, FILTERING)
+    return _run_estimates(args, lagged=False)
 
 
 def cmd_predict(args) -> int:
-    return _run_estimates(args, PREDICTION)
+    return _run_estimates(args, lagged=True)
 
 
 def cmd_bench(args) -> int:
@@ -492,9 +501,7 @@ def _parse_experiment(exp, ctx: str) -> tuple:
                               "anchor"), ("kappa",))
     box = _parse_box(exp["box"], ctx + ".box")
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
-    if cert.d != box.d:
-        raise ConfigError(f"{ctx}.certificate: a {cert.d}-d certificate for a "
-                          f"{box.d}-d box")
+    _dimension(cert.d, "certificate", box, ctx + ".certificate")
     signal = _build_signal(exp["signal"], box, ctx + ".signal")
     T = _integer(exp["T"], ctx + ".T")
     sigma = _sigma(exp["sigma"], ctx + ".sigma")
@@ -595,9 +602,7 @@ def cmd_certify(args) -> int:
     if radius < 0:
         raise ConfigError(f"config.eval_radius: must be nonnegative, got {radius}")
     anchor = _point(cfg.get("anchor", [0] * box.d), "config.anchor")
-    if len(anchor) != box.d:
-        raise ConfigError(f"config.anchor: a {len(anchor)}-d anchor for a "
-                          f"{box.d}-d box")
+    _dimension(len(anchor), "anchor", box, "config.anchor")
     cube = Box.cube(box.d, radius, anchor)
     signal = _build_signal(cfg["signal"], box, "config.signal") \
         if "signal" in cfg else None
@@ -608,6 +613,7 @@ def cmd_certify(args) -> int:
     if "certificate" in cfg:
         checked = f"T={Ts}"
         cert = _build_certificate(cfg["certificate"], "config.certificate")
+        _dimension(cert.d, "certificate", box, "config.certificate")
         for T in Ts:
             _usable_order(cert, T, "config.T")
             q = cert.filter(T)
@@ -629,7 +635,7 @@ def cmd_certify(args) -> int:
     else:
         node = _section(cfg["harmonic"], "config.harmonic", ("operator", "n"),
                         ("c24",))
-        op = _parse_operator(node["operator"], "config.harmonic.operator")
+        op = _parse_operator(node["operator"], box, "config.harmonic.operator")
         n = _integer(node["n"], "config.harmonic.n")
         c24 = _integer(node.get("c24", 1), "config.harmonic.c24")
         q = harmonic_filter(op, n, c24)

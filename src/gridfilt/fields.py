@@ -16,6 +16,9 @@ of unity indexed by exponents ``n in {-T..T}``:
     (F_T x)(mu_n) = (2T+1)^{-d/2} * sum_{|tau|<=T} x_tau * mu_n^tau,
     mu_n = exp(2*pi*i*n/(2T+1)).
 
+A spectrum is itself a ``Field``, on ``Box.cube(d, T)``: the value at
+exponent ``n`` sits at the point ``n``.
+
 The starred seminorm ``|q|*_{T,p}`` of a filter, the l_p norm of the
 transform values of its zero-extended coefficients, is
 :meth:`Filter.star_norm`.
@@ -45,7 +48,6 @@ __all__ = [
     "Box",
     "Field",
     "Filter",
-    "Spectrum",
     "convolve",
     "filter_product",
     "filter_tensor",
@@ -138,13 +140,6 @@ class Box:
         return f"Box(lo={self.lo}, hi={self.hi})"
 
 
-def _frozen_array(data, shape) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.complex128).reshape(shape)
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Field:
     """Dense complex field on a box, stored row-major."""
@@ -153,7 +148,9 @@ class Field:
     data: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen_array(self.data, self.box.shape)
+        arr = np.ascontiguousarray(
+            np.asarray(self.data, dtype=np.complex128).reshape(self.box.shape))
+        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -178,12 +175,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(box={self.box})"
-
-
-# names of the estimation modes: two-sided filtering (denoising), and
-# one-sided prediction, which the lag kappa alone marks
-FILTERING = "filtering"
-PREDICTION = "prediction"
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,27 +246,6 @@ class Filter:
     def __repr__(self):
         lag = "" if self.kappa is None else f", kappa={self.kappa}"
         return f"Filter(order={self.order}{lag}, d={self.d})"
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Values of the window-T Fourier transform, indexed by exponents in {-T..T}^d.
-
-    Exponent vector ``n`` maps to storage slot ``n + T`` per axis; grid point
-    ``mu_j = exp(2*pi*i*n_j/(2T+1))``.
-    """
-
-    T: int
-    d: int
-    values: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        shape = (2 * self.T + 1,) * self.d
-        arr = _frozen_array(self.values, shape)
-        object.__setattr__(self, "values", arr)
-
-    def __repr__(self):
-        return f"Spectrum(T={self.T}, d={self.d})"
 
 
 def _lp(arr: np.ndarray, p) -> float:

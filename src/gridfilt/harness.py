@@ -9,8 +9,8 @@ seeds derive from the master seed through the splitmix64 mix documented in
 :func:`derive_seed`; every trial is therefore independently replayable.
 
 A trial compares the adaptive estimate against the certificate ("oracle")
-filter applied to the same noisy data, records both squared errors, the
-solver gap and the realized noise statistic; aggregation reports RMSEs with
+filter applied to the same noisy data, records both estimates, the solver gap
+and the realized noise statistic; aggregation reports RMSEs with
 normal-approximation confidence half-widths and the theoretical risk bound.
 
 The trials of one experiment share a window geometry, so their filter fits
@@ -118,17 +118,23 @@ def sample_noise(box: Box, spec: NoiseSpec) -> Field:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial: adaptive and oracle estimates with their squared errors."""
+    """One trial: adaptive and oracle estimates and their squared errors."""
 
     anchor: tuple[int, ...]
     seed: int
     truth: complex
     estimate: complex
     oracle_estimate: complex
-    sq_err_adaptive: float
-    sq_err_oracle: float
     solver_gap: float
     theta_stat: float
+
+    @property
+    def sq_err_adaptive(self) -> float:
+        return abs(self.estimate - self.truth) ** 2
+
+    @property
+    def sq_err_oracle(self) -> float:
+        return abs(self.oracle_estimate - self.truth) ** 2
 
 
 def run_trial(s: Field, cert: Certificate | None, t: Sequence[int],
@@ -164,8 +170,6 @@ def _run_trials(s: Field, cert: Certificate | None, t: Sequence[int],
             truth=truth,
             estimate=est.value,
             oracle_estimate=oracle_val,
-            sq_err_adaptive=abs(est.value - truth) ** 2,
-            sq_err_oracle=abs(oracle_val - truth) ** 2,
             solver_gap=0.0 if est.solve is None else est.solve.gap,
             theta_stat=theta_stat(e, t, setup.T),
         ))

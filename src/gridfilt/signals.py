@@ -15,7 +15,9 @@ The module provides the basic constructive families
 * spans of exponentials with prescribed per-axis frequency sets,
 * algebraic polynomials via moment-matching weights,
 * discrete harmonic fields of a regular difference operator, reproduced by a
-  Chebyshev polynomial of the operator,
+  Chebyshev polynomial of the operator; a regular operator is its stencil
+  filter (:func:`make_regular_operator`), so the polynomial is a sum of
+  filter products,
 
 and the calculus that combines certificates: linear combinations, modulation,
 lifting to higher dimension, and tensor products.
@@ -44,7 +46,6 @@ from .fields import (
 __all__ = [
     "ExpPolynomial",
     "Certificate",
-    "RegularOperator",
     "eval_exp_poly",
     "exp_filter_1d",
     "simple_exp_filter",
@@ -494,35 +495,14 @@ def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularOperator:
-    """Stencil operator ``(D f)_tau = sum_l w_l f_{tau - alpha(l)}``.
-
-    Regularity: the offsets span R^d, the weight moduli sum to at most one,
-    and the modulus-weighted mean offset vanishes.
-    """
-
-    offsets: tuple[tuple[int, ...], ...]
-    weights: tuple[complex, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.offsets[0])
-
-    def to_filter(self) -> Filter:
-        reach = max(max(abs(a) for a in off) for off in self.offsets)
-        box = Box.cube(self.d, reach)
-        data = np.zeros(box.shape, dtype=np.complex128)
-        for off, w in zip(self.offsets, self.weights):
-            data[tuple(o + reach for o in off)] += w
-        return Filter.two_sided(self.d, reach, data)
-
-
 def make_regular_operator(offsets: Sequence[Sequence[int]],
-                          weights: Sequence[complex]) -> RegularOperator:
-    """Validate regularity (R.1, R.2) and build the operator.
+                          weights: Sequence[complex]) -> Filter:
+    """The stencil ``(D f)_tau = sum_l w_l f_{tau - alpha(l)}`` as a filter:
+    two-sided on the cube of its largest reach, ``q_{alpha(l)} = w_l``.
 
-    Raises ``RegularityError`` naming the violated condition.
+    Raises ``RegularityError`` naming the violated condition (R.1, R.2), and
+    ``ParamError`` for a repeated offset, which the stencil would sum into
+    another operator than the one checked.
     """
     offsets = tuple(tuple(int(a) for a in off) for off in offsets)
     weights = tuple(complex(w) for w in weights)
@@ -531,20 +511,25 @@ def make_regular_operator(offsets: Sequence[Sequence[int]],
     d = len(offsets[0])
     if any(len(off) != d for off in offsets):
         raise ParamError("offsets must share one dimension")
-    mods = np.array([abs(w) for w in weights])
+    if len(set(offsets)) != len(offsets):
+        raise ParamError(f"offsets repeat: {offsets}")
+    offs, mods = np.array(offsets), np.array([abs(w) for w in weights])
     if np.any(mods == 0):
         raise RegularityError("R.2", "all weights must be nonzero")
-    if np.linalg.matrix_rank(np.array(offsets, dtype=float)) < d:
+    if np.linalg.matrix_rank(offs.astype(float)) < d:
         raise RegularityError("R.1", "offsets do not span R^d")
     if mods.sum() > 1 + 1e-12:
         raise RegularityError("R.2a", f"weight moduli sum to {mods.sum():.6g} > 1")
-    mean_off = mods @ np.array(offsets, dtype=float)
-    if np.abs(mean_off).max() > 1e-12 * max(1.0, np.abs(offsets).max()):
+    mean_off = mods @ offs
+    reach = int(np.abs(offs).max())
+    if np.abs(mean_off).max() > 1e-12 * max(1.0, reach):
         raise RegularityError("R.2b", f"modulus-weighted mean offset {mean_off} != 0")
-    return RegularOperator(offsets, weights)
+    data = np.zeros((2 * reach + 1,) * d, dtype=np.complex128)
+    data[tuple((offs + reach).T)] = weights
+    return Filter.two_sided(d, reach, data)
 
 
-def four_neighbor_averaging(d: int = 2) -> RegularOperator:
+def four_neighbor_averaging(d: int = 2) -> Filter:
     """The 2d-point nearest-neighbor averaging operator (discrete harmonicity)."""
     offsets, weights = [], []
     for j in range(d):
@@ -564,8 +549,9 @@ def _filter_sum(d: int, terms: Sequence[tuple[float, Filter]]) -> Filter:
                                           for s, q in terms))
 
 
-def harmonic_filter(D: RegularOperator, n: int, c24: int = 1) -> Filter:
-    """Filter reproducing the discrete harmonic fields of a regular operator.
+def harmonic_filter(D: Filter, n: int, c24: int = 1) -> Filter:
+    """Filter reproducing the discrete harmonic fields of a regular operator
+    ``D`` (the stencil filter of :func:`make_regular_operator`).
 
     Builds the polynomial ``R_n = (P_n Q^{c24 n})^d`` with ``P_n = (1 -
     T_n)/(n^2 (1 - z))`` (T_n Chebyshev) and ``Q = (1+z)/2``, then substitutes
@@ -591,18 +577,19 @@ def harmonic_filter(D: RegularOperator, n: int, c24: int = 1) -> Filter:
     r_n = chebyshev.chebpow(chebyshev.chebmul(p_n, q_pow), D.d, maxpower=None)
     # b_k = r_k + 2 D b_{k+1} - b_{k+2} down from b_K = r_K and b_{K+1} = 0,
     # then R_n(D) = r_0 + D b_1 - b_2
-    stencil, one = D.to_filter(), Filter.impulse(D.d)
+    one = Filter.impulse(D.d)
     b1, b2 = _filter_sum(D.d, ((r_n[-1], one),)), _filter_sum(D.d, ((0.0, one),))
     for c in r_n[-2:0:-1]:
-        b1, b2 = _filter_sum(D.d, ((2.0, filter_product(stencil, b1)),
+        b1, b2 = _filter_sum(D.d, ((2.0, filter_product(D, b1)),
                                    (-1.0, b2), (c, one))), b1
-    return _filter_sum(D.d, ((1.0, filter_product(stencil, b1)), (-1.0, b2),
+    return _filter_sum(D.d, ((1.0, filter_product(D, b1)), (-1.0, b2),
                              (r_n[0], one)))
 
 
-def harmonic_interior(D: RegularOperator, box: Box) -> Box:
-    """Points of ``box`` whose stencil reads stay inside ``box``."""
-    offs = np.array(D.offsets)
+def harmonic_interior(D: Filter, box: Box) -> Box:
+    """Points of ``box`` whose stencil reads stay inside ``box``; the
+    stencil's taps are its nonzero coefficients."""
+    offs = np.argwhere(D.field.data != 0) + np.array(D.field.box.lo)
     lo = tuple(l + int(offs[:, j].max()) for j, l in enumerate(box.lo))
     hi = tuple(h + int(offs[:, j].min()) for j, h in enumerate(box.hi))
     if any(l > h for l, h in zip(lo, hi)):
@@ -614,20 +601,22 @@ def harmonic_interior(D: RegularOperator, box: Box) -> Box:
 JACOBI_MAX_ITER, JACOBI_DAMPING = 200_000, 0.9
 
 
-def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
+def random_discrete_harmonic(D: Filter, box: Box, boundary: Field,
                              tol: float = 1e-10) -> Field:
     """Solve the discrete Dirichlet problem ``f = D f`` on the interior of ``box``.
 
     Boundary values (all points of ``box`` outside the stencil interior) are
     read from ``boundary``. Damped Jacobi iteration, matrix-free; raises
     ``ConvergenceError`` if the interior residual does not reach ``tol``
-    within ``JACOBI_MAX_ITER`` steps.
+    within ``JACOBI_MAX_ITER`` steps, and ``ParamError`` for an operator of
+    another dimension than the box.
     """
+    if D.d != box.d:
+        raise ParamError(f"a {D.d}-d operator for a {box.d}-d box")
     interior = harmonic_interior(D, box)
-    stencil = D.to_filter()
-    # the stencil is padded to a cube of its largest reach; on an axis of
+    # the stencil lives on a cube of its largest reach; on an axis of
     # shorter reach its extra taps are zero and read zeros around the box
-    r = stencil.order
+    r = D.order
     grid = Box(tuple(min(b, i - r) for b, i in zip(box.lo, interior.lo)),
                tuple(max(b, i + r) for b, i in zip(box.hi, interior.hi)))
     data = np.zeros(grid.shape, dtype=np.complex128)
@@ -639,7 +628,7 @@ def random_discrete_harmonic(D: RegularOperator, box: Box, boundary: Field,
     f = Field(grid, data)
     sl = interior.slices_in(grid)
     for _ in range(JACOBI_MAX_ITER):
-        Df = convolve(stencil, f, interior)
+        Df = convolve(D, f, interior)
         new = f.data.copy()
         new[sl] = (1 - JACOBI_DAMPING) * f.data[sl] + JACOBI_DAMPING * Df.data
         resid = np.abs(Df.data - f.data[sl]).max()

@@ -60,8 +60,11 @@ are). Every check turns ``P(z)`` into a
 feasible filter and the certified dual lower bound ``D(u, w)`` of the true
 program at the dual iterate ``(u, w)`` (see :func:`dual_lower_bound`), or
 in prediction ``D(u, 0)`` where that is larger, so the reported optimality
-gap is unconditional. The solve is deterministic:
-identical instances produce bit-identical results.
+gap is unconditional. The check alone decides convergence (best objective
+less best dual value at most ``tol``), and a result keeps its verdict. The
+dual pair ``(dual_u, dual_w)`` of a result is two fields on the window
+``{|nu| <= W}``. The solve is deterministic: identical instances produce
+bit-identical results.
 
 Instances that share a window geometry (dimension, order and lag) and
 an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
@@ -88,12 +91,9 @@ import numpy as np
 
 from .errors import DomainError, ParamError
 from .fields import (
-    FILTERING,
-    PREDICTION,
     Box,
     Field,
     Filter,
-    Spectrum,
     _nonzero_outside,
     convolve,
     dft_window,
@@ -152,8 +152,8 @@ class Instance:
 
     @property
     def mode(self) -> str:
-        """``FILTERING`` or ``PREDICTION``, read from the lag."""
-        return FILTERING if self.kappa is None else PREDICTION
+        """``"filtering"`` or ``"prediction"``, read from the lag."""
+        return "filtering" if self.kappa is None else "prediction"
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,14 @@ class SolveResult:
     phi: Filter
     objective: float
     dual_bound: float
-    gap: float
     iterations: int
     converged: bool
-    dual_u: Spectrum
+    dual_u: Field
     dual_w: Field
+
+    @property
+    def gap(self) -> float:
+        return self.objective - self.dual_bound
 
 
 def program_boxes(t: Sequence[int], T_alg: int,
@@ -414,28 +417,29 @@ def _dual_values(K: np.ndarray, b: np.ndarray, y: np.ndarray, c: float,
     return -np.vecdot(y, b).real - c * np.abs(_rmatvec(K, y) / dc).max(axis=1)
 
 
-def dual_lower_bound(inst: Instance, u: Spectrum, w: Field | None = None) -> float:
+def dual_lower_bound(inst: Instance, u: Field, w: Field | None = None) -> float:
     """Certified lower bound on the optimum from an admissible dual pair.
 
-    ``u``, on the residual window's spectrum, needs ``|u|_1 <= 1``; ``w``,
-    the support multiplier, is a field on the window ``{|nu| <= W}`` that
-    vanishes on the admissible support (zero if omitted). Then
-    ``Re<u, b> - l1_bound ||A^H u + F_W w||_inf`` is a lower bound (weak
-    duality); a solve's ``(dual_u, dual_w)`` attains its ``dual_bound``.
+    Both are fields on the window ``{|nu| <= W}``. ``u`` lives on the
+    residual window's spectrum, exponent vector ``n`` at the point ``n``
+    (grid point ``mu_j = exp(2*pi*i*n_j/(2W+1))``), and needs ``|u|_1 <=
+    1``; ``w``, the support multiplier, vanishes on the admissible support
+    (zero if omitted). Then ``Re<u, b> - l1_bound ||A^H u + F_W w||_inf``
+    is a lower bound (weak duality); a solve's ``(dual_u, dual_w)`` attains
+    its ``dual_bound``.
     """
-    if u.T != inst.W or u.d != inst.d:
-        raise ParamError("dual vector must live on the instance's window grid")
-    uv = u.values.ravel()
-    if np.abs(uv).sum() > 1 + 1e-12:
-        raise ParamError("dual vector must have l1 norm <= 1")
     geo = _Geometry(inst)
     if w is None:
         w = Field(geo.window, np.zeros(geo.window.shape))
-    if w.box != geo.window or np.any(w.restrict(geo.supp).data != 0):
-        raise ParamError(f"support multiplier must be a field on {geo.window} "
-                         f"vanishing on the admissible support {geo.supp}")
+    if u.box != geo.window or w.box != geo.window:
+        raise ParamError(f"dual fields must live on the window {geo.window}")
+    if np.abs(u.data).sum() > 1 + 1e-12:
+        raise ParamError("dual vector must have l1 norm <= 1")
+    if np.any(w.restrict(geo.supp).data != 0):
+        raise ParamError("support multiplier must vanish on the admissible "
+                         f"support {geo.supp}")
     (K,), (b,) = geo.operators([inst])
-    y = -np.concatenate([uv, w.data.ravel()[geo.off]])
+    y = -np.concatenate([u.data.ravel(), w.data.ravel()[geo.off]])
     return float(_dual_values(K[None], b[None], y[None], inst.l1_bound, 1.0)[0])
 
 
@@ -464,7 +468,8 @@ OMEGA_FLOOR = 1e-10
 
 
 def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
-          max_iter: int) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
+          max_iter: int) -> list[tuple[np.ndarray, float, float, int, bool,
+                                       np.ndarray]]:
     """Reflected restarted Halpern PDHG on the stacked operators ``K``, ``b``
     of one geometry and l1 budget ``c``.
 
@@ -473,12 +478,13 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     equilibrated ``D_r K D_c`` (see the module docstring), which replaces
     ``K`` in place. Returns, per instance: the spatial coefficients of the
     best feasible filter, its objective, the best dual value, the iteration
-    count and the dual vector attaining that value.
+    count, whether the gap reached ``tol`` and the dual vector attaining
+    the best dual value.
     """
     n = geo.n
     zero = np.abs(b).max(axis=1) == 0
     # a zero residual window at phi = 0: the optimum is 0
-    out = [(np.zeros(n, dtype=np.complex128), 0.0, 0.0, 0,
+    out = [(np.zeros(n, dtype=np.complex128), 0.0, 0.0, 0, True,
             np.zeros(b.shape[1], dtype=np.complex128)) if z else None for z in zero]
     rows = np.flatnonzero(~zero)   # input position of each stacked row
     if rows.size < len(zero):      # indexing copies; K is scaled in place below
@@ -602,7 +608,8 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                     y_best = best_y[j] * dr[j]
                     y_best[n:] *= alpha[j]
                     out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
-                                    float(best_D[j]), it, y_best)
+                                    float(best_D[j]), it, bool(converged[j]),
+                                    y_best)
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
@@ -664,15 +671,14 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
                       instances[0].l1_bound, tol, max_iter)
     n, shape = geo.n, geo.window.shape
     results = []
-    for inst, (phi_sp, J, D, iters, y_best) in zip(instances, fits):
-        D = min(D, J)  # weak duality holds; guard roundoff in reported gap
-        gap = J - D
+    for inst, (phi_sp, J, D, iters, converged, y_best) in zip(instances, fits):
         w = np.zeros(n, dtype=np.complex128)
         w[geo.off] = -y_best[n:]
         results.append(SolveResult(
-            phi=_filter(inst, phi_sp), objective=J, dual_bound=D, gap=gap,
-            iterations=iters, converged=bool(gap <= tol),
-            dual_u=Spectrum(inst.W, inst.d, (-y_best[:n]).reshape(shape)),
+            phi=_filter(inst, phi_sp), objective=J,
+            # weak duality holds; guard roundoff in the reported gap
+            dual_bound=min(D, J), iterations=iters, converged=converged,
+            dual_u=Field(geo.window, (-y_best[:n]).reshape(shape)),
             dual_w=Field(geo.window, w.reshape(shape))))
     return results
 

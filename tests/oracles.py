@@ -311,7 +311,8 @@ def harmonic_filter_exact(D, n: int, c24: int = 1) -> np.ndarray:
 
     ``R_n = (P_n Q^{c24 n})^d`` is expanded in the monomial basis with
     ``T_n`` from its integer recurrence, and ``R_n(D)`` is evaluated by Horner
-    over Python integers. ``D``'s weights must be real.
+    over Python integers. ``D`` is a stencil filter; its taps are its
+    nonzero coefficients, which must be real.
     """
     t_prev, t = [1], [0, 1]
     for _ in range(n - 1):
@@ -340,11 +341,14 @@ def harmonic_filter_exact(D, n: int, c24: int = 1) -> np.ndarray:
     # integers: R(D) = sum_k r_k (S / L)^k with S = L D, r_k = p_k / Q
     Q = math.lcm(*(x.denominator for x in r))
     p = [int(x * Q) for x in r]
-    weights = [Fraction(complex(w).real) for w in D.weights]
-    assert all(complex(w).imag == 0 for w in D.weights)
+    nonzero = np.argwhere(D.field.data != 0)
+    coeffs = [complex(D.field.data[tuple(i)]) for i in nonzero]
+    assert all(w.imag == 0 for w in coeffs)
+    weights = [Fraction(w.real) for w in coeffs]
     L = math.lcm(*(w.denominator for w in weights))
-    taps = [(off, int(w * L)) for off, w in zip(D.offsets, weights)]
-    reach = max(max(abs(a) for a in off) for off in D.offsets)
+    offsets = [tuple(int(a) for a in i + np.array(D.field.box.lo)) for i in nonzero]
+    taps = [(off, int(w * L)) for off, w in zip(offsets, weights)]
+    reach = max(max(abs(a) for a in off) for off in offsets)
     K = len(p) - 1
     acc = np.full((1,) * D.d, p[K], dtype=object)
     for k in range(K - 1, -1, -1):

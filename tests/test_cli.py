@@ -1071,6 +1071,94 @@ def test_non_regular_operator_config_error(tmp_path, monkeypatch, capsys, comman
     assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
 
 
+def _harmonic(operator):
+    return {"kind": "harmonic", "operator": operator, "boundary": "saddle"}
+
+
+OPERATOR_1D = {"offsets": [[1], [-1]], "weights": [{"re": 0.5}] * 2}
+OPERATOR_3D = {"offsets": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                           [0, 0, 1], [0, 0, -1]],
+               "weights": [{"re": 0.125}] * 6}
+# passes R.1/R.2 as a list, but its stencil sums the repeats to zero
+OPERATOR_REPEATS = {"offsets": [[1, 0], [1, 0], [-1, 0], [-1, 0], [0, 1], [0, -1]],
+                    "weights": [{"re": 0.1}, {"re": -0.1}, {"re": 0.1},
+                                {"re": -0.1}, {"re": 0.3}, {"re": 0.3}]}
+BOX_2D = {"lo": [-8, -8], "hi": [8, 8]}
+CONSTANT_2D = {"kind": "exp_poly",
+               "terms": [{"re_c": 1.0, "im_c": 0.0, "alpha": [0, 0],
+                          "re_omega": [0.0, 0.0], "im_omega": [0.0, 0.0]}]}
+CERTIFY_OUT = {"filter": "q.zdf", "report": "report.json"}
+
+
+def _bench_harmonic_doc(operator):
+    doc = bench_doc(trials=3)
+    doc["experiments"][0].update(
+        signal=_harmonic(operator), box=BOX_2D, anchor=[0, 0],
+        certificate={"kind": "tensor", "a": {"kind": "exp"}, "b": {"kind": "exp"}})
+    return doc
+
+
+# (command, config, the message the config error must print)
+MISMATCHED_CONFIGS = {
+    "generate-1d-operator": (
+        "generate", {"signal": _harmonic(OPERATOR_1D), "box": BOX_2D,
+                     "out": {"signal": "s.zdf"}},
+        "config.signal.operator: a 1-d operator for a 2-d box"),
+    "generate-3d-operator": (
+        "generate", {"signal": _harmonic(OPERATOR_3D), "box": BOX_2D,
+                     "out": {"signal": "s.zdf"}},
+        "config.signal.operator: a 3-d operator for a 2-d box"),
+    "generate-repeated-offsets": (
+        "generate", {"signal": _harmonic(OPERATOR_REPEATS), "box": BOX_2D,
+                     "out": {"signal": "s.zdf"}},
+        "config.signal.operator.offsets: offsets repeat"),
+    "bench-1d-operator": (
+        "bench", _bench_harmonic_doc(OPERATOR_1D),
+        "config.experiments[0].signal.operator: a 1-d operator for a 2-d box"),
+    "certify-1d-certificate": (
+        "certify", {"certificate": {"kind": "exp"}, "T": [2], "box": BOX_2D,
+                    "signal": CONSTANT_2D, "out": CERTIFY_OUT},
+        "config.certificate: a 1-d certificate for a 2-d box"),
+    "certify-1d-operator": (
+        "certify", {"harmonic": {"operator": OPERATOR_1D, "n": 2}, "box": BOX_2D,
+                    "signal": CONSTANT_2D, "out": CERTIFY_OUT},
+        "config.harmonic.operator: a 1-d operator for a 2-d box"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_CONFIGS))
+def test_operator_or_certificate_mismatch_names_its_key(tmp_path, monkeypatch,
+                                                        capsys, case):
+    # an operator or certificate of another dimension than the box, or an
+    # operator with a repeated offset, is a config error before any output
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    command, doc, message = MISMATCHED_CONFIGS[case]
+    cfg = write_config(tmp_path / f"{command}.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
+
+
+@pytest.mark.parametrize("command,setup", [("denoise", {"rho": 1.0, "T": 1}),
+                                           ("predict", {"rho": 1.0, "T": 1,
+                                                        "kappa": 1})])
+def test_every_anchor_checked_before_the_first_solve(tmp_path, monkeypatch, capsys,
+                                                     command, setup):
+    from gridfilt import cli
+
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-16], "hi": [16]})
+    monkeypatch.setattr(cli, "denoise_point", _refuse)
+    cfg = write_config(tmp_path / "est.yaml", {
+        "observations": str(obs), "setup": setup,
+        "anchors": [[0], [1], [0, 0]], "out": {"estimates": "est.csv"}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: config.anchors[2]: a 2-d anchor for a 1-d box" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 # (where the list goes, the context the message must name)
 LIST_KEYS = [
     ("freq_sets", "config.certificate.freq_sets"),

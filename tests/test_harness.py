@@ -115,8 +115,7 @@ def test_pathwise_violations_counts_errors_above_the_bound():
     # c(1) rho^3 (theta + rho Theta) (2T+1)^{-1/2} at rho = 2, theta = 0.5,
     # T = 2: the trial's bound scales with its noise statistic Theta
     def record(error, stat):
-        return TrialRecord((0,), 0, 1.0, 1.0 + error, 1.0, error ** 2, 0.0, 0.0,
-                           stat)
+        return TrialRecord((0,), 0, 1.0, 1.0 + error, 1.0, 0.0, stat)
 
     def bound(stat):
         return 18.0 * 8.0 * (0.5 + 2.0 * stat) * 5 ** -0.5

@@ -388,8 +388,35 @@ def test_exp_poly_certificate_epsilon_degrades_gracefully():
 
 def test_four_neighbor_is_regular():
     D = four_neighbor_averaging(2)
-    assert len(D.offsets) == 4
-    assert sum(abs(w) for w in D.weights) == pytest.approx(1.0)
+    taps = np.argwhere(D.field.data != 0) + np.array(D.field.box.lo)
+    assert sorted(map(tuple, taps.tolist())) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert np.abs(D.field.data).sum() == pytest.approx(1.0)
+
+
+def test_regular_operator_is_its_stencil_filter():
+    # q_{alpha(l)} = w_l, two-sided on the cube of the largest reach
+    offsets, weights = [(2, 0), (-2, 0), (0, 1), (0, -1)], [0.1, 0.1, 0.3j, 0.3]
+    D = make_regular_operator(offsets, weights)
+    assert (D.order, D.kappa, D.d) == (2, None, 2)
+    expected = np.zeros((5, 5), dtype=complex)
+    for (a, b), w in zip(offsets, weights):
+        expected[a + 2, b + 2] = w
+    assert np.array_equal(D.field.data, expected)
+
+
+def test_repeated_offsets_rejected():
+    # the stencil would sum the repeats into an operator of the second axis
+    # alone, which breaks R.1, while the list passes every check
+    with pytest.raises(ParamError, match="repeat"):
+        make_regular_operator([(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 1), (0, -1)],
+                              [0.1, -0.1, 0.1, -0.1, 0.3, 0.3])
+
+
+def test_dirichlet_operator_of_another_dimension_rejected():
+    D = make_regular_operator([(1,), (-1,)], [0.5, 0.5])
+    box = Box.cube(2, 4)
+    with pytest.raises(ParamError, match="a 1-d operator for a 2-d box"):
+        random_discrete_harmonic(D, box, Field(box, np.ones(box.shape)))
 
 
 def test_regularity_violations():
@@ -506,14 +533,15 @@ def test_dirichlet_boundary_must_cover_box():
 def test_dirichlet_stencil_of_unequal_reach():
     # reach 2 on the first axis and 1 on the second: the cube-padded stencil
     # reads past the box on the second axis, where its taps are zero
-    D = make_regular_operator([(2, 0), (-2, 0), (0, 1), (0, -1)], [0.25] * 4)
+    offsets, weights = [(2, 0), (-2, 0), (0, 1), (0, -1)], [0.25] * 4
+    D = make_regular_operator(offsets, weights)
     box = Box.cube(2, 5)
     sol = random_discrete_harmonic(D, box, Field(box, RNG.standard_normal(box.shape)),
                                    tol=1e-10)
     assert sol.box == box
     inner = harmonic_interior(D, box)
     Df = sum(w * sol.restrict(inner.translate(tuple(-a for a in off))).data
-             for off, w in zip(D.offsets, D.weights))
+             for off, w in zip(offsets, weights))
     assert np.abs(Df - sol.restrict(inner).data).max() <= 1e-10
 
 

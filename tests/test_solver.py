@@ -13,7 +13,6 @@ from gridfilt import (
     Field,
     Filter,
     ParamError,
-    Spectrum,
     convolve,
     filter_product,
 )
@@ -255,9 +254,9 @@ def test_solve_dominates_references():
         assert res.objective <= objective(inst, r) + 1e-7
         for _ in range(20):
             raw = RNG.standard_normal(9) + 1j * RNG.standard_normal(9)
-            spec = Spectrum(4, 1, project_l1_ball(
+            spec = Field(Box.cube(1, 4), project_l1_ball(
                 np.fft.fft(np.zeros(9)) + raw, inst.l1_bound))
-            ref = Filter.two_sided(1, 4, idft_windows(spec.values, 4, 1))
+            ref = Filter.two_sided(1, 4, idft_windows(spec.data, 4, 1))
             assert ref.star_norm(4, 1) <= inst.l1_bound * (1 + 1e-9)
             assert res.objective <= objective(inst, ref) + 1e-7
 
@@ -299,13 +298,33 @@ def test_solve_budget_miss_returns_flagged_result():
     assert res.phi.star_norm(inst.W, 1) <= inst.l1_bound * (1 + 1e-9)
 
 
+def test_converged_is_the_gap_rule_for_every_stop_kind():
+    # one batch holds an instance that converges inside its budget, one that
+    # misses it and a zero residual window; each flag is the stopping rule's
+    # verdict on the gap, and the gap the difference of the two bounds
+    rng = np.random.default_rng(1)
+    box = Box.cube(1, 8)
+    ys = [Field(box, 1.0 + sigma * (rng.standard_normal(17)
+                                    + 1j * rng.standard_normal(17)))
+          for sigma in (0.01, 1.0)] + [Field(box, np.zeros(17))]
+    insts = [build_instance(y, (0,), 2, math.sqrt(2)) for y in ys]
+    tol, max_iter = 1e-3, 100
+    converged, missed, zero = solve_batch(insts, tol=tol, max_iter=max_iter)
+    assert converged.converged and converged.iterations < max_iter
+    assert not missed.converged and missed.iterations == max_iter
+    assert zero.converged and zero.iterations == 0
+    for res in (converged, missed, zero):
+        assert res.converged == (res.gap <= tol)
+        assert res.gap == res.objective - res.dual_bound
+
+
 # ---------------------------------------------------------------- duality
 
 
 def test_dual_bound_zero_vector():
     y = noisy_field(Box((-8,), (8,)))
     inst = build_instance(y, (0,), 2, 1.0)
-    u0 = Spectrum(4, 1, np.zeros(9))
+    u0 = Field(Box.cube(1, 4), np.zeros(9))
     assert dual_lower_bound(inst, u0) == 0.0
 
 
@@ -313,7 +332,7 @@ def test_dual_bound_rejects_large_u():
     y = noisy_field(Box((-8,), (8,)))
     inst = build_instance(y, (0,), 2, 1.0)
     with pytest.raises(ParamError):
-        dual_lower_bound(inst, Spectrum(4, 1, np.ones(9)))
+        dual_lower_bound(inst, Field(Box.cube(1, 4), np.ones(9)))
 
 
 def test_dual_bound_weak_duality_random():
@@ -322,7 +341,7 @@ def test_dual_bound_weak_duality_random():
     opt = solve(inst, tol=1e-8).objective
     for _ in range(25):
         raw = RNG.standard_normal(9) + 1j * RNG.standard_normal(9)
-        u = Spectrum(4, 1, project_l1_ball(raw, 1.0))
+        u = Field(Box.cube(1, 4), project_l1_ball(raw, 1.0))
         assert dual_lower_bound(inst, u) <= opt + 1e-8
 
 
@@ -387,8 +406,8 @@ def test_prediction_weak_duality_against_oracle():
     off[inst.support_box.slices_in(res.dual_w.box)] = False
     for scale in (0.01, 0.1, 1.0):
         for _ in range(10):
-            u = Spectrum(inst.W, 1, project_l1_ball(
-                res.dual_u.values + scale * (rng.standard_normal(n)
+            u = Field(Box.cube(1, inst.W), project_l1_ball(
+                res.dual_u.data + scale * (rng.standard_normal(n)
                                              + 1j * rng.standard_normal(n)), 1.0))
             w = res.dual_w.data + scale * off * (rng.standard_normal(n)
                                                  + 1j * rng.standard_normal(n))
@@ -400,7 +419,7 @@ def test_prediction_weak_duality_against_oracle():
 
 def test_dual_bound_rejects_multiplier_on_support():
     inst = _prediction_instance(1, 2, 1, 5)
-    u = Spectrum(inst.W, 1, np.zeros(2 * inst.W + 1))
+    u = Field(Box.cube(1, inst.W), np.zeros(2 * inst.W + 1))
     window = Box.cube(1, inst.W)
     w = np.zeros(2 * inst.W + 1, dtype=complex)
     w[0] = 1.0                   # nu = -W, off the support
@@ -409,8 +428,10 @@ def test_dual_bound_rejects_multiplier_on_support():
     with pytest.raises(ParamError, match="vanish"):
         dual_lower_bound(inst, u, Field(window, w))
     small = Box.cube(1, inst.W - 1)   # not the window
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match="window"):
         dual_lower_bound(inst, u, Field(small, np.zeros(small.shape)))
+    with pytest.raises(ParamError, match="window"):
+        dual_lower_bound(inst, Field(small, np.zeros(small.shape)))
 
 
 def test_dual_bound_nonpositive_when_optimum_zero():
@@ -418,7 +439,7 @@ def test_dual_bound_nonpositive_when_optimum_zero():
     inst = build_instance(y, (0,), 1, 1.0)
     for _ in range(10):
         raw = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
-        u = Spectrum(2, 1, project_l1_ball(raw, 1.0))
+        u = Field(Box.cube(1, 2), project_l1_ball(raw, 1.0))
         assert dual_lower_bound(inst, u) <= 1e-12
 
 
@@ -483,7 +504,7 @@ def test_solve_power_of_two_equivariance(mode):
     assert r1.iterations == r0.iterations
     assert np.array_equal(r1.phi.field.data, r0.phi.field.data)
     assert (r1.objective, r1.dual_bound) == (k * r0.objective, k * r0.dual_bound)
-    assert np.array_equal(r1.dual_u.values, r0.dual_u.values)
+    assert np.array_equal(r1.dual_u.data, r0.dual_u.data)
     assert np.array_equal(r1.dual_w.data, k * r0.dual_w.data)
 
 
@@ -620,7 +641,7 @@ def test_solve_batch_matches_solve_bit_for_bit(mode):
              alone.converged)
         assert r.phi.field.box == alone.phi.field.box
         assert np.array_equal(r.phi.field.data, alone.phi.field.data)
-        assert np.array_equal(r.dual_u.values, alone.dual_u.values)
+        assert np.array_equal(r.dual_u.data, alone.dual_u.data)
         assert np.array_equal(r.dual_w.data, alone.dual_w.data)
 
 
@@ -660,7 +681,7 @@ def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
             (alone.objective, alone.dual_bound, alone.gap, alone.iterations,
              alone.converged)
         assert np.array_equal(r.phi.field.data, alone.phi.field.data)
-        assert np.array_equal(r.dual_u.values, alone.dual_u.values)
+        assert np.array_equal(r.dual_u.data, alone.dual_u.data)
         assert np.array_equal(r.dual_w.data, alone.dual_w.data)
 
 
