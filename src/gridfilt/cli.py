@@ -27,15 +27,27 @@ which takes precedence over 1
 row with its certified gap, and ``bench`` runs every experiment and check,
 records each trial with its certified gap, and names every trial whose gap
 exceeds the tolerance); 6 certificate bound violation.
+
+Every output file is written here: each CSV through ``_write_csv`` (floats
+at ``.17g``, an anchor's coordinates joined by ``;``) and each JSON through
+``_write_json`` (sorted keys, indent 2). ``denoise``/``predict`` write an
+estimates CSV (``ESTIMATE_COLUMNS``, a row per anchor; a T = 0 row's bounds
+are 0); ``bench`` a stats CSV (``STATS_COLUMNS``, the fields of
+``harness.ExperimentStats``) and a trials CSV (``TRIAL_COLUMNS``), each after
+a ``# master_seed=<seed>`` line, and a stats JSON (``experiments``,
+``master_seed``, ``checks``, ``failures``); ``certify`` a report JSON
+(``entries``, ``violated``). Fields are ZDF1 files (``fields.write_zdf``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import yaml
@@ -50,6 +62,7 @@ from .errors import (
 from .estimators import DenoiseSetup, denoise_point
 from .fields import Box, Field, Filter, read_zdf, write_zdf
 from .harness import (
+    ExperimentStats,
     NoiseSpec,
     _gaussian_max_args,
     _seed_arg,
@@ -59,9 +72,6 @@ from .harness import (
     check_theta_moment,
     monte_carlo,
     sample_noise,
-    write_stats_csv,
-    write_stats_json,
-    write_trials_csv,
 )
 from .signals import (
     Certificate,
@@ -84,13 +94,20 @@ from .signals import (
 )
 from .solver import program_boxes
 
-ESTIMATE_COLUMNS = ["anchor", "re_estimate", "im_estimate", "objective",
-                    "dual_bound", "gap"]
-
 
 # --------------------------------------------------------------------------
 # strict config handling
 # --------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _at(ctx: str):
+    """Raise a ``ParamError`` from the block again as a ``ConfigError``
+    naming ``ctx``."""
+    try:
+        yield
+    except ParamError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _section(node, ctx: str, required, optional=()) -> dict:
@@ -175,12 +192,10 @@ def _parse_operator(node, box: Box, ctx: str) -> Filter:
         op = four_neighbor_averaging(2)
     else:
         node = _section(node, ctx, ("offsets", "weights"))
-        try:
-            op = make_regular_operator(
-                _list(node["offsets"], ctx + ".offsets", _point),
-                _list(node["weights"], ctx + ".weights", _parse_complex))
-        except ParamError as exc:  # a repeated offset, say
-            raise ConfigError(f"{ctx}.offsets: {exc}") from exc
+        offsets = _list(node["offsets"], ctx + ".offsets", _point)
+        weights = _list(node["weights"], ctx + ".weights", _parse_complex)
+        with _at(ctx + ".offsets"):  # a repeated offset, say
+            op = make_regular_operator(offsets, weights)
     _dimension(op.d, "operator", box, ctx)
     return op
 
@@ -195,6 +210,9 @@ def _build_signal(node, box: Box, ctx: str) -> Field:
         op = _parse_operator(node["operator"], box, ctx + ".operator")
         boundary = node["boundary"]
         if boundary == "saddle":
+            if "seed" in node:
+                raise ConfigError(f"{ctx}.seed: read only with the 'random' "
+                                  "boundary")
             if box.d != 2:
                 raise ConfigError(f"{ctx}: the saddle boundary needs d = 2")
             x = np.arange(box.lo[0], box.hi[0] + 1)
@@ -283,10 +301,8 @@ def _seed(override: int | None, node, context: str) -> int:
         seed, source = override, "--seed"
     else:
         seed, source = _integer(node, context), context
-    try:
+    with _at(source):
         _seed_arg(seed)
-    except ParamError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
     return seed
 
 
@@ -294,10 +310,8 @@ def _sigma(node, ctx: str) -> float:
     """The noise level at ``ctx``; one that ``NoiseSpec`` would refuse (NaN
     and infinity included) is an error naming ``ctx``."""
     sigma = _number(node, ctx)
-    try:
+    with _at(ctx):
         _sigma_arg(sigma)
-    except ParamError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
     return sigma
 
 
@@ -312,6 +326,58 @@ def _out_path(args, name: str) -> str:
 def _info(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
+
+
+# --------------------------------------------------------------------------
+# output files
+# --------------------------------------------------------------------------
+
+ESTIMATE_COLUMNS = ["anchor", "re_estimate", "im_estimate", "objective",
+                    "dual_bound", "gap"]
+
+TRIAL_COLUMNS = [
+    "trial", "seed", "anchor", "re_truth", "im_truth", "re_estimate",
+    "im_estimate", "re_oracle", "im_oracle", "sq_err_adaptive",
+    "sq_err_oracle", "solver_gap", "theta_stat",
+]
+
+STATS_COLUMNS = [f.name for f in fields(ExperimentStats)]
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _anchor_str(anchor) -> str:
+    return ";".join(str(a) for a in anchor)
+
+
+def _write_csv(path, columns, rows, comment: str = "") -> None:
+    """A header row of ``columns``, then ``rows`` with every cell through
+    ``_fmt``; a nonempty ``comment`` goes first, as a ``# `` line."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _trial_rows(records):
+    """The rows of the trials CSV, in ``TRIAL_COLUMNS`` order."""
+    for i, r in enumerate(records):
+        yield (i, r.seed, _anchor_str(r.anchor), r.truth.real, r.truth.imag,
+               r.estimate.real, r.estimate.imag, r.oracle_estimate.real,
+               r.oracle_estimate.imag, r.sq_err_adaptive, r.sq_err_oracle,
+               r.solver_gap, r.theta_stat)
 
 
 # --------------------------------------------------------------------------
@@ -348,11 +414,9 @@ def _parse_setup(node, lagged: bool, ctx: str) -> DenoiseSetup:
     """The setup at ``ctx``, with a lag ``kappa`` exactly when ``lagged``."""
     node = _section(node, ctx, ("rho", "T", "kappa") if lagged else ("rho", "T"))
     kappa = _integer(node["kappa"], ctx + ".kappa") if lagged else None
-    try:
-        return DenoiseSetup(rho=_number(node["rho"], ctx + ".rho"),
-                            T=_integer(node["T"], ctx + ".T"), kappa=kappa)
-    except ParamError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    rho, T = _number(node["rho"], ctx + ".rho"), _integer(node["T"], ctx + ".T")
+    with _at(ctx):
+        return DenoiseSetup(rho=rho, T=T, kappa=kappa)
 
 
 def _run_estimates(args, lagged: bool) -> int:
@@ -369,34 +433,30 @@ def _run_estimates(args, lagged: bool) -> int:
         y = read_zdf(obs_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}") from exc
+    reads = []
     for i, t in enumerate(anchors):
-        _dimension(len(t), "anchor", y.box, f"config.anchors[{i}]")
+        ctx = f"config.anchors[{i}]"
+        _dimension(len(t), "anchor", y.box, ctx)
+        read = program_boxes(t, setup.T, setup.kappa)[0]
+        if not y.box.contains_box(read):
+            raise DomainError(f"{ctx}: observations must cover {read}, "
+                              f"got {y.box}")
+        reads.append(read)
     rows = []
     any_unconverged = False
-    for t in anchors:
-        read = program_boxes(t, setup.T, setup.kappa)[0]
+    for t, read in zip(anchors, reads):
         _info(args, f"anchor {t}: reading observations on [{read.lo}, {read.hi}]")
         est = denoise_point(y, t, setup, tol=tol)
-        if est.solve is not None and not est.solve.converged:
+        sol = est.solve
+        if sol is not None and not sol.converged:
             any_unconverged = True
-            _info(args, f"anchor {t}: gap {est.solve.gap:.3e} above tolerance, "
+            _info(args, f"anchor {t}: gap {sol.gap:.3e} above tolerance, "
                         "row flagged")
-        rows.append((t, est.value, est.solve))
+        bounds = (0, 0, 0) if sol is None else (sol.objective, sol.dual_bound,
+                                                sol.gap)
+        rows.append((_anchor_str(t), est.value.real, est.value.imag, *bounds))
     path = _out_path(args, out["estimates"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_COLUMNS)
-        for t, value, sol in rows:
-            anchor_s = ";".join(str(x) for x in t)
-            if sol is None:
-                writer.writerow([anchor_s, f"{value.real:.17g}",
-                                 f"{value.imag:.17g}", "0", "0", "0"])
-            else:
-                writer.writerow([
-                    anchor_s, f"{value.real:.17g}", f"{value.imag:.17g}",
-                    f"{sol.objective:.17g}", f"{sol.dual_bound:.17g}",
-                    f"{sol.gap:.17g}",
-                ])
+    _write_csv(path, ESTIMATE_COLUMNS, rows)
     _info(args, f"wrote {len(rows)} estimates to {path}")
     return 5 if any_unconverged else 0
 
@@ -477,14 +537,17 @@ def cmd_bench(args) -> int:
 
     failures += missed
     header = f"master_seed={master_seed}"
-    write_stats_csv(_out_path(args, out["stats_csv"]), all_stats, header)
+    _write_csv(_out_path(args, out["stats_csv"]), STATS_COLUMNS,
+               map(astuple, all_stats), header)
     if "trials_csv" in out:
-        write_trials_csv(_out_path(args, out["trials_csv"]), all_records, header)
+        _write_csv(_out_path(args, out["trials_csv"]), TRIAL_COLUMNS,
+                   _trial_rows(all_records), header)
     if "stats_json" in out:
-        write_stats_json(_out_path(args, out["stats_json"]), all_stats,
-                         extra={"master_seed": master_seed,
-                                "checks": check_reports,
-                                "failures": failures})
+        _write_json(_out_path(args, out["stats_json"]), {
+            "experiments": [asdict(s) for s in all_stats],
+            "master_seed": master_seed,
+            "checks": check_reports,
+            "failures": failures})
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     _info(args, "all checks passed" if not failures else
@@ -511,25 +574,16 @@ def _parse_experiment(exp, ctx: str) -> tuple:
         kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
     elif "kappa" in exp:
         raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
-    try:
+    with _at(ctx):
         setup = DenoiseSetup(rho=cert.rho, T=T, kappa=kappa)
         # a trial's noise statistic reads this cube, and its other reads too
         reads = Box.cube(box.d, 4 * T, anchor)
-    except ParamError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
-    _usable_order(cert, T, ctx + ".T")
+    with _at(ctx + ".T"):
+        cert.filter(T)  # the trials' oracle: a bad T stops the run before sampling
     if not box.contains_box(reads):
         raise DomainError(f"{ctx} ({exp['label']}): a trial at anchor {anchor} "
                           f"reads {reads}, but the box is {box}")
     return str(exp["label"]), signal, cert, anchor, setup, sigma
-
-
-def _usable_order(cert: Certificate, T: int, ctx: str) -> None:
-    """A ``ConfigError`` naming ``ctx`` unless ``T`` is in the certificate's
-    usable range ``[T0, L]``."""
-    if not cert.T0 <= T <= cert.L:
-        raise ConfigError(f"{ctx}: order {T} outside the certificate's usable "
-                          f"range [{cert.T0}, {cert.L}]")
 
 
 def _parse_checks(node) -> dict:
@@ -615,8 +669,8 @@ def cmd_certify(args) -> int:
         cert = _build_certificate(cfg["certificate"], "config.certificate")
         _dimension(cert.d, "certificate", box, "config.certificate")
         for T in Ts:
-            _usable_order(cert, T, "config.T")
-            q = cert.filter(T)
+            with _at("config.T"):
+                q = cert.filter(T)
             last_filter = q
             norm_bound = cert.rho * (2 * T + 1) ** (-cert.d / 2)
             entry = {
@@ -648,10 +702,8 @@ def cmd_certify(args) -> int:
         entries.append(entry)
 
     write_zdf(last_filter.field, _out_path(args, out["filter"]))
-    with open(_out_path(args, out["report"]), "w") as fh:
-        json.dump({"entries": entries, "violated": violated}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(_out_path(args, out["report"]),
+                {"entries": entries, "violated": violated})
     if violated:
         print("FAIL certificate bounds violated (implementation bug)",
               file=sys.stderr)

@@ -441,7 +441,9 @@ def read_zdf(path) -> Field:
         raise ValueError("truncated ZDF1 header")
     lohi = struct.unpack_from(f"<{2 * d}q", raw, 8)
     box = Box(lohi[0::2], lohi[1::2])
-    if len(raw) < 8 + 16 * d + 16 * box.size:
-        raise ValueError("truncated ZDF1 payload")
+    payload = len(raw) - 8 - 16 * d
+    if payload != 16 * box.size:
+        raise ValueError(f"ZDF1 payload of {payload} bytes, but the box {box} "
+                         f"holds {16 * box.size}")
     data = np.frombuffer(raw, dtype="<c16", count=box.size, offset=8 + 16 * d)
     return Field(box, data.reshape(box.shape))

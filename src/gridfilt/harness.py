@@ -26,14 +26,15 @@ large batch in sub-batches whose operators fit in
 their trials in chunks of about ``CHECK_CHUNK_BYTES``. Neither changes a
 bit: Philox fills its stream in order, and every stacked transform and
 batched solve gives each row what it gives that row alone.
+
+The module only computes and writes no files; :mod:`gridfilt.cli` owns every
+output layout.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +64,6 @@ __all__ = [
     "check_gaussian_max",
     "check_theta_moment",
     "pathwise_violations",
-    "write_trials_csv",
-    "write_stats_csv",
-    "write_stats_json",
 ]
 
 _MASK = (1 << 64) - 1
@@ -179,7 +177,7 @@ def _run_trials(s: Field, cert: Certificate | None, t: Sequence[int],
 @dataclass(frozen=True)
 class ExperimentStats:
     """Aggregate of one experiment configuration; its fields, in order, are
-    the columns of the stats CSV (``STATS_COLUMNS``)."""
+    the columns of the stats CSV (``cli.STATS_COLUMNS``)."""
 
     label: str
     d: int
@@ -436,67 +434,3 @@ def check_theta_moment(T: int, sigma: float, trials: int,
         se=float(vals.std(ddof=1)) / math.sqrt(trials),
         bound=sigma ** 2 * (4 * d * math.log(4 * T + 1) + 2),
     )
-
-
-# --------------------------------------------------------------------------
-# serialization (documented column orders; all floats at full precision)
-# --------------------------------------------------------------------------
-
-TRIAL_COLUMNS = [
-    "trial", "seed", "anchor", "re_truth", "im_truth", "re_estimate",
-    "im_estimate", "re_oracle", "im_oracle", "sq_err_adaptive",
-    "sq_err_oracle", "solver_gap", "theta_stat",
-]
-
-STATS_COLUMNS = [f.name for f in fields(ExperimentStats)]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _anchor_str(anchor: tuple[int, ...]) -> str:
-    return ";".join(str(a) for a in anchor)
-
-
-def write_trials_csv(path, records: Sequence[TrialRecord],
-                     header_comment: str = "") -> None:
-    """Per-trial records; columns as in ``TRIAL_COLUMNS``."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for i, r in enumerate(records):
-            writer.writerow([
-                i, r.seed, _anchor_str(r.anchor),
-                _fmt(r.truth.real), _fmt(r.truth.imag),
-                _fmt(r.estimate.real), _fmt(r.estimate.imag),
-                _fmt(r.oracle_estimate.real), _fmt(r.oracle_estimate.imag),
-                _fmt(r.sq_err_adaptive), _fmt(r.sq_err_oracle),
-                _fmt(r.solver_gap), _fmt(r.theta_stat),
-            ])
-
-
-def write_stats_csv(path, stats: Sequence[ExperimentStats],
-                    header_comment: str = "") -> None:
-    """Experiment aggregates; columns as in ``STATS_COLUMNS``."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for s in stats:
-            writer.writerow([_fmt(getattr(s, c)) for c in STATS_COLUMNS])
-
-
-def write_stats_json(path, stats: Sequence[ExperimentStats],
-                     extra: dict | None = None) -> None:
-    payload = {"experiments": [asdict(s) for s in stats]}
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -280,13 +280,15 @@ class Certificate:
             raise ParamError(f"certificate theta must be >= 0, got {self.theta}")
         if self.kappa is not None and self.kappa < 0:
             raise ParamError(f"certificate lag must be >= 0, got {self.kappa}")
+        if self.T0 < 0:
+            raise ParamError(f"certificate minimal order must be >= 0, got {self.T0}")
 
     def filter(self, T: int) -> Filter:
-        """The order-T certificate filter; ``ParamError`` outside [T0, L]."""
-        if T < 0 or T > self.L:
-            raise ParamError(f"order {T} outside the certified range [0, {self.L}]")
-        if T < self.T0:
-            raise ParamError(f"order {T} below the minimal usable order {self.T0}")
+        """The order-T certificate filter; ``ParamError`` outside the usable
+        range [T0, L]."""
+        if not self.T0 <= T <= self.L:
+            raise ParamError(f"order {T} outside the certificate's usable range "
+                             f"[{self.T0}, {self.L}]")
         q = self.make(T)
         if q.order > T:
             raise ParamError(f"constructed filter has order {q.order} > {T}")

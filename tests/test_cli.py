@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,27 @@ def test_denoise_T0_equals_observations(tmp_path):
         assert obj == dual == gap == 0.0
 
 
+def test_estimates_csv_golden_text(tmp_path):
+    # the exact text, where parsing the values as floats would hide a format
+    # drift: floats at full precision, anchors joined by ";", and a T = 0
+    # row's bounds written as 0
+    from gridfilt import Box, Field, write_zdf
+
+    obs = tmp_path / "obs.zdf"
+    write_zdf(Field(Box((-2, -2), (2, 2)), np.full((5, 5), 0.1 + 0.2j)), obs)
+    cfg = write_config(tmp_path / "den.yaml", {
+        "observations": str(obs),
+        "setup": {"rho": 1.0, "T": 0},
+        "anchors": [[0, 0], [1, -2]],
+        "out": {"estimates": "est.csv"},
+    })
+    assert main(["denoise", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "est.csv").read_bytes() == (
+        b"anchor,re_estimate,im_estimate,objective,dual_bound,gap\r\n"
+        b"0;0,0.10000000000000001,0.20000000000000001,0,0,0\r\n"
+        b"1;-2,0.10000000000000001,0.20000000000000001,0,0,0\r\n")
+
+
 def test_denoise_recovers_noiseless_signal(tmp_path):
     obs = make_observations(tmp_path, alternating_signal(), {"lo": [-16], "hi": [16]})
     cfg = write_config(tmp_path / "den.yaml", {
@@ -260,7 +282,9 @@ def test_denoise_unreadable_observations_exit_code(tmp_path, capsys):
     bad_magic.write_bytes(b"NOPE" + raw[4:])
     truncated = tmp_path / "short.zdf"
     truncated.write_bytes(raw[:10])
-    for path in (tmp_path / "missing.zdf", bad_magic, truncated):
+    overlong = tmp_path / "long.zdf"
+    overlong.write_bytes(raw + b"\x00" * 32)
+    for path in (tmp_path / "missing.zdf", bad_magic, truncated, overlong):
         cfg = denoise_config(tmp_path, path)
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "cannot read observations" in capsys.readouterr().err
@@ -1098,6 +1122,39 @@ def _bench_harmonic_doc(operator):
     return doc
 
 
+# (command, boundary, exit code): only the random boundary reads a seed
+SEEDED_HARMONIC = [("generate", "saddle", 2), ("bench", "saddle", 2),
+                   ("certify", "saddle", 2), ("generate", "random", 0)]
+
+
+@pytest.mark.parametrize("command,boundary,code", SEEDED_HARMONIC)
+def test_harmonic_seed_read_only_with_the_random_boundary(tmp_path, monkeypatch,
+                                                         capsys, command,
+                                                         boundary, code):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    signal = {"kind": "harmonic", "operator": "four_neighbor",
+              "boundary": boundary, "seed": 7}
+    if command == "generate":
+        doc, ctx = {"signal": signal, "box": BOX_2D,
+                    "out": {"signal": "s.zdf"}}, "config.signal"
+    elif command == "certify":
+        doc, ctx = {"harmonic": {"operator": "four_neighbor", "n": 2},
+                    "signal": signal, "box": BOX_2D,
+                    "out": CERTIFY_OUT}, "config.signal"
+    else:
+        doc = _bench_harmonic_doc("four_neighbor")
+        doc["experiments"][0]["signal"] = signal
+        ctx = "config.experiments[0].signal"
+    cfg = write_config(tmp_path / f"{command}.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+    if code:
+        assert (f"config error: {ctx}.seed: read only with the 'random' "
+                "boundary") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
+
+
 # (command, config, the message the config error must print)
 MISMATCHED_CONFIGS = {
     "generate-1d-operator": (
@@ -1141,21 +1198,31 @@ def test_operator_or_certificate_mismatch_names_its_key(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
 
 
+# the last anchor of each list is bad: (anchors, exit code, message)
+BAD_LAST_ANCHOR = {
+    "dimension": ([[0], [1], [0, 0]], 2,
+                  "config error: config.anchors[2]: a 2-d anchor for a 1-d box"),
+    "coverage": ([[0], [1], [30]], 4,
+                 "coverage error: config.anchors[2]: observations must cover"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAST_ANCHOR))
 @pytest.mark.parametrize("command,setup", [("denoise", {"rho": 1.0, "T": 1}),
                                            ("predict", {"rho": 1.0, "T": 1,
                                                         "kappa": 1})])
 def test_every_anchor_checked_before_the_first_solve(tmp_path, monkeypatch, capsys,
-                                                     command, setup):
+                                                     command, setup, case):
     from gridfilt import cli
 
     obs = make_observations(tmp_path, constant_signal(), {"lo": [-16], "hi": [16]})
     monkeypatch.setattr(cli, "denoise_point", _refuse)
+    anchors, code, message = BAD_LAST_ANCHOR[case]
     cfg = write_config(tmp_path / "est.yaml", {
         "observations": str(obs), "setup": setup,
-        "anchors": [[0], [1], [0, 0]], "out": {"estimates": "est.csv"}})
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error: config.anchors[2]: a 2-d anchor for a 1-d box" \
-        in capsys.readouterr().err
+        "anchors": anchors, "out": {"estimates": "est.csv"}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
 
 
@@ -1225,6 +1292,17 @@ def test_shipped_bench_config_passes(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path),
                  "--quiet"]) == 0
     assert json.loads((tmp_path / "bench_stats.json").read_text())["failures"] == []
+
+
+def test_shipped_example_configs_run(tmp_path):
+    # generate writes next to the copied configs, and denoise reads from there
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("example_generate.yaml", "example_denoise.yaml"):
+        shutil.copy(configs / name, tmp_path)
+    for command in ("generate", "denoise"):
+        assert main([command, "--config", str(tmp_path / f"example_{command}.yaml"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(read_estimates(tmp_path / "estimates.csv")) == 3
 
 
 # ---------------------------------------------------------------- module entry

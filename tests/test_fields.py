@@ -397,6 +397,20 @@ def test_zdf_rejects_truncated_header(tmp_path):
             read_zdf(path)
 
 
+@pytest.mark.parametrize("change,message", [
+    (lambda raw: raw[:-1], "ZDF1 payload of 63 bytes, but the box"),
+    (lambda raw: raw + b"\x00" * 32, "ZDF1 payload of 96 bytes, but the box"),
+])
+def test_zdf_rejects_payload_not_the_size_of_its_box(tmp_path, change, message):
+    # the header's box holds 4 values of 16 bytes: a shorter or longer payload
+    # is malformed, never cut or padded without a word
+    path = tmp_path / "x.zdf"
+    write_zdf(random_field(Box((-1, 0), (0, 1))), path)
+    path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        read_zdf(path)
+
+
 # ---------------------------------------------------------------- immutability
 
 

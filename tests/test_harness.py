@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from gridfilt import Box, DomainError, Field, ParamError
+from gridfilt.cli import STATS_COLUMNS, TRIAL_COLUMNS, _trial_rows, _write_csv
 from gridfilt.estimators import DenoiseSetup, denoise_point, theta_stat
 from gridfilt.harness import (
     CHECK_CHUNK_BYTES,
@@ -21,8 +23,6 @@ from gridfilt.harness import (
     pathwise_violations,
     run_trial,
     sample_noise,
-    write_stats_csv,
-    write_trials_csv,
 )
 from gridfilt.signals import exp_certificate_1d
 
@@ -297,7 +297,7 @@ def test_stats_csv_columns(tmp_path):
     stats, _ = monte_carlo(Field(box, np.ones(17, dtype=complex)), cert, (0,),
                            DenoiseSetup(rho=cert.rho, T=2), 0.1, 2, 5, label="c")
     p = tmp_path / "stats.csv"
-    write_stats_csv(p, [stats])
+    _write_csv(p, STATS_COLUMNS, map(astuple, [stats]))
     header, row = p.read_text().splitlines()
     assert header == ("label,d,T,rho,theta,sigma,trials,master_seed,"
                       "rmse_adaptive,hw_adaptive,rmse_oracle,hw_oracle,bound,"
@@ -312,12 +312,12 @@ def test_trials_csv_layout(tmp_path):
     _, records = monte_carlo(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2),
                              0.1, 3, 123, label="csv")
     p = tmp_path / "trials.csv"
-    write_trials_csv(p, records, header_comment="master_seed=123")
+    _write_csv(p, TRIAL_COLUMNS, _trial_rows(records), "master_seed=123")
     lines = p.read_text().splitlines()
     assert lines[0] == "# master_seed=123"
     assert lines[1].startswith("trial,seed,anchor,re_truth")
     assert len(lines) == 2 + 3
     # byte-identical on rewrite
     p2 = tmp_path / "trials2.csv"
-    write_trials_csv(p2, records, header_comment="master_seed=123")
+    _write_csv(p2, TRIAL_COLUMNS, _trial_rows(records), "master_seed=123")
     assert p.read_bytes() == p2.read_bytes()

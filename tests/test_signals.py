@@ -245,6 +245,21 @@ def test_certificate_rejects_nan_or_negative_theta(theta):
         dataclasses.replace(exp_certificate_1d(0.5j), theta=theta)
 
 
+@pytest.mark.parametrize("T", [-1, 1, 5])
+def test_certificate_filter_outside_usable_range(T):
+    # one check, T0 <= T <= L: a negative order, one below T0 and one above L
+    cert = dataclasses.replace(predictor_exp_certificate(0.3j, 2), L=4)
+    with pytest.raises(ParamError, match=rf"order {T} outside the certificate's "
+                                         r"usable range \[2, 4\]"):
+        cert.filter(T)
+
+
+def test_certificate_rejects_negative_minimal_order():
+    # with T0 >= 0, the usable range holds no negative order
+    with pytest.raises(ParamError, match="minimal order must be >= 0"):
+        dataclasses.replace(exp_certificate_1d(0.5j), T0=-1)
+
+
 def test_certificate_lag_is_its_filters_lag():
     # a lag makes a prediction certificate, whose filters must carry it: a
     # certificate of two-sided filters cannot have one
