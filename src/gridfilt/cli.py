@@ -21,12 +21,12 @@ nonempty list belongs, a parameter out of range, or a difference operator
 that is not regular), or an unreadable observations file; 3 generation error,
 only an overflow or a harmonic signal whose Jacobi iteration misses its
 budget, in any subcommand that builds a signal; 4 window coverage error, or a
-non-finite observation in an anchor's window; 5 solver non-convergence,
-which takes precedence over 1
-(every output is still written: ``denoise``/``predict`` write every estimate
-row with its certified gap, and ``bench`` runs every experiment and check,
-records each trial with its certified gap, and names every trial whose gap
-exceeds the tolerance); 6 certificate bound violation.
+non-finite observation in an anchor's window (before any solve); 5 solver
+non-convergence, which takes precedence over 1 (every output is still
+written: ``denoise``/``predict`` write every estimate row with its certified
+gap, and ``bench`` runs every experiment and check, records each trial with
+its certified gap, and names every trial whose gap exceeds the tolerance); 6
+certificate bound violation.
 
 Every output file is written here: each CSV through ``_write_csv`` (floats
 at ``.17g``, an anchor's coordinates joined by ``;``) and each JSON through
@@ -92,7 +92,7 @@ from .signals import (
     simple_exp_certificate,
     tensor_certificate,
 )
-from .solver import program_boxes
+from .solver import read_observations
 
 
 # --------------------------------------------------------------------------
@@ -102,12 +102,14 @@ from .solver import program_boxes
 
 @contextlib.contextmanager
 def _at(ctx: str):
-    """Raise a ``ParamError`` from the block again as a ``ConfigError``
-    naming ``ctx``."""
+    """Raise a ``ParamError`` from the block again as a ``ConfigError``, and
+    a ``DomainError`` again as a ``DomainError``, each naming ``ctx``."""
     try:
         yield
     except ParamError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"{ctx}: {exc}") from exc
 
 
 def _section(node, ctx: str, required, optional=()) -> dict:
@@ -437,11 +439,8 @@ def _run_estimates(args, lagged: bool) -> int:
     for i, t in enumerate(anchors):
         ctx = f"config.anchors[{i}]"
         _dimension(len(t), "anchor", y.box, ctx)
-        read = program_boxes(t, setup.T, setup.kappa)[0]
-        if not y.box.contains_box(read):
-            raise DomainError(f"{ctx}: observations must cover {read}, "
-                              f"got {y.box}")
-        reads.append(read)
+        with _at(ctx):
+            reads.append(read_observations(y, t, setup.T, setup.kappa).box)
     rows = []
     any_unconverged = False
     for t, read in zip(anchors, reads):

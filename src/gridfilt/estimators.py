@@ -6,11 +6,11 @@ anchor and applies it at the anchor. :func:`denoise_point` covers both modes:
 a setup without a lag filters, and one with a lag ``kappa`` predicts, which
 is the same fit with a one-sided support. Both modes build their instances
 with the one builder :func:`gridfilt.solver.build_instance`, which reads the
-mode from the lag.
+mode from the lag; T = 0 reads the anchor through ``solver.read_observations``.
 :func:`denoise_batch` makes the same fits at one anchor of several
-observation fields, solved as one batch. The noise level never enters the
-fit; it only appears in :func:`risk_bound`, which evaluates the theoretical
-guarantee
+observation fields, solved as one batch. Every fit runs under the solver's
+budget ``MAX_ITER``. The noise level never enters the fit; it only appears in
+:func:`risk_bound`, which evaluates the theoretical guarantee
 
     rmse <= c(d) rho^3 (theta + sigma rho sqrt(ln(2T+1) + 1)) (2T+1)^{-d/2},
     c(d) = 3 (2^d + 2^{3d-1}),
@@ -19,7 +19,7 @@ valid whenever the signal admits an order-T certificate with parameters
 ``(theta, rho)`` on a horizon L >= 3T around the anchor.
 ``theta_stat`` computes the data-dependent noise statistic driving the
 pathwise error bound (the sup, over window shifts, of the shifted noise
-window's transform maxima).
+window's transform maxima); that bound is the same formula, ``_oracle_bound``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .solver import (
     Instance,
     SolveResult,
     build_instance,
+    read_observations,
     solve,
     solve_batch,
 )
@@ -79,7 +80,7 @@ class Estimate:
 
 
 def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
-                  tol: float = 1e-6, max_iter: int = 20000) -> Estimate:
+                  tol: float = 1e-6) -> Estimate:
     """Adaptive estimate of the signal at ``t``, filtering or prediction.
 
     Filtering reads ``y`` on ``{|tau - t| <= 4T}``. Prediction reads only
@@ -92,13 +93,13 @@ def denoise_point(y: Field, t: Sequence[int], setup: DenoiseSetup,
     """
     t = tuple(int(x) for x in t)
     if setup.T == 0:
-        return _observation(y, t)
+        return Estimate(read_observations(y, t, 0, setup.kappa).value(t), None)
     inst = build_instance(y, t, setup.T, setup.rho, setup.kappa)
-    return _estimate(inst, solve(inst, tol=tol, max_iter=max_iter))
+    return _estimate(inst, solve(inst, tol=tol))
 
 
 def denoise_batch(ys: Sequence[Field], t: Sequence[int], setup: DenoiseSetup,
-                  tol: float = 1e-6, max_iter: int = 20000) -> list[Estimate]:
+                  tol: float = 1e-6) -> list[Estimate]:
     """:func:`denoise_point` at one anchor of several observation fields.
 
     The fits share a geometry and are solved as one batch. Estimate ``k``
@@ -108,18 +109,10 @@ def denoise_batch(ys: Sequence[Field], t: Sequence[int], setup: DenoiseSetup,
     """
     t = tuple(int(x) for x in t)
     if setup.T == 0:
-        return [_observation(y, t) for y in ys]
+        return [denoise_point(y, t, setup) for y in ys]
     insts = [build_instance(y, t, setup.T, setup.rho, setup.kappa) for y in ys]
-    results = solve_batch(insts, tol=tol, max_iter=max_iter)
+    results = solve_batch(insts, tol=tol)
     return [_estimate(inst, res) for inst, res in zip(insts, results)]
-
-
-def _observation(y: Field, t: tuple[int, ...]) -> Estimate:
-    """The T = 0 estimate: the observation at the anchor, checked finite."""
-    value = y.value(t)
-    if not np.isfinite(value):
-        raise DomainError(f"observation at {t} is not finite: {value}")
-    return Estimate(value, None)
 
 
 def _estimate(inst: Instance, res: SolveResult) -> Estimate:
@@ -135,14 +128,20 @@ def risk_constant(d: int) -> float:
     return 3.0 * (2 ** d + 2 ** (3 * d - 1))
 
 
+def _oracle_bound(d: int, T: int, rho: float, theta: float,
+                  rho_noise: float) -> float:
+    """``c(d) rho^3 (theta + rho_noise) (2T+1)^{-d/2}``, the bound of
+    :func:`risk_bound` and of the pathwise check, for their noise terms."""
+    return risk_constant(d) * rho ** 3 * (theta + rho_noise) * (2 * T + 1) ** (-d / 2)
+
+
 def risk_bound(d: int, T: int, rho: float, theta: float, sigma: float) -> float:
     """Mean-square-error bound for a ``(theta, rho)``-certified signal."""
     if not (T >= 0 and theta >= 0 and sigma >= 0 and 1 <= rho < math.inf):
         raise ParamError("need T, theta, sigma >= 0 and 1 <= rho < inf, got "
                          f"T={T}, theta={theta}, sigma={sigma}, rho={rho}")
-    return (risk_constant(d) * rho ** 3
-            * (theta + sigma * rho * math.sqrt(math.log(2 * T + 1) + 1))
-            * (2 * T + 1) ** (-d / 2))
+    return _oracle_bound(d, T, rho, theta,
+                         sigma * rho * math.sqrt(math.log(2 * T + 1) + 1))
 
 
 def theta_stat(e: Field, t: Sequence[int], T: int) -> float:

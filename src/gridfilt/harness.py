@@ -16,7 +16,8 @@ normal-approximation confidence half-widths and the theoretical risk bound.
 The trials of one experiment share a window geometry, so their filter fits
 are solved as one batch (:func:`gridfilt.solver.solve_batch`). Batching does
 not change a bit of any trial: :func:`run_trial` replays one trial on its own
-and records exactly what :func:`monte_carlo` recorded for it.
+and records exactly what :func:`monte_carlo` recorded for it. Every fit runs
+under the solver's budget ``MAX_ITER``.
 
 Working memory does not grow with the trial counts; only the per-trial data
 (noise fields, observations, results) does. The solver builds and iterates a
@@ -42,10 +43,10 @@ import numpy as np
 from .errors import DomainError, ParamError
 from .estimators import (
     DenoiseSetup,
+    _oracle_bound,
     _shift_maxima,
     denoise_batch,
     risk_bound,
-    risk_constant,
     theta_stat,
 )
 from .fields import Box, Field, convolve
@@ -135,43 +136,34 @@ class TrialRecord:
         return abs(self.oracle_estimate - self.truth) ** 2
 
 
-def run_trial(s: Field, cert: Certificate | None, t: Sequence[int],
+def run_trial(s: Field, cert: Certificate, t: Sequence[int],
               setup: DenoiseSetup, noise: NoiseSpec,
-              tol: float = 1e-5, max_iter: int = 60000) -> TrialRecord:
+              tol: float = 1e-5) -> TrialRecord:
     """Run one seeded trial on signal ``s``: estimate, oracle, errors.
 
     The oracle estimate applies the certificate's order-T filter to the same
-    noisy observations; with ``cert=None`` it is skipped (recorded as the
-    truth with zero error). This is the batch of one of :func:`monte_carlo`,
-    so it replays any of its trials bit for bit. A fit that misses its
-    budget is recorded with its certified gap, so ``solver_gap > tol``.
+    noisy observations. This is the batch of one of :func:`monte_carlo`, so
+    it replays any of its trials bit for bit. A fit that misses its budget is
+    recorded with its certified gap, so ``solver_gap > tol``.
     """
-    return _run_trials(s, cert, t, setup, [noise], tol, max_iter)[0]
+    return _run_trials(s, cert, t, setup, [noise], tol)[0]
 
 
-def _run_trials(s: Field, cert: Certificate | None, t: Sequence[int],
-                setup: DenoiseSetup, noises: Sequence[NoiseSpec], tol: float,
-                max_iter: int) -> list[TrialRecord]:
+def _run_trials(s: Field, cert: Certificate, t: Sequence[int],
+                setup: DenoiseSetup, noises: Sequence[NoiseSpec],
+                tol: float) -> list[TrialRecord]:
     """Trials on ``s``, one per noise spec, with their fits solved as one batch."""
     t = tuple(int(x) for x in t)
     noise_fields = [sample_noise(s.box, noise) for noise in noises]
     ys = [s + e for e in noise_fields]
-    estimates = denoise_batch(ys, t, setup, tol=tol, max_iter=max_iter)
+    estimates = denoise_batch(ys, t, setup, tol=tol)
     truth = s.value(t)
-    q = cert.filter(setup.T) if cert is not None else None
-    records = []
-    for noise, e, y, est in zip(noises, noise_fields, ys, estimates):
-        oracle_val = truth if q is None else convolve(q, y, Box(t, t)).value(t)
-        records.append(TrialRecord(
-            anchor=t,
-            seed=noise.seed,
-            truth=truth,
-            estimate=est.value,
-            oracle_estimate=oracle_val,
-            solver_gap=0.0 if est.solve is None else est.solve.gap,
-            theta_stat=theta_stat(e, t, setup.T),
-        ))
-    return records
+    q = cert.filter(setup.T)
+    return [TrialRecord(anchor=t, seed=noise.seed, truth=truth, estimate=est.value,
+                        oracle_estimate=convolve(q, y, Box(t, t)).value(t),
+                        solver_gap=0.0 if est.solve is None else est.solve.gap,
+                        theta_stat=theta_stat(e, t, setup.T))
+            for noise, e, y, est in zip(noises, noise_fields, ys, estimates)]
 
 
 @dataclass(frozen=True)
@@ -214,20 +206,14 @@ def pathwise_violations(records: Sequence[TrialRecord], d: int, T: int,
     The bound is ``c(d) rho^3 [theta + rho * Theta] (2T+1)^{-d/2}`` with
     ``Theta`` the trial's realized noise statistic.
     """
-    c = risk_constant(d)
-    scale = (2 * T + 1) ** (-d / 2)
-    bad = 0
-    for r in records:
-        bound = c * rho ** 3 * (theta + rho * r.theta_stat) * scale
-        if abs(r.estimate - r.truth) > bound:
-            bad += 1
-    return bad
+    return sum(abs(r.estimate - r.truth)
+               > _oracle_bound(d, T, rho, theta, rho * r.theta_stat)
+               for r in records)
 
 
 def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
                 setup: DenoiseSetup, sigma: float, trials: int,
-                master_seed: int, label: str = "",
-                tol: float = 1e-5, max_iter: int = 60000,
+                master_seed: int, label: str = "", tol: float = 1e-5,
                 ) -> tuple[ExperimentStats, list[TrialRecord]]:
     """Independent-seed trials of one configuration, aggregated.
 
@@ -245,8 +231,7 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
     seeds = [derive_seed(master_seed, i) for i in range(trials)]
     try:
         records = _run_trials(s, cert, t, setup,
-                              [NoiseSpec(sigma, seed) for seed in seeds],
-                              tol, max_iter)
+                              [NoiseSpec(sigma, seed) for seed in seeds], tol)
     except (DomainError, ParamError) as exc:
         # every trial reads the same box of the same signal, so what stops
         # one trial stops the first

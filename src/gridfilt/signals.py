@@ -233,13 +233,12 @@ def predictor_exp_filter(omega: complex, T: int, kappa: int) -> Filter:
     """Causal filter reproducing a quasi-stable exponential ``exp(omega tau)``.
 
     Support ``{kappa..T}`` with weights ``exp(k omega)/(T - kappa + 1)``;
-    requires ``Re omega <= 0`` and ``kappa <= T``.
+    requires ``Re omega <= 0`` and ``0 <= kappa <= T``, which the support
+    (``Box.support``) checks.
     """
     omega = complex(omega)
     if omega.real > 0:
         raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
-    if not 0 <= kappa <= T:
-        raise ParamError(f"need 0 <= kappa <= T, got kappa={kappa}, T={T}")
     k = np.arange(kappa, T + 1)
     coeffs = np.exp(omega * k) / (T - kappa + 1)
     return Filter.one_sided(1, kappa, T, coeffs)

@@ -438,10 +438,10 @@ def test_bench_budget_miss_exit_code(tmp_path, monkeypatch, capsys):
     # certified gap in its row
     import functools
 
-    from gridfilt import cli
+    from gridfilt import estimators
 
-    monkeypatch.setattr(cli, "monte_carlo",
-                        functools.partial(cli.monte_carlo, max_iter=50))
+    monkeypatch.setattr(estimators, "solve_batch",
+                        functools.partial(estimators.solve_batch, max_iter=50))
     cfg = write_config(tmp_path / "bench.yaml", bench_doc(trials=3))
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 5
     err = capsys.readouterr().err
@@ -584,11 +584,11 @@ def test_bench_rmse_above_bound_fails(tmp_path, monkeypatch):
 
 
 def test_bench_pathwise_violations_fail(tmp_path, monkeypatch):
-    # with a zero constant every noisy trial's error exceeds its pathwise
-    # bound, and each one is counted
+    # with a zero pathwise bound every noisy trial's error exceeds it, and
+    # each one is counted
     from gridfilt import harness
 
-    monkeypatch.setattr(harness, "risk_constant", lambda d: 0.0)
+    monkeypatch.setattr(harness, "_oracle_bound", lambda *args: 0.0)
     doc = bench_doc(trials=3)
     del doc["checks"]
     code, payload = _bench_failures(tmp_path, doc)
@@ -1198,12 +1198,16 @@ def test_operator_or_certificate_mismatch_names_its_key(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
 
 
-# the last anchor of each list is bad: (anchors, exit code, message)
+# the last anchor of each list is bad: (anchors, where the observations hold
+# a NaN or None, exit code, message); anchor 10 reads 9 when denoising and
+# when predicting, and anchors 0 and 1 read neither
 BAD_LAST_ANCHOR = {
-    "dimension": ([[0], [1], [0, 0]], 2,
+    "dimension": ([[0], [1], [0, 0]], None, 2,
                   "config error: config.anchors[2]: a 2-d anchor for a 1-d box"),
-    "coverage": ([[0], [1], [30]], 4,
+    "coverage": ([[0], [1], [30]], None, 4,
                  "coverage error: config.anchors[2]: observations must cover"),
+    "finite": ([[0], [1], [10]], 9, 4,
+               "coverage error: config.anchors[2]: observation at (9,) is not finite"),
 }
 
 
@@ -1213,11 +1217,15 @@ BAD_LAST_ANCHOR = {
                                                         "kappa": 1})])
 def test_every_anchor_checked_before_the_first_solve(tmp_path, monkeypatch, capsys,
                                                      command, setup, case):
-    from gridfilt import cli
+    from gridfilt import Box, Field, cli, write_zdf
 
-    obs = make_observations(tmp_path, constant_signal(), {"lo": [-16], "hi": [16]})
+    anchors, nan_at, code, message = BAD_LAST_ANCHOR[case]
+    data = np.ones(33, dtype=complex)
+    if nan_at is not None:
+        data[16 + nan_at] = np.nan
+    obs = tmp_path / "obs.zdf"
+    write_zdf(Field(Box((-16,), (16,)), data), obs)
     monkeypatch.setattr(cli, "denoise_point", _refuse)
-    anchors, code, message = BAD_LAST_ANCHOR[case]
     cfg = write_config(tmp_path / "est.yaml", {
         "observations": str(obs), "setup": setup,
         "anchors": anchors, "out": {"estimates": "est.csv"}})

@@ -1,5 +1,6 @@
 """Adaptive estimators: worked cases, equivariances, risk formulas."""
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +61,20 @@ def test_denoise_T0_rejects_non_finite_observation():
     assert denoise_point(y, (1,), setup).value == 1.0
 
 
+@pytest.mark.parametrize("kappa", [None, 0])
+def test_denoise_T0_reads_the_anchor_alone(kappa):
+    # the T = 0 read set is the anchor: its neighbours may be anything, and
+    # an anchor outside the field is a coverage error like any short read set
+    y = Field(Box((-2,), (2,)), np.array([np.nan, 1, 2, 3, np.inf], dtype=complex))
+    setup = DenoiseSetup(rho=1.0, T=0, kappa=kappa)
+    assert denoise_point(y, (0,), setup).value == 2.0
+    assert [e.value for e in denoise_batch([y, y], (1,), setup)] == [3.0, 3.0]
+    with pytest.raises(DomainError, match=r"must cover Box\(lo=\(3,\)"):
+        denoise_point(y, (3,), setup)
+    with pytest.raises(DomainError, match="observations must cover"):
+        denoise_batch([y], (3,), setup)
+
+
 def test_denoise_T0_returns_observation():
     y = Field(Box((-2,), (2,)), RNG.standard_normal(5) + 1j * RNG.standard_normal(5))
     est = denoise_point(y, (1,), DenoiseSetup(rho=1.0, T=0))
@@ -67,13 +82,18 @@ def test_denoise_T0_returns_observation():
     assert est.solve is None
 
 
-def test_denoise_point_budget_miss_equals_batch_of_one():
+def test_denoise_point_budget_miss_equals_batch_of_one(monkeypatch):
     # a fit that misses its budget is returned flagged, as the batch returns it
+    from gridfilt import estimators
+
+    for name in ("solve", "solve_batch"):
+        monkeypatch.setattr(estimators, name, functools.partial(
+            getattr(estimators, name), max_iter=50))
     y = Field(Box((-16,), (16,)), 1.0 + 0.1 * (RNG.standard_normal(33)
                                              + 1j * RNG.standard_normal(33)))
     setup = DenoiseSetup(rho=math.sqrt(2), T=4)
-    est = denoise_point(y, (0,), setup, tol=1e-12, max_iter=50)
-    (ref,) = denoise_batch([y], (0,), setup, tol=1e-12, max_iter=50)
+    est = denoise_point(y, (0,), setup, tol=1e-12)
+    (ref,) = denoise_batch([y], (0,), setup, tol=1e-12)
     assert not est.solve.converged and est.solve.iterations == 50
     assert est.value == ref.value
     assert (est.solve.objective, est.solve.dual_bound, est.solve.gap) == \

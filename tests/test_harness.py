@@ -1,5 +1,6 @@
 """Noise generation, trial mechanics and the statistical checks."""
 
+import functools
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -90,7 +91,7 @@ def test_oracle_error_decomposition():
     errs = []
     for i in range(trials):
         rec = run_trial(s, cert, (0,), setup, NoiseSpec(sigma, derive_seed(17, i)),
-                        tol=1e-3, max_iter=4000)
+                        tol=1e-3)
         errs.append(rec.sq_err_oracle)
     errs = np.array(errs)
     q = cert.filter(2)
@@ -143,34 +144,45 @@ def test_monte_carlo_names_failing_seed():
                     DenoiseSetup(rho=math.sqrt(2), T=2), 0.1, 2, 1)
 
 
-def test_monte_carlo_budget_miss_records_certified_gap():
+def budget_of_50(monkeypatch):
+    """Every fit of the estimators stops after at most 50 iterations."""
+    from gridfilt import estimators
+
+    for name in ("solve", "solve_batch"):
+        monkeypatch.setattr(estimators, name, functools.partial(
+            getattr(estimators, name), max_iter=50))
+
+
+def test_monte_carlo_budget_miss_records_certified_gap(monkeypatch):
     # 50 iterations cannot certify a 1e-5 gap on noisy data: the first trial
     # is recorded under its seed with the gap its solve certified
+    budget_of_50(monkeypatch)
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     cert = exp_certificate_1d(0.0)
     setup = DenoiseSetup(rho=cert.rho, T=2)
     stats, records = monte_carlo(s, cert, (0,), setup, 0.1, 3, 15,
-                                 label="const", max_iter=50)
+                                 label="const")
     seed = derive_seed(15, 0)
     assert records[0].seed == seed and records[0].solver_gap > 1e-5
     alone = denoise_point(s + sample_noise(box, NoiseSpec(0.1, seed)), (0,),
-                          setup, tol=1e-5, max_iter=50).solve
+                          setup, tol=1e-5).solve
     assert alone.iterations == 50 and not alone.converged
     assert records[0].solver_gap == alone.gap
 
 
-def test_monte_carlo_names_every_unconverged_trial():
+def test_monte_carlo_names_every_unconverged_trial(monkeypatch):
+    budget_of_50(monkeypatch)
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     cert = exp_certificate_1d(0.0)
     setup = DenoiseSetup(rho=cert.rho, T=2)
     stats, records = monte_carlo(s, cert, (0,), setup, 0.1, 3, 15,
-                                 label="const", max_iter=50)
+                                 label="const")
     gaps = []
     for i, r in enumerate(records):
         seed = derive_seed(15, i)
-        alone = run_trial(s, cert, (0,), setup, NoiseSpec(0.1, seed), max_iter=50)
+        alone = run_trial(s, cert, (0,), setup, NoiseSpec(0.1, seed))
         gaps.append(alone.solver_gap)
         assert r.seed == seed and r.solver_gap == alone.solver_gap > 1e-5
     assert len(records) == 3

@@ -196,8 +196,14 @@ def test_predictor_unit_modulus_norm():
 def test_predictor_rejects_unstable():
     with pytest.raises(ParamError):
         predictor_exp_filter(0.1, 4, 1)
-    with pytest.raises(ParamError):
-        predictor_exp_filter(0.0, 2, 3)
+
+
+@pytest.mark.parametrize("kappa", [5, -1])
+def test_predictor_lag_outside_its_support_rejected(kappa):
+    # the filter's support checks the lag, with the message of Box.support
+    with pytest.raises(ParamError) as info:
+        predictor_exp_filter(0.0, 4, kappa)
+    assert str(info.value) == f"need 0 <= kappa <= T, got kappa={kappa}, T=4"
 
 
 # ---------------------------------------------------------------- certificate calculus

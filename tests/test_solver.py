@@ -32,6 +32,7 @@ from gridfilt.solver import (
     dual_lower_bound,
     objective,
     project_l1_ball,
+    read_observations,
     solve,
     solve_batch,
 )
@@ -160,6 +161,28 @@ def test_instance_param_errors():
         build_instance(y, (0,), 1, 1.0, 3)  # kappa > 2 T_alg
     with pytest.raises(DomainError):
         build_instance(noisy_field(Box((-3,), (0,))), (0,), 1, 1.0, 0)
+
+
+def test_read_observations_checks_dimension_then_coverage_then_finiteness():
+    data = np.ones(9, dtype=complex)
+    data[4 + 4] = np.nan
+    y = Field(Box((-4,), (4,)), data)
+    with pytest.raises(ParamError, match="anchor dimension mismatch"):
+        read_observations(y, (9, 9), 1)    # uncovered too
+    with pytest.raises(DomainError, match="observations must cover"):
+        read_observations(y, (1,), 1)      # reads [-3, 5], the NaN too
+    with pytest.raises(DomainError, match=r"observation at \(4,\) is not finite"):
+        read_observations(y, (0,), 1)
+    # T_alg = 0 reads the anchor alone, in either mode
+    for kappa in (None, 0):
+        assert read_observations(y, (3,), 0, kappa).box == Box((3,), (3,))
+        with pytest.raises(DomainError, match=r"\(4,\) is not finite"):
+            read_observations(y, (4,), 0, kappa)
+        with pytest.raises(DomainError, match="observations must cover"):
+            read_observations(y, (5,), 0, kappa)
+    # prediction with a lag reads only what precedes the anchor by it
+    read = read_observations(y, (4,), 1, 1)
+    assert read.box == Box((0,), (3,)) and np.array_equal(read.data, data[4:8])
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf])
