@@ -575,13 +575,11 @@ def _parse_experiment(exp, ctx: str) -> tuple:
         raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
     with _at(ctx):
         setup = DenoiseSetup(rho=cert.rho, T=T, kappa=kappa)
-        # a trial's noise statistic reads this cube, and its other reads too
-        reads = Box.cube(box.d, 4 * T, anchor)
     with _at(ctx + ".T"):
         cert.filter(T)  # the trials' oracle: a bad T stops the run before sampling
-    if not box.contains_box(reads):
-        raise DomainError(f"{ctx} ({exp['label']}): a trial at anchor {anchor} "
-                          f"reads {reads}, but the box is {box}")
+    with _at(f"{ctx} ({exp['label']})"):
+        # a trial's noise statistic reads this set, and its other reads lie in it
+        read_observations(signal, anchor, T)
     return str(exp["label"]), signal, cert, anchor, setup, sigma
 
 
@@ -597,8 +595,9 @@ def _parse_checks(node) -> dict:
         gm = _section(node["gaussian_max"], ctx, ("Ns", "trials"))
         Ns = _list(gm["Ns"], ctx + ".Ns", _integer)
         trials = _integer(gm["trials"], ctx + ".trials")
-        for N in Ns:
-            _gaussian_max_args(N, trials)
+        with _at(ctx):
+            for N in Ns:
+                _gaussian_max_args(N, trials)
         checks["gaussian_max"] = (Ns, trials)
     if "theta_moment" in node:
         ctx = "config.checks.theta_moment"
@@ -608,7 +607,8 @@ def _parse_checks(node) -> dict:
             raise ConfigError(f"{ctx}.T: the order must be nonnegative, got {T}")
         checks["theta_moment"] = (T, _sigma(tm["sigma"], ctx + ".sigma"),
                                   _integer(tm["trials"], ctx + ".trials"))
-        _theta_moment_args(checks["theta_moment"][2])
+        with _at(ctx + ".trials"):
+            _theta_moment_args(checks["theta_moment"][2])
     return checks
 
 

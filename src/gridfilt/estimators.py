@@ -6,7 +6,10 @@ anchor and applies it at the anchor. :func:`denoise_point` covers both modes:
 a setup without a lag filters, and one with a lag ``kappa`` predicts, which
 is the same fit with a one-sided support. Both modes build their instances
 with the one builder :func:`gridfilt.solver.build_instance`, which reads the
-mode from the lag; T = 0 reads the anchor through ``solver.read_observations``.
+mode from the lag. ``solver.read_observations`` is the one check of a read
+set: the instance, the T = 0 estimate, :func:`theta_stat` and the CLI's
+pre-checks read through it. ``fields.Box.support`` alone checks the lag rule
+``0 <= kappa <= T``.
 :func:`denoise_batch` makes the same fits at one anchor of several
 observation fields, solved as one batch. Every fit runs under the solver's
 budget ``MAX_ITER``. The noise level never enters the fit; it only appears in
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParamError
+from .errors import ParamError
 from .fields import Box, Field, convolve, dft_windows
 from .solver import (
     Instance,
@@ -66,9 +69,8 @@ class DenoiseSetup:
             raise ParamError(f"rho must be finite and >= 1, got {self.rho}")
         if self.T < 0:
             raise ParamError("T must be nonnegative")
-        if self.kappa is not None and not 0 <= self.kappa <= self.T:
-            raise ParamError(f"prediction needs 0 <= kappa <= T, got "
-                             f"kappa={self.kappa}, T={self.T}")
+        if self.kappa is not None:
+            Box.support(1, self.T, self.kappa)  # the lag rule: 0 <= kappa <= T
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,10 @@ def theta_stat(e: Field, t: Sequence[int], T: int) -> float:
 
     This is the un-normalized noise statistic of the pathwise bound (the
     caller divides by sigma if the normalized version is wanted). Reads ``e``
-    on ``{|tau - t| <= 4T}``.
+    on ``{|tau - t| <= 4T}``, the filtering read set, through
+    ``solver.read_observations``.
     """
-    t = tuple(int(x) for x in t)
-    if T < 0:
-        raise ParamError("T must be nonnegative")
-    need = Box.cube(e.d, 4 * T, t)
-    if not e.box.contains_box(need):
-        raise DomainError(f"noise field must cover {need}, got {e.box}")
-    return float(_shift_maxima(e.data[need.slices_in(e.box)], T, e.d))
+    return float(_shift_maxima(read_observations(e, t, T).data, T, e.d))
 
 
 def _shift_maxima(data: np.ndarray, T: int, d: int) -> np.ndarray:

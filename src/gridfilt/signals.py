@@ -345,8 +345,6 @@ def predictor_exp_certificate(omega: complex, kappa: int) -> Certificate:
     omega = complex(omega)
     if omega.real > 0:
         raise ParamError("quasi-stability requires Re(omega) <= 0")
-    if kappa < 0:
-        raise ParamError("kappa must be nonnegative")
     rho = 2.0 * math.sqrt(max(2, 2 * kappa + 1))
     return Certificate(
         1, 0.0, rho, math.inf,

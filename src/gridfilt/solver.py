@@ -14,8 +14,10 @@ observations ``{kappa <= t_j - tau_j <= 4T}`` preceding the anchor.
 
 One builder, :func:`build_instance`, makes the instance of either mode: the
 lag ``kappa`` is the mode, None for filtering. It checks the parameters and
-keeps only the observations of the read set (:func:`program_boxes`), which
-:func:`read_observations`, the one check of every anchor's read set, reads.
+keeps only the observations of the read set (:func:`program_boxes`) that
+:func:`read_observations`, the one check of a read set, reads; the T = 0
+estimate, ``estimators.theta_stat`` and the CLI's pre-checks read through it
+too. ``fields.Box.support`` alone checks the lag, ``0 <= kappa <= W``.
 
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
@@ -181,7 +183,7 @@ def program_boxes(t: Sequence[int], T_alg: int,
                   kappa: int | None = None) -> tuple[Box, Box, Box]:
     """The read set, the admissible support and the residual offsets at ``t``
     (see the module docstring), of prediction with a lag ``kappa`` and of
-    filtering without; :func:`build_instance` checks the parameters."""
+    filtering without; ``Box.support`` checks the lag (``0 <= kappa <= W``)."""
     d, W = len(t), 2 * T_alg
     support = Box.support(d, W, kappa)
     if kappa is None:
@@ -195,8 +197,8 @@ def program_boxes(t: Sequence[int], T_alg: int,
 def read_observations(y: Field, t: Sequence[int], T_alg: int,
                       kappa: int | None = None) -> Field:
     """``y`` on the read set of :func:`program_boxes` (``{t}`` at ``T_alg =
-    0``), checked in this order: the anchor's dimension (``ParamError``), then
-    coverage and finiteness (``DomainError``)."""
+    0``), checked in this order: the anchor's dimension and the lag
+    (``ParamError``), then coverage and finiteness (``DomainError``)."""
     t = tuple(int(x) for x in t)
     if len(t) != y.d:
         raise ParamError("anchor dimension mismatch")
@@ -216,20 +218,17 @@ def build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
     """Instance of the program at anchor ``t``: two-sided (filtering)
     without a lag, one-sided (prediction) with a lag ``kappa``.
 
-    Requires a finite ``rho >= 1``, ``T_alg >= 1`` and ``0 <= kappa <= 2
-    T_alg``, then reads the observations through :func:`read_observations`:
-    ``{|tau - t| <= 4 T_alg}`` for filtering and ``{kappa <= t_j - tau_j <=
-    4 T_alg}`` for prediction.
+    Requires a finite ``rho >= 1`` and ``T_alg >= 1``, then reads the
+    observations through :func:`read_observations`: ``{|tau - t| <= 4
+    T_alg}`` for filtering and ``{kappa <= t_j - tau_j <= 4 T_alg}`` for
+    prediction.
     """
     t = tuple(int(x) for x in t)
     if not 1 <= rho < math.inf:
         raise ParamError(f"rho must be finite and >= 1, got {rho}")
     if T_alg < 1:
         raise ParamError(f"T_alg must be >= 1, got {T_alg}")
-    if kappa is not None:
-        if not 0 <= kappa <= 2 * T_alg:
-            raise ParamError(f"need 0 <= kappa <= 2*T_alg, got kappa={kappa}")
-        kappa = int(kappa)
+    kappa = None if kappa is None else int(kappa)
     bound = 2 ** (y.d / 2) * rho ** 2 * (2 * T_alg + 1) ** (-y.d / 2)
     return Instance(t, T_alg, kappa, read_observations(y, t, T_alg, kappa), bound)
 
@@ -374,9 +373,9 @@ def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
 
 
 def project_l1_ball(z: np.ndarray, radius: float,
-                    weights: np.ndarray | None = None) -> np.ndarray:
+                    weights: np.ndarray) -> np.ndarray:
     """Euclidean projection of complex vectors onto the weighted l1 ball
-    ``{x : sum_j w_j |x_j| <= radius}``, unit weights if ``weights`` is None.
+    ``{x : sum_j w_j |x_j| <= radius}``.
 
     ``z`` is one vector or a stack of them (rows of a 2-d array), each
     projected on its own; ``weights``, positive, has the shape of ``z``.
@@ -391,7 +390,7 @@ def project_l1_ball(z: np.ndarray, radius: float,
     rows = z.reshape(-1, z.shape[-1])
     B, n = rows.shape
     a = np.abs(rows)
-    w = np.ones((B, n)) if weights is None else weights.reshape(B, n)
+    w = weights.reshape(B, n)
     wa = a * w
     inside = wa.sum(axis=1) <= radius
     n_inside = np.count_nonzero(inside)

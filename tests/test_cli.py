@@ -475,7 +475,22 @@ def test_bench_check_with_too_few_trials_exit_code(tmp_path, monkeypatch, capsys
     doc["checks"][check]["trials"] = trials
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "trials >= 2" in capsys.readouterr().err
+    key = {"gaussian_max": "config.checks.gaussian_max",
+           "theta_moment": "config.checks.theta_moment.trials"}[check]
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err and "trials >= 2" in err
+
+
+def test_bench_gaussian_max_with_N_0_names_its_key(tmp_path, monkeypatch, capsys):
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["checks"]["gaussian_max"]["Ns"] = [0]
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("config error: config.checks.gaussian_max: the Gaussian-maximum "
+            "check needs N >= 1") in capsys.readouterr().err
 
 
 def test_bench_rejects_bad_later_experiment_before_sampling(tmp_path, monkeypatch,
@@ -669,6 +684,24 @@ def test_bench_uncovered_anchor_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "stats.csv").exists()
 
 
+def test_bench_prediction_noise_window_uncovered_exit_code(tmp_path, monkeypatch,
+                                                           capsys):
+    # a lag-1 prediction at anchor 4 with T = 2 estimates from [-4, 3], inside
+    # the box [-8, 8], but its noise statistic reads [-4, 12]; found before
+    # any trial is sampled
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"][0].update(
+        certificate={"kind": "predictor_exp", "kappa": 1}, anchor=[4])
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert ("coverage error: config.experiments[0] (const): observations must "
+            "cover Box(lo=(-4,), hi=(12,))") in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 def test_bench_certificate_dimension_mismatch_before_sampling(tmp_path, monkeypatch,
                                                               capsys):
     # a 1-d certificate for a 2-d box is a config error, found before any
@@ -735,7 +768,8 @@ BAD_EXPERIMENT_FIELDS = [
     ("sigma", math.nan, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
     ("sigma", math.inf, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
     ("T", -1, 2, "config.experiments[1]: T must be nonnegative"),
-    ("anchor", [4], 4, "config.experiments[1] (second): a trial at anchor (4,)"),
+    ("anchor", [4], 4, "config.experiments[1] (second): observations must cover "
+                       "Box(lo=(-4,), hi=(12,))"),
 ]
 
 
@@ -1303,14 +1337,15 @@ def test_shipped_bench_config_passes(tmp_path):
 
 
 def test_shipped_example_configs_run(tmp_path):
-    # generate writes next to the copied configs, and denoise reads from there
+    # generate writes next to the copied configs, and denoise and predict
+    # read from there
     configs = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("example_generate.yaml", "example_denoise.yaml"):
-        shutil.copy(configs / name, tmp_path)
-    for command in ("generate", "denoise"):
+    for command in ("generate", "denoise", "predict"):
+        shutil.copy(configs / f"example_{command}.yaml", tmp_path)
         assert main([command, "--config", str(tmp_path / f"example_{command}.yaml"),
                      "--out", str(tmp_path), "--quiet"]) == 0
     assert len(read_estimates(tmp_path / "estimates.csv")) == 3
+    assert len(read_estimates(tmp_path / "predictions.csv")) == 3
 
 
 # ---------------------------------------------------------------- module entry

@@ -15,7 +15,7 @@ from gridfilt.estimators import (
     risk_constant,
     theta_stat,
 )
-from gridfilt.signals import predictor_exp_certificate
+from gridfilt.signals import predictor_exp_certificate, predictor_exp_filter
 from gridfilt.solver import build_instance, objective
 
 from oracles import theta_stat_loop, translate
@@ -44,6 +44,26 @@ def test_setup_validation():
 def test_setup_rejects_non_finite_rho(rho):
     with pytest.raises(ParamError, match="rho must be finite"):
         DenoiseSetup(rho=rho, T=1)
+
+
+# entry points that take a lag, each at order 4: build_instance's is the
+# window order 2 T_alg
+LAG_ENTRIES = {
+    "DenoiseSetup": lambda kappa: DenoiseSetup(rho=1.0, T=4, kappa=kappa),
+    "build_instance": lambda kappa: build_instance(
+        const_field(Box.cube(1, 16), 1.0), (0,), 2, 1.0, kappa),
+    "Filter.one_sided": lambda kappa: Filter.one_sided(1, kappa, 4, np.ones(1)),
+    "predictor_exp_filter": lambda kappa: predictor_exp_filter(0.0, 4, kappa),
+}
+
+
+@pytest.mark.parametrize("kappa", [5, -1])
+@pytest.mark.parametrize("entry", sorted(LAG_ENTRIES))
+def test_out_of_range_lag_gets_the_one_message(entry, kappa):
+    # Box.support alone tests 0 <= kappa <= T
+    with pytest.raises(ParamError) as info:
+        LAG_ENTRIES[entry](kappa)
+    assert str(info.value) == f"need 0 <= kappa <= T, got kappa={kappa}, T=4"
 
 
 # ---------------------------------------------------------------- denoise
@@ -279,7 +299,8 @@ def test_theta_stat_matches_loop_oracle():
 
 def test_theta_stat_coverage():
     e = Field(Box((-4,), (4,)), np.zeros(9))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"observations must cover "
+                       r"Box\(lo=\(-8,\), hi=\(8,\)\)"):
         theta_stat(e, (0,), 2)
 
 

@@ -198,14 +198,6 @@ def test_predictor_rejects_unstable():
         predictor_exp_filter(0.1, 4, 1)
 
 
-@pytest.mark.parametrize("kappa", [5, -1])
-def test_predictor_lag_outside_its_support_rejected(kappa):
-    # the filter's support checks the lag, with the message of Box.support
-    with pytest.raises(ParamError) as info:
-        predictor_exp_filter(0.0, 4, kappa)
-    assert str(info.value) == f"need 0 <= kappa <= T, got kappa={kappa}, T=4"
-
-
 # ---------------------------------------------------------------- certificate calculus
 
 
@@ -249,6 +241,12 @@ def test_certificate_rejects_non_finite_rho(rho):
 def test_certificate_rejects_nan_or_negative_theta(theta):
     with pytest.raises(ParamError, match="theta must be >= 0"):
         dataclasses.replace(exp_certificate_1d(0.5j), theta=theta)
+
+
+def test_predictor_certificate_rejects_negative_lag():
+    # the certificate's own check, which predictor_exp_certificate relies on
+    with pytest.raises(ParamError, match="certificate lag must be >= 0, got -1"):
+        predictor_exp_certificate(-0.1, -1)
 
 
 @pytest.mark.parametrize("T", [-1, 1, 5])
