@@ -568,6 +568,7 @@ def _parse_experiment(exp, ctx: str) -> tuple:
     T = _integer(exp["T"], ctx + ".T")
     sigma = _sigma(exp["sigma"], ctx + ".sigma")
     anchor = _point(exp["anchor"], ctx + ".anchor")
+    _dimension(len(anchor), "anchor", box, ctx + ".anchor")
     kappa = None
     if cert.kappa is not None:
         kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")

@@ -22,10 +22,12 @@ under the solver's budget ``MAX_ITER``.
 Working memory does not grow with the trial counts; only the per-trial data
 (noise fields, observations, results) does. The solver builds and iterates a
 large batch in sub-batches whose operators fit in
-``solver.SOLVE_BATCH_BYTES``, and the statistical checks
+``solver.SOLVE_BATCH_BYTES``, and builds each sub-batch's operator in place,
+in slabs of a 32nd of that budget, so the build holds little more than the
+operator it makes. The statistical checks
 (:func:`check_gaussian_max`, :func:`check_theta_moment`) draw and reduce
-their trials in chunks of about ``CHECK_CHUNK_BYTES``. Neither changes a
-bit: Philox fills its stream in order, and every stacked transform and
+their trials in chunks of about ``CHECK_CHUNK_BYTES``. None of these changes
+a bit: Philox fills its stream in order, and every stacked transform and
 batched solve gives each row what it gives that row alone.
 
 The module only computes and writes no files; :mod:`gridfilt.cli` owns every
@@ -322,6 +324,12 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
 
     The trials are drawn and reduced in chunks, through preallocated
     buffers of about ``CHECK_CHUNK_BYTES``.
+
+    Checks with one seed and different ``N`` are not independent draws: the
+    ``2 N trials`` normals of a check are the start of the one Philox stream
+    of its key, so with the bench's ``seed=master_seed`` for every ``N`` the
+    10,000 trials at N = 1 read exactly the first 20,000 normals that the
+    check at N = 256 reads, and those at N = 16 a longer prefix of them.
     """
     _gaussian_max_args(N, trials)
     _seed_arg(seed)

@@ -70,8 +70,8 @@ dual pair ``(dual_u, dual_w)`` of a result is two fields on the window
 bit-identical results.
 
 Instances that share a window geometry (dimension, order and lag) and
-an l1 budget are solved as one batch (:func:`solve_batch`): one geometry, one
-stacked transform of the shifted observation windows for the operators, one
+an l1 budget are solved as one batch (:func:`solve_batch`): one geometry,
+stacked transforms of the shifted observation windows for the operators, one
 iteration loop over the stacked ``(B, n)`` iterates with row-wise l1
 projections. Each instance keeps its own support row scale, diagonal
 scales, step sizes, primal weight, Halpern anchor, restart state, best
@@ -82,14 +82,17 @@ bit-identical to solving its instance alone; :func:`solve` is the batch of
 one. Both stop after ``MAX_ITER`` iterations, the one budget (only tests and
 tracing pass another). A batch whose stacked operators would exceed
 ``SOLVE_BATCH_BYTES`` is solved as consecutive sub-batches that fit, which
-for the same reason changes no result.
+for the same reason changes no result. The same budget bounds the build: a
+sub-batch's ``K`` is made and equilibrated in place, a slab of about a 32nd
+of the budget at a time, so building ``K`` holds ``K`` and a few slabs, and
+no bit depends on the slabs either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -294,6 +297,10 @@ class _Geometry:
         recentered at the anchor. Column ``nu`` of ``A F_W`` is the transform
         of the residual window of the observations shifted by ``nu``, and
         ``b`` the one at shift 0, padded with zeros.
+
+        ``K`` is built in place, a slab (:func:`_slabs`) at a time. A slab
+        only cuts the stack axes of a transform, so each window and row gets
+        the product of one stacked transform: no bit depends on the slabs.
         """
         W, d, B, window = self.W, self.d, len(insts), self.window
         n, m = self.n, len(self.off)
@@ -302,20 +309,32 @@ class _Geometry:
         views = np.lib.stride_tricks.sliding_window_view(
             np.stack([inst.y_win.data for inst in insts]), self.resid.shape,
             axis=tuple(range(1, d + 1)))
-        # only the support shifts, in nu order, and shift 0 are transformed
-        cols = self._spectra(views[(slice(None),) + tuple(
-            slice(W - lo, None, -1) for lo in self.supp.lo)])
         b = self._spectra(views[(slice(None),) + (W,) * d])
         b = np.pad(b.reshape(B, n), ((0, 0), (0, m)))
-        K_spatial = np.zeros((B, n + m) + window.shape, dtype=np.complex128)
-        K_spatial[(slice(None), slice(n)) + self.supp.slices_in(window)] = (
-            np.moveaxis(cols, range(-d, 0), range(1, d + 1)).reshape(
-                (B, n) + self.supp.shape))
-        del cols
-        K_spatial.reshape(B, n + m, n)[:, n + np.arange(m), self.off] = 1.0
-        # K = K_spatial F_W^H, and F_W is symmetric: each row of K is the
+        # the support shifts, in nu order: views, not copies
+        shifted = views[(slice(None),) + tuple(
+            slice(W - lo, None, -1) for lo in self.supp.lo)]
+        # first the spatial operator K_spatial, in place: the spectra at the
+        # support slots, a slab of instances or of the first support axis at
+        # a time, then the one-hot rows off the support
+        K = np.zeros((B, n + m, n), dtype=np.complex128)
+        K_spatial = K.reshape((B, n + m) + window.shape)
+        first, *rest = self.supp.slices_in(window)
+        for k, s in _slabs(B, self.supp.shape[0],
+                           math.prod(self.supp.shape[1:]) * n * 16):
+            spectra = self._spectra(shifted[k, s])
+            slots = range(first.start, first.stop)[s]
+            K_spatial[(k, slice(n), slice(slots.start, slots.stop), *rest)] = (
+                np.moveaxis(spectra, range(-d, 0), range(1, d + 1)).reshape(
+                    (len(spectra), n) + spectra.shape[1:1 + d]))
+        K[:, n + np.arange(m), self.off] = 1.0
+        # then K = K_spatial F_W^H, and F_W is symmetric: each row of K is the
         # inverse transform of that row of K_spatial
-        return idft_windows(K_spatial, W, d).reshape(B, n + m, n), b
+        for k, s in _slabs(B, n + m, n * 16):
+            rows = K[k, s]
+            K[k, s] = idft_windows(rows.reshape(rows.shape[:2] + window.shape),
+                                   W, d).reshape(rows.shape)
+        return K, b
 
     def _spectra(self, views: np.ndarray) -> np.ndarray:
         """Transforms of observation windows (the trailing ``d`` axes of
@@ -511,10 +530,14 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         K[:, n:] *= alpha[:, None, None]
     # equilibrate: K <- D_r K D_c, b <- D_r b, in place; the primal is
     # Phi / dc and the dual y / dr from here on
-    row_sums, col_sums = np.empty(K.shape[:2]), np.empty((B, n))
-    for k, Kk in enumerate(K):   # |K| one instance at a time: no full-size copy
-        a = np.abs(Kk)
-        row_sums[k], col_sums[k] = a.sum(axis=1), a.sum(axis=0)
+    row_sums, col_sums = np.empty(K.shape[:2]), np.zeros((B, n))
+    for k, s in _slabs(B, K.shape[1], n * 8):   # |K| a slab at a time
+        a = np.abs(K[k, s])
+        row_sums[k, s] = a.sum(axis=2)
+        # row by row from zero, the order of a whole column's sum(axis=0):
+        # adding the sums of slabs would round differently
+        for i in range(a.shape[1]):
+            col_sums[k] += a[:, i]
     dr, dc = _pow2_scales(row_sums), _pow2_scales(col_sums)
     K *= dr[:, :, None]
     K *= dc[:, None, :]
@@ -639,8 +662,26 @@ MAX_ITER = 20000
 
 # The byte budget of one sub-batch's stacked operator K. It splits no batch
 # of the d = 1 bench configs (n <= 33: 17 KiB an instance), and holds 6
-# instances at d = 2, T = 4 (n = 289: 1.3 MiB an instance).
+# instances at d = 2, T = 4 (n = 289: 1.3 MiB an instance). A 32nd of it
+# bounds each slab that builds and equilibrates K (see _slabs).
 SOLVE_BATCH_BYTES = 8 << 20
+
+
+def _slabs(B: int, count: int, item_bytes: int) -> Iterator[tuple[slice, slice]]:
+    """Slabs ``(instances, indices)`` that cover ``range(B) x range(count)``
+    in order, ``item_bytes`` a pair: as many whole instances as fit
+    ``SOLVE_BATCH_BYTES // 32``, or, when one does not, one instance and as
+    many of its indices as fit (one at least)."""
+    budget = SOLVE_BATCH_BYTES // 32
+    per = budget // (count * item_bytes)
+    if per:
+        for lo in range(0, B, per):
+            yield slice(lo, lo + per), slice(None)
+        return
+    size = max(1, budget // item_bytes)
+    for k in range(B):
+        for lo in range(0, count, size):
+            yield slice(k, k + 1), slice(lo, lo + size)
 
 
 def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
@@ -662,7 +703,9 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     The instances are built and iterated in consecutive sub-batches of as
     many instances (one at least) as have their stacked ``K``, ``(n + m) n``
     complex entries each, fit in ``SOLVE_BATCH_BYTES``; so memory does not
-    grow with the batch, and no result changes.
+    grow with the batch, and no result changes. Each ``K`` is built and
+    equilibrated in its own array, slab by slab (:func:`_slabs`), so the
+    budget bounds the build as well as its result, again with no bit changed.
     """
     if not tol > 0:
         raise ParamError(f"tol must be positive, got {tol}")

@@ -722,6 +722,22 @@ def test_bench_certificate_dimension_mismatch_before_sampling(tmp_path, monkeypa
     assert not (tmp_path / "stats.csv").exists()
 
 
+def test_bench_anchor_dimension_mismatch_names_the_anchor(tmp_path, monkeypatch,
+                                                          capsys):
+    # a 2-d anchor in a 1-d box names the anchor's key, as certify, denoise
+    # and predict do, before any trial is sampled
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"][0]["anchor"] = [0, 0]
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.experiments[0].anchor: a 2-d anchor for a 1-d box" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 def _harmonic_signal_fails(monkeypatch):
     """Make every harmonic signal miss its Jacobi budget."""
     from gridfilt import signals
@@ -1346,6 +1362,18 @@ def test_shipped_example_configs_run(tmp_path):
                      "--out", str(tmp_path), "--quiet"]) == 0
     assert len(read_estimates(tmp_path / "estimates.csv")) == 3
     assert len(read_estimates(tmp_path / "predictions.csv")) == 3
+
+
+def test_shipped_certify_config_passes(tmp_path):
+    # an exact certificate, so each order's reproduction residual is checked
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    shutil.copy(configs / "example_certify.yaml", tmp_path)
+    assert main(["certify", "--config", str(tmp_path / "example_certify.yaml"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "certify_report.json").read_text())
+    assert report["violated"] is False
+    assert [e["T"] for e in report["entries"]] == [2, 4, 8]
+    assert all(e["residual"] <= 1e-12 for e in report["entries"])
 
 
 # ---------------------------------------------------------------- module entry

@@ -1,6 +1,7 @@
 """Min-max solver: instance building, optimality, duality, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gridfilt.signals import (
 )
 from gridfilt.solver import (
     CHECK_EVERY,
+    SOLVE_BATCH_BYTES,
     _Geometry,
     build_instance,
     dual_lower_bound,
@@ -662,7 +664,9 @@ def test_solve_batch_matches_solve_bit_for_bit(mode):
 @pytest.mark.parametrize("mode", ["filtering", "prediction"])
 def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
     # with room for the operators of two instances, a batch of five is built
-    # and iterated as 2 + 2 + 1; every result is still the lone solve's
+    # and iterated as 2 + 2 + 1, and each K is built and equilibrated a
+    # window or a row at a time (a 32nd of the cap is less than either);
+    # every result is still the lone solve's at the default budget
     from gridfilt import solver
 
     rng = np.random.default_rng(8)
@@ -674,8 +678,10 @@ def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
         box = Box((-8,), (0,))
         insts = [build_instance(_field(rng, box, 0.3, 1.0), (0,), 2, 2.0, 1)
                  for _ in range(5)]
+    alone = [solve(inst, tol=1e-6, max_iter=300) for inst in insts]
     geo = _Geometry(insts[0])
     cap = 2 * (geo.n + len(geo.off)) * geo.n * 16 + 16
+    assert cap // 32 < geo.n * 16
     monkeypatch.setattr(solver, "SOLVE_BATCH_BYTES", cap)
     sizes = []
     operators = _Geometry.operators
@@ -689,14 +695,13 @@ def test_solve_batch_splits_by_operator_bytes(mode, monkeypatch):
     monkeypatch.setattr(_Geometry, "operators", spy)
     batch = solve_batch(insts, tol=1e-6, max_iter=300)
     assert sizes == [2, 2, 1]
-    for inst, r in zip(insts, batch):
-        alone = solve(inst, tol=1e-6, max_iter=300)
+    for r, one in zip(batch, alone):
         assert (r.objective, r.dual_bound, r.gap, r.iterations, r.converged) == \
-            (alone.objective, alone.dual_bound, alone.gap, alone.iterations,
-             alone.converged)
-        assert np.array_equal(r.phi.field.data, alone.phi.field.data)
-        assert np.array_equal(r.dual_u.data, alone.dual_u.data)
-        assert np.array_equal(r.dual_w.data, alone.dual_w.data)
+            (one.objective, one.dual_bound, one.gap, one.iterations,
+             one.converged)
+        assert np.array_equal(r.phi.field.data, one.phi.field.data)
+        assert np.array_equal(r.dual_u.data, one.dual_u.data)
+        assert np.array_equal(r.dual_w.data, one.dual_w.data)
 
 
 def test_solve_batch_rejects_empty_and_mixed_batches():
@@ -755,6 +760,39 @@ def test_batch_operators_match_each_instance_alone(mode, d, T, kappa):
         K1, b1 = _Geometry(inst).operators([inst])
         assert np.array_equal(K[k], K1[0]) and np.array_equal(b[k], b1[0])
         assert norms[k] == np.linalg.norm(K1, 2, axis=(1, 2))[0]
+
+
+@pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
+def test_operators_built_in_slabs_are_bit_identical(mode, d, T, kappa,
+                                                    monkeypatch):
+    # a budget of 32 bytes leaves 1 byte a slab: K is built one index of the
+    # first support axis (a row of shifted windows) and then one row at a time
+    from gridfilt import solver
+
+    insts = _operator_batch(mode, d, T, kappa)
+    geo = _Geometry(insts[0])
+    K, b = geo.operators(insts)
+    assert 3 * K[0].nbytes <= SOLVE_BATCH_BYTES // 32   # one slab by default
+    monkeypatch.setattr(solver, "SOLVE_BATCH_BYTES", 32)
+    K1, b1 = geo.operators(insts)
+    assert K1.tobytes() == K.tobytes() and b1.tobytes() == b.tobytes()
+
+
+def test_operator_build_memory_bounded_by_slab_budget():
+    # d = 2, T = 4 (n = 289): K is 1.3 MiB, five slabs (256 KiB each), and
+    # the build holds K, b and a few slabs; one that transforms whole stacks
+    # at once holds about 3 K, or K + 10 slabs, and fails this
+    inst = _operator_batch("filtering", 2, 4, None)[0]
+    geo = _Geometry(inst)
+    K, b = geo.operators([inst])   # numpy's first-call allocations are not the build's
+    assert K.nbytes > 4 * (SOLVE_BATCH_BYTES // 32)
+    tracemalloc.start()
+    try:
+        geo.operators([inst])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.nbytes + b.nbytes + 8 * (SOLVE_BATCH_BYTES // 32)
 
 
 @pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
