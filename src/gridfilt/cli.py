@@ -17,26 +17,28 @@ not take is a usage error, exit 2.
 
 Exit codes: 0 success; 1 failed bench check; 2 config error (a missing or
 unknown key, a malformed value such as a scalar or an empty list where a
-nonempty list belongs, a parameter out of range, or a difference operator
-that is not regular), or an unreadable observations file; 3 generation error,
-only an overflow or a harmonic signal whose Jacobi iteration misses its
-budget, in any subcommand that builds a signal; 4 window coverage error, or a
-non-finite observation in an anchor's window (before any solve); 5 solver
-non-convergence, which takes precedence over 1 (every output is still
-written: ``denoise``/``predict`` write every estimate row with its certified
-gap, and ``bench`` runs every experiment and check, records each trial with
-its certified gap, and names every trial whose gap exceeds the tolerance); 6
-certificate bound violation.
+nonempty list belongs, a parameter out of range, a difference operator that
+is not regular, or an output path that cannot be written), or an unreadable
+observations file; 3 generation error, only an overflow or a harmonic signal
+whose Jacobi iteration misses its budget, in any subcommand that builds a
+signal; 4 window coverage error, or a non-finite observation in an anchor's
+window (before any solve); 5 solver non-convergence, which takes precedence
+over 1 (every output is still written: ``denoise``/``predict`` write every
+estimate row with its certified gap, and ``bench`` runs every experiment and
+check, records each trial with its certified gap, and names every trial
+whose gap exceeds the tolerance); 6 certificate bound violation.
 
-Every output file is written here: each CSV through ``_write_csv`` (floats
-at ``.17g``, an anchor's coordinates joined by ``;``) and each JSON through
-``_write_json`` (sorted keys, indent 2). ``denoise``/``predict`` write an
-estimates CSV (``ESTIMATE_COLUMNS``, a row per anchor; a T = 0 row's bounds
-are 0); ``bench`` a stats CSV (``STATS_COLUMNS``, the fields of
-``harness.ExperimentStats``) and a trials CSV (``TRIAL_COLUMNS``), each after
-a ``# master_seed=<seed>`` line, and a stats JSON (``experiments``,
-``master_seed``, ``checks``, ``failures``); ``certify`` a report JSON
-(``entries``, ``violated``). Fields are ZDF1 files (``fields.write_zdf``).
+Every output path is resolved and checked (``_out_paths``) before any
+sampling, solving or writing. Every output file is written here: each CSV
+through ``_write_csv`` (floats at ``.17g``, an anchor's coordinates joined
+by ``;``) and each JSON through ``_write_json`` (sorted keys, indent 2).
+``denoise``/``predict`` write an estimates CSV (``ESTIMATE_COLUMNS``, a row
+per anchor; a T = 0 row's bounds are 0); ``bench`` a stats CSV
+(``STATS_COLUMNS``, the fields of ``harness.ExperimentStats``) and a trials
+CSV (``TRIAL_COLUMNS``), each after a ``# master_seed=<seed>`` line, and a
+stats JSON (``experiments``, ``master_seed``, ``checks``, ``failures``);
+``certify`` a report JSON (``entries``, ``violated``). Fields are ZDF1 files
+(``fields.write_zdf``).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import csv
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict, astuple, fields
 
 import numpy as np
@@ -65,10 +68,11 @@ from .harness import (
     ExperimentStats,
     NoiseSpec,
     _gaussian_max_args,
+    _gaussian_max_report,
+    _gaussian_maxima,
     _seed_arg,
     _sigma_arg,
     _theta_moment_args,
-    check_gaussian_max,
     check_theta_moment,
     monte_carlo,
     sample_noise,
@@ -317,12 +321,58 @@ def _sigma(node, ctx: str) -> float:
     return sigma
 
 
-def _out_path(args, name: str) -> str:
-    if os.path.isabs(name):
-        return name
-    base = args.out if args.out else "."
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, name)
+def _out_paths(args, out: dict) -> dict:
+    """The path of each file of ``config.out`` (key to file name), checked
+    before any work: ``--out`` is created, each file's parent must be a
+    directory, and a relative name is read under ``--out``."""
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create the output directory: "
+                              f"{exc}") from exc
+    paths = {}
+    for key, name in out.items():
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"config.out.{key}: expected a file name, "
+                              f"got {name!r}")
+        # an absolute name discards the base
+        path = os.path.join(args.out or ".", name)
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"config.out.{key}: cannot write {path!r}, as "
+                              f"{parent!r} is not a directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"config.out.{key}: cannot write {path!r}, as "
+                              "it is a directory")
+        paths[key] = path
+    return paths
+
+
+@contextlib.contextmanager
+def _on_worker(fn):
+    """Run ``fn()`` on one worker thread while the block runs; yield a list
+    that holds its result after the block.
+
+    The thread is joined when the block ends, also when the block raises.
+    An exception from ``fn`` is then raised again on this thread.
+    """
+    result, error = [], []
+
+    def run():
+        try:
+            result.append(fn())
+        except BaseException as exc:   # raised again on the calling thread
+            error.append(exc)
+
+    worker = threading.Thread(target=run, name="gridfilt-worker")
+    worker.start()
+    try:
+        yield result
+    finally:
+        worker.join()
+    if error:
+        raise error[0]
 
 
 def _info(args, message: str) -> None:
@@ -401,12 +451,13 @@ def cmd_generate(args) -> int:
     elif "observations" in out:
         raise ConfigError("config.out.observations: no noise given, so no "
                           "observations would be written")
+    paths = _out_paths(args, out)
     signal = _build_signal(cfg["signal"], box, "config.signal")
-    write_zdf(signal, _out_path(args, out["signal"]))
+    write_zdf(signal, paths["signal"])
     _info(args, f"wrote signal field on {box} to {out['signal']}")
     if spec is not None:
         y = signal + sample_noise(box, spec)
-        write_zdf(y, _out_path(args, out["observations"]))
+        write_zdf(y, paths["observations"])
         _info(args, f"wrote observations (sigma={spec.sigma}, seed={spec.seed}) "
                     f"to {out['observations']}")
     return 0
@@ -441,6 +492,7 @@ def _run_estimates(args, lagged: bool) -> int:
         _dimension(len(t), "anchor", y.box, ctx)
         with _at(ctx):
             reads.append(read_observations(y, t, setup.T, setup.kappa).box)
+    path = _out_paths(args, out)["estimates"]
     rows = []
     any_unconverged = False
     for t, read in zip(anchors, reads):
@@ -454,7 +506,6 @@ def _run_estimates(args, lagged: bool) -> int:
         bounds = (0, 0, 0) if sol is None else (sol.objective, sol.dual_bound,
                                                 sol.gap)
         rows.append((_anchor_str(t), est.value.real, est.value.imag, *bounds))
-    path = _out_path(args, out["estimates"])
     _write_csv(path, ESTIMATE_COLUMNS, rows)
     _info(args, f"wrote {len(rows)} estimates to {path}")
     return 5 if any_unconverged else 0
@@ -485,37 +536,48 @@ def cmd_bench(args) -> int:
     if experiments != [] or not cfg.get("checks"):
         experiments = _list(experiments, "config.experiments", _parse_experiment)
     checks = _parse_checks(cfg.get("checks"))
+    paths = _out_paths(args, out)
 
     failures: list[str] = []
     missed: list[str] = []
     all_stats = []
     all_records = []
-    for label, signal, cert, anchor, setup, sigma in experiments:
-        _info(args, f"running experiment {label!r}: {trials} trials, "
-                    f"T={setup.T}, sigma={sigma}")
-        stats, records = monte_carlo(signal, cert, anchor, setup, sigma, trials,
-                                     master_seed, label=label, tol=tol)
-        all_stats.append(stats)
-        all_records.extend(records)
-        missed.extend(
-            f"trial {k} (seed {r.seed}) of {label}: duality gap "
-            f"{r.solver_gap:.3e} above tolerance {tol:.3e}"
-            for k, r in enumerate(records) if r.solver_gap > tol)
-        if stats.rmse_adaptive > stats.bound:
-            failures.append(f"{label}: rmse {stats.rmse_adaptive:.6g} exceeds "
-                            f"bound {stats.bound:.6g}")
-        if stats.pathwise_violations:
-            failures.append(f"{label}: {stats.pathwise_violations} pathwise "
-                            "bound violations")
-        _info(args, f"  rmse_adaptive={stats.rmse_adaptive:.6g} "
-                    f"bound={stats.bound:.6g} ratio={stats.ratio:.4f}")
+    # The Gaussian-maximum draws run on a worker thread while the experiments
+    # run here: numpy draws and reduces them without holding the GIL, so they
+    # take the second core from the GIL-bound solves. The worker calls only
+    # harness._gaussian_maxima, which calls nothing that the benchmark's
+    # tracer wraps; the tracer keeps one stack of open calls, and a traced
+    # call on another thread would corrupt it. The reports are built here,
+    # after the experiments and in config order, as a run on one thread
+    # would build them.
+    Ns, gm_trials = checks.get("gaussian_max", ((), 0))
+    with _on_worker(lambda: [_gaussian_maxima(N, gm_trials, master_seed)
+                             for N in Ns]) as drawn:
+        for label, signal, cert, anchor, setup, sigma in experiments:
+            _info(args, f"running experiment {label!r}: {trials} trials, "
+                        f"T={setup.T}, sigma={sigma}")
+            stats, records = monte_carlo(signal, cert, anchor, setup, sigma,
+                                         trials, master_seed, label=label, tol=tol)
+            all_stats.append(stats)
+            all_records.extend(records)
+            missed.extend(
+                f"trial {k} (seed {r.seed}) of {label}: duality gap "
+                f"{r.solver_gap:.3e} above tolerance {tol:.3e}"
+                for k, r in enumerate(records) if r.solver_gap > tol)
+            if stats.rmse_adaptive > stats.bound:
+                failures.append(f"{label}: rmse {stats.rmse_adaptive:.6g} "
+                                f"exceeds bound {stats.bound:.6g}")
+            if stats.pathwise_violations:
+                failures.append(f"{label}: {stats.pathwise_violations} pathwise "
+                                "bound violations")
+            _info(args, f"  rmse_adaptive={stats.rmse_adaptive:.6g} "
+                        f"bound={stats.bound:.6g} ratio={stats.ratio:.4f}")
 
     check_reports = {}
     if "gaussian_max" in checks:
-        Ns, gm_trials = checks["gaussian_max"]
         reports = []
-        for N in Ns:
-            rep = check_gaussian_max(N, gm_trials, seed=master_seed)
+        for N, max_mag in zip(Ns, drawn[0]):
+            rep = _gaussian_max_report(N, max_mag)
             reports.append(rep)
             if not (rep.mean_ok and rep.tails_ok):
                 failures.append(
@@ -536,13 +598,12 @@ def cmd_bench(args) -> int:
 
     failures += missed
     header = f"master_seed={master_seed}"
-    _write_csv(_out_path(args, out["stats_csv"]), STATS_COLUMNS,
-               map(astuple, all_stats), header)
-    if "trials_csv" in out:
-        _write_csv(_out_path(args, out["trials_csv"]), TRIAL_COLUMNS,
-                   _trial_rows(all_records), header)
-    if "stats_json" in out:
-        _write_json(_out_path(args, out["stats_json"]), {
+    _write_csv(paths["stats_csv"], STATS_COLUMNS, map(astuple, all_stats), header)
+    if "trials_csv" in paths:
+        _write_csv(paths["trials_csv"], TRIAL_COLUMNS, _trial_rows(all_records),
+                   header)
+    if "stats_json" in paths:
+        _write_json(paths["stats_json"], {
             "experiments": [asdict(s) for s in all_stats],
             "master_seed": master_seed,
             "checks": check_reports,
@@ -658,6 +719,7 @@ def cmd_certify(args) -> int:
     anchor = _point(cfg.get("anchor", [0] * box.d), "config.anchor")
     _dimension(len(anchor), "anchor", box, "config.anchor")
     cube = Box.cube(box.d, radius, anchor)
+    paths = _out_paths(args, out)
     signal = _build_signal(cfg["signal"], box, "config.signal") \
         if "signal" in cfg else None
 
@@ -701,8 +763,8 @@ def cmd_certify(args) -> int:
             violated |= _check_residual(signal, q, cube, entry, 0.0, 1e-10)
         entries.append(entry)
 
-    write_zdf(last_filter.field, _out_path(args, out["filter"]))
-    _write_json(_out_path(args, out["report"]),
+    write_zdf(last_filter.field, paths["filter"])
+    _write_json(paths["report"],
                 {"entries": entries, "violated": violated})
     if violated:
         print("FAIL certificate bounds violated (implementation bug)",

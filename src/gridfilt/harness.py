@@ -26,9 +26,12 @@ large batch in sub-batches whose operators fit in
 in slabs of a 32nd of that budget, so the build holds little more than the
 operator it makes. The statistical checks
 (:func:`check_gaussian_max`, :func:`check_theta_moment`) draw and reduce
-their trials in chunks of about ``CHECK_CHUNK_BYTES``. None of these changes
-a bit: Philox fills its stream in order, and every stacked transform and
-batched solve gives each row what it gives that row alone.
+their trials in chunks of about ``CHECK_CHUNK_BYTES``. ``gridfilt bench``
+draws the Gaussian maxima on a worker thread while its experiments run, so
+the draws' buffers, and the 8 bytes a trial of each N's maxima, are held
+next to the experiments' arrays rather than after them. None of these
+changes a bit: Philox fills its stream in order, and every stacked transform
+and batched solve gives each row what it gives that row alone.
 
 The module only computes and writes no files; :mod:`gridfilt.cli` owns every
 output layout.
@@ -322,8 +325,10 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
     fails this check on at most about 0.54% of seeds (2 of the master seeds
     0..599 at N = 1).
 
-    The trials are drawn and reduced in chunks, through preallocated
-    buffers of about ``CHECK_CHUNK_BYTES``.
+    The check is its two halves: :func:`_gaussian_maxima` draws the trials'
+    maxima, in chunks through preallocated buffers of about
+    ``CHECK_CHUNK_BYTES``, and :func:`_gaussian_max_report` reduces them.
+    ``gridfilt bench`` calls the halves itself, the draws on a worker thread.
 
     Checks with one seed and different ``N`` are not independent draws: the
     ``2 N trials`` normals of a check are the start of the one Philox stream
@@ -333,6 +338,16 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
     """
     _gaussian_max_args(N, trials)
     _seed_arg(seed)
+    return _gaussian_max_report(N, _gaussian_maxima(N, trials, seed))
+
+
+def _gaussian_maxima(N: int, trials: int, seed: int) -> np.ndarray:
+    """The largest modulus of N standard complex Gaussians, per trial.
+
+    numpy fills and reduces these arrays without holding the GIL, and the
+    function calls nothing that the benchmark's tracer wraps, so it may run
+    on a thread of its own.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
     # Philox fills the stream in order, so drawing the trials chunk by chunk
     # gives every trial the values of one (trials, 2, N) draw
@@ -348,6 +363,13 @@ def check_gaussian_max(N: int, trials: int, seed: int = 0) -> GaussianMaxReport:
         z[:k].imag = draws[:k, 1]
         np.abs(z[:k], out=mag[:k])
         mag[:k].max(axis=1, out=max_mag[lo:lo + k])
+    return max_mag
+
+
+def _gaussian_max_report(N: int, max_mag: np.ndarray) -> GaussianMaxReport:
+    """The check's report on the per-trial maxima ``max_mag`` of N
+    Gaussians."""
+    trials = len(max_mag)
     max_sq = max_mag ** 2
     shift = math.sqrt(2 * math.log(N))
     freqs, ses = [], []

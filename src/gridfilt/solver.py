@@ -646,11 +646,18 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
-                (rows, K, b, alpha, dr, dc, step, omega, tau, sigma, Phi, y,
+                # K's kept rows move forward in place, so no second K is
+                # built; its prefix is C-contiguous, as the copy would be
+                kept = np.flatnonzero(keep)
+                for i, j in enumerate(kept):
+                    if i != j:
+                        K[i] = K[j]
+                K = K[:len(kept)]
+                (rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi, y,
                  Phi0, y0, restart_it, r_restart, r_last, best_J, best_phi,
                  best_D, best_y) = (
                     x[keep] for x in (
-                        rows, K, b, alpha, dr, dc, step, omega, tau, sigma, Phi,
+                        rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi,
                         y, Phi0, y0, restart_it, r_restart, r_last, best_J,
                         best_phi, best_D, best_y))
     return out
@@ -722,8 +729,8 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     size = max(1, SOLVE_BATCH_BYTES // ((geo.n + len(geo.off)) * geo.n * 16))
     fits = []
     for lo in range(0, len(instances), size):
-        # the operators are passed on, not held here, so that _pdhg's
-        # compaction frees the rows of solved instances
+        # the operators are passed on, not held here: _pdhg scales and
+        # compacts K in place, and frees b's rows of solved instances
         fits += _pdhg(geo, *geo.operators(instances[lo:lo + size]),
                       instances[0].l1_bound, tol, max_iter)
     n, shape = geo.n, geo.window.shape

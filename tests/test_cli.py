@@ -1,10 +1,14 @@
 """Command line interface: round trips, exit codes, golden layouts."""
 
+import importlib
+import importlib.util
 import json
 import math
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +524,7 @@ def test_bench_theta_moment_bad_value_names_its_key(
         tmp_path, monkeypatch, capsys, key, value, message):
     from gridfilt import cli
 
-    for name in ("monte_carlo", "check_gaussian_max", "check_theta_moment"):
+    for name in ("monte_carlo", "_gaussian_maxima", "check_theta_moment"):
         monkeypatch.setattr(cli, name, _refuse)
     doc = bench_doc(trials=3)
     doc["checks"] = {"gaussian_max": {"Ns": [16], "trials": 2000},
@@ -541,8 +545,8 @@ def test_bench_checks_alone(tmp_path, monkeypatch, passed):
 
     monkeypatch.setattr(cli, "monte_carlo", _refuse)
     if not passed:
-        real = cli.check_gaussian_max
-        monkeypatch.setattr(cli, "check_gaussian_max", lambda *args, **kwargs:
+        real = cli._gaussian_max_report
+        monkeypatch.setattr(cli, "_gaussian_max_report", lambda *args, **kwargs:
                             dataclasses.replace(real(*args, **kwargs), bound_mean=-1.0))
     doc = bench_doc()
     doc["experiments"] = []
@@ -651,7 +655,7 @@ def test_bench_T_below_certificate_order_before_sampling(tmp_path, monkeypatch,
 def test_bench_nothing_to_run_config_error(tmp_path, monkeypatch, capsys):
     from gridfilt import cli
 
-    monkeypatch.setattr(cli, "check_gaussian_max", _refuse)
+    monkeypatch.setattr(cli, "_gaussian_maxima", _refuse)
     doc = bench_doc()
     doc["experiments"] = []
     del doc["checks"]
@@ -869,7 +873,7 @@ def test_bench_rejects_bad_seed_before_sampling(tmp_path, monkeypatch, capsys,
     from gridfilt import cli
 
     monkeypatch.setattr(cli, "monte_carlo", _refuse)
-    monkeypatch.setattr(cli, "check_gaussian_max", _refuse)
+    monkeypatch.setattr(cli, "_gaussian_maxima", _refuse)
     doc = bench_doc()
     if value is not None:
         doc["master_seed"] = value
@@ -930,6 +934,166 @@ def test_bench_seed_flag_overrides(tmp_path):
                  "--seed", "123", "--quiet"]) == 0
     header = (tmp_path / "r1" / "stats.csv").read_text().splitlines()[0]
     assert header == "# master_seed=123"
+
+
+# ---------------------------------------------------------------- output paths
+
+
+PATH_FAULTS = ["out-is-a-file", "absolute-in-missing-dir", "relative-in-missing-dir",
+               "a-directory", "not-a-name"]
+
+
+def _path_faults(tmp_path):
+    """``(--out, the file name of one output, the message)`` of each output
+    path that cannot be written, in ``PATH_FAULTS`` order; ``{key}`` in the
+    message is the config key of the output."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    (tmp_path / "dir").mkdir()
+    return [(str(taken), None, "--out: cannot create the output directory"),
+            (str(tmp_path / "out"), str(tmp_path / "missing" / "f"), "{key}: cannot "
+             f"write {str(tmp_path / 'missing' / 'f')!r}, as "
+             f"{str(tmp_path / 'missing')!r} is not a directory"),
+            (str(tmp_path / "out"), "missing/f", "{key}: cannot write"),
+            (str(tmp_path), "dir", "{key}: cannot write " +
+             f"{str(tmp_path / 'dir')!r}, as it is a directory"),
+            (str(tmp_path / "out"), 3, "{key}: expected a file name, got 3")]
+
+
+@pytest.mark.parametrize("case", range(5), ids=PATH_FAULTS)
+def test_bench_unwritable_output_path_before_sampling(tmp_path, monkeypatch,
+                                                      capsys, case):
+    # found before any trial or draw, not after all of them
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    monkeypatch.setattr(cli, "_gaussian_maxima", _refuse)
+    out, name, message = _path_faults(tmp_path)[case]
+    doc = bench_doc(trials=3)
+    if name is not None:
+        doc["out"]["trials_csv"] = name
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", out]) == 2
+    message = message.format(key="config.out.trials_csv")
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("case", range(5), ids=PATH_FAULTS)
+def test_denoise_unwritable_output_path_before_solving(tmp_path, monkeypatch,
+                                                       capsys, case):
+    from gridfilt import cli
+
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-16], "hi": [16]})
+    monkeypatch.setattr(cli, "denoise_point", _refuse)
+    out, name, message = _path_faults(tmp_path)[case]
+    doc = {"observations": str(obs), "setup": {"rho": 1.0, "T": 2},
+           "anchors": [[0]], "out": {"estimates": "est.csv" if name is None else name}}
+    cfg = write_config(tmp_path / "den.yaml", doc)
+    assert main(["denoise", "--config", cfg, "--out", out]) == 2
+    message = message.format(key="config.out.estimates")
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", range(5), ids=PATH_FAULTS)
+def test_generate_unwritable_output_path_before_writing(tmp_path, capsys, case):
+    # the signal is not written when the observations cannot be
+    out, name, message = _path_faults(tmp_path)[case]
+    doc = {"signal": constant_signal(), "box": {"lo": [-4], "hi": [4]},
+           "noise": {"sigma": 0.1, "seed": 1},
+           "out": {"signal": "s.zdf", "observations": "y.zdf" if name is None else name}}
+    cfg = write_config(tmp_path / "gen.yaml", doc)
+    assert main(["generate", "--config", cfg, "--out", out]) == 2
+    message = message.format(key="config.out.observations")
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("s.zdf"))
+
+
+# ---------------------------------------------------------------- bench worker thread
+
+
+def _perfbench_tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_bench_runs_every_traced_call_on_the_main_thread(tmp_path):
+    # the tracer keeps one stack of open calls: a traced call on the draws'
+    # worker thread would break its accounting, in which the self times add
+    # up to the root call's wall time
+    from gridfilt import cli
+
+    tracing = _perfbench_tracing()
+    traced_code = set()
+    for _, modname, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        traced_code.add(owner.__code__)
+    off_main = []
+
+    def profile(frame, event, arg):   # set on threads started from here on
+        if event == "call" and frame.f_code in traced_code:
+            off_main.append(frame.f_code.co_name)
+
+    doc = bench_doc(trials=3)
+    doc["checks"] = {"gaussian_max": {"Ns": [1, 16, 256], "trials": 2000},
+                     "theta_moment": {"T": 2, "sigma": 0.7, "trials": 20}}
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    tracer = tracing.Tracer()
+    threading.setprofile(profile)
+    try:
+        with tracer.installed("cli"):   # which rebinds cli.main, not main here
+            assert cli.main(["bench", "--config", cfg, "--out", str(tmp_path),
+                             "--quiet"]) == 0
+    finally:
+        threading.setprofile(None)
+    assert off_main == []
+    [root] = [s for s in tracer.spans if s["name"] == "cli.main"]
+    wall = root["end"] - root["start"]
+    assert tracer.self_time_sum("cli") == pytest.approx(wall, rel=1e-6)
+    assert tracer.total("cli", "harness.monte_carlo")[0] == 1
+
+
+@pytest.mark.parametrize("fault", [None, "experiment", "draw"])
+def test_bench_joins_its_worker_thread(tmp_path, monkeypatch, capsys, fault):
+    # the draws run off the main thread, and the worker is gone when main
+    # returns or raises: after a failed experiment, whose exit code stays
+    # its own, and after a failed draw, whose error surfaces
+    from gridfilt import DomainError, cli
+
+    draw_threads = []
+    real = cli._gaussian_maxima
+
+    def draws(*args, **kwargs):   # slow enough to outlast a failed experiment
+        draw_threads.append(threading.current_thread())
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    def uncovered(*args, **kwargs):
+        raise DomainError("window not covered")
+
+    monkeypatch.setattr(cli, "_gaussian_maxima", _refuse if fault == "draw" else draws)
+    if fault == "experiment":
+        monkeypatch.setattr(cli, "monte_carlo", uncovered)
+    cfg = write_config(tmp_path / "bench.yaml", bench_doc(trials=3))
+    argv = ["bench", "--config", cfg, "--out", str(tmp_path), "--quiet"]
+    before = threading.active_count()
+    if fault == "draw":
+        with pytest.raises(AssertionError, match="before the whole config"):
+            main(argv)
+    else:
+        assert main(argv) == (4 if fault else 0)
+    assert threading.active_count() == before
+    if fault == "experiment":
+        assert "coverage error: window not covered" in capsys.readouterr().err
+    if fault is None:
+        assert len(draw_threads) == 2   # one per N
+        assert all(t is not threading.main_thread() for t in draw_threads)
 
 
 # ---------------------------------------------------------------- certify
