@@ -277,10 +277,12 @@ def _build_certificate(node, ctx: str) -> Certificate:
 
 
 def _load_config(path, required, optional=()) -> dict:
-    """The config document at ``path``, its top-level keys checked."""
+    """The config document at ``path``, its top-level keys checked. Parsed
+    by libyaml's safe loader where PyYAML was built with it, else by the pure
+    Python one: the same document either way."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

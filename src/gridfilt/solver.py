@@ -22,7 +22,8 @@ too. ``fields.Box.support`` alone checks the lag, ``0 <= kappa <= W``.
 Method: after the unitary change of variables ``Phi = F_W phi`` the program is
 a complex l1-ball constrained Chebyshev fit ``min ||b - A Phi||_inf``, and the
 support constraint ``F_W^H Phi = 0`` off S is more rows of one operator ``K``
-(none for filtering), scaled by ``||A||`` so that ``K`` scales with the data.
+(none for filtering), scaled by an estimate of ``||A||`` so that ``K`` scales
+with the data.
 ``F_W`` and ``F_W^H`` are applied axis by axis (``fields.dft_windows``,
 ``fields.idft_windows``).
 
@@ -51,9 +52,12 @@ primal-dual step with exact closed-form projections, the iterate
 iteration after a restart, and restarts at ``P(z)``, its new anchor ``z0``,
 when its fixed-point residual ``||z - P(z)||`` has fallen enough since the
 last restart. The primal and dual steps are ``eta / omega``
-and ``eta omega`` with ``eta = 0.99 / ||K~||``, ``||K~||`` the exact spectral
-norm (largest singular value), so that their product times ``||K~||^2`` is
-``0.99^2 < 1``, as PDHG's convergence needs; the primal weight ``omega``
+and ``eta omega`` with ``eta = 0.99 / s``, where ``s`` is the Lanczos
+estimate of ``||K~||`` (:func:`_norm_estimate`). That estimate is a lower
+bound on the norm, but one exact to roundoff (a relative error of order
+1e-14, far inside the 1% that 0.99 leaves), so the product of the steps
+times ``||K~||^2`` stays below 1, as PDHG's convergence needs; the primal
+weight ``omega``
 starts at 1 and is set at every restart to how far the dual moved over how
 far the primal moved since the last anchor (the adaptive primal weight of
 PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
@@ -85,7 +89,9 @@ tracing pass another). A batch whose stacked operators would exceed
 for the same reason changes no result. The same budget bounds the build: a
 sub-batch's ``K`` is made and equilibrated in place, a slab of about a 32nd
 of the budget at a time, so building ``K`` holds ``K`` and a few slabs, and
-no bit depends on the slabs either.
+no bit depends on the slabs either. No matrix is factored: both norms, of
+``A`` and of ``K~``, come from products with ``K``, so beside ``K`` a solve
+holds vectors and at most 64 Lanczos vectors an instance.
 """
 
 from __future__ import annotations
@@ -383,6 +389,66 @@ def _rmatvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conj(np.matmul(np.conj(x)[..., None, :], M)[..., 0, :])
 
 
+# The Lanczos norm estimate: at most NORM_STEPS steps, and a row stops when its
+# estimate rises by at most a factor 1 + NORM_SETTLE in a step
+NORM_STEPS, NORM_SETTLE = 64, 1e-12
+
+
+def _norm_estimate(M: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of the stack ``M``, from below and
+    exact to roundoff, from products with ``M`` alone.
+
+    The square root of the top Ritz value of the Lanczos process on ``M^H
+    M``, which is Golub & Kahan's bidiagonalisation of ``M`` (SIAM J. Numer.
+    Anal. 1965): a Rayleigh quotient of ``M^H M``, so above the norm by
+    roundoff at most. Every row starts from one fixed-seed complex Gaussian vector, each new
+    vector is reorthogonalised against all before it, twice, and a row runs
+    at most ``min(n, NORM_STEPS)`` steps. It keeps its estimate once the
+    estimate rises by at most a factor ``1 + NORM_SETTLE`` in a step, or
+    once the Krylov space is invariant to roundoff. Products go through
+    :func:`_matvec` and :func:`_rmatvec` and the Ritz values through the
+    row-wise ``eigvalsh``, so a row comes out bit for bit as it would alone,
+    and a power-of-two multiple of ``M`` gives exactly that multiple. 0 for
+    a zero matrix.
+    """
+    B, _, n = M.shape
+    steps = min(n, NORM_STEPS)
+    real, imag = np.random.default_rng(0).standard_normal((2, n))
+    start = real + 1j * imag
+    # the Lanczos vectors: room for 8, doubled as needed. The estimate seldom
+    # takes more than 16 steps, and room for min(n, NORM_STEPS) would be the
+    # size of A at small n (it raised the d = 1 bench's peak RSS)
+    V = np.zeros((B, min(steps, 8), n), dtype=np.complex128)
+    V[:, 0] = start / math.sqrt(_sq_norms(start))
+    # the tridiagonal V^H M^H M V: its diagonal and subdiagonal
+    diag, sub = np.zeros((B, steps)), np.zeros((B, steps))
+    est, live = np.zeros(B), np.ones(B, dtype=bool)
+    for j in range(steps):
+        u = _matvec(M, V[:, j])
+        diag[:, j] = _sq_norms(u)
+        w = _rmatvec(M, u)
+        Vj = V[:, :j + 1]
+        for _ in range(2):   # w -= Vj Vj^H w, with conj(Vj^H w) = Vj conj(w)
+            h = np.conj(_matvec(Vj, np.conj(w)))
+            w -= np.matmul(h[:, None, :], Vj)[:, 0]
+        beta = np.sqrt(_sq_norms(w))
+        # the top Ritz value; eigvalsh reads the lower triangle only
+        T = np.zeros((np.count_nonzero(live), j + 1, j + 1))
+        i = np.arange(j + 1)
+        T[:, i, i] = diag[live, :j + 1]
+        T[:, i[1:], i[:-1]] = sub[live, :j]
+        theta = np.linalg.eigvalsh(T)[:, -1]
+        rose = np.sqrt(theta) > est[live] * (1 + NORM_SETTLE)
+        est[live] = np.sqrt(theta)
+        live[live] = rose & (beta[live] > np.finfo(float).eps * theta)
+        if j + 1 == steps or not live.any():
+            return est
+        if j + 1 == V.shape[1]:
+            V = np.concatenate([V, np.zeros_like(V[:, :steps - j - 1])], axis=1)
+        sub[live, j] = beta[live]
+        V[live, j + 1] = w[live] / beta[live, None]
+
+
 def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
     """The instance's filter from spatial coefficients on the window."""
     grid = phi_sp.reshape((2 * inst.W + 1,) * inst.d)
@@ -404,8 +470,8 @@ def project_l1_ball(z: np.ndarray, radius: float,
     preserved. Unit weights give the unweighted projection bit for bit, and
     a row comes out bit for bit as it would alone. Deterministic.
     """
-    if radius < 0:
-        raise ParamError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ParamError(f"radius must be nonnegative, got {radius}")
     rows = z.reshape(-1, z.shape[-1])
     B, n = rows.shape
     a = np.abs(rows)
@@ -505,10 +571,12 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     The dual ``y = (u, w)`` has an entry per row of ``K``; its prox projects
     ``u``, the first ``n``, onto the unit l1 ball. The iteration runs on the
     equilibrated ``D_r K D_c`` (see the module docstring), which replaces
-    ``K`` in place. Returns, per instance: the spatial coefficients of the
-    best feasible filter, its objective, the best dual value, the iteration
-    count, whether the gap reached ``tol`` and the dual vector attaining
-    the best dual value.
+    ``K`` in place. Its step and the scale of the support rows are
+    estimates of norms by :func:`_norm_estimate`, which factors no matrix.
+    Returns, per instance: the spatial coefficients of the best feasible
+    filter, its objective, the best dual value, the iteration count, whether
+    the gap reached ``tol`` and the dual vector attaining the best dual
+    value.
     """
     n = geo.n
     zero = np.abs(b).max(axis=1) == 0
@@ -519,13 +587,13 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     if rows.size < len(zero):      # indexing copies; K is scaled in place below
         K, b = K[rows], b[rows]
     B = len(rows)
-    # the support rows scaled by alpha = ||A|| (1 for an A of zero), so that K,
-    # and with it the iteration, scales with the data; the multiplier of the
-    # unscaled rows is alpha times that of the scaled ones
+    # the support rows scaled by alpha, the estimate of ||A|| (1 for an A of
+    # zero), so that K, and with it the iteration, scales with the data; the
+    # multiplier of the unscaled rows is alpha times that of the scaled ones
     m = K.shape[1] - n
     alpha = np.ones(B)
     if m:
-        alpha = np.linalg.norm(K[:, :n], 2, axis=(1, 2))
+        alpha = _norm_estimate(K[:, :n])
         alpha[alpha == 0] = 1.0
         K[:, n:] *= alpha[:, None, None]
     # equilibrate: K <- D_r K D_c, b <- D_r b, in place; the primal is
@@ -542,7 +610,7 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     K *= dr[:, :, None]
     K *= dc[:, None, :]
     b *= dr
-    step = (0.99 / np.linalg.norm(K, 2, axis=(1, 2)))[:, None]
+    step = (0.99 / _norm_estimate(K))[:, None]
     # the primal weight omega: primal step step / omega, dual step step * omega
     omega = np.ones(B)
     tau, sigma = step, step

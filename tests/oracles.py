@@ -15,6 +15,8 @@ minimization is plain projected subgradient descent from many random starts.
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
 ``dense_dft`` is the transform of a whole window as one Kronecker matrix,
+``spectral_norm`` is the largest singular value of each matrix of a stack, by
+SVD,
 ``laurent_product_loop`` multiplies two filters one pair of taps at a time,
 and ``harmonic_filter_exact`` builds a harmonic filter in exact rational
 arithmetic.
@@ -145,6 +147,13 @@ def dense_dft(T: int, d: int) -> np.ndarray:
     for _ in range(d - 1):
         F = np.kron(F, F1)
     return F
+
+
+def spectral_norm(M: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of the stack ``M``, from a
+    full SVD: the exact norm the solver's Lanczos estimate is checked
+    against."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
 def laurent_product_loop(a: Filter, b: Filter) -> Field:

@@ -294,6 +294,26 @@ def test_denoise_unreadable_observations_exit_code(tmp_path, capsys):
         assert "cannot read observations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["setup: {rho: 1.0\n", "anchors: [[0]\n",
+                                  "a: b: c\n"])
+def test_malformed_yaml_config_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "den.yaml"
+    cfg.write_text(text)
+    assert main(["denoise", "--config", str(cfg), "--quiet"]) == 2
+    assert "config is not valid YAML" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_committed_configs_parse_alike_with_either_loader():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*root.glob("configs/*.yaml"), *root.glob("tests/golden/*.yaml")])
+    assert len(paths) >= 9
+    for path in paths:
+        text = path.read_text()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader)), path.name
+
+
 def test_denoise_non_finite_observation_exit_code(tmp_path, capsys):
     from gridfilt import Box, Field, write_zdf
 

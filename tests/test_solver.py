@@ -18,7 +18,7 @@ from gridfilt import (
     filter_product,
 )
 from gridfilt.fields import dft_window, idft_windows
-from gridfilt.harness import NoiseSpec, sample_noise
+from gridfilt.harness import NoiseSpec, derive_seed, sample_noise
 from gridfilt.signals import (
     ExpPolynomial,
     eval_exp_poly,
@@ -30,6 +30,7 @@ from gridfilt.solver import (
     CHECK_EVERY,
     SOLVE_BATCH_BYTES,
     _Geometry,
+    _norm_estimate,
     build_instance,
     dual_lower_bound,
     objective,
@@ -45,6 +46,7 @@ from oracles import (
     points,
     project_l1_bisect,
     project_l1_sort,
+    spectral_norm,
     subgradient_minimize,
     translate,
 )
@@ -107,6 +109,15 @@ def test_project_l1_rowwise_matches_single_vector():
     assert np.array_equal(project_l1_ball(z[1:3], 0.7, w[1:3]), z[1:3])
     with pytest.raises(ParamError):
         project_l1_ball(z, -1.0, w)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -math.inf, -1e-300])
+def test_project_l1_rejects_radius_not_nonnegative(radius):
+    # a NaN radius fails every comparison, so it must not pass as "not
+    # negative": it would make every row NaN
+    z = np.array([[3.0 + 1j, -2.0j], [0.1, 0.0]])
+    with pytest.raises(ParamError, match="radius must be nonnegative"):
+        project_l1_ball(z, radius, np.ones(z.shape))
 
 
 @pytest.mark.parametrize("weights", ["unit", "pow2", "uniform"])
@@ -754,12 +765,15 @@ OPERATOR_CASES = [("filtering", 1, 2, None), ("prediction", 1, 2, 0),
 @pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
 def test_batch_operators_match_each_instance_alone(mode, d, T, kappa):
     insts = _operator_batch(mode, d, T, kappa)
-    K, b = _Geometry(insts[0]).operators(insts)
-    norms = np.linalg.norm(K, 2, axis=(1, 2))
+    geo = _Geometry(insts[0])
+    K, b = geo.operators(insts)
+    # the norm estimates of K and of A, its first n rows, row by row as well
+    norms = [_norm_estimate(M) for M in (K, K[:, :geo.n])]
     for k, inst in enumerate(insts):
         K1, b1 = _Geometry(inst).operators([inst])
         assert np.array_equal(K[k], K1[0]) and np.array_equal(b[k], b1[0])
-        assert norms[k] == np.linalg.norm(K1, 2, axis=(1, 2))[0]
+        assert [x[k] for x in norms] == [_norm_estimate(M)[0]
+                                         for M in (K1, K1[:, :geo.n])]
 
 
 @pytest.mark.parametrize("mode,d,T,kappa", OPERATOR_CASES)
@@ -822,3 +836,121 @@ def test_operator_columns_match_design_matrix(mode, d, T, kappa):
         A_spatial[:, cols] = 0
         assert np.abs(A_spatial).max() <= 1e-12 * scale
         assert np.abs(b[k, :n] - b_ref).max() <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------- step size
+
+
+def _norm_calls(insts):
+    """Every matrix a solve of ``insts`` takes a norm of, with its estimate:
+    in prediction ``A`` (the support row scale) and then ``K~`` (the step),
+    in filtering ``K~`` alone."""
+    from gridfilt import solver
+
+    calls, real = [], solver._norm_estimate
+
+    def spy(M):
+        est = real(M)
+        calls.append((M.copy(), est.copy()))
+        return est
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_norm_estimate", spy)
+        solve_batch(insts, tol=1e-3, max_iter=1)
+    return calls
+
+
+def _plane_wave_instance():
+    # the plane wave's frequency bin dominates K; K~ is its equilibrated form
+    poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
+    box = Box((-16, -16), (17, 17))
+    y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 2))
+    return [build_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho)]
+
+
+def _lag_one_instance():
+    # d = 1, T = 4, kappa = 1: a power iteration from the all-ones vector
+    # sits about half below the norm of this K~
+    box = Box((-16,), (-1,))
+    y = Field(box, np.ones(16)) + sample_noise(box, NoiseSpec(0.1, 5))
+    return [build_instance(y, (0,), 4, math.sqrt(2), 1)]
+
+
+def _constant_T4_batch():
+    # the 48 trials of the bench's constant-T4 experiment, solved as one batch
+    box = Box((-16,), (16,))
+    s = Field(box, np.ones(33))
+    rho = exp_certificate_1d(0.0).rho
+    return [build_instance(s + sample_noise(box, NoiseSpec(0.1, derive_seed(20240811, i))),
+                           (0,), 4, rho) for i in range(48)]
+
+
+# d = 1 and 2, filtering, and prediction at kappa = 0, 1 and 2T
+NORM_OPERATOR_CASES = OPERATOR_CASES + [("prediction", 1, 2, 1),
+                                        ("prediction", 2, 1, 1),
+                                        ("filtering", 2, 2, None)]
+NORM_INSTANCES = {"plane-wave-d2-T4": _plane_wave_instance,
+                  "lag-one-d1-T4": _lag_one_instance,
+                  "constant-T4-batch": _constant_T4_batch}
+
+
+@pytest.mark.parametrize("case", NORM_OPERATOR_CASES + list(NORM_INSTANCES),
+                         ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else c)
+def test_norm_estimate_is_the_norm_from_below(case):
+    # the Lanczos estimate is a lower bound on the norm, exact to roundoff, so
+    # 0.99 / estimate is a valid step; power-of-two multiples are exact
+    insts = _operator_batch(*case) if isinstance(case, tuple) else NORM_INSTANCES[case]()
+    calls = _norm_calls(insts)
+    assert len(calls) == (1 if insts[0].kappa is None else 2)
+    for M, est in calls:
+        exact = spectral_norm(M)
+        assert np.all(est >= (1 - 1e-9) * exact), (est / exact - 1).min()
+        assert np.all(est <= (1 + 1e-12) * exact), (est / exact - 1).max()
+        assert np.array_equal(_norm_estimate(2.0 ** -20 * M), 2.0 ** -20 * est)
+
+
+def test_norm_estimate_needs_its_random_start():
+    # from the all-ones vector a power iteration stalls well below the norm of
+    # this K~; the fixed Gaussian start of the estimate does not
+    K = _norm_calls(_lag_one_instance())[-1][0]
+    exact = spectral_norm(K)[0]
+    x = np.ones(K.shape[-1], dtype=complex)
+    for _ in range(20):
+        x = K[0].conj().T @ (K[0] @ x)
+        x /= np.linalg.norm(x)
+    assert np.linalg.norm(K[0] @ x) < 0.6 * exact
+    assert _norm_estimate(K)[0] >= (1 - 1e-9) * exact
+
+
+def test_norm_estimate_of_a_zero_support_operator():
+    # y is nonzero only at tau = -1, which no support shift reads: A = 0 has
+    # the estimate 0, the support rows keep the scale alpha = 1, and the
+    # solve converges with no 0/0
+    data = np.zeros(9, dtype=complex)
+    data[7] = 1.0 - 2.0j
+    inst = build_instance(Field(Box((-8,), (0,)), data), (0,), 2, 2.0, 1)
+    (A, alpha), (K, est) = _norm_calls([inst])
+    assert not A.any() and alpha.tolist() == [0.0]
+    n = A.shape[1]
+    assert np.all(np.isfinite(est)) and est[0] >= (1 - 1e-9) * spectral_norm(K)[0]
+    # the support rows of K~ are dense F_W^H rows times alpha = 1,
+    # equilibrated: an alpha of 0 would zero them, one of 1/0 make them inf
+    assert np.all(np.abs(K[0, n:]) > 0) and np.all(np.isfinite(K))
+    assert solve(inst, tol=1e-9).converged
+
+
+def test_solves_factor_no_matrix(monkeypatch):
+    # the support row scale and the step come from products with K alone:
+    # every SVD entry point numpy has raises, and both modes still solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve computed an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for name in ("svd", "svd_f", "svd_s"):
+        monkeypatch.setattr(np.linalg._umath_linalg, name, refuse)
+    with pytest.raises(AssertionError, match="SVD"):
+        np.linalg.norm(np.eye(2), 2)
+    y = noisy_field(Box((-16,), (16,)), mean=1.0, sigma=0.1)
+    for kappa in (None, 1):
+        inst = build_instance(y, (0,), 2, 2.0, kappa)
+        assert solve(inst, tol=1e-5).converged
