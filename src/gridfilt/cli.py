@@ -47,6 +47,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -292,13 +293,14 @@ def _load_config(path, required, optional=()) -> dict:
 
 def _tolerance(args, cfg: dict, default: float) -> float:
     """The solver tolerance, from ``--tol`` or else ``config.tol``; a value
-    that is not positive (NaN included) is an error naming its source."""
+    that is not positive and finite (NaN included) is an error naming its
+    source: an infinite one would pass any gap as converged."""
     if args.tol is not None:
         tol, source = args.tol, "--tol"
     else:
         tol, source = _number(cfg.get("tol", default), "config.tol"), "config.tol"
-    if not tol > 0:
-        raise ConfigError(f"{source}: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"{source}: tol must be positive and finite, got {tol}")
     return tol
 
 

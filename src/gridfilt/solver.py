@@ -37,7 +37,10 @@ large entry of ``K``, such as a plane wave's frequency bin, sets the one step
 size for every direction. The iteration runs in the scaled variables
 ``Phi / dc`` and ``y / dr``, where the two l1 balls become the weighted balls
 ``sum dc |x| <= c`` and ``sum dr |v| <= 1``, projected on exactly by
-:func:`project_l1_ball`. The factors are powers of two so that
+:func:`project_l1_ball`: Newton's method on the active set, with no sort,
+which each ball starts from the set its last projection ended with, so one
+pass usually both finds and confirms the threshold. The factors are powers
+of two so that
 ``K = D_r^-1 K~ D_c^-1`` holds exactly and dividing a product with ``K~`` by
 them is exact: the objective of each feasible filter and the dual bound
 ``D(u, w)`` come out as the unscaled operator gives them, bit for bit, while
@@ -457,18 +460,29 @@ def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
                   inst.W, inst.kappa)
 
 
-def project_l1_ball(z: np.ndarray, radius: float,
-                    weights: np.ndarray) -> np.ndarray:
+def project_l1_ball(z: np.ndarray, radius: float, weights: np.ndarray,
+                    active: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of complex vectors onto the weighted l1 ball
     ``{x : sum_j w_j |x_j| <= radius}``.
 
     ``z`` is one vector or a stack of them (rows of a 2-d array), each
     projected on its own; ``weights``, positive, has the shape of ``z``.
-    Moduli are shrunk to ``max(|z_j| - lam w_j, 0)`` with the exact
-    threshold ``lam = (sum_j w_j |z_j| - radius) / sum_j w_j^2``, the sums
-    over the entries of largest ratio ``|z_j| / w_j`` (sort based); phases are
-    preserved. Unit weights give the unweighted projection bit for bit, and
-    a row comes out bit for bit as it would alone. Deterministic.
+    Moduli are shrunk to ``max(|z_j| - lam w_j, 0)`` and phases are
+    preserved; a row inside the ball comes back unchanged, and radius 0
+    gives zeros.
+
+    The threshold ``lam`` comes from Newton's method on the active set: from
+    a set ``A``, ``lam = (sum_A w |z| - radius) / sum_A w^2``, then ``A <-
+    {|z_j| / w_j > lam}``, until ``A`` stops changing, which makes ``lam``
+    exact. From any nonempty ``A`` the first ``lam`` is at most the exact
+    one, and from there ``lam`` rises and ``A`` shrinks, so a row of ``n``
+    entries takes at most ``n + 1`` passes. ``active``, a bool array of
+    ``z``'s shape, is the start set; it is updated in place to the final set
+    of each row outside the ball, so a caller that projects nearby points
+    keeps it from call to call, and one pass usually both computes ``lam``
+    and confirms it. None, and a row with no entry set, start from all
+    entries. The result depends on the final set alone, not on the start,
+    and a row comes out bit for bit as it would alone. Deterministic.
     """
     if not radius >= 0:
         raise ParamError(f"radius must be nonnegative, got {radius}")
@@ -481,24 +495,35 @@ def project_l1_ball(z: np.ndarray, radius: float,
     n_inside = np.count_nonzero(inside)
     if n_inside == len(inside):
         return z.copy()
-    ratio = a / w
-    # the entries of each row by decreasing ratio, as indices into the
-    # flattened stack: one gather per sorted quantity
-    order = np.argsort(ratio, axis=1)[:, ::-1] + (np.arange(B) * n)[:, None]
-    srt = ratio.ravel()[order]
-    thresh = ((wa.ravel()[order].cumsum(axis=1) - radius)
-              / (w * w).ravel()[order].cumsum(axis=1))
-    # last index where the sorted ratio exceeds its threshold
-    last = (n - 1) - (srt > thresh)[:, ::-1].argmax(axis=1)
-    shrunk = np.maximum(a - thresh[np.arange(B), last][:, None] * w, 0.0)
     if radius == 0:
         out = np.zeros_like(rows)
-    elif np.count_nonzero(a) == a.size:
-        out = rows * (shrunk / a)
     else:
-        out = np.zeros_like(rows)
-        nz = a > 0
-        out[nz] = rows[nz] * (shrunk[nz] / a[nz])
+        ww = w * w
+        # a view: the set is updated in place
+        A = np.ones((B, n), dtype=bool) if active is None else active.reshape(B, n)
+        for _ in range(n + 1):
+            ww_A = (ww * A).sum(axis=1)
+            if not ww_A.all():   # a row with no entry set starts from all
+                A[ww_A == 0] = True
+                ww_A = (ww * A).sum(axis=1)
+            lam = ((wa * A).sum(axis=1) - radius) / ww_A
+            lam_w = lam[:, None] * w
+            new = a > lam_w
+            if not (new != A).any():
+                break
+            # roundoff leaves no entry above lam when the radius is below
+            # the roundoff of the row's largest ratio: such a row keeps its
+            # set and its lam, which shrinks every entry to zero
+            stuck = ~new.any(axis=1)
+            new[stuck] = A[stuck]
+            A[...] = new
+        shrunk = np.maximum(a - lam_w, 0.0)
+        if np.count_nonzero(a) == a.size:
+            out = rows * (shrunk / a)
+        else:
+            out = np.zeros_like(rows)
+            nz = a > 0
+            out[nz] = rows[nz] * (shrunk[nz] / a[nz])
     if n_inside:
         out[inside] = rows[inside]
     return out.reshape(z.shape)
@@ -617,6 +642,9 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
 
     Phi = np.zeros((B, n), dtype=np.complex128)
     y = np.zeros_like(b)
+    # the active sets of the two l1 balls, kept from one projection to the
+    # next: the iterates move little, so their sets seldom change
+    act_Phi, act_y = np.ones((B, n), dtype=bool), np.ones((B, n), dtype=bool)
     Phi0, y0 = Phi.copy(), y.copy()            # the anchor z0 of the epoch
     restart_it = np.zeros(B, dtype=np.int64)   # the epoch began after it
     r_restart = np.full(B, math.inf)
@@ -631,15 +659,22 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     while rows.size:
         it += 1
         # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
-        # is both its extrapolated point and the reflection of Phi
-        Phi_plus = project_l1_ball(Phi - tau * _rmatvec(K, y), c, dc)
+        # is both its extrapolated point and the reflection of Phi. The
+        # primal step Phi - tau K^H y is formed in the buffer of K^H y
+        g = _rmatvec(K, y)
+        g *= tau
+        np.subtract(Phi, g, out=g)
+        Phi_plus = project_l1_ball(g, c, dc, act_Phi)
         R = 2 * Phi_plus
         R -= Phi
         y_plus = _matvec(K, R)
         y_plus -= b
         y_plus *= sigma
         y_plus += y
-        y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0, dr[:, :n])
+        if m:
+            y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0, dr[:, :n], act_y)
+        else:
+            y_plus = project_l1_ball(y_plus, 1.0, dr, act_y)
 
         check = it % CHECK_EVERY == 0 or it == max_iter
         if check:
@@ -722,12 +757,12 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                         K[i] = K[j]
                 K = K[:len(kept)]
                 (rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi, y,
-                 Phi0, y0, restart_it, r_restart, r_last, best_J, best_phi,
-                 best_D, best_y) = (
+                 Phi0, y0, act_Phi, act_y, restart_it, r_restart, r_last,
+                 best_J, best_phi, best_D, best_y) = (
                     x[keep] for x in (
                         rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi,
-                        y, Phi0, y0, restart_it, r_restart, r_last, best_J,
-                        best_phi, best_D, best_y))
+                        y, Phi0, y0, act_Phi, act_y, restart_it, r_restart,
+                        r_last, best_J, best_phi, best_D, best_y))
     return out
 
 
@@ -771,9 +806,10 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     the multiplier of the unscaled rows. Returns one result per instance, in
     order, each bit-identical to what solving that instance alone gives. An
     instance that misses the budget is returned with its certified gap and
-    ``converged`` false. Raises ``ParamError`` for a tolerance that is not positive (NaN
-    included), an empty batch, or instances that differ in dimension, order,
-    lag (None for filtering) or l1 budget. Deterministic.
+    ``converged`` false. Raises ``ParamError`` for a tolerance that is not
+    positive and finite (NaN included), a budget ``max_iter`` that is not an
+    integer >= 1, an empty batch, or instances that differ in dimension,
+    order, lag (None for filtering) or l1 budget. Deterministic.
 
     The instances are built and iterated in consecutive sub-batches of as
     many instances (one at least) as have their stacked ``K``, ``(n + m) n``
@@ -782,10 +818,12 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     equilibrated in its own array, slab by slab (:func:`_slabs`), so the
     budget bounds the build as well as its result, again with no bit changed.
     """
-    if not tol > 0:
-        raise ParamError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParamError("max_iter must be positive")
+    if not 0 < tol < math.inf:
+        raise ParamError(f"tol must be positive and finite, got {tol}")
+    # the loop stops at it == max_iter, which no other number ever equals
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 1):
+        raise ParamError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not instances:
         raise ParamError("a batch needs at least one instance")
     kinds = {(inst.d, inst.T_alg, inst.kappa, inst.l1_bound) for inst in instances}

@@ -13,6 +13,7 @@ minimization is plain projected subgradient descent from many random starts.
 ``convolve_loop`` applies a filter one coefficient at a time,
 ``gaussian_max_one_shot`` draws all trials of the Gaussian-maximum check at once,
 ``project_l1_sort`` is the sort-based l1 projection of a single vector,
+``project_l1_weighted_sort`` the sort-based weighted projection of a stack,
 ``dft_window_tensordot`` transforms one window with one ``tensordot`` per axis,
 ``dense_dft`` is the transform of a whole window as one Kronecker matrix,
 ``spectral_norm`` is the largest singular value of each matrix of a stack, by
@@ -189,6 +190,37 @@ def project_l1_sort(z: np.ndarray, radius: float) -> np.ndarray:
     nz = a > 0
     out[nz] = z[nz] * (shrunk[nz] / a[nz])
     return out
+
+
+def project_l1_weighted_sort(z: np.ndarray, radius: float,
+                             weights: np.ndarray) -> np.ndarray:
+    """Sort-based projection of each row of ``z`` onto the weighted l1 ball
+    ``sum w |x| <= radius``: the exact threshold is read off the cumulative
+    sums of ``w |z|`` and ``w^2`` over the entries by decreasing ``|z| / w``.
+
+    The reference for the solver's active-set projection, which sums the
+    same entries in index order, so the two agree to roundoff.
+    """
+    rows = np.atleast_2d(z)
+    B, n = rows.shape
+    a = np.abs(rows)
+    w = np.atleast_2d(weights)
+    wa = a * w
+    order = np.argsort(a / w, axis=1)[:, ::-1]
+    srt, swa, sww = (np.take_along_axis(x, order, axis=1) for x in (a / w, wa, w * w))
+    thresh = (np.cumsum(swa, axis=1) - radius) / np.cumsum(sww, axis=1)
+    # the last sorted entry above its threshold
+    last = (n - 1) - np.argmax((srt > thresh)[:, ::-1], axis=1)
+    lam = thresh[np.arange(B), last]
+    shrunk = np.maximum(a - lam[:, None] * w, 0.0)
+    out = np.zeros_like(rows)
+    nz = a > 0
+    out[nz] = rows[nz] * (shrunk[nz] / a[nz])
+    inside = wa.sum(axis=1) <= radius
+    out[inside] = rows[inside]
+    if radius == 0:
+        out[~inside] = 0.0
+    return out.reshape(z.shape)
 
 
 def project_l1_bisect(z: np.ndarray, radius: float, iters: int = 80,

@@ -836,10 +836,12 @@ def test_bench_nan_tol_exit_code(tmp_path, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
-# (--tol value, config.tol value, the source the message must name)
+# (--tol value, config.tol value, the source the message must name); an
+# infinite tol would pass every gap as converged
 BAD_TOLS = [("nan", None, "--tol"), ("0", 1e-5, "--tol"), ("-1e-6", None, "--tol"),
             (None, float("nan"), "config.tol"), (None, -1e-5, "config.tol"),
-            (None, 0.0, "config.tol")]
+            (None, 0.0, "config.tol"), ("inf", None, "--tol"),
+            (None, float("inf"), "config.tol")]
 
 
 def _refuse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from oracles import (
     points,
     project_l1_bisect,
     project_l1_sort,
+    project_l1_weighted_sort,
     spectral_norm,
     subgradient_minimize,
     translate,
@@ -141,6 +143,64 @@ def test_project_l1_weighted_matches_bisection_oracle(weights):
         assert np.array_equal(out[inside], z[inside])
         for k in range(B):
             assert np.array_equal(out[k], project_l1_ball(z[k], radius, w[k]))
+
+
+def _start_sets(rng, z, radius, w):
+    """The start sets a warm projection may get: all entries, none, random
+    ones, and the set a call on a nearby point leaves."""
+    B, n = z.shape
+    near = z + 0.01 * (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n)))
+    left = np.ones((B, n), dtype=bool)
+    project_l1_ball(near, radius, w, left)
+    return {"all": np.ones((B, n), dtype=bool), "none": np.zeros((B, n), dtype=bool),
+            "random": rng.random((B, n)) < 0.5, "previous call": left}
+
+
+@pytest.mark.parametrize("weights", ["unit", "pow2", "uniform"])
+def test_project_l1_warm_start_gives_the_cold_result(weights):
+    # the start set changes the passes, never the result: each start ends at
+    # the cold result, which is the sort oracle's and the bisection's to
+    # roundoff, and leaves each row's final set, the entries kept nonzero
+    rng = np.random.default_rng(27)
+    B, n = 12, 15
+    z = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    z[0] *= 1e-3          # inside the ball
+    z[1] = 0              # zero row
+    z[2, ::3] = 0         # zero moduli
+    z[3] *= 100.0         # far outside
+    w = {"unit": np.ones((B, n)),
+         "pow2": np.ldexp(1.0, rng.integers(-3, 4, (B, n))),
+         "uniform": rng.uniform(0.1, 3.0, (B, n))}[weights]
+    scale = np.abs(z).max()
+    for radius in (0.0, 0.3, 2.0):
+        cold = project_l1_ball(z, radius, w)
+        assert np.abs(cold - project_l1_weighted_sort(z, radius, w)).max() <= 1e-15 * scale
+        outside = (w * np.abs(z)).sum(axis=1) > radius
+        for name, start in _start_sets(rng, z, radius, w).items():
+            starts = start.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # an empty start is no 0/0
+                out = project_l1_ball(z, radius, w, start)
+            assert np.abs(out - cold).max() <= 1e-15 * scale, name
+            ref = project_l1_bisect(z, radius, weights=w)
+            assert np.abs(out - ref).max() <= 1e-12 * max(1.0, scale), name
+            if radius > 0:
+                assert np.array_equal(start[outside], out[outside] != 0), name
+            for k in range(B):
+                alone = starts[k].copy()
+                assert np.array_equal(out[k], project_l1_ball(z[k], radius, w[k], alone))
+                if radius > 0 and outside[k]:
+                    assert np.array_equal(alone, start[k])
+
+
+def test_project_l1_radius_below_the_roundoff_of_a_row():
+    # lam = (|z_0| - radius) / 1 rounds to |z_0|, so no entry is above it:
+    # the row shrinks to zero, inside the ball, where the sort's last
+    # threshold above its entry would be the one of the whole row
+    z = np.array([1.0 + 0j, 0.5])
+    out = project_l1_ball(z, 1e-17, np.ones(2))
+    assert np.abs(out).sum() <= 1e-17
+    assert np.abs(out - project_l1_bisect(z, 1e-17)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- instances
@@ -732,11 +792,21 @@ def test_solve_batch_rejects_empty_and_mixed_batches():
 
 def test_solve_rejects_non_positive_or_nan_tol():
     inst = build_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
-    for tol in (0.0, -1e-6, float("nan")):
+    # an infinite tol would certify any gap
+    for tol in (0.0, -1e-6, float("nan"), math.inf):
         with pytest.raises(ParamError, match="tol"):
             solve(inst, tol=tol)
         with pytest.raises(ParamError, match="tol"):
             solve_batch([inst], tol=tol, max_iter=200)
+
+
+@pytest.mark.parametrize("max_iter", [30.5, float("nan"), 0, -1, True])
+def test_solve_rejects_a_budget_not_a_positive_integer(max_iter):
+    # the loop stops at an iteration count equal to the budget, which no
+    # fractional or NaN budget ever is
+    inst = build_instance(noisy_field(Box((-8,), (8,))), (0,), 2, 1.0)
+    with pytest.raises(ParamError, match="max_iter must be an integer >= 1"):
+        solve_batch([inst], tol=1e-300, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------- operator build
@@ -954,3 +1024,40 @@ def test_solves_factor_no_matrix(monkeypatch):
     for kappa in (None, 1):
         inst = build_instance(y, (0,), 2, 2.0, kappa)
         assert solve(inst, tol=1e-5).converged
+
+
+# ---------------------------------------------------------------- iteration counts
+
+
+# The iteration counts of three deterministic solves, pinned: a change that
+# moves one changes the iterates beyond roundoff, whatever it does to the
+# outputs' digits.
+
+
+def test_iterations_of_a_d2_filtering_solve():
+    # the plane wave of the d = 2 benchmark workload, noise seed 1, anchor (0, 0)
+    poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
+    box = Box((-16, -16), (17, 17))
+    y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 1))
+    res = solve(build_instance(y, (0, 0), 4, exp_poly_certificate(poly).rho), tol=1e-5)
+    assert res.converged and res.iterations == 3900
+
+
+def test_iterations_of_a_d2_prediction_solve():
+    poly = ExpPolynomial(((1.0, (0, 0), (0.4j, 0.25j)),))
+    box = Box((-16, -16), (17, 17))
+    y = eval_exp_poly(poly, box) + sample_noise(box, NoiseSpec(0.1, 1))
+    inst = build_instance(y, (0, 0), 2, exp_poly_certificate(poly).rho, 1)
+    res = solve(inst, tol=1e-5)
+    assert res.converged and res.iterations == 1175
+
+
+def test_iterations_of_a_d1_batch():
+    # 48 noisy copies of a constant, as a bench experiment solves them
+    box = Box((-16,), (16,))
+    s = eval_exp_poly(ExpPolynomial(((1.0, (0,), (0j,)),)), box)
+    rho = exp_certificate_1d(0j).rho
+    insts = [build_instance(s + sample_noise(box, NoiseSpec(0.1, seed)), (0,), 4, rho)
+             for seed in range(48)]
+    iterations = [r.iterations for r in solve_batch(insts, tol=1e-5) if r.converged]
+    assert (len(iterations), sum(iterations), max(iterations)) == (48, 7950, 375)
