@@ -19,14 +19,16 @@ Exit codes: 0 success; 1 failed bench check; 2 config error (a missing or
 unknown key, a malformed value such as a scalar or an empty list where a
 nonempty list belongs, a parameter out of range, a difference operator that
 is not regular, or an output path that cannot be written), or an unreadable
-observations file; 3 generation error, only an overflow or a harmonic signal
-whose Jacobi iteration misses its budget, in any subcommand that builds a
-signal; 4 window coverage error, or a non-finite observation in an anchor's
-window (before any solve); 5 solver non-convergence, which takes precedence
-over 1 (every output is still written: ``denoise``/``predict`` write every
-estimate row with its certified gap, and ``bench`` runs every experiment and
-check, records each trial with its certified gap, and names every trial
-whose gap exceeds the tolerance); 6 certificate bound violation.
+observations file; 3 generation error, only an overflow (of a signal, or of
+noise whose level times a draw exceeds the largest float) or a harmonic
+signal whose Jacobi iteration misses its budget, in any subcommand that
+builds a signal or samples noise; 4 window coverage error, or a non-finite
+observation in an anchor's window (before any solve); 5 solver
+non-convergence, which takes precedence over 1 (every output is still
+written: ``denoise``/``predict`` write every estimate row with its certified
+gap, and ``bench`` runs every experiment and check, records each trial with
+its certified gap, and names every trial whose gap exceeds the tolerance); 6
+certificate bound violation.
 
 Every output path is resolved and checked (``_out_paths``) before any
 sampling, solving or writing. Every output file is written here: each CSV
@@ -47,10 +49,8 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
-import threading
 from dataclasses import asdict, astuple, fields
 
 import numpy as np
@@ -74,6 +74,8 @@ from .harness import (
     _seed_arg,
     _sigma_arg,
     _theta_moment_args,
+    _theta_order_arg,
+    _trials_arg,
     check_theta_moment,
     monte_carlo,
     sample_noise,
@@ -97,7 +99,7 @@ from .signals import (
     simple_exp_certificate,
     tensor_certificate,
 )
-from .solver import read_observations
+from .solver import _tol_arg, read_observations
 
 
 # --------------------------------------------------------------------------
@@ -208,73 +210,75 @@ def _parse_operator(node, box: Box, ctx: str) -> Filter:
 
 
 def _build_signal(node, box: Box, ctx: str) -> Field:
-    kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
-    if kind == "exp_poly":
-        _section(node, ctx, ("kind", "terms"))
-        return eval_exp_poly(_parse_exp_poly(node["terms"], ctx + ".terms"), box)
-    if kind == "harmonic":
-        _section(node, ctx, ("kind", "operator", "boundary"), ("seed",))
-        op = _parse_operator(node["operator"], box, ctx + ".operator")
-        boundary = node["boundary"]
-        if boundary == "saddle":
-            if "seed" in node:
-                raise ConfigError(f"{ctx}.seed: read only with the 'random' "
-                                  "boundary")
-            if box.d != 2:
-                raise ConfigError(f"{ctx}: the saddle boundary needs d = 2")
-            x = np.arange(box.lo[0], box.hi[0] + 1)
-            y = np.arange(box.lo[1], box.hi[1] + 1)
-            bnd = Field(box, (x[:, None] ** 2 - y[None, :] ** 2).astype(complex))
-        elif boundary == "random":
-            seed = _seed(None, node.get("seed", 0), ctx + ".seed")
-            bnd = sample_noise(box, NoiseSpec(1.0, seed))
-        else:
-            raise ConfigError(f"{ctx}.boundary: expected 'saddle' or 'random'")
-        return random_discrete_harmonic(op, box, bnd)
-    raise ConfigError(f"{ctx}.kind: expected 'exp_poly' or 'harmonic', got {kind!r}")
+    with _at(ctx):
+        kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
+        if kind == "exp_poly":
+            _section(node, ctx, ("kind", "terms"))
+            return eval_exp_poly(_parse_exp_poly(node["terms"], ctx + ".terms"), box)
+        if kind == "harmonic":
+            _section(node, ctx, ("kind", "operator", "boundary"), ("seed",))
+            op = _parse_operator(node["operator"], box, ctx + ".operator")
+            boundary = node["boundary"]
+            if boundary == "saddle":
+                if "seed" in node:
+                    raise ConfigError(f"{ctx}.seed: read only with the 'random' "
+                                      "boundary")
+                if box.d != 2:
+                    raise ConfigError(f"{ctx}: the saddle boundary needs d = 2")
+                x = np.arange(box.lo[0], box.hi[0] + 1)
+                y = np.arange(box.lo[1], box.hi[1] + 1)
+                bnd = Field(box, (x[:, None] ** 2 - y[None, :] ** 2).astype(complex))
+            elif boundary == "random":
+                seed = _seed(None, node.get("seed", 0), ctx + ".seed")
+                bnd = sample_noise(box, NoiseSpec(1.0, seed))
+            else:
+                raise ConfigError(f"{ctx}.boundary: expected 'saddle' or 'random'")
+            return random_discrete_harmonic(op, box, bnd)
+        raise ConfigError(f"{ctx}.kind: expected 'exp_poly' or 'harmonic', got {kind!r}")
 
 
 def _build_certificate(node, ctx: str) -> Certificate:
-    kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
-    if kind == "exp":
-        _section(node, ctx, ("kind",), ("re_omega", "im_omega"))
-        return exp_certificate_1d(_complex(node, ctx, "re_omega", "im_omega"))
-    if kind == "poly":
-        _section(node, ctx, ("kind", "degree"))
-        return poly_certificate_1d(_integer(node["degree"], ctx + ".degree"))
-    if kind == "simple_exp":
-        _section(node, ctx, ("kind", "freq_sets"))
-        return simple_exp_certificate(_list(
-            node["freq_sets"], ctx + ".freq_sets",
-            lambda fs, fs_ctx: _list(fs, fs_ctx, _parse_complex)))
-    if kind == "predictor_exp":
-        _section(node, ctx, ("kind", "kappa"), ("re_omega", "im_omega"))
-        return predictor_exp_certificate(
-            _complex(node, ctx, "re_omega", "im_omega"),
-            _integer(node["kappa"], ctx + ".kappa"))
-    if kind == "exp_poly":
-        _section(node, ctx, ("kind", "terms"), ("epsilon",))
-        return exp_poly_certificate(
-            _parse_exp_poly(node["terms"], ctx + ".terms"),
-            epsilon=_number(node.get("epsilon", 1e-3), ctx + ".epsilon"))
-    if kind == "modulate":
-        _section(node, ctx, ("kind", "base", "omega"))
-        return modulate_certificate(_build_certificate(node["base"], ctx + ".base"),
-                                    _list(node["omega"], ctx + ".omega", _number))
-    if kind == "lift":
-        _section(node, ctx, ("kind", "base", "d_plus"))
-        return lift_certificate(_build_certificate(node["base"], ctx + ".base"),
-                                _integer(node["d_plus"], ctx + ".d_plus"))
-    if kind == "tensor":
-        _section(node, ctx, ("kind", "a", "b"))
-        return tensor_certificate(_build_certificate(node["a"], ctx + ".a"),
-                                  _build_certificate(node["b"], ctx + ".b"))
-    if kind == "combine":
-        _section(node, ctx, ("kind", "parts", "lambdas"))
-        return combine_certificates(
-            _list(node["parts"], ctx + ".parts", _build_certificate),
-            _list(node["lambdas"], ctx + ".lambdas", _parse_complex))
-    raise ConfigError(f"{ctx}.kind: unknown certificate kind {kind!r}")
+    with _at(ctx):
+        kind = _section(node, ctx, ("kind",), node)["kind"]  # other keys: per kind
+        if kind == "exp":
+            _section(node, ctx, ("kind",), ("re_omega", "im_omega"))
+            return exp_certificate_1d(_complex(node, ctx, "re_omega", "im_omega"))
+        if kind == "poly":
+            _section(node, ctx, ("kind", "degree"))
+            return poly_certificate_1d(_integer(node["degree"], ctx + ".degree"))
+        if kind == "simple_exp":
+            _section(node, ctx, ("kind", "freq_sets"))
+            return simple_exp_certificate(_list(
+                node["freq_sets"], ctx + ".freq_sets",
+                lambda fs, fs_ctx: _list(fs, fs_ctx, _parse_complex)))
+        if kind == "predictor_exp":
+            _section(node, ctx, ("kind", "kappa"), ("re_omega", "im_omega"))
+            return predictor_exp_certificate(
+                _complex(node, ctx, "re_omega", "im_omega"),
+                _integer(node["kappa"], ctx + ".kappa"))
+        if kind == "exp_poly":
+            _section(node, ctx, ("kind", "terms"), ("epsilon",))
+            return exp_poly_certificate(
+                _parse_exp_poly(node["terms"], ctx + ".terms"),
+                epsilon=_number(node.get("epsilon", 1e-3), ctx + ".epsilon"))
+        if kind == "modulate":
+            _section(node, ctx, ("kind", "base", "omega"))
+            return modulate_certificate(_build_certificate(node["base"], ctx + ".base"),
+                                        _list(node["omega"], ctx + ".omega", _number))
+        if kind == "lift":
+            _section(node, ctx, ("kind", "base", "d_plus"))
+            return lift_certificate(_build_certificate(node["base"], ctx + ".base"),
+                                    _integer(node["d_plus"], ctx + ".d_plus"))
+        if kind == "tensor":
+            _section(node, ctx, ("kind", "a", "b"))
+            return tensor_certificate(_build_certificate(node["a"], ctx + ".a"),
+                                      _build_certificate(node["b"], ctx + ".b"))
+        if kind == "combine":
+            _section(node, ctx, ("kind", "parts", "lambdas"))
+            return combine_certificates(
+                _list(node["parts"], ctx + ".parts", _build_certificate),
+                _list(node["lambdas"], ctx + ".lambdas", _parse_complex))
+        raise ConfigError(f"{ctx}.kind: unknown certificate kind {kind!r}")
 
 
 def _load_config(path, required, optional=()) -> dict:
@@ -291,38 +295,26 @@ def _load_config(path, required, optional=()) -> dict:
     return _section(doc, "config", required, optional)
 
 
-def _tolerance(args, cfg: dict, default: float) -> float:
-    """The solver tolerance, from ``--tol`` or else ``config.tol``; a value
-    that is not positive and finite (NaN included) is an error naming its
-    source: an infinite one would pass any gap as converged."""
-    if args.tol is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        tol, source = _number(cfg.get("tol", default), "config.tol"), "config.tol"
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"{source}: tol must be positive and finite, got {tol}")
-    return tol
-
-
-def _seed(override: int | None, node, context: str) -> int:
-    """The seed from ``--seed`` (``override``) or else ``node`` at ``context``;
-    one that Philox cannot take is an error naming its source."""
-    if override is not None:
-        seed, source = override, "--seed"
-    else:
-        seed, source = _integer(node, context), context
-    with _at(source):
-        _seed_arg(seed)
-    return seed
-
-
-def _sigma(node, ctx: str) -> float:
-    """The noise level at ``ctx``; one that ``NoiseSpec`` would refuse (NaN
-    and infinity included) is an error naming ``ctx``."""
-    sigma = _number(node, ctx)
+def _checked(read, node, ctx: str, check):
+    """``read(node, ctx)``, checked by the library's rule ``check`` at ``ctx``."""
+    value = read(node, ctx)
     with _at(ctx):
-        _sigma_arg(sigma)
-    return sigma
+        check(value)
+    return value
+
+
+def _tolerance(args, cfg: dict, default: float) -> float:
+    """The solver tolerance, from ``--tol`` or else ``config.tol``."""
+    if args.tol is not None:
+        return _checked(_number, args.tol, "--tol", _tol_arg)
+    return _checked(_number, cfg.get("tol", default), "config.tol", _tol_arg)
+
+
+def _seed(override: int | None, node, ctx: str) -> int:
+    """The seed from ``--seed`` (``override``) or else ``node`` at ``ctx``."""
+    if override is not None:
+        return _checked(_integer, override, "--seed", _seed_arg)
+    return _checked(_integer, node, ctx, _seed_arg)
 
 
 def _out_paths(args, out: dict) -> dict:
@@ -351,32 +343,6 @@ def _out_paths(args, out: dict) -> dict:
                               "it is a directory")
         paths[key] = path
     return paths
-
-
-@contextlib.contextmanager
-def _on_worker(fn):
-    """Run ``fn()`` on one worker thread while the block runs; yield a list
-    that holds its result after the block.
-
-    The thread is joined when the block ends, also when the block raises.
-    An exception from ``fn`` is then raised again on this thread.
-    """
-    result, error = [], []
-
-    def run():
-        try:
-            result.append(fn())
-        except BaseException as exc:   # raised again on the calling thread
-            error.append(exc)
-
-    worker = threading.Thread(target=run, name="gridfilt-worker")
-    worker.start()
-    try:
-        yield result
-    finally:
-        worker.join()
-    if error:
-        raise error[0]
 
 
 def _info(args, message: str) -> None:
@@ -450,17 +416,19 @@ def cmd_generate(args) -> int:
         noise = _section(cfg["noise"], "config.noise", ("sigma", "seed"))
         if "observations" not in out:
             raise ConfigError("config.out: noise given but no observations path")
-        spec = NoiseSpec(_sigma(noise["sigma"], "config.noise.sigma"),
-                         _seed(args.seed, noise["seed"], "config.noise.seed"))
+        spec = NoiseSpec(
+            _checked(_number, noise["sigma"], "config.noise.sigma", _sigma_arg),
+            _seed(args.seed, noise["seed"], "config.noise.seed"))
     elif "observations" in out:
         raise ConfigError("config.out.observations: no noise given, so no "
                           "observations would be written")
     paths = _out_paths(args, out)
     signal = _build_signal(cfg["signal"], box, "config.signal")
+    # sampled before any write, so a noise overflow (exit 3) writes no file
+    y = None if spec is None else signal + sample_noise(box, spec)
     write_zdf(signal, paths["signal"])
     _info(args, f"wrote signal field on {box} to {out['signal']}")
-    if spec is not None:
-        y = signal + sample_noise(box, spec)
+    if y is not None:
         write_zdf(y, paths["observations"])
         _info(args, f"wrote observations (sigma={spec.sigma}, seed={spec.seed}) "
                     f"to {out['observations']}")
@@ -527,9 +495,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args.config, ("master_seed", "trials", "experiments", "out"),
                        ("tol", "checks"))
     master_seed = _seed(args.seed, cfg["master_seed"], "config.master_seed")
-    trials = _integer(cfg["trials"], "config.trials")
-    if trials < 1:
-        raise ConfigError("config.trials: need at least one trial")
+    trials = _checked(_integer, cfg["trials"], "config.trials", _trials_arg)
     tol = _tolerance(args, cfg, 1e-5)
     out = _section(cfg["out"], "config.out", ("stats_csv",),
                    ("stats_json", "trials_csv"))
@@ -547,16 +513,17 @@ def cmd_bench(args) -> int:
     all_stats = []
     all_records = []
     # The Gaussian-maximum draws run on a worker thread while the experiments
-    # run here: numpy draws and reduces them without holding the GIL, so they
-    # take the second core from the GIL-bound solves. The worker calls only
-    # harness._gaussian_maxima, which calls nothing that the benchmark's
-    # tracer wraps; the tracer keeps one stack of open calls, and a traced
-    # call on another thread would corrupt it. The reports are built here,
-    # after the experiments and in config order, as a run on one thread
-    # would build them.
+    # run here: numpy draws without the GIL, so they take the second core from
+    # the GIL-bound solves. The worker calls only harness._gaussian_maxima,
+    # which the benchmark's tracer, with its one stack of open calls, does not
+    # wrap. The reports are built after the join, in config order, as on one
+    # thread. Imported here, as it adds about 7 ms to every start.
+    from concurrent.futures import ThreadPoolExecutor
+
     Ns, gm_trials = checks.get("gaussian_max", ((), 0))
-    with _on_worker(lambda: [_gaussian_maxima(N, gm_trials, master_seed)
-                             for N in Ns]) as drawn:
+    with ThreadPoolExecutor(1, thread_name_prefix="gridfilt-worker") as pool:
+        draws = pool.submit(lambda: [_gaussian_maxima(N, gm_trials, master_seed)
+                                     for N in Ns])
         for label, signal, cert, anchor, setup, sigma in experiments:
             _info(args, f"running experiment {label!r}: {trials} trials, "
                         f"T={setup.T}, sigma={sigma}")
@@ -576,11 +543,12 @@ def cmd_bench(args) -> int:
                                 "bound violations")
             _info(args, f"  rmse_adaptive={stats.rmse_adaptive:.6g} "
                         f"bound={stats.bound:.6g} ratio={stats.ratio:.4f}")
+    drawn = draws.result()   # raises a draw's error
 
     check_reports = {}
     if "gaussian_max" in checks:
         reports = []
-        for N, max_mag in zip(Ns, drawn[0]):
+        for N, max_mag in zip(Ns, drawn):
             rep = _gaussian_max_report(N, max_mag)
             reports.append(rep)
             if not (rep.mean_ok and rep.tails_ok):
@@ -631,7 +599,7 @@ def _parse_experiment(exp, ctx: str) -> tuple:
     _dimension(cert.d, "certificate", box, ctx + ".certificate")
     signal = _build_signal(exp["signal"], box, ctx + ".signal")
     T = _integer(exp["T"], ctx + ".T")
-    sigma = _sigma(exp["sigma"], ctx + ".sigma")
+    sigma = _checked(_number, exp["sigma"], ctx + ".sigma", _sigma_arg)
     anchor = _point(exp["anchor"], ctx + ".anchor")
     _dimension(len(anchor), "anchor", box, ctx + ".anchor")
     kappa = None
@@ -668,13 +636,10 @@ def _parse_checks(node) -> dict:
     if "theta_moment" in node:
         ctx = "config.checks.theta_moment"
         tm = _section(node["theta_moment"], ctx, ("T", "sigma", "trials"))
-        T = _integer(tm["T"], ctx + ".T")
-        if T < 0:
-            raise ConfigError(f"{ctx}.T: the order must be nonnegative, got {T}")
-        checks["theta_moment"] = (T, _sigma(tm["sigma"], ctx + ".sigma"),
-                                  _integer(tm["trials"], ctx + ".trials"))
-        with _at(ctx + ".trials"):
-            _theta_moment_args(checks["theta_moment"][2])
+        checks["theta_moment"] = (
+            _checked(_integer, tm["T"], ctx + ".T", _theta_order_arg),
+            _checked(_number, tm["sigma"], ctx + ".sigma", _sigma_arg),
+            _checked(_integer, tm["trials"], ctx + ".trials", _theta_moment_args))
     return checks
 
 
@@ -758,7 +723,8 @@ def cmd_certify(args) -> int:
         op = _parse_operator(node["operator"], box, "config.harmonic.operator")
         n = _integer(node["n"], "config.harmonic.n")
         c24 = _integer(node.get("c24", 1), "config.harmonic.c24")
-        q = harmonic_filter(op, n, c24)
+        with _at("config.harmonic"):
+            q = harmonic_filter(op, n, c24)
         last_filter = q
         checked = f"order {q.order}"
         entry = {"n": n, "c24": c24, "order": q.order, "l2": q.l2(),

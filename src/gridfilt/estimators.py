@@ -36,8 +36,11 @@ import numpy as np
 from .errors import ParamError
 from .fields import Box, Field, convolve, dft_windows
 from .solver import (
+    _RHO_MAX,
     Instance,
     SolveResult,
+    _rho_arg,
+    _rho_ok,
     build_instance,
     read_observations,
     solve,
@@ -57,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenoiseSetup:
-    """Estimator setup: finite norm budget ``rho >= 1``, order ``T``, and for
+    """Estimator setup: norm budget ``1 <= rho <= _RHO_MAX``, order ``T``, and for
     prediction a lag ``0 <= kappa <= T``; ``kappa=None`` means filtering."""
 
     rho: float
@@ -65,8 +68,7 @@ class DenoiseSetup:
     kappa: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.rho < math.inf:
-            raise ParamError(f"rho must be finite and >= 1, got {self.rho}")
+        _rho_arg(self.rho)
         if self.T < 0:
             raise ParamError("T must be nonnegative")
         if self.kappa is not None:
@@ -139,9 +141,9 @@ def _oracle_bound(d: int, T: int, rho: float, theta: float,
 
 def risk_bound(d: int, T: int, rho: float, theta: float, sigma: float) -> float:
     """Mean-square-error bound for a ``(theta, rho)``-certified signal."""
-    if not (T >= 0 and theta >= 0 and sigma >= 0 and 1 <= rho < math.inf):
-        raise ParamError("need T, theta, sigma >= 0 and 1 <= rho < inf, got "
-                         f"T={T}, theta={theta}, sigma={sigma}, rho={rho}")
+    if not (T >= 0 and theta >= 0 and sigma >= 0 and _rho_ok(rho)):
+        raise ParamError(f"need T, theta, sigma >= 0 and 1 <= rho <= {_RHO_MAX:g}, "
+                         f"got T={T}, theta={theta}, sigma={sigma}, rho={rho}")
     return _oracle_bound(d, T, rho, theta,
                          sigma * rho * math.sqrt(math.log(2 * T + 1) + 1))
 

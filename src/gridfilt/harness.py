@@ -86,6 +86,11 @@ def _sigma_arg(sigma: float) -> None:
         raise ParamError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
+def _trials_arg(trials: int) -> None:
+    if trials < 1:
+        raise ParamError("need at least one trial")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise level, finite and nonnegative, and generator seed, a Philox key
@@ -114,10 +119,15 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def sample_noise(box: Box, spec: NoiseSpec) -> Field:
-    """Complex Gaussian field on ``box``; Re and Im parts i.i.d. N(0, sigma^2)."""
+    """Complex Gaussian field on ``box``; Re and Im parts i.i.d. N(0, sigma^2).
+    ``OverflowError``, and no warning, where sigma times a draw overflows."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     draws = rng.standard_normal((2,) + box.shape)
-    return Field(box, spec.sigma * (draws[0] + 1j * draws[1]))
+    try:
+        with np.errstate(over="raise"):
+            return Field(box, spec.sigma * (draws[0] + 1j * draws[1]))
+    except FloatingPointError as exc:
+        raise OverflowError(f"noise of sigma {spec.sigma} overflows on {box}") from exc
 
 
 @dataclass(frozen=True)
@@ -230,8 +240,7 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
     reported bound evaluates :func:`risk_bound` at the certificate's
     ``(theta, rho)``.
     """
-    if trials < 1:
-        raise ParamError("need at least one trial")
+    _trials_arg(trials)
     name = label or "experiment"
     seeds = [derive_seed(master_seed, i) for i in range(trials)]
     try:
@@ -408,6 +417,11 @@ class ThetaMomentReport:
         return self.mean_sq <= self.bound + 3 * self.se
 
 
+def _theta_order_arg(T: int) -> None:
+    if T < 0:
+        raise ParamError(f"the order must be nonnegative, got {T}")
+
+
 def _theta_moment_args(trials: int) -> None:
     if trials < 2:
         raise ParamError(f"the theta-moment check needs trials >= 2, got {trials}")
@@ -433,6 +447,7 @@ def check_theta_moment(T: int, sigma: float, trials: int,
     ``d = THETA_MOMENT_D``. The standard error needs at least two trials.
     The trials are drawn and transformed in chunks of about
     ``CHECK_CHUNK_BYTES``."""
+    _theta_order_arg(T)
     _theta_moment_args(trials)
     d = THETA_MOMENT_D
     box = Box.cube(d, 4 * T)

@@ -42,6 +42,7 @@ from .fields import (
     filter_tensor,
     rebox_filter,
 )
+from .solver import _rho_arg
 
 __all__ = [
     "ExpPolynomial",
@@ -272,9 +273,7 @@ class Certificate:
     exact: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.rho < math.inf:
-            raise ParamError("certificate rho must be finite and >= 1, got "
-                             f"{self.rho}")
+        _rho_arg(self.rho)
         if not self.theta >= 0:
             raise ParamError(f"certificate theta must be >= 0, got {self.theta}")
         if self.kappa is not None and self.kappa < 0:

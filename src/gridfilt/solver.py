@@ -225,19 +225,37 @@ def read_observations(y: Field, t: Sequence[int], T_alg: int,
     return y_win
 
 
+# a norm bound's rule is 1 <= rho <= _RHO_MAX: rho ** 3, the highest power
+# the program takes (estimators._oracle_bound), is then finite
+_RHO_MAX = 5.6e102
+
+
+def _rho_ok(rho: float) -> bool:
+    return 1 <= rho <= _RHO_MAX
+
+
+def _rho_arg(rho: float) -> None:
+    if not _rho_ok(rho):
+        raise ParamError(f"rho must be finite and >= 1, at most {_RHO_MAX:g}, got {rho}")
+
+
+def _tol_arg(tol: float) -> None:
+    if not 0 < tol < math.inf:  # an infinite tol would pass any gap
+        raise ParamError(f"tol must be positive and finite, got {tol}")
+
+
 def build_instance(y: Field, t: Sequence[int], T_alg: int, rho: float,
                    kappa: int | None = None) -> Instance:
     """Instance of the program at anchor ``t``: two-sided (filtering)
     without a lag, one-sided (prediction) with a lag ``kappa``.
 
-    Requires a finite ``rho >= 1`` and ``T_alg >= 1``, then reads the
+    Requires ``rho`` to pass :func:`_rho_arg` and ``T_alg >= 1``, then reads the
     observations through :func:`read_observations`: ``{|tau - t| <= 4
     T_alg}`` for filtering and ``{kappa <= t_j - tau_j <= 4 T_alg}`` for
     prediction.
     """
     t = tuple(int(x) for x in t)
-    if not 1 <= rho < math.inf:
-        raise ParamError(f"rho must be finite and >= 1, got {rho}")
+    _rho_arg(rho)
     if T_alg < 1:
         raise ParamError(f"T_alg must be >= 1, got {T_alg}")
     kappa = None if kappa is None else int(kappa)
@@ -818,8 +836,7 @@ def solve_batch(instances: Sequence[Instance], tol: float = 1e-6,
     equilibrated in its own array, slab by slab (:func:`_slabs`), so the
     budget bounds the build as well as its result, again with no bit changed.
     """
-    if not 0 < tol < math.inf:
-        raise ParamError(f"tol must be positive and finite, got {tol}")
+    _tol_arg(tol)
     # the loop stops at it == max_iter, which no other number ever equals
     if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
             or max_iter < 1):

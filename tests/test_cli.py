@@ -933,6 +933,32 @@ def test_generate_rejects_bad_noise_level_before_writing(tmp_path, capsys, sigma
     assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
 
 
+def test_generate_noise_overflow_exit_code_writes_nothing(tmp_path, capsys):
+    # finite sigma, but sigma times a draw exceeds the largest float
+    doc = {"signal": constant_signal(), "box": {"lo": [-24], "hi": [24]},
+           "noise": {"sigma": 1e308, "seed": 1},
+           "out": {"signal": "s.zdf", "observations": "y.zdf"}}
+    cfg = write_config(tmp_path / "gen.yaml", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "generation error: noise of sigma 1e+308 overflows" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
+
+
+@pytest.mark.parametrize("where", ["experiment", "theta_moment"])
+def test_bench_noise_overflow_exit_code(tmp_path, capsys, where):
+    doc = bench_doc(trials=3)
+    if where == "experiment":
+        doc["experiments"][0]["sigma"] = 1e308
+    else:
+        doc["checks"]["theta_moment"] = {"T": 1, "sigma": 1e308, "trials": 10}
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "generation error: noise of sigma 1e+308 overflows" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "stats.csv").exists()
+
+
 # a flag given to a subcommand that does not read it
 UNTAKEN_FLAGS = [("generate", "--tol", "1e-6"), ("denoise", "--seed", "1"),
                  ("predict", "--seed", "1"), ("certify", "--seed", "1"),
@@ -1331,6 +1357,78 @@ def test_non_regular_operator_config_error(tmp_path, monkeypatch, capsys, comman
     assert list(tmp_path.iterdir()) == [tmp_path / f"{command}.yaml"]
 
 
+EXP_TERM = {"re_c": 1.0, "im_c": 0.0, "alpha": [0], "re_omega": [0.0],
+            "im_omega": [0.5]}
+
+# a library builder's ParamError names the innermost config key being built:
+# (command, config key, node, box dimension, message); a RegularityError
+# stays keyless
+BUILDER_ERRORS = {
+    "poly": ("certify", "certificate", {"kind": "poly", "degree": -1}, 1,
+             "config.certificate: degree must be nonnegative"),
+    "exp_poly": ("certify", "certificate",
+                 {"kind": "exp_poly", "epsilon": -1.0, "terms": [EXP_TERM]}, 1,
+                 "config.certificate: epsilon must be positive"),
+    "predictor_exp": ("certify", "certificate",
+                      {"kind": "predictor_exp", "kappa": -1}, 1,
+                      "config.certificate: certificate lag must be >= 0, got -1"),
+    "lift": ("certify", "certificate",
+             {"kind": "lift", "base": {"kind": "exp"}, "d_plus": 1}, 1,
+             "config.certificate: d_plus must exceed the certificate dimension"),
+    "lift_base": ("certify", "certificate",
+                  {"kind": "lift", "base": {"kind": "poly", "degree": -1},
+                   "d_plus": 2}, 1,
+                  "config.certificate.base: degree must be nonnegative"),
+    "modulate": ("certify", "certificate",
+                 {"kind": "modulate", "base": {"kind": "exp"}, "omega": [0.1, 0.2]},
+                 1, "config.certificate: frequency vector dimension mismatch"),
+    "combine": ("certify", "certificate",
+                {"kind": "combine", "parts": [{"kind": "exp"}],
+                 "lambdas": [{"re": 1.0}, {"re": 1.0}]}, 1,
+                "config.certificate: one coefficient per certificate"),
+    "harmonic_n": ("certify", "harmonic",
+                   {"operator": {"offsets": [[1], [-1]], "weights": [{"re": 0.5}] * 2},
+                    "n": 0}, 1,
+                   "config.harmonic: degree parameter n must be >= 1"),
+    "exp_poly_signal_2d": ("generate", "signal",
+                           {"kind": "exp_poly",
+                            "terms": [dict(EXP_TERM, alpha=[0, 0], re_omega=[0.0, 0.0],
+                                           im_omega=[0.0, 0.0])]}, 1,
+                           "config.signal: dimension mismatch between polynomial "
+                           "and box"),
+    "exp_poly_signal_alpha": ("generate", "signal",
+                              {"kind": "exp_poly",
+                               "terms": [dict(EXP_TERM, alpha=[-1])]}, 1,
+                              "config.signal: multi-indices must be nonnegative"),
+    "harmonic_no_interior": ("generate", "signal",
+                             {"kind": "harmonic", "operator": "four_neighbor",
+                              "boundary": "saddle"}, 2,
+                             "config.signal: box Box(lo=(0, 0), hi=(1, 1)) has no "
+                             "interior for this stencil"),
+    "regularity_R2b": ("generate", "signal",
+                       {"kind": "harmonic", "boundary": "random",
+                        "operator": {"offsets": [[1], [2]],
+                                     "weights": [{"re": 0.5}] * 2}}, 1,
+                       "R.2b: modulus-weighted mean offset [1.5] != 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_ERRORS))
+def test_builder_error_names_its_key(tmp_path, capsys, case):
+    command, key, node, d, message = BUILDER_ERRORS[case]
+    box = ({"lo": [-8], "hi": [8]} if d == 1 else {"lo": [0, 0], "hi": [1, 1]})
+    if command == "certify":
+        doc = {key: node, "box": box, "out": {"filter": "q.zdf", "report": "r.json"}}
+        if key == "certificate":
+            doc["T"] = [1]
+    else:
+        doc = {key: node, "box": box, "out": {"signal": "s.zdf"}}
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.yaml"]
+
+
 def _harmonic(operator):
     return {"kind": "harmonic", "operator": operator, "boundary": "saddle"}
 
@@ -1514,7 +1612,7 @@ def test_certify_list_key_not_a_list_config_error(tmp_path, capsys, key, context
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 1e160])
 def test_denoise_non_finite_rho_config_error(tmp_path, monkeypatch, capsys, rho):
     from gridfilt import cli
 
@@ -1528,6 +1626,24 @@ def test_denoise_non_finite_rho_config_error(tmp_path, monkeypatch, capsys, rho)
     })
     assert main(["denoise", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config.setup: rho must be finite and >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
+def test_predict_rho_whose_cube_overflows_config_error(tmp_path, monkeypatch,
+                                                       capsys):
+    # the l1 budget takes rho ** 2 and the risk bound rho ** 3: a rho past
+    # 5.6e102 is a config error before any solve, not a generation error
+    from gridfilt import cli
+
+    obs = make_observations(tmp_path, constant_signal(), {"lo": [-24], "hi": [24]})
+    monkeypatch.setattr(cli, "denoise_point", _refuse)
+    cfg = write_config(tmp_path / "run.yaml", {
+        "observations": str(obs), "setup": {"rho": 1e160, "T": 4, "kappa": 1},
+        "anchors": [[0]], "out": {"estimates": "est.csv"},
+    })
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: config.setup: rho must be finite and >= 1" in \
+        capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Adaptive estimators: worked cases, equivariances, risk formulas."""
 
+import dataclasses
 import functools
 import math
 
@@ -15,8 +16,12 @@ from gridfilt.estimators import (
     risk_constant,
     theta_stat,
 )
-from gridfilt.signals import predictor_exp_certificate, predictor_exp_filter
-from gridfilt.solver import build_instance, objective
+from gridfilt.signals import (
+    exp_certificate_1d,
+    predictor_exp_certificate,
+    predictor_exp_filter,
+)
+from gridfilt.solver import _RHO_MAX, build_instance, objective
 
 from oracles import theta_stat_loop, translate
 
@@ -40,7 +45,7 @@ def test_setup_validation():
     DenoiseSetup(rho=1.0, T=2, kappa=2)
 
 
-@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 1e110])
 def test_setup_rejects_non_finite_rho(rho):
     with pytest.raises(ParamError, match="rho must be finite"):
         DenoiseSetup(rho=rho, T=1)
@@ -255,9 +260,29 @@ def test_risk_bound_values():
         risk_bound(1, 4, 0.5, 0.0, 0.1)
 
 
+def test_rho_rule_ends_at_rho_max():
+    # rho ** 3 is the highest power the program takes: the setup, the
+    # instance, the certificate and risk_bound take _RHO_MAX, whose cube is
+    # finite, and refuse the next float with a ParamError
+    y = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
+    assert math.isfinite(_RHO_MAX ** 3)
+    DenoiseSetup(rho=_RHO_MAX, T=1)
+    dataclasses.replace(exp_certificate_1d(0.5j), rho=_RHO_MAX)
+    assert math.isfinite(build_instance(y, (0,), 1, _RHO_MAX).l1_bound)
+    risk_bound(1, 4, _RHO_MAX, 0.0, 0.1)
+    rho = math.nextafter(_RHO_MAX, math.inf)
+    for make in (lambda: DenoiseSetup(rho=rho, T=1),
+                 lambda: build_instance(y, (0,), 1, rho),
+                 lambda: dataclasses.replace(exp_certificate_1d(0.5j), rho=rho)):
+        with pytest.raises(ParamError, match="rho must be finite and >= 1, at most"):
+            make()
+    with pytest.raises(ParamError, match="need T, theta, sigma >= 0"):
+        risk_bound(1, 4, rho, 0.0, 0.1)
+
+
 @pytest.mark.parametrize("T,rho,theta,sigma", [
     (2, math.nan, 0.0, 0.1), (2, 2.0, math.nan, 0.1), (2, 2.0, 0.0, math.nan),
-    (2, math.inf, 0.0, 0.1), (-1, 2.0, 0.0, 0.1)])
+    (2, math.inf, 0.0, 0.1), (2, 1e110, 0.0, 0.1), (-1, 2.0, 0.0, 0.1)])
 def test_risk_bound_rejects_nan_and_out_of_range(T, rho, theta, sigma):
     # a NaN bound would pass the bench's check rmse > bound silently
     with pytest.raises(ParamError, match="need T, theta, sigma >= 0"):

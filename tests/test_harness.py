@@ -296,6 +296,22 @@ def test_noise_level_must_be_finite_and_nonnegative(sigma):
         NoiseSpec(sigma, 1)
 
 
+def test_noise_that_overflows_raises_without_a_warning():
+    # sigma times a draw beyond the largest float: an OverflowError (exit 3
+    # on the command line), and no RuntimeWarning, which pytest makes an error
+    box = Box((-11,), (11,))
+    with pytest.raises(OverflowError, match=r"noise of sigma 1e\+308 overflows"):
+        sample_noise(box, NoiseSpec(1e308, 1))
+    f = sample_noise(box, NoiseSpec(1e300, 1))
+    assert np.array_equal(f.data, 1e300 * sample_noise(box, NoiseSpec(1.0, 1)).data)
+    assert np.all(np.isfinite(f.data))
+
+
+def test_theta_moment_order_must_be_nonnegative():
+    with pytest.raises(ParamError, match="the order must be nonnegative, got -1"):
+        check_theta_moment(T=-1, sigma=0.7, trials=10)
+
+
 def test_largest_philox_key_accepted():
     f = sample_noise(Box((0,), (3,)), NoiseSpec(1.0, 2 ** 128 - 1))
     assert np.all(np.isfinite(f.data))

@@ -231,7 +231,7 @@ def test_combine_single_keeps_every_other_field():
             assert getattr(c1, f.name) == getattr(c, f.name), f.name
 
 
-@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 1e110])
 def test_certificate_rejects_non_finite_rho(rho):
     with pytest.raises(ParamError, match="rho must be finite"):
         dataclasses.replace(exp_certificate_1d(0.5j), rho=rho)

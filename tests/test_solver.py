@@ -248,7 +248,7 @@ def test_read_observations_checks_dimension_then_coverage_then_finiteness():
     assert read.box == Box((0,), (3,)) and np.array_equal(read.data, data[4:8])
 
 
-@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 1e110])
 def test_instance_rejects_non_finite_rho(rho):
     y = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
     with pytest.raises(ParamError, match="rho must be finite"):
