@@ -63,7 +63,7 @@ from .errors import (
     ParamError,
     RegularityError,
 )
-from .estimators import DenoiseSetup, denoise_point
+from .estimators import DenoiseSetup, denoise_point, risk_bound
 from .fields import Box, Field, Filter, read_zdf, write_zdf
 from .harness import (
     ExperimentStats,
@@ -609,6 +609,8 @@ def _parse_experiment(exp, ctx: str) -> tuple:
         raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
     with _at(ctx):
         setup = DenoiseSetup(rho=cert.rho, T=T, kappa=kappa)
+        # the reported bound: one that overflows stops the run before sampling
+        risk_bound(box.d, T, cert.rho, cert.theta, sigma)
     with _at(ctx + ".T"):
         cert.filter(T)  # the trials' oracle: a bad T stops the run before sampling
     with _at(f"{ctx} ({exp['label']})"):
@@ -683,11 +685,10 @@ def cmd_certify(args) -> int:
             raise ConfigError(f"config.{key}: read only with 'signal', to "
                               "place the cube of its reproduction residual")
     radius = _integer(cfg.get("eval_radius", 2), "config.eval_radius")
-    if radius < 0:
-        raise ConfigError(f"config.eval_radius: must be nonnegative, got {radius}")
     anchor = _point(cfg.get("anchor", [0] * box.d), "config.anchor")
     _dimension(len(anchor), "anchor", box, "config.anchor")
-    cube = Box.cube(box.d, radius, anchor)
+    with _at("config.eval_radius"):  # the anchor fits, so only the order rule fires
+        cube = Box.cube(box.d, radius, anchor)
     paths = _out_paths(args, out)
     signal = _build_signal(cfg["signal"], box, "config.signal") \
         if "signal" in cfg else None

@@ -135,8 +135,13 @@ def risk_constant(d: int) -> float:
 def _oracle_bound(d: int, T: int, rho: float, theta: float,
                   rho_noise: float) -> float:
     """``c(d) rho^3 (theta + rho_noise) (2T+1)^{-d/2}``, the bound of
-    :func:`risk_bound` and of the pathwise check, for their noise terms."""
-    return risk_constant(d) * rho ** 3 * (theta + rho_noise) * (2 * T + 1) ** (-d / 2)
+    :func:`risk_bound` and of the pathwise check, for their noise terms;
+    ``ParamError`` where it overflows, as a bound of inf would pass any error."""
+    bound = risk_constant(d) * rho ** 3 * (theta + rho_noise) * (2 * T + 1) ** (-d / 2)
+    if not math.isfinite(bound):
+        raise ParamError(f"the risk bound overflows at rho={rho:g}, theta={theta:g} "
+                         f"and noise term {rho_noise:g}")
+    return bound
 
 
 def risk_bound(d: int, T: int, rho: float, theta: float, sigma: float) -> float:

@@ -169,9 +169,15 @@ class Field:
         return Field(box, self.data[box.slices_in(self.box)])
 
     def __add__(self, other: "Field") -> "Field":
+        """The pointwise sum; ``OverflowError``, and no warning, where a sum
+        of two finite values overflows."""
         if self.box != other.box:
             raise DomainError("field addition requires identical boxes")
-        return Field(self.box, self.data + other.data)
+        try:
+            with np.errstate(over="raise"):
+                return Field(self.box, self.data + other.data)
+        except FloatingPointError as exc:
+            raise OverflowError(f"field sum overflows on {self.box}") from exc
 
     def __repr__(self):
         return f"Field(box={self.box})"

@@ -3,11 +3,12 @@
 A *certificate* for a signal class is a family of filters ``q^(T)``, one per
 window order ``T``, with small l2 norm (``|q^(T)|_2 <= rho (2T+1)^{-d/2}``)
 that reproduces every signal of the class up to a mean-square error of
-``theta (2T+1)^{-d/2}`` on a box of radius ``L`` around the anchor. Prediction
-certificates are the same with a lag ``kappa``, one-sided (causal) supports
-``{kappa <= tau_j <= T}`` and a minimal usable order ``T_0``; a certificate's
-filters carry its lag, and filtering certificates and their filters carry
-none.
+``theta (2T+1)^{-d/2}``. Every construction here holds on all of Z^d, so no
+horizon is stored, and a certificate's ``exact`` flag marks the ones that
+only approximate their class. Prediction certificates are the same with a
+lag ``kappa``, one-sided (causal) supports ``{kappa <= tau_j <= T}`` and a
+minimal usable order ``T_0``; a certificate's filters carry its lag, and
+filtering certificates and their filters carry none.
 
 The module provides the basic constructive families
 
@@ -140,8 +141,33 @@ def eval_exp_poly(p: ExpPolynomial, box: Box) -> Field:
 
 
 # --------------------------------------------------------------------------
-# base filters
+# base filters, and the argument rules each shares with its certificate
 # --------------------------------------------------------------------------
+
+
+def _quasi_stable_arg(omega: complex) -> None:
+    if omega.real > 0:
+        raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
+
+
+def _degree_arg(m: int) -> None:
+    if m < 0:
+        raise ParamError("degree must be nonnegative")
+
+
+def _freq_sets_arg(freq_sets: Sequence[Sequence[complex]]
+                   ) -> tuple[tuple[complex, ...], ...]:
+    """``freq_sets`` as complex tuples: at least one axis, each axis a
+    nonempty set without repeats."""
+    freq_sets = tuple(tuple(complex(w) for w in fs) for fs in freq_sets)
+    if not freq_sets:
+        raise ParamError("need at least one axis")
+    for j, fs in enumerate(freq_sets):
+        if not fs:
+            raise ParamError(f"frequency set for axis {j} is empty")
+        if len(set(fs)) != len(fs):
+            raise ParamError(f"frequency set for axis {j} has repeats")
+    return freq_sets
 
 
 def exp_filter_1d(omega: complex, T: int) -> Filter:
@@ -191,15 +217,8 @@ def simple_exp_filter(freq_sets: Sequence[Sequence[complex]], T: int) -> Filter:
     Raises ``ParamError`` if ``T`` is smaller than some per-axis set size
     (the per-factor order budget would be zero).
     """
-    if not freq_sets:
-        raise ParamError("need at least one axis")
     axis_filters = []
-    for j, fs in enumerate(freq_sets):
-        fs = [complex(w) for w in fs]
-        if not fs:
-            raise ParamError(f"frequency set for axis {j} is empty")
-        if len(set(fs)) != len(fs):
-            raise ParamError(f"frequency set for axis {j} has repeats")
+    for j, fs in enumerate(_freq_sets_arg(freq_sets)):
         n = len(fs)
         T_factor = T // n
         if T_factor < 1:
@@ -217,8 +236,7 @@ def poly_filter_1d(m: int, T: int) -> Filter:
     smallest l2 norm; ``|q|_2 <= 16 m (2T+1)^{-1/2}`` for m >= 1. Requires
     ``2T+1 >= m+1`` points for the moment system to be solvable.
     """
-    if m < 0 or T < 0:
-        raise ParamError("degree and order must be nonnegative")
+    _degree_arg(m)
     if 2 * T + 1 < m + 1:
         raise ParamError(f"moment system of degree {m} is infeasible at order {T}")
     t = np.arange(-T, T + 1, dtype=float)
@@ -238,8 +256,7 @@ def predictor_exp_filter(omega: complex, T: int, kappa: int) -> Filter:
     (``Box.support``) checks.
     """
     omega = complex(omega)
-    if omega.real > 0:
-        raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
+    _quasi_stable_arg(omega)
     k = np.arange(kappa, T + 1)
     coeffs = np.exp(omega * k) / (T - kappa + 1)
     return Filter.one_sided(1, kappa, T, coeffs)
@@ -255,18 +272,17 @@ class Certificate:
     """A family ``T -> q^(T)`` of filters certifying a signal class.
 
     ``theta`` bounds the reproduction error (times ``(2T+1)^{d/2}``), ``rho``
-    the filter l2 norm (same scaling), ``L`` the horizon of validity around
-    the anchor. Prediction certificates carry the lag ``kappa``, which each
-    of their filters carries too, and the minimal order ``T0``; a filtering
-    certificate has ``kappa=None`` and two-sided filters. ``exact`` is False
-    for constructions that only approximate their class (the residual is
-    then measured, not promised).
+    the filter l2 norm (same scaling). Every construction holds on all of
+    Z^d, so no horizon is stored. Prediction certificates carry the lag
+    ``kappa``, which each of their filters carries too, and the minimal order
+    ``T0``; a filtering certificate has ``kappa=None`` and two-sided filters.
+    ``exact`` is False for constructions that only approximate their class
+    (the residual is then measured, not promised).
     """
 
     d: int
     theta: float
     rho: float
-    L: float
     make: Callable[[int], Filter]
     kappa: int | None = None
     T0: int = 0
@@ -282,11 +298,11 @@ class Certificate:
             raise ParamError(f"certificate minimal order must be >= 0, got {self.T0}")
 
     def filter(self, T: int) -> Filter:
-        """The order-T certificate filter; ``ParamError`` outside the usable
-        range [T0, L]."""
-        if not self.T0 <= T <= self.L:
+        """The order-T certificate filter; ``ParamError`` below the minimal
+        order ``T0``."""
+        if T < self.T0:
             raise ParamError(f"order {T} outside the certificate's usable range "
-                             f"[{self.T0}, {self.L}]")
+                             f"[{self.T0}, inf]")
         q = self.make(T)
         if q.order > T:
             raise ParamError(f"constructed filter has order {q.order} > {T}")
@@ -299,15 +315,12 @@ class Certificate:
 def exp_certificate_1d(omega: complex) -> Certificate:
     """Certificate for the univariate exponential ``exp(omega tau)``: theta 0, rho sqrt(2)."""
     omega = complex(omega)
-    return Certificate(
-        1, 0.0, math.sqrt(2), math.inf,
-        lambda T: exp_filter_1d(omega, T))
+    return Certificate(1, 0.0, math.sqrt(2), lambda T: exp_filter_1d(omega, T))
 
 
 def poly_certificate_1d(m: int) -> Certificate:
     """Certificate for univariate polynomials of degree <= m: theta 0, rho 16m."""
-    if m < 0:
-        raise ParamError("degree must be nonnegative")
+    _degree_arg(m)
     rho = 16.0 * m if m >= 1 else 1.0
 
     def make(T: int) -> Filter:
@@ -315,7 +328,7 @@ def poly_certificate_1d(m: int) -> Certificate:
             return Filter.impulse(1)  # trivial reproduction at tiny orders
         return poly_filter_1d(m, T)
 
-    return Certificate(1, 0.0, rho, math.inf, make)
+    return Certificate(1, 0.0, rho, make)
 
 
 def _rho_simple(sizes: Sequence[int]) -> float:
@@ -324,10 +337,8 @@ def _rho_simple(sizes: Sequence[int]) -> float:
 
 def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificate:
     """Certificate for spans of exponentials with the given per-axis frequency sets."""
-    freq_sets = tuple(tuple(complex(w) for w in fs) for fs in freq_sets)
+    freq_sets = _freq_sets_arg(freq_sets)
     sizes = [len(fs) for fs in freq_sets]
-    if any(n == 0 for n in sizes):
-        raise ParamError("frequency sets must be nonempty")
     d = len(freq_sets)
     need = max(sizes)
 
@@ -336,19 +347,16 @@ def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificat
             return Filter.impulse(d)
         return simple_exp_filter(freq_sets, T)
 
-    return Certificate(d, 0.0, _rho_simple(sizes), math.inf, make)
+    return Certificate(d, 0.0, _rho_simple(sizes), make)
 
 
 def predictor_exp_certificate(omega: complex, kappa: int) -> Certificate:
     """Causal certificate for a quasi-stable exponential, lag ``kappa``."""
     omega = complex(omega)
-    if omega.real > 0:
-        raise ParamError("quasi-stability requires Re(omega) <= 0")
+    _quasi_stable_arg(omega)
     rho = 2.0 * math.sqrt(max(2, 2 * kappa + 1))
-    return Certificate(
-        1, 0.0, rho, math.inf,
-        lambda T: predictor_exp_filter(omega, T, kappa),
-        kappa=kappa, T0=kappa)
+    return Certificate(1, 0.0, rho, lambda T: predictor_exp_filter(omega, T, kappa),
+                       kappa=kappa, T0=kappa)
 
 
 def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3) -> Certificate:
@@ -365,19 +373,12 @@ def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3) -> Certificate
     if epsilon <= 0:
         raise ParamError("epsilon must be positive")
     degs = p.max_degrees()
-    base_sets = p.freq_sets()
-    ext_sets = []
-    for j, fs in enumerate(base_sets):
-        ext = []
-        for w in fs:
-            for k in range(degs[j] + 1):
-                ext.append(w - k * epsilon)
-        if len(set(ext)) != len(ext):
-            raise ParamError("epsilon splitting collides with an existing frequency")
-        ext_sets.append(tuple(ext))
+    ext_sets = [[w - k * epsilon for w in fs for k in range(m + 1)]
+                for fs, m in zip(p.freq_sets(), degs)]
     # axis j's split set has N_j = (m_j + 1) M_j frequencies, m_j the largest
     # degree and M_j the distinct partial frequencies on the axis, so rho and
-    # the filters are the simple-exponential certificate's on them
+    # the filters are the simple-exponential certificate's on them, whose
+    # frequency-set rule refuses a split frequency that meets another
     return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs))
 
 
@@ -387,9 +388,9 @@ def combine_certificates(certs: Sequence[Certificate],
 
     Uses the product construction ``1 - q = prod_j (1 - q_j)`` with per-factor
     order ``floor(T/m)``. Parameter updates: ``rho+ = (2m-1)^{d/2} 2^m
-    rho_1...rho_m``, matching ``theta+``, horizon halved; for predictors the
-    lag is the minimum and ``T0+ = m max_j T0_j``. The filters do not depend
-    on the coefficients.
+    rho_1...rho_m`` and the matching ``theta+``; for predictors the lag is
+    the minimum and ``T0+ = m max_j T0_j``. The filters do not depend on the
+    coefficients.
     """
     certs = list(certs)
     lambdas = [complex(l) for l in lambdas]
@@ -405,8 +406,6 @@ def combine_certificates(certs: Sequence[Certificate],
     if m == 1:
         c0 = certs[0]
         return replace(c0, theta=abs(lambdas[0]) * c0.theta)
-    L = min(c.L for c in certs)
-    L_plus = math.inf if math.isinf(L) else L // 2
     rho_prod = float(np.prod([c.rho for c in certs]))
     factor = (2 * m - 1) ** (d / 2)
     rho_plus = factor * 2 ** m * rho_prod
@@ -422,7 +421,7 @@ def combine_certificates(certs: Sequence[Certificate],
             q = rebox_filter(q, q.order, kappa_plus)
         return q
 
-    return Certificate(d, theta_plus, rho_plus, L_plus, make,
+    return Certificate(d, theta_plus, rho_plus, make,
                        kappa=kappa_plus, T0=T0_plus,
                        exact=all(c.exact for c in certs))
 
@@ -440,20 +439,24 @@ def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certifica
     return replace(cert, make=lambda T: cert.make(T).modulate(omega))
 
 
+def _exact_arg(*certs: Certificate) -> None:
+    if any(c.theta != 0 for c in certs):
+        raise ParamError("lifts and tensor products require exact certificates "
+                         "(theta = 0)")
+
+
 def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
     """View a d-dimensional certificate as one in dimension ``d_plus > d``.
 
     New axes get uniform averaging factors ((2T+1)^{-1} two-sided, or the
     causal uniform window for predictors); ``rho`` is unchanged for filtering
     and picks up ``max(2, 2 kappa + 1)^{(d+-d)/2}`` per the causal window
-    shape for prediction, ``theta`` scales by ``(2L+1)^{(d+-d)/2}``.
+    shape for prediction. Like a tensor product, a lift needs ``theta = 0``.
     """
     extra = d_plus - cert.d
     if extra <= 0:
         raise ParamError("d_plus must exceed the certificate dimension")
-    if cert.theta > 0 and math.isinf(cert.L):
-        raise ParamError("lifting an inexact certificate needs a finite horizon")
-    theta_plus = 0.0 if cert.theta == 0 else (2 * cert.L + 1) ** (extra / 2) * cert.theta
+    _exact_arg(cert)
     if cert.kappa is None:
         rho_plus = cert.rho
 
@@ -471,20 +474,18 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
             q = filter_tensor(q, axis_factor(T))
         return q
 
-    return Certificate(d_plus, theta_plus, rho_plus, cert.L, make,
+    return Certificate(d_plus, 0.0, rho_plus, make,
                        kappa=cert.kappa, T0=max(cert.T0, cert.kappa or 0),
                        exact=cert.exact)
 
 
 def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
     """Certificate for the tensor product ``s'_{tau'} s''_{tau''}`` (exact inputs only)."""
-    if a.theta != 0 or b.theta != 0:
-        raise ParamError("tensor products require exact certificates (theta = 0)")
+    _exact_arg(a, b)
     if a.kappa != b.kappa:
         raise ParamError("tensor products require equal lags, or none")
     return Certificate(
-        a.d + b.d, 0.0, a.rho * b.rho, min(a.L, b.L),
-        lambda T: filter_tensor(a.make(T), b.make(T)),
+        a.d + b.d, 0.0, a.rho * b.rho, lambda T: filter_tensor(a.make(T), b.make(T)),
         kappa=a.kappa, T0=max(a.T0, b.T0), exact=a.exact and b.exact)
 
 

@@ -226,7 +226,9 @@ def read_observations(y: Field, t: Sequence[int], T_alg: int,
 
 
 # a norm bound's rule is 1 <= rho <= _RHO_MAX: rho ** 3, the highest power
-# the program takes (estimators._oracle_bound), is then finite
+# the program raises rho to, is then finite. The risk bound's product
+# c(d) rho^3 (theta + sigma rho ...) grows as sigma rho^4 and may still
+# overflow; estimators._oracle_bound refuses that case.
 _RHO_MAX = 5.6e102
 
 

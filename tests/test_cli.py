@@ -945,18 +945,52 @@ def test_generate_noise_overflow_exit_code_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "s.zdf").exists() and not (tmp_path / "y.zdf").exists()
 
 
+def test_generate_signal_plus_noise_overflow_exit_code_writes_nothing(tmp_path, capsys):
+    # the signal and the noise are finite, their sum is not; the project's
+    # pytest settings make a numpy RuntimeWarning fail this test
+    doc = {"signal": constant_signal(1.7e308), "box": {"lo": [-24], "hi": [24]},
+           "noise": {"sigma": 5.0e307, "seed": 3},
+           "out": {"signal": "s.zdf", "observations": "y.zdf"}}
+    cfg = write_config(tmp_path / "gen.yaml", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "generation error: field sum overflows on" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "gen.yaml"]
+
+
 @pytest.mark.parametrize("where", ["experiment", "theta_moment"])
-def test_bench_noise_overflow_exit_code(tmp_path, capsys, where):
+def test_bench_noise_overflow_exit_code(tmp_path, monkeypatch, capsys, where):
+    from gridfilt import cli
+
     doc = bench_doc(trials=3)
     if where == "experiment":
+        # noise that overflows overflows the experiment's risk bound first,
+        # which stops the run before sampling
+        monkeypatch.setattr(cli, "monte_carlo", _refuse)
         doc["experiments"][0]["sigma"] = 1e308
+        code, message = 2, "config error: config.experiments[0]: the risk bound overflows"
     else:
         doc["checks"]["theta_moment"] = {"T": 1, "sigma": 1e308, "trials": 10}
+        code, message = 3, "generation error: noise of sigma 1e+308 overflows"
     cfg = write_config(tmp_path / "bench.yaml", doc)
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "generation error: noise of sigma 1e+308 overflows" in \
-        capsys.readouterr().err
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "stats.csv").exists()
+
+
+def test_bench_refuses_an_overflowing_risk_bound_before_sampling(tmp_path, monkeypatch,
+                                                                 capsys):
+    # a degree-1e99 polynomial certificate: rho = 16e99 passes the rho rule,
+    # but its bound overflows, and an infinite bound would pass any rmse
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=3)
+    doc["experiments"][0]["certificate"] = {"kind": "poly", "degree": 10 ** 99}
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("config error: config.experiments[0]: the risk bound overflows at "
+            "rho=1.6e+100") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "bench.yaml"]
 
 
 # a flag given to a subcommand that does not read it
@@ -1253,7 +1287,7 @@ def test_certify_empty_T_list_config_error(tmp_path, capsys):
 # the cube places a signal's reproduction residual, so without a signal it
 # would be ignored
 @pytest.mark.parametrize("key,value,signal,message", [
-    ("eval_radius", -1, True, "must be nonnegative"),
+    ("eval_radius", -1, True, "cube order must be nonnegative"),
     ("anchor", [0, 0], True, "a 2-d anchor for a 1-d box"),
     ("eval_radius", 2, False, "read only with 'signal'"),
     ("anchor", [0], False, "read only with 'signal'"),
@@ -1305,6 +1339,29 @@ def test_certify_T_outside_usable_range_names_its_key(tmp_path, capsys):
     assert ("config error: config.T: order 1 outside the certificate's usable "
             "range [2, inf]") in capsys.readouterr().err
     assert not (tmp_path / "q.zdf").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "bench"])
+def test_repeated_frequency_names_the_certificate_key(tmp_path, monkeypatch, capsys,
+                                                      command):
+    # refused when the certificate is built, not when its order-2 filter is
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    cert = {"kind": "simple_exp", "freq_sets": [[{"im": 0.3}, {"im": 0.3}]]}
+    if command == "certify":
+        doc = {"certificate": cert, "T": [2], "box": {"lo": [-10], "hi": [10]},
+               "out": {"filter": "q.zdf", "report": "report.json"}}
+        key = "config.certificate"
+    else:
+        doc = bench_doc(trials=3)
+        doc["experiments"][0]["certificate"] = cert
+        key = "config.experiments[0].certificate"
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert (f"config error: {key}: frequency set for axis 0 has repeats\n"
+            == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.yaml"]
 
 
 def test_certify_detects_violation(tmp_path):

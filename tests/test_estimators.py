@@ -261,15 +261,17 @@ def test_risk_bound_values():
 
 
 def test_rho_rule_ends_at_rho_max():
-    # rho ** 3 is the highest power the program takes: the setup, the
-    # instance, the certificate and risk_bound take _RHO_MAX, whose cube is
-    # finite, and refuse the next float with a ParamError
+    # rho ** 3 is the highest power the program raises rho to: the setup, the
+    # instance and the certificate take _RHO_MAX, whose cube is finite, and
+    # refuse the next float with a ParamError; risk_bound's rho rule takes
+    # it too, but the bound, c(d) rho^3 times the noise term, overflows there
     y = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
     assert math.isfinite(_RHO_MAX ** 3)
     DenoiseSetup(rho=_RHO_MAX, T=1)
     dataclasses.replace(exp_certificate_1d(0.5j), rho=_RHO_MAX)
     assert math.isfinite(build_instance(y, (0,), 1, _RHO_MAX).l1_bound)
-    risk_bound(1, 4, _RHO_MAX, 0.0, 0.1)
+    with pytest.raises(ParamError, match="the risk bound overflows"):
+        risk_bound(1, 4, _RHO_MAX, 0.0, 0.1)
     rho = math.nextafter(_RHO_MAX, math.inf)
     for make in (lambda: DenoiseSetup(rho=rho, T=1),
                  lambda: build_instance(y, (0,), 1, rho),
@@ -287,6 +289,13 @@ def test_risk_bound_rejects_nan_and_out_of_range(T, rho, theta, sigma):
     # a NaN bound would pass the bench's check rmse > bound silently
     with pytest.raises(ParamError, match="need T, theta, sigma >= 0"):
         risk_bound(1, T, rho, theta, sigma)
+
+
+def test_risk_bound_refuses_an_overflowing_bound():
+    # an admissible rho whose bound overflows: an infinite bound would pass
+    # the bench's check rmse > bound, and give a ratio of 0
+    with pytest.raises(ParamError, match=r"the risk bound overflows at rho=1e\+100"):
+        risk_bound(1, 4, 1e100, 0.0, 0.1)
 
 
 # ---------------------------------------------------------------- theta statistic

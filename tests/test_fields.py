@@ -44,6 +44,16 @@ def random_field(box: Box, rng=RNG) -> Field:
     return Field(box, re + 1j * im)
 
 
+def test_field_sum_overflow_raises_without_a_warning():
+    # the project's pytest settings turn a numpy RuntimeWarning into an error,
+    # so this passes only if the overflow raises before any warning
+    box = Box.cube(1, 2)
+    big = Field(box, np.full(5, 1.7e308 + 1.7e308j))
+    with pytest.raises(OverflowError, match="field sum overflows on"):
+        big + big
+    assert np.array_equal((big + Field(box, -big.data)).data, np.zeros(5))
+
+
 # ---------------------------------------------------------------- convolve
 
 

@@ -249,12 +249,13 @@ def test_predictor_certificate_rejects_negative_lag():
         predictor_exp_certificate(-0.1, -1)
 
 
-@pytest.mark.parametrize("T", [-1, 1, 5])
+@pytest.mark.parametrize("T", [-1, 1])
 def test_certificate_filter_outside_usable_range(T):
-    # one check, T0 <= T <= L: a negative order, one below T0 and one above L
-    cert = dataclasses.replace(predictor_exp_certificate(0.3j, 2), L=4)
+    # one check, T >= T0: a negative order and one below T0; a certificate
+    # holds on all of Z^d, so its range has no upper end
+    cert = predictor_exp_certificate(0.3j, 2)
     with pytest.raises(ParamError, match=rf"order {T} outside the certificate's "
-                                         r"usable range \[2, 4\]"):
+                                         r"usable range \[2, inf\]"):
         cert.filter(T)
 
 
@@ -375,9 +376,51 @@ def test_tensor_certificate():
 
 
 def test_tensor_requires_exact():
-    inexact = Certificate(1, 0.5, 2.0, 100, lambda T: exp_filter_1d(0, T))
+    inexact = Certificate(1, 0.5, 2.0, lambda T: exp_filter_1d(0, T))
     with pytest.raises(ParamError):
         tensor_certificate(inexact, exp_certificate_1d(0.0))
+
+
+def test_lift_and_tensor_refuse_theta_through_one_rule():
+    inexact = dataclasses.replace(exp_certificate_1d(0.5j), theta=0.5)
+    messages = set()
+    for build in (lambda: lift_certificate(inexact, 2),
+                  lambda: tensor_certificate(inexact, exp_certificate_1d(0.0)),
+                  lambda: tensor_certificate(exp_certificate_1d(0.0), inexact)):
+        with pytest.raises(ParamError) as exc:
+            build()
+        messages.add(str(exc.value))
+    assert messages == {"lifts and tensor products require exact certificates "
+                        "(theta = 0)"}
+
+
+# each argument rule is stated once, so a certificate and its filter builder
+# refuse a bad argument with one message, and the certificate refuses it when
+# it is built: (certificate, filter builder, message)
+SHARED_RULES = {
+    "unstable": (lambda: predictor_exp_certificate(0.1, 1),
+                 lambda: predictor_exp_filter(0.1, 4, 1),
+                 "quasi-stability requires Re(omega) <= 0, got (0.1+0j)"),
+    "negative_degree": (lambda: poly_certificate_1d(-1), lambda: poly_filter_1d(-1, 4),
+                        "degree must be nonnegative"),
+    "no_axis": (lambda: simple_exp_certificate([]), lambda: simple_exp_filter([], 4),
+                "need at least one axis"),
+    "empty_set": (lambda: simple_exp_certificate([[0.3j], []]),
+                  lambda: simple_exp_filter([[0.3j], []], 4),
+                  "frequency set for axis 1 is empty"),
+    "repeats": (lambda: simple_exp_certificate([[0.3j, 0.3j]]),
+                lambda: simple_exp_filter([[0.3j, 0.3j]], 4),
+                "frequency set for axis 0 has repeats"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_RULES))
+def test_certificate_and_builder_share_each_rule(case):
+    make_cert, make_filter, message = SHARED_RULES[case]
+    for build in (make_cert, make_filter):
+        with pytest.raises(ParamError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_exp_poly_certificate_exact_and_shared_filters():
