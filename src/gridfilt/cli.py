@@ -257,10 +257,8 @@ def _build_certificate(node, ctx: str) -> Certificate:
                 _complex(node, ctx, "re_omega", "im_omega"),
                 _integer(node["kappa"], ctx + ".kappa"))
         if kind == "exp_poly":
-            _section(node, ctx, ("kind", "terms"), ("epsilon",))
-            return exp_poly_certificate(
-                _parse_exp_poly(node["terms"], ctx + ".terms"),
-                epsilon=_number(node.get("epsilon", 1e-3), ctx + ".epsilon"))
+            _section(node, ctx, ("kind", "terms"))
+            return exp_poly_certificate(_parse_exp_poly(node["terms"], ctx + ".terms"))
         if kind == "modulate":
             _section(node, ctx, ("kind", "base", "omega"))
             return modulate_certificate(_build_certificate(node["base"], ctx + ".base"),
@@ -646,18 +644,17 @@ def _parse_checks(node) -> dict:
 
 
 def _check_residual(signal: Field, q: Filter, cube: Box, entry: dict,
-                    slack: float, rel_tol: float, enforce: bool = True) -> bool:
+                    slack: float, rel_tol: float) -> bool:
     """Record ``q``'s reproduction residual on ``cube`` in ``entry``.
 
-    The residual violates the certificate when ``enforce`` is set and it
-    exceeds ``slack + rel_tol * max(scale, 1)``, where ``scale`` is the
-    signal's largest modulus; a violation is flagged in ``entry`` and
-    returned.
+    The residual violates the certificate when it exceeds ``slack + rel_tol
+    * max(scale, 1)``, where ``scale`` is the signal's largest modulus; a
+    violation is flagged in ``entry`` and returned.
     """
     res = reproduction_residual(q, signal, cube)
     entry["residual"] = res
     scale = float(np.abs(signal.data).max())
-    if enforce and res > slack + rel_tol * max(scale, 1.0):
+    if res > slack + rel_tol * max(scale, 1.0):
         entry["residual_violation"] = True
         return True
     return False
@@ -716,7 +713,7 @@ def cmd_certify(args) -> int:
                 violated = True
             if signal is not None:
                 violated |= _check_residual(signal, q, cube, entry,
-                                            entry["theta_scaled"], 1e-9, cert.exact)
+                                            entry["theta_scaled"], 1e-9)
             entries.append(entry)
     else:
         node = _section(cfg["harmonic"], "config.harmonic", ("operator", "n"),

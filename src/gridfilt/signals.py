@@ -4,17 +4,18 @@ A *certificate* for a signal class is a family of filters ``q^(T)``, one per
 window order ``T``, with small l2 norm (``|q^(T)|_2 <= rho (2T+1)^{-d/2}``)
 that reproduces every signal of the class up to a mean-square error of
 ``theta (2T+1)^{-d/2}``. Every construction here holds on all of Z^d, so no
-horizon is stored, and a certificate's ``exact`` flag marks the ones that
-only approximate their class. Prediction certificates are the same with a
-lag ``kappa``, one-sided (causal) supports ``{kappa <= tau_j <= T}`` and a
-minimal usable order ``T_0``; a certificate's filters carry its lag, and
-filtering certificates and their filters carry none.
+horizon is stored, and reproduces its class exactly (theta 0). Prediction
+certificates are the same with a lag ``kappa``, one-sided (causal) supports
+``{kappa <= tau_j <= T}`` and a minimal usable order ``T_0``; a
+certificate's filters carry its lag, and filtering certificates and their
+filters carry none.
 
 The module provides the basic constructive families
 
 * single exponentials ``e^{omega tau}`` (two-sided and causal variants),
 * spans of exponentials with prescribed per-axis frequency sets,
-* algebraic polynomials via moment-matching weights,
+* exponential polynomials, algebraic ones included, via minimum-norm
+  moment-matching weights,
 * discrete harmonic fields of a regular difference operator, reproduced by a
   Chebyshev polynomial of the operator; a regular operator is its stencil
   filter (:func:`make_regular_operator`), so the polynomial is a sum of
@@ -51,7 +52,6 @@ __all__ = [
     "eval_exp_poly",
     "exp_filter_1d",
     "simple_exp_filter",
-    "poly_filter_1d",
     "predictor_exp_filter",
     "exp_certificate_1d",
     "poly_certificate_1d",
@@ -150,11 +150,6 @@ def _quasi_stable_arg(omega: complex) -> None:
         raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
 
 
-def _degree_arg(m: int) -> None:
-    if m < 0:
-        raise ParamError("degree must be nonnegative")
-
-
 def _freq_sets_arg(freq_sets: Sequence[Sequence[complex]]
                    ) -> tuple[tuple[complex, ...], ...]:
     """``freq_sets`` as complex tuples: at least one axis, each axis a
@@ -229,23 +224,30 @@ def simple_exp_filter(freq_sets: Sequence[Sequence[complex]], T: int) -> Filter:
     return reduce(filter_tensor, axis_filters)
 
 
-def poly_filter_1d(m: int, T: int) -> Filter:
-    """Minimum-l2 symmetric weights reproducing univariate polynomials of degree <= m.
+def _exp_poly_filter(freq_sets: Sequence[Sequence[complex]],
+                     degrees: Sequence[int], T: int) -> Filter:
+    """Minimum-l2 order-T filter reproducing every ``tau^k exp(omega tau)`` with,
+    on each axis j, ``omega`` in ``freq_sets[j]`` and ``k <= degrees[j]``.
 
-    Solves ``sum q_t = 1`` and ``sum q_t t^i = 0`` for ``i = 1..m`` with the
-    smallest l2 norm; ``|q|_2 <= 16 m (2T+1)^{-1/2}`` for m >= 1. Requires
-    ``2T+1 >= m+1`` points for the moment system to be solvable.
+    Per axis, one least-squares solve of the moment system ``sum_{|nu| <= T}
+    q_nu (nu/T)^k exp(-omega nu) = delta_{k,0}`` for every such ``omega`` and
+    ``k``; the axes are tensored, and the tensor of minimum-norm solutions is
+    the minimum-norm solution of the tensor system. Below the order where
+    some axis's moments outnumber its ``2T+1`` taps, the impulse, which
+    reproduces every class, is returned.
     """
-    _degree_arg(m)
-    if 2 * T + 1 < m + 1:
-        raise ParamError(f"moment system of degree {m} is infeasible at order {T}")
-    t = np.arange(-T, T + 1, dtype=float)
-    scale = max(T, 1)
-    V = np.vander(t / scale, m + 1, increasing=True).T  # rows: (t/scale)^i
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    q, *_ = np.linalg.lstsq(V, rhs, rcond=None)
-    return Filter.two_sided(1, T, q.astype(np.complex128))
+    if any(2 * T + 1 < len(fs) * (m + 1) for fs, m in zip(freq_sets, degrees)):
+        return Filter.impulse(len(freq_sets))
+    nu = np.arange(-T, T + 1)
+    t = nu / max(T, 1)
+    axis_filters = []
+    for fs, m in zip(freq_sets, degrees):
+        k = np.arange(m + 1)
+        A = np.concatenate([t ** k[:, None] * np.exp(-w * nu) for w in fs])
+        b = np.tile(k == 0, len(fs)).astype(np.complex128)
+        q, *_ = np.linalg.lstsq(A, b, rcond=None)
+        axis_filters.append(Filter.two_sided(1, T, q))
+    return reduce(filter_tensor, axis_filters)
 
 
 def predictor_exp_filter(omega: complex, T: int, kappa: int) -> Filter:
@@ -276,8 +278,6 @@ class Certificate:
     Z^d, so no horizon is stored. Prediction certificates carry the lag
     ``kappa``, which each of their filters carries too, and the minimal order
     ``T0``; a filtering certificate has ``kappa=None`` and two-sided filters.
-    ``exact`` is False for constructions that only approximate their class
-    (the residual is then measured, not promised).
     """
 
     d: int
@@ -286,7 +286,6 @@ class Certificate:
     make: Callable[[int], Filter]
     kappa: int | None = None
     T0: int = 0
-    exact: bool = True
 
     def __post_init__(self):
         _rho_arg(self.rho)
@@ -319,16 +318,15 @@ def exp_certificate_1d(omega: complex) -> Certificate:
 
 
 def poly_certificate_1d(m: int) -> Certificate:
-    """Certificate for univariate polynomials of degree <= m: theta 0, rho 16m."""
-    _degree_arg(m)
+    """Certificate for univariate polynomials of degree <= m: theta 0, rho 16m.
+
+    The filters are the minimum-norm moment-matching weights at frequency 0,
+    and the impulse while ``2T+1 < m+1``.
+    """
+    if m < 0:
+        raise ParamError("degree must be nonnegative")
     rho = 16.0 * m if m >= 1 else 1.0
-
-    def make(T: int) -> Filter:
-        if 2 * T + 1 < m + 1:
-            return Filter.impulse(1)  # trivial reproduction at tiny orders
-        return poly_filter_1d(m, T)
-
-    return Certificate(1, 0.0, rho, make)
+    return Certificate(1, 0.0, rho, lambda T: _exp_poly_filter(((0j,),), (m,), T))
 
 
 def _rho_simple(sizes: Sequence[int]) -> float:
@@ -359,27 +357,28 @@ def predictor_exp_certificate(omega: complex, kappa: int) -> Certificate:
                        kappa=kappa, T0=kappa)
 
 
-def exp_poly_certificate(p: ExpPolynomial, epsilon: float = 1e-3) -> Certificate:
+def exp_poly_certificate(p: ExpPolynomial) -> Certificate:
     """Certificate for a general exponential polynomial, from its frequency structure.
 
-    Monomial factors ``tau^alpha`` are handled by splitting each partial
-    frequency into ``m_j + 1`` copies shifted by multiples of ``epsilon``
-    (a finite version of the limiting construction); the result is exact for
-    purely exponential sums (all m_j = 0) and otherwise approximates the class
-    with an error that shrinks with ``epsilon`` and is measured, never assumed.
-    The filter depends only on the frequency sets and degrees, not on the
+    A sum of pure exponentials (every degree 0) gets the simple-exponential
+    certificate of its frequency sets. Otherwise, with ``M_j`` distinct
+    partial frequencies and largest degree ``m_j`` on axis j, the filter is
+    the minimum-norm one reproducing every ``tau^k exp(omega tau)`` with
+    ``k <= m_j`` per axis, and ``rho`` is the simple-exponential one for
+    ``N_j = M_j (m_j + 1)`` frequencies per axis. That ``rho`` bounds it:
+    splitting each frequency into ``m_j + 1`` copies ``h`` apart gives
+    order-T simple-exponential filters within that bound for every ``h``,
+    which converge, as ``h -> 0``, to a filter that reproduces this class
+    (the pseudo-inverse is continuous at full rank); the impulse reproduces
+    it too, and the minimum-norm filter is no longer than either. The
+    filters depend only on the frequency sets and degrees, not on the
     coefficients.
     """
-    if epsilon <= 0:
-        raise ParamError("epsilon must be positive")
-    degs = p.max_degrees()
-    ext_sets = [[w - k * epsilon for w in fs for k in range(m + 1)]
-                for fs, m in zip(p.freq_sets(), degs)]
-    # axis j's split set has N_j = (m_j + 1) M_j frequencies, m_j the largest
-    # degree and M_j the distinct partial frequencies on the axis, so rho and
-    # the filters are the simple-exponential certificate's on them, whose
-    # frequency-set rule refuses a split frequency that meets another
-    return replace(simple_exp_certificate(ext_sets), exact=all(m == 0 for m in degs))
+    degrees, freq_sets = p.max_degrees(), p.freq_sets()
+    if not any(degrees):
+        return simple_exp_certificate(freq_sets)
+    rho = _rho_simple([len(fs) * (m + 1) for fs, m in zip(freq_sets, degrees)])
+    return Certificate(p.d, 0.0, rho, lambda T: _exp_poly_filter(freq_sets, degrees, T))
 
 
 def combine_certificates(certs: Sequence[Certificate],
@@ -422,8 +421,7 @@ def combine_certificates(certs: Sequence[Certificate],
         return q
 
     return Certificate(d, theta_plus, rho_plus, make,
-                       kappa=kappa_plus, T0=T0_plus,
-                       exact=all(c.exact for c in certs))
+                       kappa=kappa_plus, T0=T0_plus)
 
 
 def modulate_certificate(cert: Certificate, omega: Sequence[float]) -> Certificate:
@@ -475,8 +473,7 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
         return q
 
     return Certificate(d_plus, 0.0, rho_plus, make,
-                       kappa=cert.kappa, T0=max(cert.T0, cert.kappa or 0),
-                       exact=cert.exact)
+                       kappa=cert.kappa, T0=max(cert.T0, cert.kappa or 0))
 
 
 def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
@@ -486,7 +483,7 @@ def tensor_certificate(a: Certificate, b: Certificate) -> Certificate:
         raise ParamError("tensor products require equal lags, or none")
     return Certificate(
         a.d + b.d, 0.0, a.rho * b.rho, lambda T: filter_tensor(a.make(T), b.make(T)),
-        kappa=a.kappa, T0=max(a.T0, b.T0), exact=a.exact and b.exact)
+        kappa=a.kappa, T0=max(a.T0, b.T0))
 
 
 # --------------------------------------------------------------------------

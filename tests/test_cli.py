@@ -1223,11 +1223,10 @@ def test_certify_modulation_preserves_l2(tmp_path):
 
 # a config certificate, the same certificate built in code, and its orders
 CERT_KINDS = {
-    "exp_poly": ({"kind": "exp_poly", "epsilon": 0.01,
+    "exp_poly": ({"kind": "exp_poly",
                   "terms": [{"re_c": 1.0, "im_c": 0.0, "alpha": [1],
                              "re_omega": [0.0], "im_omega": [0.5]}]},
-                 lambda: exp_poly_certificate(
-                     ExpPolynomial(((1.0, (1,), (0.5j,)),)), epsilon=0.01),
+                 lambda: exp_poly_certificate(ExpPolynomial(((1.0, (1,), (0.5j,)),))),
                  [2, 4]),
     "lift": ({"kind": "lift", "base": {"kind": "exp", "im_omega": 0.5},
               "d_plus": 2},
@@ -1255,6 +1254,44 @@ def test_certify_reports_the_certificate_of_its_kind(tmp_path, kind):
     q = read_zdf(tmp_path / "q.zdf")
     assert q.box == cert.filter(Ts[-1]).field.box
     assert np.array_equal(q.data, cert.filter(Ts[-1]).field.data)
+
+
+# tau e^{0.9 i tau} + 0.5 e^{0.3 i tau}: a class with a polynomial factor
+POLY_FACTOR_TERMS = [
+    {"re_c": 1.0, "im_c": 0.0, "alpha": [1], "re_omega": [0.0], "im_omega": [0.9]},
+    {"re_c": 0.5, "im_c": 0.0, "alpha": [0], "re_omega": [0.0], "im_omega": [0.3]},
+]
+
+
+def test_certify_reproduces_a_polynomial_factor(tmp_path):
+    # every certificate's residual is checked, and the minimum-norm filter
+    # reproduces the class to roundoff at every order
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "exp_poly", "terms": POLY_FACTOR_TERMS},
+        "T": [4, 8, 16],
+        "signal": {"kind": "exp_poly", "terms": POLY_FACTOR_TERMS},
+        "box": {"lo": [-80], "hi": [80]},
+        "eval_radius": 3,
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["violated"] is False
+    assert [e["T"] for e in report["entries"]] == [4, 8, 16]
+    assert all(e["residual"] <= 1e-12 for e in report["entries"])
+
+
+def test_certify_epsilon_is_not_a_certificate_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "exp_poly", "epsilon": 1e-3, "terms": POLY_FACTOR_TERMS},
+        "T": [4],
+        "box": {"lo": [-8], "hi": [8]},
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("config error: config.certificate: unknown keys ['epsilon']\n"
+            == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "cert.yaml"]
 
 
 def test_certify_harmonic_saddle(tmp_path):
@@ -1424,8 +1461,8 @@ BUILDER_ERRORS = {
     "poly": ("certify", "certificate", {"kind": "poly", "degree": -1}, 1,
              "config.certificate: degree must be nonnegative"),
     "exp_poly": ("certify", "certificate",
-                 {"kind": "exp_poly", "epsilon": -1.0, "terms": [EXP_TERM]}, 1,
-                 "config.certificate: epsilon must be positive"),
+                 {"kind": "exp_poly", "terms": [dict(EXP_TERM, alpha=[-1])]}, 1,
+                 "config.certificate: multi-indices must be nonnegative"),
     "predictor_exp": ("certify", "certificate",
                       {"kind": "predictor_exp", "kappa": -1}, 1,
                       "config.certificate: certificate lag must be >= 0, got -1"),
