@@ -64,7 +64,7 @@ from .errors import (
     RegularityError,
 )
 from .estimators import DenoiseSetup, denoise_point, risk_bound
-from .fields import Box, Field, Filter, read_zdf, write_zdf
+from .fields import Box, Field, Filter, convolve, read_zdf, write_zdf
 from .harness import (
     ExperimentStats,
     NoiseSpec,
@@ -522,10 +522,10 @@ def cmd_bench(args) -> int:
     with ThreadPoolExecutor(1, thread_name_prefix="gridfilt-worker") as pool:
         draws = pool.submit(lambda: [_gaussian_maxima(N, gm_trials, master_seed)
                                      for N in Ns])
-        for label, signal, cert, anchor, setup, sigma in experiments:
+        for label, signal, cert, anchor, T, sigma in experiments:
             _info(args, f"running experiment {label!r}: {trials} trials, "
-                        f"T={setup.T}, sigma={sigma}")
-            stats, records = monte_carlo(signal, cert, anchor, setup, sigma,
+                        f"T={T}, sigma={sigma}")
+            stats, records = monte_carlo(signal, cert, anchor, T, sigma,
                                          trials, master_seed, label=label, tol=tol)
             all_stats.append(stats)
             all_records.extend(records)
@@ -588,10 +588,10 @@ def cmd_bench(args) -> int:
 
 
 def _parse_experiment(exp, ctx: str) -> tuple:
-    """``(label, signal, certificate, anchor, setup, sigma)`` of one bench
-    experiment."""
+    """``(label, signal, certificate, anchor, T, sigma)`` of one bench
+    experiment; the estimator takes its rho and lag from the certificate."""
     exp = _section(exp, ctx, ("label", "signal", "box", "certificate", "T", "sigma",
-                              "anchor"), ("kappa",))
+                              "anchor"))
     box = _parse_box(exp["box"], ctx + ".box")
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
     _dimension(cert.d, "certificate", box, ctx + ".certificate")
@@ -600,21 +600,15 @@ def _parse_experiment(exp, ctx: str) -> tuple:
     sigma = _checked(_number, exp["sigma"], ctx + ".sigma", _sigma_arg)
     anchor = _point(exp["anchor"], ctx + ".anchor")
     _dimension(len(anchor), "anchor", box, ctx + ".anchor")
-    kappa = None
-    if cert.kappa is not None:
-        kappa = _integer(exp.get("kappa", cert.kappa), ctx + ".kappa")
-    elif "kappa" in exp:
-        raise ConfigError(f"{ctx}.kappa: a filtering certificate takes no lag")
-    with _at(ctx):
-        setup = DenoiseSetup(rho=cert.rho, T=T, kappa=kappa)
-        # the reported bound: one that overflows stops the run before sampling
-        risk_bound(box.d, T, cert.rho, cert.theta, sigma)
     with _at(ctx + ".T"):
         cert.filter(T)  # the trials' oracle: a bad T stops the run before sampling
+    with _at(ctx):
+        # the reported bound: one that overflows stops the run before sampling
+        risk_bound(box.d, T, cert.rho, cert.theta, sigma)
     with _at(f"{ctx} ({exp['label']})"):
         # a trial's noise statistic reads this set, and its other reads lie in it
         read_observations(signal, anchor, T)
-    return str(exp["label"]), signal, cert, anchor, setup, sigma
+    return str(exp["label"]), signal, cert, anchor, T, sigma
 
 
 def _parse_checks(node) -> dict:
@@ -648,13 +642,16 @@ def _check_residual(signal: Field, q: Filter, cube: Box, entry: dict,
     """Record ``q``'s reproduction residual on ``cube`` in ``entry``.
 
     The residual violates the certificate when it exceeds ``slack + rel_tol
-    * max(scale, 1)``, where ``scale`` is the signal's largest modulus; a
-    violation is flagged in ``entry`` and returned.
+    * scale``, where ``scale``, the roundoff scale of ``q(D)s`` on the cube,
+    is the largest value of ``|q|(D)|s|`` there; it reads only the cells
+    that ``q(D)s`` reads. A violation is flagged in ``entry`` and returned.
     """
     res = reproduction_residual(q, signal, cube)
     entry["residual"] = res
-    scale = float(np.abs(signal.data).max())
-    if res > slack + rel_tol * max(scale, 1.0):
+    moduli = Filter(Field(q.field.box, np.abs(q.field.data)), q.order, q.kappa)
+    scale = float(np.abs(convolve(moduli, Field(signal.box, np.abs(signal.data)),
+                                  cube).data).max())
+    if res > slack + rel_tol * scale:
         entry["residual_violation"] = True
         return True
     return False

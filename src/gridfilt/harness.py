@@ -12,6 +12,10 @@ A trial compares the adaptive estimate against the certificate ("oracle")
 filter applied to the same noisy data, records both estimates, the solver gap
 and the realized noise statistic; aggregation reports RMSEs with
 normal-approximation confidence half-widths and the theoretical risk bound.
+An experiment names its certificate and its order ``T`` alone: the estimator
+runs at the certificate's ``rho`` and lag, the setup
+``DenoiseSetup(cert.rho, T, cert.kappa)``, so the oracle filter always lies
+in the estimator's admissible set.
 
 The trials of one experiment share a window geometry, so their filter fits
 are solved as one batch (:func:`gridfilt.solver.solve_batch`). Batching does
@@ -151,33 +155,35 @@ class TrialRecord:
         return abs(self.oracle_estimate - self.truth) ** 2
 
 
-def run_trial(s: Field, cert: Certificate, t: Sequence[int],
-              setup: DenoiseSetup, noise: NoiseSpec,
-              tol: float = 1e-5) -> TrialRecord:
+def run_trial(s: Field, cert: Certificate, t: Sequence[int], T: int,
+              noise: NoiseSpec, tol: float = 1e-5) -> TrialRecord:
     """Run one seeded trial on signal ``s``: estimate, oracle, errors.
 
-    The oracle estimate applies the certificate's order-T filter to the same
-    noisy observations. This is the batch of one of :func:`monte_carlo`, so
-    it replays any of its trials bit for bit. A fit that misses its budget is
-    recorded with its certified gap, so ``solver_gap > tol``.
+    The estimator fits an order-``T`` filter at the certificate's ``rho``
+    and lag, and the oracle estimate applies the certificate's order-T
+    filter to the same noisy observations. This is the batch of one of
+    :func:`monte_carlo`, so it replays any of its trials bit for bit. A fit
+    that misses its budget is recorded with its certified gap, so
+    ``solver_gap > tol``.
     """
-    return _run_trials(s, cert, t, setup, [noise], tol)[0]
+    return _run_trials(s, cert, t, T, [noise], tol)[0]
 
 
-def _run_trials(s: Field, cert: Certificate, t: Sequence[int],
-                setup: DenoiseSetup, noises: Sequence[NoiseSpec],
-                tol: float) -> list[TrialRecord]:
-    """Trials on ``s``, one per noise spec, with their fits solved as one batch."""
+def _run_trials(s: Field, cert: Certificate, t: Sequence[int], T: int,
+                noises: Sequence[NoiseSpec], tol: float) -> list[TrialRecord]:
+    """Trials on ``s``, one per noise spec, with their fits solved as one
+    batch; a bad ``T`` is refused before any noise is drawn."""
     t = tuple(int(x) for x in t)
+    setup = DenoiseSetup(rho=cert.rho, T=T, kappa=cert.kappa)
+    q = cert.filter(T)
     noise_fields = [sample_noise(s.box, noise) for noise in noises]
     ys = [s + e for e in noise_fields]
     estimates = denoise_batch(ys, t, setup, tol=tol)
     truth = s.value(t)
-    q = cert.filter(setup.T)
     return [TrialRecord(anchor=t, seed=noise.seed, truth=truth, estimate=est.value,
                         oracle_estimate=convolve(q, y, Box(t, t)).value(t),
                         solver_gap=0.0 if est.solve is None else est.solve.gap,
-                        theta_stat=theta_stat(e, t, setup.T))
+                        theta_stat=theta_stat(e, t, T))
             for noise, e, y, est in zip(noises, noise_fields, ys, estimates)]
 
 
@@ -226,25 +232,25 @@ def pathwise_violations(records: Sequence[TrialRecord], d: int, T: int,
                for r in records)
 
 
-def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
-                setup: DenoiseSetup, sigma: float, trials: int,
-                master_seed: int, label: str = "", tol: float = 1e-5,
-                ) -> tuple[ExperimentStats, list[TrialRecord]]:
+def monte_carlo(s: Field, cert: Certificate, t: Sequence[int], T: int,
+                sigma: float, trials: int, master_seed: int, label: str = "",
+                tol: float = 1e-5) -> tuple[ExperimentStats, list[TrialRecord]]:
     """Independent-seed trials of one configuration, aggregated.
 
-    Seeds are ``derive_seed(master_seed, i)``, and all trials' fits are
-    solved as one batch. A set-up failure (``DomainError``, ``ParamError``)
-    is raised again as its own type, naming trial 0 and its seed. A fit
-    that misses the iteration budget is recorded with its certified gap, so
-    ``solver_gap > tol`` flags it and ``max_solver_gap`` covers it. The
-    reported bound evaluates :func:`risk_bound` at the certificate's
-    ``(theta, rho)``.
+    Each trial fits an order-``T`` filter at the certificate's ``rho`` and
+    lag (see :func:`run_trial`). Seeds are ``derive_seed(master_seed, i)``,
+    and all trials' fits are solved as one batch. A set-up failure
+    (``DomainError``, ``ParamError``) is raised again as its own type,
+    naming trial 0 and its seed. A fit that misses the iteration budget is
+    recorded with its certified gap, so ``solver_gap > tol`` flags it and
+    ``max_solver_gap`` covers it. The reported bound evaluates
+    :func:`risk_bound` at the certificate's ``(theta, rho)``.
     """
     _trials_arg(trials)
     name = label or "experiment"
     seeds = [derive_seed(master_seed, i) for i in range(trials)]
     try:
-        records = _run_trials(s, cert, t, setup,
+        records = _run_trials(s, cert, t, T,
                               [NoiseSpec(sigma, seed) for seed in seeds], tol)
     except (DomainError, ParamError) as exc:
         # every trial reads the same box of the same signal, so what stops
@@ -254,11 +260,11 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
     sq_o = np.array([r.sq_err_oracle for r in records])
     rmse_a, hw_a = _rmse_with_halfwidth(sq_a)
     rmse_o, hw_o = _rmse_with_halfwidth(sq_o)
-    bound = risk_bound(s.d, setup.T, cert.rho, cert.theta, sigma)
+    bound = risk_bound(s.d, T, cert.rho, cert.theta, sigma)
     stats = ExperimentStats(
         label=label,
         d=s.d,
-        T=setup.T,
+        T=T,
         rho=cert.rho,
         theta=cert.theta,
         sigma=sigma,
@@ -271,7 +277,7 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int],
         bound=bound,
         ratio=rmse_a / bound if bound > 0 else math.inf,
         max_solver_gap=max((r.solver_gap for r in records), default=0.0),
-        pathwise_violations=pathwise_violations(records, s.d, setup.T,
+        pathwise_violations=pathwise_violations(records, s.d, T,
                                                 cert.rho, cert.theta),
     )
     return stats, records

@@ -22,7 +22,11 @@ The module provides the basic constructive families
   filter products,
 
 and the calculus that combines certificates: linear combinations, modulation,
-lifting to higher dimension, and tensor products.
+lifting to higher dimension, and tensor products. A certificate is the one
+public source of its filters: the builders of the first three families are
+private, take only arguments that their certificate has checked, and are
+called only by certificates. The harmonic filter, which no certificate wraps,
+is built by :func:`harmonic_filter`.
 """
 
 from __future__ import annotations
@@ -50,9 +54,6 @@ __all__ = [
     "ExpPolynomial",
     "Certificate",
     "eval_exp_poly",
-    "exp_filter_1d",
-    "simple_exp_filter",
-    "predictor_exp_filter",
     "exp_certificate_1d",
     "poly_certificate_1d",
     "simple_exp_certificate",
@@ -141,31 +142,12 @@ def eval_exp_poly(p: ExpPolynomial, box: Box) -> Field:
 
 
 # --------------------------------------------------------------------------
-# base filters, and the argument rules each shares with its certificate
+# the certificates' filter builders: each takes only arguments that its
+# certificate has checked, and only the certificates call them
 # --------------------------------------------------------------------------
 
 
-def _quasi_stable_arg(omega: complex) -> None:
-    if omega.real > 0:
-        raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
-
-
-def _freq_sets_arg(freq_sets: Sequence[Sequence[complex]]
-                   ) -> tuple[tuple[complex, ...], ...]:
-    """``freq_sets`` as complex tuples: at least one axis, each axis a
-    nonempty set without repeats."""
-    freq_sets = tuple(tuple(complex(w) for w in fs) for fs in freq_sets)
-    if not freq_sets:
-        raise ParamError("need at least one axis")
-    for j, fs in enumerate(freq_sets):
-        if not fs:
-            raise ParamError(f"frequency set for axis {j} is empty")
-        if len(set(fs)) != len(fs):
-            raise ParamError(f"frequency set for axis {j} has repeats")
-    return freq_sets
-
-
-def exp_filter_1d(omega: complex, T: int) -> Filter:
+def _exp_filter_1d(omega: complex, T: int) -> Filter:
     """Order-T filter reproducing ``s_tau = exp(omega tau)`` exactly (d=1).
 
     Averages T+1 rescaled samples on the stable side: lags ``-k`` with
@@ -173,9 +155,6 @@ def exp_filter_1d(omega: complex, T: int) -> Filter:
     otherwise. ``|q|_2 <= (T+1)^{-1/2} <= sqrt(2) (2T+1)^{-1/2}``, with
     equality for purely imaginary frequencies.
     """
-    omega = complex(omega)
-    if T < 0:
-        raise ParamError("order must be nonnegative")
     coeffs = np.zeros(2 * T + 1, dtype=np.complex128)
     k = np.arange(T + 1)
     if omega.real >= 0:
@@ -203,24 +182,19 @@ def _annihilator_combination(factors: Sequence[Filter]) -> Filter:
     return _one_minus(prod)
 
 
-def simple_exp_filter(freq_sets: Sequence[Sequence[complex]], T: int) -> Filter:
+def _simple_exp_filter(freq_sets: tuple[tuple[complex, ...], ...], T: int) -> Filter:
     """Filter reproducing every span of exponentials with the given partial frequencies.
 
     ``freq_sets`` holds one nonempty set of distinct complex frequencies per
-    axis. Per axis, the N_j single-frequency filters of order ``floor(T/N_j)``
-    are combined through the product construction, and the axes are tensored.
-    Raises ``ParamError`` if ``T`` is smaller than some per-axis set size
-    (the per-factor order budget would be zero).
+    axis, and ``T`` is at least the largest set size. Per axis, the N_j
+    single-frequency filters of order ``floor(T/N_j)`` are combined through
+    the product construction, and the axes are tensored.
     """
     axis_filters = []
-    for j, fs in enumerate(_freq_sets_arg(freq_sets)):
-        n = len(fs)
-        T_factor = T // n
-        if T_factor < 1:
-            raise ParamError(
-                f"order {T} cannot budget {n} factors on axis {j} (need T >= {n})")
+    for fs in freq_sets:
+        T_factor = T // len(fs)
         axis_filters.append(
-            _annihilator_combination([exp_filter_1d(w, T_factor) for w in fs]))
+            _annihilator_combination([_exp_filter_1d(w, T_factor) for w in fs]))
     return reduce(filter_tensor, axis_filters)
 
 
@@ -250,15 +224,12 @@ def _exp_poly_filter(freq_sets: Sequence[Sequence[complex]],
     return reduce(filter_tensor, axis_filters)
 
 
-def predictor_exp_filter(omega: complex, T: int, kappa: int) -> Filter:
+def _predictor_exp_filter(omega: complex, T: int, kappa: int) -> Filter:
     """Causal filter reproducing a quasi-stable exponential ``exp(omega tau)``.
 
     Support ``{kappa..T}`` with weights ``exp(k omega)/(T - kappa + 1)``;
-    requires ``Re omega <= 0`` and ``0 <= kappa <= T``, which the support
-    (``Box.support``) checks.
+    ``Re omega <= 0`` and ``0 <= kappa <= T``, which its certificate checks.
     """
-    omega = complex(omega)
-    _quasi_stable_arg(omega)
     k = np.arange(kappa, T + 1)
     coeffs = np.exp(omega * k) / (T - kappa + 1)
     return Filter.one_sided(1, kappa, T, coeffs)
@@ -314,7 +285,7 @@ class Certificate:
 def exp_certificate_1d(omega: complex) -> Certificate:
     """Certificate for the univariate exponential ``exp(omega tau)``: theta 0, rho sqrt(2)."""
     omega = complex(omega)
-    return Certificate(1, 0.0, math.sqrt(2), lambda T: exp_filter_1d(omega, T))
+    return Certificate(1, 0.0, math.sqrt(2), lambda T: _exp_filter_1d(omega, T))
 
 
 def poly_certificate_1d(m: int) -> Certificate:
@@ -334,8 +305,19 @@ def _rho_simple(sizes: Sequence[int]) -> float:
 
 
 def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificate:
-    """Certificate for spans of exponentials with the given per-axis frequency sets."""
-    freq_sets = _freq_sets_arg(freq_sets)
+    """Certificate for spans of exponentials with the given per-axis frequency sets.
+
+    ``freq_sets`` needs at least one axis, and each axis a nonempty set
+    without repeats. Below the largest set size, the filter is the impulse.
+    """
+    freq_sets = tuple(tuple(complex(w) for w in fs) for fs in freq_sets)
+    if not freq_sets:
+        raise ParamError("need at least one axis")
+    for j, fs in enumerate(freq_sets):
+        if not fs:
+            raise ParamError(f"frequency set for axis {j} is empty")
+        if len(set(fs)) != len(fs):
+            raise ParamError(f"frequency set for axis {j} has repeats")
     sizes = [len(fs) for fs in freq_sets]
     d = len(freq_sets)
     need = max(sizes)
@@ -343,7 +325,7 @@ def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificat
     def make(T: int) -> Filter:
         if T < need:
             return Filter.impulse(d)
-        return simple_exp_filter(freq_sets, T)
+        return _simple_exp_filter(freq_sets, T)
 
     return Certificate(d, 0.0, _rho_simple(sizes), make)
 
@@ -351,9 +333,10 @@ def simple_exp_certificate(freq_sets: Sequence[Sequence[complex]]) -> Certificat
 def predictor_exp_certificate(omega: complex, kappa: int) -> Certificate:
     """Causal certificate for a quasi-stable exponential, lag ``kappa``."""
     omega = complex(omega)
-    _quasi_stable_arg(omega)
+    if omega.real > 0:
+        raise ParamError(f"quasi-stability requires Re(omega) <= 0, got {omega}")
     rho = 2.0 * math.sqrt(max(2, 2 * kappa + 1))
-    return Certificate(1, 0.0, rho, lambda T: predictor_exp_filter(omega, T, kappa),
+    return Certificate(1, 0.0, rho, lambda T: _predictor_exp_filter(omega, T, kappa),
                        kappa=kappa, T0=kappa)
 
 
@@ -464,7 +447,7 @@ def lift_certificate(cert: Certificate, d_plus: int) -> Certificate:
         rho_plus = max(2, 2 * cert.kappa + 1) ** (extra / 2) * cert.rho
 
         def axis_factor(T: int) -> Filter:
-            return predictor_exp_filter(0.0, T, cert.kappa)
+            return _predictor_exp_filter(0j, T, cert.kappa)
 
     def make(T: int) -> Filter:
         q = cert.make(T)

@@ -691,7 +691,34 @@ def test_bench_filtering_kappa_config_error(tmp_path, capsys):
     doc["experiments"][0]["kappa"] = 7
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config.experiments[0].kappa" in capsys.readouterr().err
+    assert ("config error: config.experiments[0]: unknown keys ['kappa']"
+            in capsys.readouterr().err)
+
+
+def test_bench_experiment_takes_its_lag_from_the_certificate(tmp_path, monkeypatch,
+                                                             capsys):
+    # a lag of 4 beside a lag-1 certificate would fit filters on {4..8}, an
+    # admissible set without the certificate's filter on {1..4}, so the
+    # reported bound would not apply; an experiment has no lag of its own
+    from gridfilt import cli
+
+    monkeypatch.setattr(cli, "monte_carlo", _refuse)
+    doc = bench_doc(trials=40)
+    doc["master_seed"] = 3
+    doc["experiments"][0].update(
+        signal={"kind": "exp_poly",
+                "terms": [{"re_c": 1.0, "im_c": 0.0, "alpha": [0],
+                           "re_omega": [0.0], "im_omega": [0.3]}]},
+        box={"lo": [-32], "hi": [32]},
+        certificate={"kind": "predictor_exp", "im_omega": 0.3, "kappa": 1},
+        T=4, kappa=4)
+    del doc["checks"]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "bench.yaml", doc)
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: config.experiments[0]: unknown keys ['kappa']\n"
+            == capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bench_uncovered_anchor_exit_code(tmp_path, monkeypatch, capsys):
@@ -807,7 +834,8 @@ BAD_EXPERIMENT_FIELDS = [
     ("sigma", -0.1, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
     ("sigma", math.nan, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
     ("sigma", math.inf, 2, "config.experiments[1].sigma: sigma must be nonnegative"),
-    ("T", -1, 2, "config.experiments[1]: T must be nonnegative"),
+    ("T", -1, 2, "config.experiments[1].T: order -1 outside the certificate's "
+                 "usable range [0, inf]"),
     ("anchor", [4], 4, "config.experiments[1] (second): observations must cover "
                        "Box(lo=(-4,), hi=(12,))"),
 ]
@@ -1414,6 +1442,44 @@ def test_certify_detects_violation(tmp_path):
         "out": {"filter": "q.zdf", "report": "report.json"},
     })
     assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 6
+
+
+def _exp_term(c, re_omega, im_omega):
+    return {"re_c": c, "im_c": 0.0, "alpha": [0], "re_omega": [re_omega],
+            "im_omega": [im_omega]}
+
+
+# signals that the constant's certificate does not reproduce, each with a
+# residual far below the largest modulus the old tolerance read
+RESIDUAL_SCALE_CASES = {
+    # 1 + 1e-6 e^{0.3 tau}: |s| is about 1 on the cells that the order-4
+    # filter reads about the cube of radius 3, but 1e-6 e^{24} at the box's
+    # edge; the residual is 2.4e-6
+    "growing": ([_exp_term(1.0, 0.0, 0.0), _exp_term(1e-6, 0.3, 0.0)], 4, 3,
+                80, 2e-6),
+    # 1e-12 (-1)^tau: every modulus is 1e-12, and so is the residual
+    "tiny": ([_exp_term(1e-12, 0.0, math.pi)], 2, 2, 10, 5e-13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_SCALE_CASES))
+def test_certify_residual_tolerance_is_the_roundoff_scale_of_q_of_s(tmp_path, case):
+    # the residual is compared with the roundoff of q(D)s on the cube, not
+    # with the largest modulus on the whole box or 1
+    terms, T, radius, half_width, least = RESIDUAL_SCALE_CASES[case]
+    cfg = write_config(tmp_path / "cert.yaml", {
+        "certificate": {"kind": "exp", "re_omega": 0.0, "im_omega": 0.0},
+        "T": T,
+        "signal": {"kind": "exp_poly", "terms": terms},
+        "box": {"lo": [-half_width], "hi": [half_width]},
+        "eval_radius": radius,
+        "out": {"filter": "q.zdf", "report": "report.json"},
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 6
+    report = json.loads((tmp_path / "report.json").read_text())
+    [entry] = report["entries"]
+    assert entry["residual"] > least
+    assert entry["residual_violation"] and report["violated"]
 
 
 # ---------------------------------------------------------------- the config boundary

@@ -19,7 +19,6 @@ from gridfilt.estimators import (
 from gridfilt.signals import (
     exp_certificate_1d,
     predictor_exp_certificate,
-    predictor_exp_filter,
 )
 from gridfilt.solver import _RHO_MAX, build_instance, objective
 
@@ -58,7 +57,6 @@ LAG_ENTRIES = {
     "build_instance": lambda kappa: build_instance(
         const_field(Box.cube(1, 16), 1.0), (0,), 2, 1.0, kappa),
     "Filter.one_sided": lambda kappa: Filter.one_sided(1, kappa, 4, np.ones(1)),
-    "predictor_exp_filter": lambda kappa: predictor_exp_filter(0.0, 4, kappa),
 }
 
 

@@ -8,7 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from gridfilt import Box, DomainError, Field, ParamError
+from gridfilt import Box, DomainError, Field, ParamError, convolve
 from gridfilt.cli import STATS_COLUMNS, TRIAL_COLUMNS, _trial_rows, _write_csv
 from gridfilt.estimators import DenoiseSetup, denoise_point, theta_stat
 from gridfilt.harness import (
@@ -25,7 +25,11 @@ from gridfilt.harness import (
     run_trial,
     sample_noise,
 )
-from gridfilt.signals import exp_certificate_1d
+from gridfilt.signals import (
+    combine_certificates,
+    exp_certificate_1d,
+    predictor_exp_certificate,
+)
 
 from oracles import gaussian_max_one_shot, theta_moment_loop
 
@@ -63,8 +67,7 @@ def test_run_trial_noiseless_exact():
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 2.0j))
     cert = exp_certificate_1d(0.0)
-    rec = run_trial(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2),
-                    NoiseSpec(0.0, 5), tol=1e-9)
+    rec = run_trial(s, cert, (0,), 2, NoiseSpec(0.0, 5), tol=1e-9)
     assert rec.sq_err_adaptive < 1e-14
     assert rec.sq_err_oracle < 1e-28
     assert rec.theta_stat == 0.0
@@ -75,7 +78,7 @@ def test_run_trial_theta_matches_recomputation():
     s = Field(box, np.ones(17, dtype=complex))
     cert = exp_certificate_1d(0.0)
     spec = NoiseSpec(0.2, 31337)
-    rec = run_trial(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2), spec)
+    rec = run_trial(s, cert, (0,), 2, spec)
     e = sample_noise(box, spec)
     assert rec.theta_stat == theta_stat(e, (0,), 2)
 
@@ -86,11 +89,10 @@ def test_oracle_error_decomposition():
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 0j))
     cert = exp_certificate_1d(0.0)
-    setup = DenoiseSetup(rho=cert.rho, T=2)
     sigma, trials = 0.4, 400
     errs = []
     for i in range(trials):
-        rec = run_trial(s, cert, (0,), setup, NoiseSpec(sigma, derive_seed(17, i)),
+        rec = run_trial(s, cert, (0,), 2, NoiseSpec(sigma, derive_seed(17, i)),
                         tol=1e-3)
         errs.append(rec.sq_err_oracle)
     errs = np.array(errs)
@@ -104,8 +106,8 @@ def test_monte_carlo_single_trial_degenerate():
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 2.0 + 0j))
     cert = exp_certificate_1d(0.0)
-    stats, records = monte_carlo(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2),
-                                 sigma=0.1, trials=1, master_seed=9, label="one")
+    stats, records = monte_carlo(s, cert, (0,), 2, sigma=0.1, trials=1,
+                                 master_seed=9, label="one")
     assert len(records) == 1
     assert stats.rmse_adaptive == pytest.approx(math.sqrt(records[0].sq_err_adaptive))
     assert stats.hw_adaptive == 0.0
@@ -131,8 +133,7 @@ def test_monte_carlo_rejects_zero_trials():
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     with pytest.raises(ParamError):
-        monte_carlo(s, exp_certificate_1d(0.0), (0,),
-                    DenoiseSetup(rho=math.sqrt(2), T=2), 0.1, 0, 1)
+        monte_carlo(s, exp_certificate_1d(0.0), (0,), 2, 0.1, 0, 1)
 
 
 def test_monte_carlo_names_failing_seed():
@@ -140,8 +141,7 @@ def test_monte_carlo_names_failing_seed():
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     with pytest.raises(DomainError, match="seed"):
-        monte_carlo(s, exp_certificate_1d(0.0), (4,),
-                    DenoiseSetup(rho=math.sqrt(2), T=2), 0.1, 2, 1)
+        monte_carlo(s, exp_certificate_1d(0.0), (4,), 2, 0.1, 2, 1)
 
 
 def budget_of_50(monkeypatch):
@@ -160,13 +160,11 @@ def test_monte_carlo_budget_miss_records_certified_gap(monkeypatch):
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     cert = exp_certificate_1d(0.0)
-    setup = DenoiseSetup(rho=cert.rho, T=2)
-    stats, records = monte_carlo(s, cert, (0,), setup, 0.1, 3, 15,
-                                 label="const")
+    stats, records = monte_carlo(s, cert, (0,), 2, 0.1, 3, 15, label="const")
     seed = derive_seed(15, 0)
     assert records[0].seed == seed and records[0].solver_gap > 1e-5
     alone = denoise_point(s + sample_noise(box, NoiseSpec(0.1, seed)), (0,),
-                          setup, tol=1e-5).solve
+                          DenoiseSetup(rho=cert.rho, T=2), tol=1e-5).solve
     assert alone.iterations == 50 and not alone.converged
     assert records[0].solver_gap == alone.gap
 
@@ -176,13 +174,11 @@ def test_monte_carlo_names_every_unconverged_trial(monkeypatch):
     box = Box((-8,), (8,))
     s = Field(box, np.ones(17, dtype=complex))
     cert = exp_certificate_1d(0.0)
-    setup = DenoiseSetup(rho=cert.rho, T=2)
-    stats, records = monte_carlo(s, cert, (0,), setup, 0.1, 3, 15,
-                                 label="const")
+    stats, records = monte_carlo(s, cert, (0,), 2, 0.1, 3, 15, label="const")
     gaps = []
     for i, r in enumerate(records):
         seed = derive_seed(15, i)
-        alone = run_trial(s, cert, (0,), setup, NoiseSpec(0.1, seed))
+        alone = run_trial(s, cert, (0,), 2, NoiseSpec(0.1, seed))
         gaps.append(alone.solver_gap)
         assert r.seed == seed and r.solver_gap == alone.solver_gap > 1e-5
     assert len(records) == 3
@@ -194,19 +190,55 @@ def test_monte_carlo_records_equal_run_trial():
     tt = np.arange(-16, 17)
     s = Field(box, np.exp(0.9j * tt))
     cert = exp_certificate_1d(0.9j)
-    setup = DenoiseSetup(rho=cert.rho, T=4)
-    _, records = monte_carlo(s, cert, (0,), setup, 0.1, 6, 2024, tol=1e-4)
+    _, records = monte_carlo(s, cert, (0,), 4, 0.1, 6, 2024, tol=1e-4)
     for i, rec in enumerate(records):
-        alone = run_trial(s, cert, (0,), setup, NoiseSpec(0.1, derive_seed(2024, i)),
+        alone = run_trial(s, cert, (0,), 4, NoiseSpec(0.1, derive_seed(2024, i)),
                           tol=1e-4)
         assert rec == alone
+
+
+def test_prediction_monte_carlo_runs_at_the_certificate_lag_and_rho():
+    # the estimator takes its rho and lag from the certificate: each record
+    # is its run_trial replay and the lag-1 estimate of denoise_point
+    box = Box((-24,), (24,))
+    s = Field(box, np.exp(0.3j * np.arange(-24, 25)))
+    cert = predictor_exp_certificate(0.3j, 1)
+    setup = DenoiseSetup(rho=cert.rho, T=4, kappa=cert.kappa)
+    stats, records = monte_carlo(s, cert, (0,), 4, 0.1, 4, 31, tol=1e-4)
+    assert (stats.T, stats.rho) == (4, cert.rho)
+    for i, rec in enumerate(records):
+        noise = NoiseSpec(0.1, derive_seed(31, i))
+        assert rec == run_trial(s, cert, (0,), 4, noise, tol=1e-4)
+        y = s + sample_noise(box, noise)
+        assert rec.estimate == denoise_point(y, (0,), setup, tol=1e-4).value
+        assert rec.oracle_estimate == convolve(cert.filter(4), y,
+                                               Box((0,), (0,))).value((0,))
+
+
+@pytest.mark.parametrize("T,message", [
+    (-1, "T must be nonnegative"),
+    # lag 1 <= T, but a sum of two lag-1 predictors is usable from order 2
+    (1, r"order 1 outside the certificate's usable range \[2, inf\]")])
+def test_monte_carlo_refuses_a_bad_order_before_drawing_noise(monkeypatch, T, message):
+    from gridfilt import harness
+
+    def refuse(*args):
+        raise AssertionError("noise drawn before the order was checked")
+
+    monkeypatch.setattr(harness, "sample_noise", refuse)
+    box = Box((-16,), (16,))
+    s = Field(box, np.ones(33, dtype=complex))
+    cert = combine_certificates([predictor_exp_certificate(0.3j, 1),
+                                 predictor_exp_certificate(-0.3j, 1)], [1, 1])
+    with pytest.raises(ParamError, match=message):
+        monte_carlo(s, cert, (0,), T, 0.1, 2, 1)
 
 
 def test_monte_carlo_reproducible():
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 1.0j))
     cert = exp_certificate_1d(0.0)
-    args = (s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2), 0.1, 5, 77)
+    args = (s, cert, (0,), 2, 0.1, 5, 77)
     s1, r1 = monte_carlo(*args)
     s2, r2 = monte_carlo(*args)
     assert s1 == s2
@@ -322,8 +354,8 @@ def test_stats_csv_columns(tmp_path):
     # the documented column order: the ExperimentStats fields, in order
     box = Box((-8,), (8,))
     cert = exp_certificate_1d(0.0)
-    stats, _ = monte_carlo(Field(box, np.ones(17, dtype=complex)), cert, (0,),
-                           DenoiseSetup(rho=cert.rho, T=2), 0.1, 2, 5, label="c")
+    stats, _ = monte_carlo(Field(box, np.ones(17, dtype=complex)), cert, (0,), 2,
+                           0.1, 2, 5, label="c")
     p = tmp_path / "stats.csv"
     _write_csv(p, STATS_COLUMNS, map(astuple, [stats]))
     header, row = p.read_text().splitlines()
@@ -337,8 +369,7 @@ def test_trials_csv_layout(tmp_path):
     box = Box((-8,), (8,))
     s = Field(box, np.full(17, 1.0 + 0j))
     cert = exp_certificate_1d(0.0)
-    _, records = monte_carlo(s, cert, (0,), DenoiseSetup(rho=cert.rho, T=2),
-                             0.1, 3, 123, label="csv")
+    _, records = monte_carlo(s, cert, (0,), 2, 0.1, 3, 123, label="csv")
     p = tmp_path / "trials.csv"
     _write_csv(p, TRIAL_COLUMNS, _trial_rows(records), "master_seed=123")
     lines = p.read_text().splitlines()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridfilt import (
@@ -24,7 +24,6 @@ from gridfilt.signals import (
     combine_certificates,
     eval_exp_poly,
     exp_certificate_1d,
-    exp_filter_1d,
     exp_poly_certificate,
     four_neighbor_averaging,
     harmonic_filter,
@@ -34,11 +33,9 @@ from gridfilt.signals import (
     modulate_certificate,
     poly_certificate_1d,
     predictor_exp_certificate,
-    predictor_exp_filter,
     random_discrete_harmonic,
     reproduction_residual,
     simple_exp_certificate,
-    simple_exp_filter,
     tensor_certificate,
 )
 
@@ -83,7 +80,7 @@ def test_eval_overflow():
 
 
 def test_exp_filter_zero_freq_coeffs():
-    q = exp_filter_1d(0.0, 2)
+    q = exp_certificate_1d(0.0).filter(2)
     assert coeff(q, (0,)) == pytest.approx(1 / 3)
     assert coeff(q, (-1,)) == pytest.approx(1 / 3)
     assert coeff(q, (-2,)) == pytest.approx(1 / 3)
@@ -91,7 +88,7 @@ def test_exp_filter_zero_freq_coeffs():
 
 
 def test_exp_filter_pi_freq():
-    q = exp_filter_1d(1j * np.pi, 1)
+    q = exp_certificate_1d(1j * np.pi).filter(1)
     assert abs(coeff(q, (0,)) - 0.5) < 1e-15
     assert abs(coeff(q, (-1,)) + 0.5) < 1e-12
     s = exp_field_1d(1j * np.pi, 8)
@@ -101,7 +98,7 @@ def test_exp_filter_pi_freq():
 @pytest.mark.parametrize("omega", [0.0, 1.3j, -2.0j, 0.4 + 1.0j, -0.7 - 0.3j])
 def test_exp_filter_reproduces_and_norm(omega):
     for T in (1, 3, 9):
-        q = exp_filter_1d(omega, T)
+        q = exp_certificate_1d(omega).filter(T)
         s = exp_field_1d(omega, 3 * T + 4)
         res = reproduction_residual(q, s, Box((-4,), (4,)))
         scale = np.abs(s.data).max()  # roundoff scales with the values read
@@ -116,13 +113,14 @@ def test_exp_filter_reproduces_and_norm(omega):
 
 
 def test_simple_exp_single_freq_is_tensor():
-    qa = simple_exp_filter([(0.5j,), (1.0j,)], 3)
-    qb = filter_tensor(exp_filter_1d(0.5j, 3), exp_filter_1d(1.0j, 3))
+    qa = simple_exp_certificate([(0.5j,), (1.0j,)]).filter(3)
+    qb = filter_tensor(exp_certificate_1d(0.5j).filter(3),
+                       exp_certificate_1d(1.0j).filter(3))
     assert np.array_equal(qa.field.data, qb.field.data)
 
 
 def test_simple_exp_two_freqs():
-    q = simple_exp_filter([(0.0, 1j * np.pi)], 4)
+    q = simple_exp_certificate([(0.0, 1j * np.pi)]).filter(4)
     t = np.arange(-16, 17)
     for a, b in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3 + 1j)):
         s = Field(Box((-16,), (16,)), a + b * (-1.0 + 0j) ** np.abs(t) * np.sign(0 * t + 1))
@@ -132,7 +130,7 @@ def test_simple_exp_two_freqs():
 
 def test_simple_exp_random_span():
     freqs = (0.3j, -1.1j, 0.1 + 0.2j)
-    q = simple_exp_filter([freqs], 9)
+    q = simple_exp_certificate([freqs]).filter(9)
     t = np.arange(-30, 31)
     coeffs = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
     s = Field(Box((-30,), (30,)),
@@ -141,9 +139,16 @@ def test_simple_exp_random_span():
     assert reproduction_residual(q, s, Box((-10,), (10,))) < 1e-9 * scale
 
 
-def test_simple_exp_budget_error():
-    with pytest.raises(ParamError):
-        simple_exp_filter([(0.0, 1.0j, 2.0j)], 2)
+def test_simple_exp_filter_is_the_impulse_below_the_largest_set_size():
+    # below 3, the three-frequency axis cannot budget an order of at least 1
+    # per factor
+    cert = simple_exp_certificate([(0.0, 1.0j, 2.0j), (0.5j,)])
+    impulse = Filter.impulse(2)
+    for T in range(3):
+        q = cert.filter(T)
+        assert q.order == 0
+        assert np.array_equal(q.field.data, impulse.field.data)
+    assert cert.filter(3).order == 3
 
 
 # ---------------------------------------------------------------- poly filters
@@ -199,7 +204,7 @@ def test_poly_filter_is_the_impulse_below_2T_plus_1_equal_m_plus_1():
 
 
 def test_predictor_constant():
-    q = predictor_exp_filter(0.0, 2, 1)
+    q = predictor_exp_certificate(0.0, 1).filter(2)
     assert q.kappa == 1
     assert np.allclose(q.field.data, 0.5)
     s = Field(Box((-8,), (8,)), np.ones(17, dtype=complex))
@@ -209,13 +214,13 @@ def test_predictor_constant():
 def test_predictor_unit_modulus_norm():
     for omega0 in (0.4, -2.0):
         for T, kappa in ((3, 0), (5, 2)):
-            q = predictor_exp_filter(1j * omega0, T, kappa)
+            q = predictor_exp_certificate(1j * omega0, kappa).filter(T)
             assert q.l2() == pytest.approx((T - kappa + 1) ** -0.5)
 
 
 def test_predictor_rejects_unstable():
     with pytest.raises(ParamError):
-        predictor_exp_filter(0.1, 4, 1)
+        predictor_exp_certificate(0.1, 1)
 
 
 # ---------------------------------------------------------------- certificate calculus
@@ -397,7 +402,7 @@ def test_tensor_certificate():
 
 
 def test_tensor_requires_exact():
-    inexact = Certificate(1, 0.5, 2.0, lambda T: exp_filter_1d(0, T))
+    inexact = Certificate(1, 0.5, 2.0, exp_certificate_1d(0.0).make)
     with pytest.raises(ParamError):
         tensor_certificate(inexact, exp_certificate_1d(0.0))
 
@@ -415,33 +420,28 @@ def test_lift_and_tensor_refuse_theta_through_one_rule():
                         "(theta = 0)"}
 
 
-# each argument rule is stated once, so a certificate and its filter builder
-# refuse a bad argument with one message, and the certificate refuses it when
-# it is built: (certificate, filter builder or None, message)
+# each argument rule is stated once, in the certificate's constructor, so a
+# bad argument is refused when the certificate is built; its filter builder
+# takes only checked arguments: (certificate, message)
 SHARED_RULES = {
     "unstable": (lambda: predictor_exp_certificate(0.1, 1),
-                 lambda: predictor_exp_filter(0.1, 4, 1),
                  "quasi-stability requires Re(omega) <= 0, got (0.1+0j)"),
-    "negative_degree": (lambda: poly_certificate_1d(-1), None,
+    "negative_degree": (lambda: poly_certificate_1d(-1),
                         "degree must be nonnegative"),
-    "no_axis": (lambda: simple_exp_certificate([]), lambda: simple_exp_filter([], 4),
-                "need at least one axis"),
+    "no_axis": (lambda: simple_exp_certificate([]), "need at least one axis"),
     "empty_set": (lambda: simple_exp_certificate([[0.3j], []]),
-                  lambda: simple_exp_filter([[0.3j], []], 4),
                   "frequency set for axis 1 is empty"),
     "repeats": (lambda: simple_exp_certificate([[0.3j, 0.3j]]),
-                lambda: simple_exp_filter([[0.3j, 0.3j]], 4),
                 "frequency set for axis 0 has repeats"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_RULES))
 def test_certificate_and_builder_share_each_rule(case):
-    make_cert, make_filter, message = SHARED_RULES[case]
-    for build in filter(None, (make_cert, make_filter)):
-        with pytest.raises(ParamError) as exc:
-            build()
-        assert str(exc.value) == message
+    make_cert, message = SHARED_RULES[case]
+    with pytest.raises(ParamError) as exc:
+        make_cert()
+    assert str(exc.value) == message
 
 
 def test_exp_poly_certificate_exact_and_shared_filters():
@@ -694,6 +694,51 @@ def test_harmonic_filter_coefficients_sum_to_one():
     for n in (1, 2, 4):
         q = harmonic_filter(D, n)
         assert q.field.data.sum() == pytest.approx(1.0)
+
+
+# one of each symmetric pair of offsets within reach 2
+HALF_OFFSETS = [(a, b) for a in range(3) for b in range(-2, 3) if (a, b) > (0, 0)]
+
+
+@st.composite
+def _harmonic_cases(draw):
+    """A random d=2 regular operator: symmetric offset pairs within reach 1
+    or 2 that span R^2, with positive weights whose moduli sum to 0.9 to 1; and a
+    random complex boundary's seed, and the filter's n and c24."""
+    reach = draw(st.sampled_from((1, 2)))
+    pairs = draw(st.lists(st.sampled_from([off for off in HALF_OFFSETS
+                                           if max(map(abs, off)) <= reach]),
+                          min_size=2, max_size=4, unique=True))
+    assume(np.linalg.matrix_rank(np.array(pairs, dtype=float)) == 2)
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(pairs),
+                               max_size=len(pairs))))
+    w *= draw(st.floats(0.9, 1.0)) / (2 * w.sum())
+    offsets = [off for a, b in pairs for off in ((a, b), (-a, -b))]
+    D = make_regular_operator(offsets, np.repeat(w, 2))
+    return (D, draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from((1, 2))),
+            draw(st.sampled_from((1, 2))))
+
+
+@given(case=_harmonic_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_harmonic_filter_reproduces_random_harmonic_fields(case):
+    # q = R_n(D) reproduces a field fixed by D wherever the iterated stencil
+    # reads of R_n's powers of D stay in the interior, that is on the cube
+    # whose points t keep t +- (order(q) - reach(D)) inside it. The field
+    # solves f = D f there only to the Jacobi tolerance tol, so |D^k f - f|
+    # <= k tol; for n <= 2 the monomial coefficients of R_n are positive and
+    # sum to 1, so the residual is at most deg(R_n) tol
+    D, seed, n, c24 = case
+    q = harmonic_filter(D, n, c24)
+    box = Box.cube(2, 10)
+    radius = min(harmonic_interior(D, box).hi) - (q.order - D.order)
+    assume(radius >= 0)
+    rng = np.random.default_rng(seed)
+    boundary = Field(box, rng.standard_normal(box.shape)
+                     + 1j * rng.standard_normal(box.shape))
+    s = random_discrete_harmonic(D, box, boundary, tol=1e-10)
+    assert reproduction_residual(q, s, Box.cube(2, radius)) <= \
+        q.order // D.order * 1e-10
 
 
 # ---------------------------------------------------------------- Dirichlet solver
