@@ -63,18 +63,18 @@ from .errors import (
     ParamError,
     RegularityError,
 )
-from .estimators import DenoiseSetup, denoise_point, risk_bound
+from .estimators import DenoiseSetup, _order_arg, denoise_point
 from .fields import Box, Field, Filter, convolve, read_zdf, write_zdf
 from .harness import (
     ExperimentStats,
     NoiseSpec,
+    _experiment_setup,
     _gaussian_max_args,
     _gaussian_max_report,
     _gaussian_maxima,
     _seed_arg,
     _sigma_arg,
     _theta_moment_args,
-    _theta_order_arg,
     _trials_arg,
     check_theta_moment,
     monte_carlo,
@@ -589,26 +589,27 @@ def cmd_bench(args) -> int:
 
 def _parse_experiment(exp, ctx: str) -> tuple:
     """``(label, signal, certificate, anchor, T, sigma)`` of one bench
-    experiment; the estimator takes its rho and lag from the certificate."""
+    experiment; the estimator takes its rho and lag from the certificate.
+    The set-up is checked by ``harness._experiment_setup``, the check that
+    ``monte_carlo`` makes before drawing noise, so a bad experiment stops
+    the run before any experiment samples; its error names the experiment's
+    key and label."""
     exp = _section(exp, ctx, ("label", "signal", "box", "certificate", "T", "sigma",
                               "anchor"))
+    label = exp["label"]
+    if not isinstance(label, str) or not label:
+        raise ConfigError(f"{ctx}.label: expected a nonempty string, got {label!r}")
     box = _parse_box(exp["box"], ctx + ".box")
     cert = _build_certificate(exp["certificate"], ctx + ".certificate")
     _dimension(cert.d, "certificate", box, ctx + ".certificate")
     signal = _build_signal(exp["signal"], box, ctx + ".signal")
-    T = _integer(exp["T"], ctx + ".T")
+    T = _checked(_integer, exp["T"], ctx + ".T", cert.filter)
     sigma = _checked(_number, exp["sigma"], ctx + ".sigma", _sigma_arg)
     anchor = _point(exp["anchor"], ctx + ".anchor")
     _dimension(len(anchor), "anchor", box, ctx + ".anchor")
-    with _at(ctx + ".T"):
-        cert.filter(T)  # the trials' oracle: a bad T stops the run before sampling
-    with _at(ctx):
-        # the reported bound: one that overflows stops the run before sampling
-        risk_bound(box.d, T, cert.rho, cert.theta, sigma)
-    with _at(f"{ctx} ({exp['label']})"):
-        # a trial's noise statistic reads this set, and its other reads lie in it
-        read_observations(signal, anchor, T)
-    return str(exp["label"]), signal, cert, anchor, T, sigma
+    with _at(f"{ctx} ({label})"):
+        _experiment_setup(signal, cert, anchor, T, sigma)
+    return label, signal, cert, anchor, T, sigma
 
 
 def _parse_checks(node) -> dict:
@@ -631,7 +632,7 @@ def _parse_checks(node) -> dict:
         ctx = "config.checks.theta_moment"
         tm = _section(node["theta_moment"], ctx, ("T", "sigma", "trials"))
         checks["theta_moment"] = (
-            _checked(_integer, tm["T"], ctx + ".T", _theta_order_arg),
+            _checked(_integer, tm["T"], ctx + ".T", _order_arg),
             _checked(_number, tm["sigma"], ctx + ".sigma", _sigma_arg),
             _checked(_integer, tm["trials"], ctx + ".trials", _theta_moment_args))
     return checks

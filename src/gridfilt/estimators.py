@@ -58,6 +58,12 @@ __all__ = [
 ]
 
 
+def _order_arg(T: int) -> None:
+    """The order rule, ``T >= 0``, of the estimator and the noise statistic."""
+    if T < 0:
+        raise ParamError(f"the order must be nonnegative, got {T}")
+
+
 @dataclass(frozen=True)
 class DenoiseSetup:
     """Estimator setup: norm budget ``1 <= rho <= _RHO_MAX``, order ``T``, and for
@@ -69,8 +75,7 @@ class DenoiseSetup:
 
     def __post_init__(self):
         _rho_arg(self.rho)
-        if self.T < 0:
-            raise ParamError("T must be nonnegative")
+        _order_arg(self.T)
         if self.kappa is not None:
             Box.support(1, self.T, self.kappa)  # the lag rule: 0 <= kappa <= T
 

@@ -15,7 +15,11 @@ normal-approximation confidence half-widths and the theoretical risk bound.
 An experiment names its certificate and its order ``T`` alone: the estimator
 runs at the certificate's ``rho`` and lag, the setup
 ``DenoiseSetup(cert.rho, T, cert.kappa)``, so the oracle filter always lies
-in the estimator's admissible set.
+in the estimator's admissible set. :func:`_experiment_setup` is the one check
+of an experiment's set-up (sigma, the estimator's setup, the oracle filter,
+the risk bound and the signal's read set): :func:`monte_carlo`,
+:func:`run_trial` and ``gridfilt bench``'s pre-check call it before any
+noise is drawn, and a set-up error is raised as its own type.
 
 The trials of one experiment share a window geometry, so their filter fits
 are solved as one batch (:func:`gridfilt.solver.solve_batch`). Batching does
@@ -49,17 +53,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParamError
+from .errors import ParamError
 from .estimators import (
     DenoiseSetup,
     _oracle_bound,
+    _order_arg,
     _shift_maxima,
     denoise_batch,
     risk_bound,
     theta_stat,
 )
-from .fields import Box, Field, convolve
+from .fields import Box, Field, Filter, convolve
 from .signals import Certificate
+from .solver import read_observations
 
 __all__ = [
     "NoiseSpec",
@@ -162,20 +168,33 @@ def run_trial(s: Field, cert: Certificate, t: Sequence[int], T: int,
     The estimator fits an order-``T`` filter at the certificate's ``rho``
     and lag, and the oracle estimate applies the certificate's order-T
     filter to the same noisy observations. This is the batch of one of
-    :func:`monte_carlo`, so it replays any of its trials bit for bit. A fit
-    that misses its budget is recorded with its certified gap, so
-    ``solver_gap > tol``.
+    :func:`monte_carlo`, so it replays any of its trials bit for bit. The
+    set-up is checked as :func:`monte_carlo` checks it, before the noise is
+    drawn. A fit that misses its budget is recorded with its certified gap,
+    so ``solver_gap > tol``.
     """
-    return _run_trials(s, cert, t, T, [noise], tol)[0]
+    setup, q, _ = _experiment_setup(s, cert, t, T, noise.sigma)
+    return _run_trials(s, t, setup, q, [noise], tol)[0]
 
 
-def _run_trials(s: Field, cert: Certificate, t: Sequence[int], T: int,
-                noises: Sequence[NoiseSpec], tol: float) -> list[TrialRecord]:
-    """Trials on ``s``, one per noise spec, with their fits solved as one
-    batch; a bad ``T`` is refused before any noise is drawn."""
-    t = tuple(int(x) for x in t)
-    setup = DenoiseSetup(rho=cert.rho, T=T, kappa=cert.kappa)
+def _experiment_setup(s: Field, cert: Certificate, t: Sequence[int], T: int,
+                      sigma: float) -> tuple[DenoiseSetup, Filter, float]:
+    """The estimator's setup, oracle filter and risk bound of an order-``T``
+    experiment on ``s`` at ``t``: checks sigma, then each in that order, then
+    the filtering read set at ``T``, which holds every read a trial makes."""
+    _sigma_arg(sigma)
+    setup = DenoiseSetup(cert.rho, T, cert.kappa)
     q = cert.filter(T)
+    bound = risk_bound(s.d, T, cert.rho, cert.theta, sigma)
+    read_observations(s, t, T)
+    return setup, q, bound
+
+
+def _run_trials(s: Field, t: Sequence[int], setup: DenoiseSetup, q: Filter,
+                noises: Sequence[NoiseSpec], tol: float) -> list[TrialRecord]:
+    """Trials on ``s`` at a checked ``setup`` and oracle filter ``q``, one
+    per noise spec, with their fits solved as one batch."""
+    t = tuple(int(x) for x in t)
     noise_fields = [sample_noise(s.box, noise) for noise in noises]
     ys = [s + e for e in noise_fields]
     estimates = denoise_batch(ys, t, setup, tol=tol)
@@ -183,7 +202,7 @@ def _run_trials(s: Field, cert: Certificate, t: Sequence[int], T: int,
     return [TrialRecord(anchor=t, seed=noise.seed, truth=truth, estimate=est.value,
                         oracle_estimate=convolve(q, y, Box(t, t)).value(t),
                         solver_gap=0.0 if est.solve is None else est.solve.gap,
-                        theta_stat=theta_stat(e, t, T))
+                        theta_stat=theta_stat(e, t, setup.T))
             for noise, e, y, est in zip(noises, noise_fields, ys, estimates)]
 
 
@@ -239,28 +258,22 @@ def monte_carlo(s: Field, cert: Certificate, t: Sequence[int], T: int,
 
     Each trial fits an order-``T`` filter at the certificate's ``rho`` and
     lag (see :func:`run_trial`). Seeds are ``derive_seed(master_seed, i)``,
-    and all trials' fits are solved as one batch. A set-up failure
-    (``DomainError``, ``ParamError``) is raised again as its own type,
-    naming trial 0 and its seed. A fit that misses the iteration budget is
-    recorded with its certified gap, so ``solver_gap > tol`` flags it and
-    ``max_solver_gap`` covers it. The reported bound evaluates
-    :func:`risk_bound` at the certificate's ``(theta, rho)``.
+    and all trials' fits are solved as one batch. The set-up is checked
+    (:func:`_experiment_setup`) before any noise is drawn, and a set-up
+    error (``DomainError``, ``ParamError``) is raised as its own type. A fit
+    that misses the iteration budget is recorded with its certified gap, so
+    ``solver_gap > tol`` flags it and ``max_solver_gap`` covers it. The
+    reported bound evaluates :func:`risk_bound` at the certificate's
+    ``(theta, rho)``.
     """
     _trials_arg(trials)
-    name = label or "experiment"
-    seeds = [derive_seed(master_seed, i) for i in range(trials)]
-    try:
-        records = _run_trials(s, cert, t, T,
-                              [NoiseSpec(sigma, seed) for seed in seeds], tol)
-    except (DomainError, ParamError) as exc:
-        # every trial reads the same box of the same signal, so what stops
-        # one trial stops the first
-        raise type(exc)(f"trial 0 (seed {seeds[0]}) of {name} failed: {exc}") from exc
+    setup, q, bound = _experiment_setup(s, cert, t, T, sigma)
+    noises = [NoiseSpec(sigma, derive_seed(master_seed, i)) for i in range(trials)]
+    records = _run_trials(s, t, setup, q, noises, tol)
     sq_a = np.array([r.sq_err_adaptive for r in records])
     sq_o = np.array([r.sq_err_oracle for r in records])
     rmse_a, hw_a = _rmse_with_halfwidth(sq_a)
     rmse_o, hw_o = _rmse_with_halfwidth(sq_o)
-    bound = risk_bound(s.d, T, cert.rho, cert.theta, sigma)
     stats = ExperimentStats(
         label=label,
         d=s.d,
@@ -423,11 +436,6 @@ class ThetaMomentReport:
         return self.mean_sq <= self.bound + 3 * self.se
 
 
-def _theta_order_arg(T: int) -> None:
-    if T < 0:
-        raise ParamError(f"the order must be nonnegative, got {T}")
-
-
 def _theta_moment_args(trials: int) -> None:
     if trials < 2:
         raise ParamError(f"the theta-moment check needs trials >= 2, got {trials}")
@@ -453,7 +461,7 @@ def check_theta_moment(T: int, sigma: float, trials: int,
     ``d = THETA_MOMENT_D``. The standard error needs at least two trials.
     The trials are drawn and transformed in chunks of about
     ``CHECK_CHUNK_BYTES``."""
-    _theta_order_arg(T)
+    _order_arg(T)
     _theta_moment_args(trials)
     d = THETA_MOMENT_D
     box = Box.cube(d, 4 * T)

@@ -838,6 +838,14 @@ BAD_EXPERIMENT_FIELDS = [
                  "usable range [0, inf]"),
     ("anchor", [4], 4, "config.experiments[1] (second): observations must cover "
                        "Box(lo=(-4,), hi=(12,))"),
+    # a label is a column of the stats files, so it must be a nonempty string
+    ("label", ["a", {"b": 1}], 2, "config.experiments[1].label: expected a nonempty "
+                                  "string, got ['a', {'b': 1}]"),
+    ("label", None, 2, "config.experiments[1].label: expected a nonempty string, "
+                       "got None"),
+    ("label", 3, 2, "config.experiments[1].label: expected a nonempty string, got 3"),
+    ("label", "", 2, "config.experiments[1].label: expected a nonempty string, "
+                     "got ''"),
 ]
 
 
@@ -848,8 +856,8 @@ def test_bench_rejects_bad_experiment_field_before_sampling(
 
     monkeypatch.setattr(cli, "monte_carlo", _refuse)
     doc = bench_doc(trials=3)
-    doc["experiments"].append(dict(doc["experiments"][0], label="second",
-                                   **{key: value}))
+    doc["experiments"].append({**doc["experiments"][0], "label": "second",
+                               key: value})
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
@@ -995,7 +1003,8 @@ def test_bench_noise_overflow_exit_code(tmp_path, monkeypatch, capsys, where):
         # which stops the run before sampling
         monkeypatch.setattr(cli, "monte_carlo", _refuse)
         doc["experiments"][0]["sigma"] = 1e308
-        code, message = 2, "config error: config.experiments[0]: the risk bound overflows"
+        code, message = 2, ("config error: config.experiments[0] (const): the risk "
+                            "bound overflows")
     else:
         doc["checks"]["theta_moment"] = {"T": 1, "sigma": 1e308, "trials": 10}
         code, message = 3, "generation error: noise of sigma 1e+308 overflows"
@@ -1016,8 +1025,8 @@ def test_bench_refuses_an_overflowing_risk_bound_before_sampling(tmp_path, monke
     doc["experiments"][0]["certificate"] = {"kind": "poly", "degree": 10 ** 99}
     cfg = write_config(tmp_path / "bench.yaml", doc)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert ("config error: config.experiments[0]: the risk bound overflows at "
-            "rho=1.6e+100") in capsys.readouterr().err
+    assert ("config error: config.experiments[0] (const): the risk bound overflows "
+            "at rho=1.6e+100") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "bench.yaml"]
 
 

@@ -136,14 +136,6 @@ def test_monte_carlo_rejects_zero_trials():
         monte_carlo(s, exp_certificate_1d(0.0), (0,), 2, 0.1, 0, 1)
 
 
-def test_monte_carlo_names_failing_seed():
-    # anchor outside the coverage makes every trial fail
-    box = Box((-8,), (8,))
-    s = Field(box, np.ones(17, dtype=complex))
-    with pytest.raises(DomainError, match="seed"):
-        monte_carlo(s, exp_certificate_1d(0.0), (4,), 2, 0.1, 2, 1)
-
-
 def budget_of_50(monkeypatch):
     """Every fit of the estimators stops after at most 50 iterations."""
     from gridfilt import estimators
@@ -215,23 +207,43 @@ def test_prediction_monte_carlo_runs_at_the_certificate_lag_and_rho():
                                                Box((0,), (0,))).value((0,))
 
 
-@pytest.mark.parametrize("T,message", [
-    (-1, "T must be nonnegative"),
+# (order, anchor, sigma, error, message) of a set-up on the box [-16, 16]
+# that monte_carlo and run_trial refuse, as its own error, before any noise
+# is drawn
+BAD_SETUPS = [
+    (-1, 0, 0.1, ParamError, "order must be nonnegative, got -1"),
     # lag 1 <= T, but a sum of two lag-1 predictors is usable from order 2
-    (1, r"order 1 outside the certificate's usable range \[2, inf\]")])
-def test_monte_carlo_refuses_a_bad_order_before_drawing_noise(monkeypatch, T, message):
+    (1, 0, 0.1, ParamError, r"order 1 outside the certificate's usable range \[2, inf\]"),
+    # a NoiseSpec refuses it too, so run_trial is never called with it
+    (2, 0, -0.1, ParamError, "sigma must be nonnegative"),
+    # a bound of inf would pass any error
+    (2, 0, 1e308, ParamError, "the risk bound overflows"),
+    # the filtering read set at order 2 around 12 is [4, 20]
+    (2, 12, 0.1, DomainError, r"^observations must cover Box\(lo=\(4,\), hi=\(20,\)\)"),
+]
+
+
+@pytest.mark.parametrize("runner,T,anchor,sigma,error,message", [
+    pytest.param(runner, *row, id=f"{row[0]}-{row[-1]}" + suffix)
+    for runner, suffix in (("monte_carlo", ""), ("run_trial", "-run_trial"))
+    for row in BAD_SETUPS])
+def test_monte_carlo_refuses_a_bad_order_before_drawing_noise(
+        monkeypatch, runner, T, anchor, sigma, error, message):
     from gridfilt import harness
 
     def refuse(*args):
-        raise AssertionError("noise drawn before the order was checked")
+        raise AssertionError("noise drawn before the set-up was checked")
 
     monkeypatch.setattr(harness, "sample_noise", refuse)
     box = Box((-16,), (16,))
     s = Field(box, np.ones(33, dtype=complex))
     cert = combine_certificates([predictor_exp_certificate(0.3j, 1),
                                  predictor_exp_certificate(-0.3j, 1)], [1, 1])
-    with pytest.raises(ParamError, match=message):
-        monte_carlo(s, cert, (0,), T, 0.1, 2, 1)
+    with pytest.raises(error, match=message):
+        if runner == "monte_carlo":
+            monte_carlo(s, cert, (anchor,), T, sigma, 2, 1, label="x")
+        else:
+            run_trial(s, cert, (anchor,), T, NoiseSpec(sigma, 1))
 
 
 def test_monte_carlo_reproducible():
