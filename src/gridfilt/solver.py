@@ -39,13 +39,22 @@ size for every direction. The iteration runs in the scaled variables
 ``sum dc |x| <= c`` and ``sum dr |v| <= 1``, projected on exactly by
 :func:`project_l1_ball`: Newton's method on the active set, with no sort,
 which each ball starts from the set its last projection ended with, so one
-pass usually both finds and confirms the threshold. The factors are powers
-of two so that
+pass usually both finds and confirms the threshold. Each ball keeps, with
+that set, its weights' squares and the set's sum of them, so a pass that
+confirms the set recomputes neither. The factors are powers of two so that
 ``K = D_r^-1 K~ D_c^-1`` holds exactly and dividing a product with ``K~`` by
 them is exact: the objective of each feasible filter and the dual bound
 ``D(u, w)`` come out as the unscaled operator gives them, bit for bit, while
-``K~`` is the one stored matrix (``K~^H y`` is formed from it as
-``conj(conj(y) K~)``).
+``K~`` is the one stored matrix.
+
+In filtering (no support rows) ``K = F_W Y F_W^H``, where the Toeplitz
+residual map ``Y`` has ``J Y^T J = Y`` for the index reversal ``J``, and
+``F_W`` is symmetric with ``J F_W = F_W^H``: so ``K`` is complex symmetric,
+``K^T = K``, to roundoff. Its column scales are then its row scales, ``dc =
+dr``, which keeps ``K~`` symmetric, and the iteration forms ``K~^H y`` as
+``conj(K~ conj(y))``, a matrix-vector product. The checks' dual bounds, the
+norm estimates and all of prediction form it exactly, as ``conj(conj(y)
+K~)``.
 
 Both modes are one saddle point problem, solved by reflected restarted
 Halpern PDHG (Lu & Yang, "Restarted Halpern PDHG for linear programming",
@@ -67,7 +76,11 @@ PDLP, Applegate et al., NeurIPS 2021), and the residual is measured in the
 norm it weights. The iteration is thus exactly equivariant under
 power-of-two scaling of the data (which leaves the diagonal scales as they
 are). Every check turns ``P(z)`` into a
-feasible filter and the certified dual lower bound ``D(u, w)`` of the true
+feasible filter (:meth:`_Geometry.feasible_filters`: in prediction by an
+inverse transform, zeroed off the support, and a transform back; in
+filtering, where that round trip is the identity, with no transform, the
+filter's coefficients coming from one inverse transform when the solve
+ends) and the certified dual lower bound ``D(u, w)`` of the true
 program at the dual iterate ``(u, w)`` (see :func:`dual_lower_bound`), or
 in prediction ``D(u, 0)`` where that is larger, so the reported optimality
 gap is unconditional. The check alone decides convergence (best objective
@@ -379,15 +392,32 @@ class _Geometry:
         coefficients off the support, then scale each row by ``radius /
         max(l1, radius)``, which is exactly 1 for a row inside the l1 ball.
 
-        Returns the spatial coefficients on the window and their spectra.
+        Returns the filters' spectra and the filters as a solve keeps them
+        (:meth:`spatial` gives their coefficients on the window): the
+        spectra themselves when no slot is off the support, where zeroing
+        is the identity and no transform is made; the spatial coefficients
+        otherwise.
         """
+        if not self.off.size:
+            scale = (radius / np.maximum(np.abs(Phi).sum(axis=1), radius))[:, None]
+            PhiF = Phi * scale
+            return PhiF, PhiF
         B, shape = len(Phi), (len(Phi),) + self.window.shape
         phi_sp = idft_windows(Phi.reshape(shape), self.W, self.d).reshape(B, self.n)
         phi_sp[:, self.off] = 0.0
         PhiF = dft_windows(phi_sp.reshape(shape), self.W, self.d).reshape(B, self.n)
         l1 = np.abs(PhiF).sum(axis=1)
         scale = (radius / np.maximum(l1, radius))[:, None]
-        return phi_sp * scale, PhiF * scale
+        return PhiF * scale, phi_sp * scale
+
+    def spatial(self, kept: np.ndarray) -> np.ndarray:
+        """The spatial coefficients on the window of filters (rows) kept as
+        :meth:`feasible_filters` returns them."""
+        if self.off.size:
+            return kept.copy()
+        B = len(kept)
+        return idft_windows(kept.reshape((B,) + self.window.shape),
+                            self.W, self.d).reshape(B, self.n)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -480,8 +510,31 @@ def _filter(inst: Instance, phi_sp: np.ndarray) -> Filter:
                   inst.W, inst.kappa)
 
 
+class _Ball:
+    """What one l1 ball of :func:`_pdhg` keeps from one projection to the
+    next: its weights' squares ``ww``, the active set ``A`` its last
+    projection ended with, and that set's ``sum_A w^2`` per row, ``ww_A``
+    (None until a projection has confirmed a set). Indexing takes rows, as
+    a compaction does. A plain class: a dataclass would cost the import
+    about 0.4 ms."""
+
+    __slots__ = ("ww", "A", "ww_A")
+
+    def __init__(self, ww: np.ndarray, A: np.ndarray, ww_A: np.ndarray | None = None):
+        self.ww, self.A, self.ww_A = ww, A, ww_A
+
+    @classmethod
+    def of(cls, weights: np.ndarray) -> _Ball:
+        """The ball of these weights (rows), every entry active."""
+        return cls(weights * weights, np.ones(weights.shape, dtype=bool))
+
+    def __getitem__(self, keep) -> _Ball:
+        return _Ball(self.ww[keep], self.A[keep],
+                     None if self.ww_A is None else self.ww_A[keep])
+
+
 def project_l1_ball(z: np.ndarray, radius: float, weights: np.ndarray,
-                    active: np.ndarray | None = None) -> np.ndarray:
+                    active: np.ndarray | _Ball | None = None) -> np.ndarray:
     """Euclidean projection of complex vectors onto the weighted l1 ball
     ``{x : sum_j w_j |x_j| <= radius}``.
 
@@ -503,6 +556,13 @@ def project_l1_ball(z: np.ndarray, radius: float, weights: np.ndarray,
     and confirms it. None, and a row with no entry set, start from all
     entries. The result depends on the final set alone, not on the start,
     and a row comes out bit for bit as it would alone. Deterministic.
+
+    ``active`` may instead be a ball's kept state (``_Ball``, for a 2-d
+    ``z`` of its rows and ``weights`` of its weights): the start set is its
+    set, and a set that its last projection confirmed needs neither its
+    ``sum_A w^2`` again nor the check for an empty set, so a projection
+    whose set does not change makes one pass with neither. The result is
+    bit for bit that of the bool start set ``active.A``.
     """
     if not radius >= 0:
         raise ParamError(f"radius must be nonnegative, got {radius}")
@@ -518,14 +578,18 @@ def project_l1_ball(z: np.ndarray, radius: float, weights: np.ndarray,
     if radius == 0:
         out = np.zeros_like(rows)
     else:
-        ww = w * w
-        # a view: the set is updated in place
-        A = np.ones((B, n), dtype=bool) if active is None else active.reshape(B, n)
+        if isinstance(active, _Ball):
+            ball = active
+        else:   # a view: the set is updated in place
+            ball = _Ball(w * w, np.ones((B, n), dtype=bool) if active is None
+                         else active.reshape(B, n))
+        ww, A, ww_A = ball.ww, ball.A, ball.ww_A
         for _ in range(n + 1):
-            ww_A = (ww * A).sum(axis=1)
-            if not ww_A.all():   # a row with no entry set starts from all
-                A[ww_A == 0] = True
+            if ww_A is None:
                 ww_A = (ww * A).sum(axis=1)
+                if not ww_A.all():   # a row with no entry set starts from all
+                    A[ww_A == 0] = True
+                    ww_A = (ww * A).sum(axis=1)
             lam = ((wa * A).sum(axis=1) - radius) / ww_A
             lam_w = lam[:, None] * w
             new = a > lam_w
@@ -537,6 +601,8 @@ def project_l1_ball(z: np.ndarray, radius: float, weights: np.ndarray,
             stuck = ~new.any(axis=1)
             new[stuck] = A[stuck]
             A[...] = new
+            ww_A = None
+        ball.ww_A = ww_A
         shrunk = np.maximum(a - lam_w, 0.0)
         if np.count_nonzero(a) == a.size:
             out = rows * (shrunk / a)
@@ -618,6 +684,9 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
     equilibrated ``D_r K D_c`` (see the module docstring), which replaces
     ``K`` in place. Its step and the scale of the support rows are
     estimates of norms by :func:`_norm_estimate`, which factors no matrix.
+    A square ``K`` (filtering) takes ``D_c = D_r`` and each iteration's
+    ``K~^H y`` as ``conj(K~ conj(y))``; the two balls keep their state
+    (``_Ball``) through the iterations and through compaction.
     Returns, per instance: the spatial coefficients of the best feasible
     filter, its objective, the best dual value, the iteration count, whether
     the gap reached ``tol`` and the dual vector attaining the best dual
@@ -642,16 +711,20 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         alpha[alpha == 0] = 1.0
         K[:, n:] *= alpha[:, None, None]
     # equilibrate: K <- D_r K D_c, b <- D_r b, in place; the primal is
-    # Phi / dc and the dual y / dr from here on
+    # Phi / dc and the dual y / dr from here on. A square K (filtering) is
+    # complex symmetric to roundoff (module docstring): its column sums are
+    # its row sums, and dc = dr keeps K~ symmetric
     row_sums, col_sums = np.empty(K.shape[:2]), np.zeros((B, n))
     for k, s in _slabs(B, K.shape[1], n * 8):   # |K| a slab at a time
         a = np.abs(K[k, s])
         row_sums[k, s] = a.sum(axis=2)
         # row by row from zero, the order of a whole column's sum(axis=0):
         # adding the sums of slabs would round differently
-        for i in range(a.shape[1]):
-            col_sums[k] += a[:, i]
-    dr, dc = _pow2_scales(row_sums), _pow2_scales(col_sums)
+        if m:
+            for i in range(a.shape[1]):
+                col_sums[k] += a[:, i]
+    dr = _pow2_scales(row_sums)
+    dc = _pow2_scales(col_sums) if m else dr
     K *= dr[:, :, None]
     K *= dc[:, None, :]
     b *= dr
@@ -662,9 +735,9 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
 
     Phi = np.zeros((B, n), dtype=np.complex128)
     y = np.zeros_like(b)
-    # the active sets of the two l1 balls, kept from one projection to the
-    # next: the iterates move little, so their sets seldom change
-    act_Phi, act_y = np.ones((B, n), dtype=bool), np.ones((B, n), dtype=bool)
+    # the two l1 balls keep their state from one projection to the next: the
+    # iterates move little, so their active sets seldom change
+    ball_Phi, ball_y = _Ball.of(dc), _Ball.of(dr[:, :n])
     Phi0, y0 = Phi.copy(), y.copy()            # the anchor z0 of the epoch
     restart_it = np.zeros(B, dtype=np.int64)   # the epoch began after it
     r_restart = np.full(B, math.inf)
@@ -680,11 +753,16 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         it += 1
         # P(z) = (Phi+, y+), one PDHG step from z = (Phi, y); R = 2 Phi+ - Phi
         # is both its extrapolated point and the reflection of Phi. The
-        # primal step Phi - tau K^H y is formed in the buffer of K^H y
-        g = _rmatvec(K, y)
+        # primal step Phi - tau K^H y is formed in the buffer of K^H y; a
+        # symmetric K~ gives it as conj(K~ conj(y)), BLAS's faster kernel
+        if m:
+            g = _rmatvec(K, y)
+        else:
+            g = _matvec(K, np.conj(y))
+            np.conjugate(g, out=g)
         g *= tau
         np.subtract(Phi, g, out=g)
-        Phi_plus = project_l1_ball(g, c, dc, act_Phi)
+        Phi_plus = project_l1_ball(g, c, dc, ball_Phi)
         R = 2 * Phi_plus
         R -= Phi
         y_plus = _matvec(K, R)
@@ -692,20 +770,20 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
         y_plus *= sigma
         y_plus += y
         if m:
-            y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0, dr[:, :n], act_y)
+            y_plus[:, :n] = project_l1_ball(y_plus[:, :n], 1.0, dr[:, :n], ball_y)
         else:
-            y_plus = project_l1_ball(y_plus, 1.0, dr, act_y)
+            y_plus = project_l1_ball(y_plus, 1.0, dr, ball_y)
 
         check = it % CHECK_EVERY == 0 or it == max_iter
         if check:
             # J and D of the unscaled program: dividing the products by the
             # powers of two dr and dc gives them bit for bit
-            phi_sp, PhiF = geo.feasible_filters(Phi_plus * dc, c)
+            PhiF, filters = geo.feasible_filters(Phi_plus * dc, c)
             J = (np.abs(b[:, :n] - _matvec(K[:, :n], PhiF / dc))
                  / dr[:, :n]).max(axis=1)
             better = J < best_J
             best_J[better] = J[better]
-            best_phi[better] = phi_sp[better]
+            best_phi[better] = filters[better]
             D = _dual_values(K, b, y_plus, c, dc)
             y_cert = y_plus
             if m:
@@ -763,9 +841,9 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                 for j in np.flatnonzero(done):
                     y_best = best_y[j] * dr[j]
                     y_best[n:] *= alpha[j]
-                    out[rows[j]] = (best_phi[j].copy(), float(best_J[j]),
-                                    float(best_D[j]), it, bool(converged[j]),
-                                    y_best)
+                    out[rows[j]] = (geo.spatial(best_phi[j:j + 1])[0],
+                                    float(best_J[j]), float(best_D[j]), it,
+                                    bool(converged[j]), y_best)
                 # compact only now: indexing the stacks every iteration costs
                 # more than the products on large windows
                 keep = ~done
@@ -777,11 +855,11 @@ def _pdhg(geo: _Geometry, K: np.ndarray, b: np.ndarray, c: float, tol: float,
                         K[i] = K[j]
                 K = K[:len(kept)]
                 (rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi, y,
-                 Phi0, y0, act_Phi, act_y, restart_it, r_restart, r_last,
+                 Phi0, y0, ball_Phi, ball_y, restart_it, r_restart, r_last,
                  best_J, best_phi, best_D, best_y) = (
                     x[keep] for x in (
                         rows, b, alpha, dr, dc, step, omega, tau, sigma, Phi,
-                        y, Phi0, y0, act_Phi, act_y, restart_it, r_restart,
+                        y, Phi0, y0, ball_Phi, ball_y, restart_it, r_restart,
                         r_last, best_J, best_phi, best_D, best_y))
     return out
 

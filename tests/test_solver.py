@@ -203,6 +203,43 @@ def test_project_l1_radius_below_the_roundoff_of_a_row():
     assert np.abs(out - project_l1_bisect(z, 1e-17)).max() <= 1e-12
 
 
+def test_project_l1_kept_ball_state_is_bit_for_bit_a_fresh_call():
+    # a ball's kept state gives, call after call, the rows and the final set
+    # of a fresh call from the same start set: through a set change, a row
+    # inside the ball, zero moduli and a compaction that drops rows
+    from gridfilt.solver import _Ball
+
+    rng = np.random.default_rng(34)
+    B, n = 6, 17
+    w = np.ldexp(1.0, rng.integers(-3, 1, (B, n)))
+    base = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    base[1] *= 1e-3       # inside the ball
+    base[2, ::4] = 0      # zero moduli
+    ball = _Ball.of(w)
+    kept_sets = changed_sets = 0
+    for step in range(16):
+        if step == 8:     # a compaction drops rows 0 and 4
+            keep = np.array([False, True, True, True, False, True])
+            ball, w, base = ball[keep], w[keep], base[keep]
+        if step in (5, 11):   # the last row jumps: its set changes
+            base[-1] = 2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        z = base + 0.002 * (rng.standard_normal(base.shape)
+                            + 1j * rng.standard_normal(base.shape))
+        z[base == 0] = 0
+        before = ball.A.copy()
+        confirmed = ball.ww_A is not None
+        start = before.copy()
+        fresh = project_l1_ball(z, 0.5, w, start)
+        out = project_l1_ball(z, 0.5, w, ball)
+        assert np.array_equal(out, fresh), step
+        assert np.array_equal(ball.A, start), step
+        assert np.array_equal(ball.ww_A, (ball.ww * ball.A).sum(axis=1)), step
+        same = np.array_equal(ball.A, before)
+        kept_sets += confirmed and same
+        changed_sets += confirmed and not same
+    assert kept_sets >= 10 and changed_sets >= 2
+
+
 # ---------------------------------------------------------------- instances
 
 
@@ -1007,6 +1044,65 @@ def test_norm_estimate_of_a_zero_support_operator():
     # equilibrated: an alpha of 0 would zero them, one of 1/0 make them inf
     assert np.all(np.abs(K[0, n:]) > 0) and np.all(np.isfinite(K))
     assert solve(inst, tol=1e-9).converged
+
+
+# ---------------------------------------------------------------- adjoint
+
+
+@given(d=st.sampled_from([1, 2]), T=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       wave=st.booleans())
+@settings(max_examples=24, deadline=None, derandomize=True)
+def test_filtering_operator_is_complex_symmetric(d, T, seed, wave):
+    # K = F_W Y F_W^H with J Y^T J = Y and J F_W = F_W^H, so K^T = K: its
+    # column sums are its row sums, and the iteration's K~^H y, for K~
+    # scaled by the row scales on both sides, is conj(K~ conj(y))
+    from gridfilt.solver import _matvec, _pow2_scales, _rmatvec
+
+    rng = np.random.default_rng(seed)
+    box = Box.cube(d, 4 * T)
+    y = _field(rng, box, 1.0, 0.3)
+    if wave:              # a plane wave on one bin of the window, which dominates K
+        nu = rng.integers(-2 * T, 2 * T + 1, d) * 2 * math.pi / (4 * T + 1)
+        tau = np.stack(np.meshgrid(*[np.arange(-4 * T, 4 * T + 1)] * d, indexing="ij"))
+        y = Field(box, np.exp(1j * np.tensordot(nu, tau, axes=1)) + 0.01 * y.data)
+    inst = build_instance(y, (0,) * d, T, 1.5)
+    (K,), _ = _Geometry(inst).operators([inst])
+    assert K.shape[0] == K.shape[1]
+    assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
+    dr = _pow2_scales(np.abs(K).sum(axis=1)[None])[0]
+    assert np.array_equal(dr, _pow2_scales(np.abs(K).sum(axis=0)[None])[0])
+    Ks = (K * dr[:, None] * dr[None, :])[None]
+    v = (rng.standard_normal(len(K)) + 1j * rng.standard_normal(len(K)))[None]
+    for M in (K[None], Ks):
+        exact = _rmatvec(M, v)
+        assert np.abs(np.conj(_matvec(M, np.conj(v))) - exact).max() <= \
+            1e-13 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("mode", ["filtering", "prediction"])
+def test_only_a_symmetric_operator_takes_the_matvec_adjoint(mode, monkeypatch):
+    # prediction's K has the support rows below A, so it is not square and
+    # every iteration takes the exact adjoint; filtering's is square and
+    # takes it only in the norm estimate and the checks' dual values
+    from gridfilt import solver
+
+    insts = _operator_batch(mode, 1, 2, None if mode == "filtering" else 1)
+    K, _ = _Geometry(insts[0]).operators(insts)
+    assert (K.shape[1] == K.shape[2]) == (mode == "filtering")
+    calls, real = [], solver._rmatvec
+
+    def spy(M, x):
+        calls.append(M.shape)
+        return real(M, x)
+
+    monkeypatch.setattr(solver, "_rmatvec", spy)
+    max_iter = 4 * CHECK_EVERY
+    res = solve(insts[0], tol=1e-12, max_iter=max_iter)
+    assert res.iterations == max_iter
+    if mode == "prediction":
+        assert len(calls) >= max_iter
+    else:
+        assert len(calls) < max_iter
 
 
 def test_solves_factor_no_matrix(monkeypatch):
